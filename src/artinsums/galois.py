@@ -74,7 +74,7 @@ class GaloisContext:
         self._by_label = {c.label: c for c in self.classes}
         self._code = {c.label: i for i, c in enumerate(self.classes)}
         self._classify_cache: dict[int, ClassOutcome] = {}
-        self._code_arrays: dict[int, np.ndarray] = {}
+        self._codes: np.ndarray | None = None
 
     def labels(self) -> list[str]:
         return [c.label for c in self.classes]
@@ -132,11 +132,12 @@ class GaloisContext:
 
     def class_code_array(self, sieve: FactorSieve, limit: int | None = None) -> np.ndarray:
         """int16 array over [0, limit]: class index for primes, -1 for
-        ramified primes, -2 elsewhere.  Cached per limit."""
+        ramified primes, -2 elsewhere.  The largest array built is kept,
+        and a request at or below its limit gets a slice of it."""
         limit = sieve.limit if limit is None else min(limit, sieve.limit)
-        arr = self._code_arrays.get(limit)
-        if arr is not None:
-            return arr
+        arr = self._codes
+        if arr is not None and len(arr) > limit:
+            return arr[: limit + 1]
         arr = np.full(limit + 1, UNCLASSIFIED_CODE, dtype=np.int16)
         primes = sieve.prime_array(limit)
         if self.kind == "cyclotomic":
@@ -150,7 +151,7 @@ class GaloisContext:
             for p in primes.tolist():
                 out = self.classify(p)
                 arr[p] = RAMIFIED_CODE if out.is_ramified else self._code[out.label]
-        self._code_arrays[limit] = arr
+        self._codes = arr
         return arr
 
     def code_of(self, label: str) -> int:

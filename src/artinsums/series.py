@@ -7,21 +7,25 @@ alongside an unconditional aggregate, so the decomposition
 
 can be audited at every checkpoint.
 
-Two arithmetic modes:
+Two arithmetic modes share one kernel (``_segment_partials``, which routes
+every n of a segment, and ``_masked_sum``, which reduces each bucket):
 
 * ``exact``       -- big-rational accumulation; capped at x <= 10^4
                      because the running lcm denominator growth makes it
                      infeasible beyond desk scale.  Serves as an oracle.
-* ``compensated`` -- Neumaier-compensated float accumulation.  Terms are
-                     added in ascending n within fixed segments and the
-                     segment partials are merged in ascending order, so a
-                     scan is bitwise deterministic for a fixed segment
-                     size regardless of the thread count.
+* ``compensated`` -- each term is rounded to a float once; a segment's
+                     terms are summed with ``math.fsum`` plus the fsum of
+                     its residual, which together hold the exact sum of
+                     the float terms to ~2^-106.  Segment sums are merged
+                     as Fractions, and a snapshot rounds each value once,
+                     so the result does not depend on the segment order,
+                     the thread count or the resume point.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,40 +48,6 @@ ALL_KINDS = PER_N_KINDS + CHECKPOINT_KINDS
 _INT_KINDS = {"mu_omega_raw", "floor_weighted"}
 
 
-class _Neumaier:
-    """Compensated accumulator; value() = running sum + correction."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self, s: float = 0.0, c: float = 0.0):
-        self.s = s
-        self.c = c
-
-    def add(self, v: float) -> None:
-        t = self.s + v
-        if abs(self.s) >= abs(v):
-            self.c += (self.s - t) + v
-        else:
-            self.c += (v - t) + self.s
-        self.s = t
-
-    def value(self) -> float:
-        return self.s + self.c
-
-
-def _neumaier_list(vals) -> tuple[float, float]:
-    s = 0.0
-    c = 0.0
-    for v in vals:
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-    return s, c
-
-
 def _pairwise_sum(vals: list[Fraction]) -> Fraction:
     """Tree-shaped Fraction sum; keeps the giant-denominator additions to
     O(log n) instead of O(n)."""
@@ -90,6 +60,24 @@ def _pairwise_sum(vals: list[Fraction]) -> Fraction:
             for i in range(0, len(work), 2)
         ]
     return work[0]
+
+
+def _masked_sum(mask, num, den, mode):
+    """Sum of num/den over the masked entries: an int when den is None, a
+    Fraction otherwise -- exact in exact mode, and in compensated mode the
+    sum of the float-rounded terms as fsum plus the fsum of its residual."""
+    num = num[mask]
+    if den is None:
+        return int(num.sum())
+    den = den[mask]
+    if mode == "exact":
+        return _pairwise_sum([Fraction(a, b) for a, b in zip(num.tolist(), den.tolist())])
+    terms = (num / den).tolist()
+    s = fsum(terms)
+    # without the residual, the per-segment roundings add up: 22 ulps on
+    # ramified:2 mu_over_n at x = 10^6 for Q(i), where cancellation is heavy
+    terms.append(-s)
+    return Fraction(s) + Fraction(fsum(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -143,31 +131,32 @@ def scan(
     cps = tuple(cps)
 
     ram_primes = sorted(p for p in ctx.ramified if p <= x_max)
-    codes = ctx.class_code_array(sieve)
+    codes = ctx.class_code_array(sieve, x_max)
     buckets = [("class", c.label) for c in ctx.classes]
     buckets += [("ram", p) for p in ram_primes]
     buckets.append(("total", None))
 
     segments = _segments(2, x_max, segment_size, cps)
-    acc, snapshots, start_lo = _init_state(
-        ctx, mode, buckets, segment_size, x_max, cps, state_path, resume
-    )
+    if resume and state_path is not None and os.path.exists(state_path):
+        acc, snapshots, start_lo = _load_state(
+            state_path, ctx, mode, segment_size, x_max, cps, buckets
+        )
+    else:
+        acc, snapshots, start_lo = _zeros(buckets, PER_N_KINDS), {}, 2
 
     result = SeriesScan(ctx, x_max, mode, cps, snapshots)
     todo = [(lo, hi) for lo, hi in segments if lo >= start_lo]
     cp_set = set(cps)
 
-    worker = _segment_exact if mode == "exact" else _segment_float
-
     def run(seg):
         lo, hi = seg
-        return _segment_partials(ctx, sieve, codes, ram_primes, lo, hi, worker)
+        return _segment_partials(ctx.labels(), sieve, codes, ram_primes, lo, hi, mode)
 
     def consume(seg, partial):
-        lo, hi = seg
-        _merge(acc, partial, mode)
+        hi = seg[1]
+        _merge(acc, partial)
         if hi in cp_set:
-            snapshots[hi] = _snapshot(ctx, sieve, codes, ram_primes, hi, mode, acc)
+            snapshots[hi] = _snapshot(ctx, sieve, codes, ram_primes, hi, mode, segment_size, acc)
         if state_path is not None:
             _save_state(state_path, ctx, mode, segment_size, x_max, cps, hi + 1, acc, snapshots)
 
@@ -195,115 +184,64 @@ def _segments(lo: int, hi: int, size: int, checkpoints) -> list[tuple[int, int]]
     return out
 
 
-def _fresh_acc(buckets, mode):
-    def cell():
-        out = {}
-        for kind in PER_N_KINDS:
-            if kind in _INT_KINDS:
-                out[kind] = 0
-            elif mode == "exact":
-                out[kind] = Fraction(0)
-            else:
-                out[kind] = _Neumaier()
-        return out
-
-    return {b: cell() for b in buckets}
+def _zeros(buckets, kinds):
+    return {b: {k: 0 if k in _INT_KINDS else Fraction(0) for k in kinds} for b in buckets}
 
 
-def _init_state(ctx, mode, buckets, segment_size, x_max, cps, state_path, resume):
-    if resume and state_path is not None:
-        import os
-
-        if os.path.exists(state_path):
-            return _load_state(state_path, ctx, mode, segment_size, x_max, cps, buckets)
-    return _fresh_acc(buckets, mode), {}, 2
-
-
-def _segment_partials(ctx, sieve, codes, ram_primes, lo, hi, worker):
-    """Bucket masks for one contiguous block of n, then per-bucket
-    accumulation with the mode-specific worker."""
+def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, x=None):
+    """Per-bucket sums over the block lo <= n <= hi: of the per-n kinds,
+    or with `x` of the checkpoint kinds at x.  The one place where terms
+    are formed and routed to buckets; class i of `labels` is code i."""
     sl = slice(lo, hi + 1)
     mu = sieve.mu_table()[sl].astype(np.int64)
     om = sieve.omega_table()[sl].astype(np.int64)
     sp = sieve.spf[sl].astype(np.int64)
-    nz = mu != 0
-    sel = codes[sp]
-    masks = {}
-    for i, cls in enumerate(ctx.classes):
-        masks["class", cls.label] = nz & (sel == i)
-    for p in ram_primes:
-        masks["ram", p] = nz & (sp == p)
-    masks["total", None] = nz
-    return worker(lo, mu, om, masks)
-
-
-def _segment_float(lo, mu, om, masks):
-    ns = np.arange(lo, lo + len(mu), dtype=np.float64)
+    n = np.arange(lo, hi + 1, dtype=np.int64)
     muom = mu * om
-    terms = {
-        "mu_omega_over_n": muom / ns,
-        "mu_over_n": mu / ns,
-        "mu_omega_minus1_over_n": (mu * (om - 1)) / ns,
-    }
-    out = {}
-    for key, mask in masks.items():
-        idx = np.nonzero(mask)[0]
-        cell = {"mu_omega_raw": int(muom[idx].sum())}
-        for kind, arr in terms.items():
-            cell[kind] = _neumaier_list(arr[idx].tolist())
-        out[key] = cell
-    return out
-
-
-def _segment_exact(lo, mu, om, masks):
-    out = {}
-    for key, mask in masks.items():
-        idx = np.nonzero(mask)[0]
-        momn, mn, mm1n, raw = [], [], [], 0
-        for i in idx.tolist():
-            n = lo + i
-            m, o = int(mu[i]), int(om[i])
-            momn.append(Fraction(m * o, n))
-            mn.append(Fraction(m, n))
-            mm1n.append(Fraction(m * (o - 1), n))
-            raw += m * o
-        out[key] = {
-            "mu_omega_over_n": _pairwise_sum(momn),
-            "mu_over_n": _pairwise_sum(mn),
-            "mu_omega_minus1_over_n": _pairwise_sum(mm1n),
-            "mu_omega_raw": raw,
+    if x is None:
+        terms = {
+            "mu_omega_over_n": (muom, n),
+            "mu_over_n": (mu, n),
+            "mu_omega_minus1_over_n": (mu * (om - 1), n),
+            "mu_omega_raw": (muom, None),
         }
-    return out
+    else:
+        terms = {
+            "floor_weighted": (muom * (x // n), None),
+            "frac_weighted": (muom * (x % n), n),
+        }
+    nz = mu != 0
+    masks = {("class", lab): nz & (codes[sp] == i) for i, lab in enumerate(labels)}
+    masks.update({("ram", p): nz & (sp == p) for p in ram_primes})
+    # summed on its own, so a term routed to no bucket breaks the audit
+    masks["total", None] = nz
+    return {
+        key: {kind: _masked_sum(mask, num, den, mode) for kind, (num, den) in terms.items()}
+        for key, mask in masks.items()
+    }
 
 
-def _merge(acc, partial, mode):
+def _merge(acc, partial):
     for key, cell in partial.items():
-        tgt = acc[key]
         for kind, val in cell.items():
-            if kind in _INT_KINDS or mode == "exact":
-                tgt[kind] = tgt[kind] + val
-            else:
-                s, c = val
-                tgt[kind].add(s)
-                tgt[kind].add(c)
+            acc[key][kind] += val
 
 
-def _acc_value(v):
-    return v.value() if isinstance(v, _Neumaier) else v
-
-
-def _snapshot(ctx, sieve, codes, ram_primes, x, mode, acc) -> Snapshot:
-    ff = _floor_frac(ctx, sieve, codes, ram_primes, x, mode)
+def _snapshot(ctx, sieve, codes, ram_primes, x, mode, segment_size, acc) -> Snapshot:
+    cells = _zeros(acc, CHECKPOINT_KINDS)
+    for lo, hi in _segments(2, x, segment_size, ()):
+        _merge(cells, _segment_partials(ctx.labels(), sieve, codes, ram_primes, lo, hi, mode, x=x))
     classes, ramified = {}, {}
     for key, cell in acc.items():
-        vals = {kind: _acc_value(v) for kind, v in cell.items()}
-        vals.update(ff[key])
+        cell = {**cell, **cells[key]}
+        if mode == "compensated":
+            cell = {k: v if k in _INT_KINDS else float(v) for k, v in cell.items()}
         if key[0] == "class":
-            classes[key[1]] = vals
+            classes[key[1]] = cell
         elif key[0] == "ram":
-            ramified[key[1]] = vals
+            ramified[key[1]] = cell
         else:
-            total = vals
+            total = cell
     n2 = {lab: count_P2_in_class(ctx, lab, x, sieve) for lab in ctx.labels()}
     return Snapshot(
         x=x,
@@ -314,39 +252,6 @@ def _snapshot(ctx, sieve, codes, ram_primes, x, mode, acc) -> Snapshot:
         n2_ramified=count_P2_ramified(ctx, x, sieve),
         repeat_count=count_repeated_P1(x, sieve),
     )
-
-
-def _floor_frac(ctx, sieve, codes, ram_primes, x, mode):
-    """floor/frac-weighted sums depend on the checkpoint x, so they get a
-    dedicated pass over n <= x instead of incremental maintenance."""
-    sl = slice(2, x + 1)
-    mu = sieve.mu_table()[sl].astype(np.int64)
-    om = sieve.omega_table()[sl].astype(np.int64)
-    sp = sieve.spf[sl].astype(np.int64)
-    ns = np.arange(2, x + 1, dtype=np.int64)
-    nz = mu != 0
-    sel = codes[sp]
-    muom = mu * om
-    floor_terms = muom * (x // ns)
-    rem = x % ns
-
-    out = {}
-    items = [(("class", c.label), nz & (sel == i)) for i, c in enumerate(ctx.classes)]
-    items += [(("ram", p), nz & (sp == p)) for p in ram_primes]
-    items.append((("total", None), nz))
-    for key, mask in items:
-        idx = np.nonzero(mask)[0]
-        fl = int(floor_terms[idx].sum())
-        if mode == "exact":
-            fr = _pairwise_sum(
-                [Fraction(int(muom[i]) * int(rem[i]), int(ns[i])) for i in idx.tolist()]
-            )
-        else:
-            fr_terms = (muom[idx] * rem[idx]) / ns[idx].astype(np.float64)
-            s, c = _neumaier_list(fr_terms.tolist())
-            fr = s + c
-        out[key] = {"floor_weighted": fl, "frac_weighted": fr}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,25 +321,18 @@ def fixed_prime_slice(p: int, x: int, sieve: FactorSieve, mode: str = "auto"):
         raise ValueError(f"need 2 <= p <= x, got p={p}, x={x}")
     if mode == "auto":
         mode = "exact" if x <= EXACT_X_CAP else "compensated"
-    sl = slice(2, x + 1)
-    mu = sieve.mu_table()[sl].astype(np.int64)
-    om = sieve.omega_table()[sl].astype(np.int64)
-    sp = sieve.spf[sl]
-    idx = np.nonzero((sp == p) & (mu != 0))[0]
-    if mode == "exact":
-        return _pairwise_sum(
-            [Fraction(int(mu[i]) * int(om[i]), int(i) + 2) for i in idx.tolist()]
-        )
-    terms = (mu[idx] * om[idx]) / (idx.astype(np.float64) + 2.0)
-    s, c = _neumaier_list(terms.tolist())
-    return s + c
+    # the slice is the ramified-bucket routing (spf == p) with no classes
+    total = Fraction(0)
+    for lo, hi in _segments(2, x, DEFAULT_SEGMENT, ()):
+        total += _segment_partials((), sieve, None, [p], lo, hi, mode)["ram", p]["mu_omega_over_n"]
+    return total if mode == "exact" else float(total)
 
 
 def sum_mu_in_class(ctx: GaloisContext, label: str, x: int, sieve: FactorSieve) -> int:
     """Integer sum of mu(n) over n <= x whose smallest prime factor lies
     in the given class."""
     code = ctx.code_of(label)
-    codes = ctx.class_code_array(sieve)
+    codes = ctx.class_code_array(sieve, x)
     sl = slice(2, x + 1)
     mask = codes[sieve.spf[sl].astype(np.int64)] == code
     return int(np.sum(sieve.mu_table()[sl][mask], dtype=np.int64))
@@ -443,20 +341,20 @@ def sum_mu_in_class(ctx: GaloisContext, label: str, x: int, sieve: FactorSieve) 
 def count_P2_in_class(ctx: GaloisContext, label: str, x: int, sieve: FactorSieve) -> int:
     """#{n <= x : second-largest prime factor (strict) is in the class},
     excluding n whose largest prime factor repeats."""
-    code = ctx.code_of(label)
-    codes = ctx.class_code_array(sieve)
+    return _count_P2_with_code(ctx, ctx.code_of(label), x, sieve)
+
+
+def count_P2_ramified(ctx: GaloisContext, x: int, sieve: FactorSieve) -> int:
+    """As count_P2_in_class, for a ramified second-largest prime factor."""
+    return _count_P2_with_code(ctx, RAMIFIED_CODE, x, sieve)
+
+
+def _count_P2_with_code(ctx: GaloisContext, code: int, x: int, sieve: FactorSieve) -> int:
+    codes = ctx.class_code_array(sieve, x)
     sl = slice(2, x + 1)
     P2 = sieve.P2_strict_table()[sl].astype(np.int64)
     rep = sieve.repeated_P1_table()[sl]
     return int(np.count_nonzero((P2 > 1) & ~rep & (codes[P2] == code)))
-
-
-def count_P2_ramified(ctx: GaloisContext, x: int, sieve: FactorSieve) -> int:
-    codes = ctx.class_code_array(sieve)
-    sl = slice(2, x + 1)
-    P2 = sieve.P2_strict_table()[sl].astype(np.int64)
-    rep = sieve.repeated_P1_table()[sl]
-    return int(np.count_nonzero((P2 > 1) & ~rep & (codes[P2] == RAMIFIED_CODE)))
 
 
 def count_P2_small_or_repeated(x: int, sieve: FactorSieve) -> int:
@@ -556,35 +454,15 @@ def dickman_grid() -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # scan state persistence (resume support)
 
-_STATE_HEADER = "artinsums-scan v1"
+_STATE_HEADER = "artinsums-scan v2"
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, _Neumaier):
-        return f"neumaier {v.s.hex()} {v.c.hex()}"
     if isinstance(v, Fraction):
         return f"frac {v.numerator}/{v.denominator}"
-    if isinstance(v, bool):
-        raise TypeError("unexpected bool")
-    if isinstance(v, int):
-        return f"int {v}"
-    return f"float {float(v).hex()}"
-
-
-def _parse_value(s: str):
-    tag, _, rest = s.partition(" ")
-    if tag == "neumaier":
-        a, b = rest.split()
-        acc = _Neumaier(float.fromhex(a), float.fromhex(b))
-        return acc
-    if tag == "frac":
-        num, den = rest.split("/")
-        return Fraction(int(num), int(den))
-    if tag == "int":
-        return int(rest)
-    if tag == "float":
-        return float.fromhex(rest)
-    raise IntegrityError(f"bad value tag {tag!r}")
+    if isinstance(v, float):
+        return f"float {v.hex()}"
+    return f"int {v}"
 
 
 def _bucket_key_str(key) -> str:
@@ -596,6 +474,8 @@ def _bucket_key_str(key) -> str:
 
 
 def _save_state(path, ctx, mode, segment_size, x_max, cps, next_lo, acc, snapshots):
+    """Write the state to a temporary file beside `path`, then rename it
+    over `path`, so an interrupted write leaves the previous state whole."""
     lines = [
         _STATE_HEADER,
         f"context = {ctx.spec_string()}",
@@ -610,35 +490,41 @@ def _save_state(path, ctx, mode, segment_size, x_max, cps, next_lo, acc, snapsho
             lines.append(f"acc.{_bucket_key_str(key)}.{kind} = {_fmt_value(acc[key][kind])}")
     for x in sorted(snapshots):
         snap = snapshots[x]
-        for lab in sorted(snap.classes):
-            for kind, v in sorted(snap.classes[lab].items()):
-                lines.append(f"snap.{x}.class:{lab}.{kind} = {_fmt_value(v)}")
-        for p in sorted(snap.ramified):
-            for kind, v in sorted(snap.ramified[p].items()):
-                lines.append(f"snap.{x}.ram:{p}.{kind} = {_fmt_value(v)}")
-        for kind, v in sorted(snap.total.items()):
-            lines.append(f"snap.{x}.total.{kind} = {_fmt_value(v)}")
+        cells = {f"class:{lab}": v for lab, v in snap.classes.items()}
+        cells.update({f"ram:{p}": v for p, v in snap.ramified.items()})
+        cells["total"] = snap.total
+        for name in sorted(cells):
+            for kind, v in sorted(cells[name].items()):
+                lines.append(f"snap.{x}.{name}.{kind} = {_fmt_value(v)}")
         for lab in sorted(snap.n2_classes):
             lines.append(f"snap.{x}.n2:{lab} = int {snap.n2_classes[lab]}")
         lines.append(f"snap.{x}.n2_ramified = int {snap.n2_ramified}")
         lines.append(f"snap.{x}.repeat_count = int {snap.repeat_count}")
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode()).hexdigest()
-    with open(path, "w") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
         fh.write(body)
         fh.write(f"sha256 = {digest}\n")
+    os.replace(tmp, path)
 
 
 def _load_state(path, ctx, mode, segment_size, x_max, cps, buckets):
-    with open(path) as fh:
-        text = fh.read()
+    """(accumulator, snapshots, next segment start) from a state file.
+    The file must hold exactly the entries this scan writes; anything
+    else raises IntegrityError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise IntegrityError(f"{path}: state file is not UTF-8 text") from None
     body, _, tail = text.rpartition("sha256 = ")
     digest = tail.strip()
     if hashlib.sha256(body.encode()).hexdigest() != digest:
         raise IntegrityError(f"{path}: state hash mismatch")
     lines = body.splitlines()
     if not lines or lines[0] != _STATE_HEADER:
-        raise IntegrityError(f"{path}: unrecognized state header")
+        raise IntegrityError(f"{path}: unrecognized state header (expected {_STATE_HEADER!r})")
     kv = {}
     for line in lines[1:]:
         if not line.strip():
@@ -653,42 +539,59 @@ def _load_state(path, ctx, mode, segment_size, x_max, cps, buckets):
         "checkpoints": ",".join(str(c) for c in cps),
     }
     for k, want in expect.items():
-        if kv.get(k) != want:
-            raise IntegrityError(
-                f"{path}: state {k} mismatch (file {kv.get(k)!r}, requested {want!r})"
-            )
-    acc = _fresh_acc(buckets, mode)
-    by_str = {_bucket_key_str(b): b for b in buckets}
-    snapshots: dict[int, Snapshot] = {}
+        got = kv.pop(k, None)
+        if got != want:
+            raise IntegrityError(f"{path}: state {k} mismatch (file {got!r}, requested {want!r})")
 
-    def snap_for(x):
-        if x not in snapshots:
-            snapshots[x] = Snapshot(x, {}, {}, {}, {}, 0, 0)
-        return snapshots[x]
+    def take(key, tag):
+        if key not in kv:
+            raise IntegrityError(f"{path}: state lacks {key}")
+        text = kv.pop(key)
+        got, _, rest = text.partition(" ")
+        try:
+            if got == tag == "int":
+                return int(rest)
+            if got == tag == "float":
+                return float.fromhex(rest)
+            if got == tag == "frac":
+                num, den = rest.split("/")
+                return Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+        raise IntegrityError(f"{path}: bad state value {key} = {text!r}")
 
-    for key, val in kv.items():
-        if key.startswith("acc."):
-            _, bstr, kind = key.split(".", 2)
-            acc[by_str[bstr]][kind] = _parse_value(val)
-        elif key.startswith("snap."):
-            _, xs, rest = key.split(".", 2)
-            snap = snap_for(int(xs))
-            if rest.startswith("class:"):
-                bstr, kind = rest[6:].rsplit(".", 1)
-                snap.classes.setdefault(bstr, {})[kind] = _final(_parse_value(val))
-            elif rest.startswith("ram:"):
-                bstr, kind = rest[4:].rsplit(".", 1)
-                snap.ramified.setdefault(int(bstr), {})[kind] = _final(_parse_value(val))
-            elif rest.startswith("total."):
-                snap.total[rest[6:]] = _final(_parse_value(val))
-            elif rest.startswith("n2:"):
-                snap.n2_classes[rest[3:]] = _parse_value(val)
-            elif rest == "n2_ramified":
-                snap.n2_ramified = _parse_value(val)
-            elif rest == "repeat_count":
-                snap.repeat_count = _parse_value(val)
-    return acc, snapshots, int(kv["next_lo"])
+    try:
+        next_lo = int(kv.pop("next_lo"))
+    except (KeyError, ValueError):
+        raise IntegrityError(f"{path}: state lacks a valid next_lo") from None
+    starts = {lo for lo, _ in _segments(2, x_max, segment_size, cps)} | {x_max + 1}
+    if next_lo not in starts:
+        raise IntegrityError(f"{path}: next_lo = {next_lo} is not a segment start")
 
+    def kind_tag(kind, frac_tag):
+        return "int" if kind in _INT_KINDS else frac_tag
 
-def _final(v):
-    return v.value() if isinstance(v, _Neumaier) else v
+    acc = {
+        b: {k: take(f"acc.{_bucket_key_str(b)}.{k}", kind_tag(k, "frac")) for k in PER_N_KINDS}
+        for b in buckets
+    }
+    snap_tag = "frac" if mode == "exact" else "float"
+    labels = [b[1] for b in buckets if b[0] == "class"]
+    snapshots = {}
+    for x in (c for c in cps if c < next_lo):
+        cells = {
+            b: {k: take(f"snap.{x}.{_bucket_key_str(b)}.{k}", kind_tag(k, snap_tag)) for k in ALL_KINDS}
+            for b in buckets
+        }
+        snapshots[x] = Snapshot(
+            x=x,
+            classes={b[1]: v for b, v in cells.items() if b[0] == "class"},
+            ramified={b[1]: v for b, v in cells.items() if b[0] == "ram"},
+            total=cells["total", None],
+            n2_classes={lab: take(f"snap.{x}.n2:{lab}", "int") for lab in labels},
+            n2_ramified=take(f"snap.{x}.n2_ramified", "int"),
+            repeat_count=take(f"snap.{x}.repeat_count", "int"),
+        )
+    if kv:
+        raise IntegrityError(f"{path}: unexpected state entry {next(iter(kv))!r}")
+    return acc, snapshots, next_lo

@@ -2,12 +2,15 @@
 file, cache directory, and the negative path of the verify command."""
 
 import csv
+import hashlib
 import json
 import math
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinsums import cli, series
 from artinsums.sieve import FactorSieve
@@ -206,6 +209,64 @@ def test_scan_resume_integrity_exit_code(tmp_path, capsys):
     state.write_text(state.read_text().replace("mode = compensated", "mode = exact"))
     code, _, err = run(argv + ["--resume"], capsys)
     assert code == 3
+
+
+FUZZ_ARGV = ["scan", "--cyclotomic", "4", "--xmax", "3000", "--checkpoints", "1000", "--segment-size", "512"]
+
+
+@pytest.fixture(scope="session")
+def stopped_state(tmp_path_factory):
+    """Lines of the state body a scan leaves when stopped in its fourth
+    segment: a checkpoint snapshot, partial sums, next_lo = 1025."""
+    path = tmp_path_factory.mktemp("stopped") / "scan.state"
+    real = series._segment_partials
+    calls = []
+
+    def stop_after_five(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 5:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    series._segment_partials = stop_after_five
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(FUZZ_ARGV + ["--state", str(path), "--out", os.devnull])
+    finally:
+        series._segment_partials = real
+    body = path.read_text().rpartition("sha256 = ")[0]
+    assert "next_lo = 1025" in body and "snap.1000.total" in body
+    return body.splitlines()
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_scan_resume_edited_state_exits_0_or_3(tmp_path_factory, stopped_state, data):
+    # edits keep the hash valid, so only the loader stands between a
+    # malformed body and the scan: it must either resume or exit 3
+    lines = list(stopped_state)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(st.sampled_from(["delete", "replace", "value", "insert"]))
+        text = data.draw(st.text(max_size=24))
+        key = lines[i].partition(" = ")[0]
+        if op == "delete":
+            del lines[i]
+        elif op == "replace":
+            lines[i] = text
+        elif op == "value":
+            tag = data.draw(st.sampled_from(["int", "frac", "float", "neumaier", ""]))
+            lines[i] = f"{key} = {tag} {text}"
+        else:
+            lines.insert(i, text)
+        if not lines:
+            lines = [""]
+    body = "\n".join(lines) + "\n"
+    work = tmp_path_factory.mktemp("fuzz")
+    state = work / "scan.state"
+    state.write_text(body + f"sha256 = {hashlib.sha256(body.encode()).hexdigest()}\n")
+    code = cli.main(FUZZ_ARGV + ["--state", str(state), "--resume", "--out", str(work / "out.csv")])
+    assert code in (cli.EXIT_OK, cli.EXIT_INTEGRITY)
 
 
 def test_sieve_build_and_reuse(tmp_path, capsys):

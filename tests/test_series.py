@@ -2,7 +2,9 @@
 determinism, resume, counting operations against enumeration, Dickman rho
 against quadrature."""
 
+import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from artinsums import series
 from artinsums.errors import IntegrityError
-from artinsums.galois import new_cyclotomic
+from artinsums.galois import UNCLASSIFIED_CODE, new_cyclotomic, new_splitting_field
 
 
 # -- enumeration oracles ----------------------------------------------------
@@ -49,6 +51,29 @@ def enum_n2(sieve, ctx, x, label):
         if not out.is_ramified and out.label == label:
             count += 1
     return count
+
+
+def direct_float_terms(sieve, ctx, x):
+    """Bucket name -> kind -> the float terms of that bucket, from per-n
+    factorizations: each term rounded once, as the compensated scan does."""
+    out = {}
+    for n in range(2, x + 1):
+        mu, om, _ = sieve.arith_fns(n)
+        if mu == 0:
+            continue
+        p1 = sieve.factorize(n)[0][0]
+        out_p = ctx.classify(p1)
+        bucket = f"ramified:{p1}" if out_p.is_ramified else out_p.label
+        terms = {
+            "mu_omega_over_n": mu * om / n,
+            "mu_over_n": mu / n,
+            "mu_omega_minus1_over_n": mu * (om - 1) / n,
+            "frac_weighted": mu * om * (x % n) / n,
+        }
+        for name in (bucket, "total"):
+            for kind, v in terms.items():
+                out.setdefault(name, {}).setdefault(kind, []).append(v)
+    return out
 
 
 # -- exact scans ------------------------------------------------------------
@@ -155,6 +180,17 @@ def test_partition_audit_detects_corruption(sieve_small, ctx_c4):
     assert not ok
 
 
+def test_partition_audit_detects_unrouted_terms(sieve_small):
+    # a prime whose code is lost routes its terms to no bucket; the total
+    # is summed on its own, so the audit must see the gap in both modes
+    ctx = new_cyclotomic(4)
+    ctx.class_code_array(sieve_small, 2000)[7] = UNCLASSIFIED_CODE
+    for mode in ("exact", "compensated"):
+        r = series.scan(ctx, 2000, mode=mode, sieve=sieve_small)
+        with pytest.raises(IntegrityError):
+            series.partition_audit(r)
+
+
 def test_splitting_check_exact(sieve_small, ctx_c4, ctx_cubic):
     for ctx in (ctx_c4, ctx_cubic):
         for x in (100, 1000):
@@ -177,6 +213,21 @@ def test_compensated_matches_exact(sieve_small, ctx_cubic):
                     assert e == c
                 else:
                     assert abs(float(e) - c) <= 1e-12 * max(1.0, abs(float(e)))
+
+
+def test_compensated_is_fsum_of_float_terms(sieve_small, ctx_cubic, ctx_c4):
+    # every compensated value is the correctly rounded sum of the bucket's
+    # float terms, whatever the segment size
+    x = 30_000
+    for ctx in (ctx_cubic, ctx_c4):
+        snap = series.scan(ctx, x, sieve=sieve_small, segment_size=1024).snapshots[x]
+        cells = {lab: snap.classes[lab] for lab in snap.classes}
+        cells.update({f"ramified:{p}": snap.ramified[p] for p in snap.ramified})
+        cells["total"] = snap.total
+        direct = direct_float_terms(sieve_small, ctx, x)
+        for name, vals in cells.items():
+            for kind in ("mu_omega_over_n", "mu_over_n", "mu_omega_minus1_over_n", "frac_weighted"):
+                assert vals[kind] == math.fsum(direct.get(name, {}).get(kind, [])), (name, kind)
 
 
 # -- determinism and resume -------------------------------------------------
@@ -276,6 +327,90 @@ def test_resume_after_interruption(tmp_path, sieve_small, ctx_cubic, monkeypatch
                 ), (x, lab, kind)
 
 
+def test_interrupted_state_write_keeps_previous_state(tmp_path, sieve_small, ctx_cubic, monkeypatch):
+    state = tmp_path / "scan.state"
+    kwargs = dict(checkpoints=(3000,), sieve=sieve_small, segment_size=1024)
+    reference = series.scan(ctx_cubic, 9000, **kwargs)
+
+    class TornFile:
+        """Writes half of what it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+    writes = {"n": 0}
+
+    def fourth_write_fails(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if "w" in mode:
+            writes["n"] += 1
+            if writes["n"] == 4:
+                return TornFile(fh)
+        return fh
+
+    with monkeypatch.context() as m:
+        m.setattr(series, "open", fourth_write_fails, raising=False)
+        with pytest.raises(OSError):
+            series.scan(ctx_cubic, 9000, state_path=state, **kwargs)
+    # the state of the third segment (2049..3000) is still in place
+    assert "next_lo = 3001" in state.read_text()
+    resumed = series.scan(ctx_cubic, 9000, state_path=state, resume=True, **kwargs)
+    for x in (3000, 9000):
+        for lab in ctx_cubic.labels():
+            assert reference.snapshots[x].classes[lab] == resumed.snapshots[x].classes[lab]
+        assert reference.snapshots[x].total == resumed.snapshots[x].total
+
+
+def rehash_state(path, edit):
+    body = path.read_text().rpartition("sha256 = ")[0]
+    body = edit(body)
+    path.write_text(body + f"sha256 = {hashlib.sha256(body.encode()).hexdigest()}\n")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda b: b + "acc.bogus.mu_omega_raw = int 0\n",
+        lambda b: b + "acc.total.bogus = int 0\n",
+        lambda b: re.sub(r"(acc\.total\.mu_over_n = ).*", r"\1frac 1/0", b),
+        lambda b: re.sub(r"(acc\.total\.mu_omega_raw = ).*", r"\1frac 1/2", b),
+        lambda b: re.sub(r"acc\.total\.mu_over_n = .*\n", "", b),
+        lambda b: re.sub(r"next_lo = .*\n", "", b),
+        lambda b: re.sub(r"next_lo = .*", "next_lo = 7", b),
+        lambda b: b.replace("artinsums-scan v2", "artinsums-scan v1"),
+        lambda b: b.replace("float ", "neumaier ", 1),
+    ],
+    ids=[
+        "unknown-bucket",
+        "unknown-kind",
+        "bad-value",
+        "wrong-value-type",
+        "missing-value",
+        "missing-next_lo",
+        "next_lo-inside-segment",
+        "v1-header",
+        "old-value-tag",
+    ],
+)
+def test_malformed_state_is_integrity_error(tmp_path, sieve_small, ctx_cubic, edit):
+    state = tmp_path / "scan.state"
+    kwargs = dict(checkpoints=(1000,), sieve=sieve_small, state_path=state, segment_size=512)
+    series.scan(ctx_cubic, 2000, **kwargs)
+    rehash_state(state, edit)
+    with pytest.raises(IntegrityError):
+        series.scan(ctx_cubic, 2000, resume=True, **kwargs)
+
+
 def test_state_hash_mismatch(tmp_path, sieve_small, ctx_cubic):
     state = tmp_path / "scan.state"
     series.scan(ctx_cubic, 1000, sieve=sieve_small, state_path=state)
@@ -325,6 +460,17 @@ def test_fixed_prime_slice_drift(sieve_big):
     v3 = series.fixed_prime_slice(2, 1_000, sieve_big, mode="compensated")
     assert abs(v6) < 0.1
     assert abs(v6) < abs(v3)
+
+
+def test_scan_classifies_primes_only_up_to_x(sieve_small):
+    ctx = new_splitting_field([1, 1, 0, 1])
+    series.scan(ctx, 1000, checkpoints=(500,), sieve=sieve_small)
+    assert len(ctx._classify_cache) == 168  # the primes <= 1000
+    # a smaller limit is a view of the array already built
+    codes = ctx.class_code_array(sieve_small, 500)
+    assert len(codes) == 501
+    assert np.shares_memory(codes, ctx.class_code_array(sieve_small, 1000))
+    assert len(ctx._classify_cache) == 168
 
 
 def test_sum_mu_in_class(sieve_small, ctx_c4):
