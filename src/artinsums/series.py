@@ -334,7 +334,7 @@ def sum_mu_in_class(ctx: GaloisContext, label: str, x: int, sieve: FactorSieve) 
     code = ctx.code_of(label)
     codes = ctx.class_code_array(sieve, x)
     sl = slice(2, x + 1)
-    mask = codes[sieve.spf[sl].astype(np.int64)] == code
+    mask = codes[sieve.spf[sl]] == code
     return int(np.sum(sieve.mu_table()[sl][mask], dtype=np.int64))
 
 
@@ -352,7 +352,7 @@ def count_P2_ramified(ctx: GaloisContext, x: int, sieve: FactorSieve) -> int:
 def _count_P2_with_code(ctx: GaloisContext, code: int, x: int, sieve: FactorSieve) -> int:
     codes = ctx.class_code_array(sieve, x)
     sl = slice(2, x + 1)
-    P2 = sieve.P2_strict_table()[sl].astype(np.int64)
+    P2 = sieve.P2_strict_table()[sl]
     rep = sieve.repeated_P1_table()[sl]
     return int(np.count_nonzero((P2 > 1) & ~rep & (codes[P2] == code)))
 

@@ -3,14 +3,19 @@ derived from it: mu, omega, Omega, smallest/largest/second-largest prime
 factors, and smooth-number machinery.
 
 The sieve stores one uint32 per integer (4 bytes/entry), so a limit of
-10^7 costs ~40 MB.  All query methods are read-only; the table is never
-mutated after construction and may be shared freely across threads.
+10^7 costs ~40 MB.  The bulk tables (mu, omega, P1, P2s, rep) come from one
+blockwise pass that peels spf off every n; the first accessor builds all
+five.  Nothing is mutated after construction, so a sieve may be shared
+freely across threads.  Cache format v2: a 13-byte header (b"AFS1",
+version, uint32 limit, uint32 zlib.crc32 of the body), then spf[2..limit]
+as little-endian uint32.
 """
 
 from __future__ import annotations
 
-import random
 import struct
+import threading
+import zlib
 from math import isqrt
 
 import numpy as np
@@ -18,7 +23,11 @@ import numpy as np
 DEFAULT_LIMIT = 10_000_000
 
 _CACHE_MAGIC = b"AFS1"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
+_CACHE_HEADER = struct.Struct("<4sBII")  # magic, version, limit, crc32 of the body
+
+# values of n per block of the peeling pass; bounds its temporaries
+_PEEL_BLOCK = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -62,43 +71,42 @@ class FactorSieve:
         self.limit = int(limit)
         self.spf = _build_spf(self.limit) if _spf is None else _spf
         self._primes: np.ndarray | None = None
-        self._derived: dict[str, np.ndarray] = {}
+        self._tables: dict[str, np.ndarray] | None = None
+        self._tables_lock = threading.Lock()
 
     # -- construction / persistence ------------------------------------
 
     @classmethod
     def load(cls, path) -> "FactorSieve":
-        """Load a sieve cache written by save(); validates the header and
-        spot-checks up to 16 entries for primality."""
+        """Load a sieve cache written by save(); validates the header, the
+        body length, the body's crc32 and that 2 <= spf[n] <= limit."""
         with open(path, "rb") as fh:
-            head = fh.read(13)
-            if len(head) < 13 or head[:4] != _CACHE_MAGIC:
+            head = fh.read(_CACHE_HEADER.size)
+            if len(head) < _CACHE_HEADER.size or head[:4] != _CACHE_MAGIC:
                 raise IOError(f"{path}: not a sieve cache (bad magic)")
-            version = head[4]
+            _, version, limit, crc = _CACHE_HEADER.unpack(head)
             if version != _CACHE_VERSION:
                 raise IOError(f"{path}: unsupported cache version {version}")
-            (limit,) = struct.unpack("<Q", head[5:13])
-            body = np.fromfile(fh, dtype="<u4")
-        if limit < 2 or len(body) != limit - 1:
+            body = np.fromfile(fh, dtype=np.uint8)
+        if limit < 2 or body.size != 4 * (limit - 1):
             raise IOError(
-                f"{path}: truncated cache ({len(body)} entries for limit {limit})"
+                f"{path}: truncated cache ({body.size // 4} entries for limit {limit})"
             )
+        if zlib.crc32(body) != crc:
+            raise IOError(f"{path}: corrupt cache (body checksum mismatch)")
         spf = np.zeros(limit + 1, dtype=np.uint32)
-        spf[2:] = body
-        rng = random.Random()
-        count = int(limit - 1)
-        for idx in rng.sample(range(2, limit + 1), min(16, count)):
-            p = int(spf[idx])
-            if not is_prime(p) or idx % p != 0:
-                raise IOError(f"{path}: corrupt cache, spf[{idx}] = {p}")
+        spf[2:] = body.view("<u4")
+        # a file re-checksummed after editing passes the crc; the peeling
+        # pass stops only if every spf[n] >= 2, and indexes by spf[n]
+        if spf[2:].min() < 2 or spf.max() > limit:
+            raise IOError(f"{path}: corrupt cache (an spf[n] outside [2, {limit}])")
         return cls(limit, _spf=spf)
 
     def save(self, path) -> None:
+        body = self.spf[2:].astype("<u4")
         with open(path, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(bytes([_CACHE_VERSION]))
-            fh.write(struct.pack("<Q", self.limit))
-            self.spf[2:].astype("<u4").tofile(fh)
+            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, self.limit, zlib.crc32(body)))
+            body.tofile(fh)
 
     # -- scalar queries ------------------------------------------------
 
@@ -175,70 +183,60 @@ class FactorSieve:
 
     def mu_table(self) -> np.ndarray:
         """int8 array, mu_table()[n] = mu(n) for 1 <= n <= limit."""
-        self._build_mult_tables()
-        return self._derived["mu"]
+        return self._table("mu")
 
     def omega_table(self) -> np.ndarray:
-        self._build_mult_tables()
-        return self._derived["omega"]
+        return self._table("omega")
 
     def P1_table(self) -> np.ndarray:
         """Largest prime factor of n, with P1[1] = 1."""
-        if "P1" not in self._derived:
-            P1 = np.zeros(self.limit + 1, dtype=np.uint32)
-            P1[1] = 1
-            for p in self.prime_array().tolist():
-                P1[p::p] = p
-            self._derived["P1"] = P1
-        return self._derived["P1"]
+        return self._table("P1")
 
     def P2_strict_table(self) -> np.ndarray:
-        self._build_P2_tables()
-        return self._derived["P2s"]
+        return self._table("P2s")
 
     def repeated_P1_table(self) -> np.ndarray:
         """Boolean array, True where P1(n)^2 | n."""
-        self._build_P2_tables()
-        return self._derived["rep"]
+        return self._table("rep")
 
-    def _build_mult_tables(self) -> None:
-        if "mu" in self._derived:
-            return
-        N = self.limit
-        mu = np.ones(N + 1, dtype=np.int8)
-        mu[0] = 0
-        omega = np.zeros(N + 1, dtype=np.int8)
-        for p in self.prime_array().tolist():
-            mu[p::p] *= -1
-            omega[p::p] += 1
-            pp = p * p
-            if pp <= N:
-                mu[pp::pp] = 0
-        self._derived["mu"] = mu
-        self._derived["omega"] = omega
+    def _table(self, name: str) -> np.ndarray:
+        with self._tables_lock:
+            if self._tables is None:
+                self._tables = _peel_tables(self.spf)
+        return self._tables[name]
 
-    def _build_P2_tables(self) -> None:
-        if "P2s" in self._derived:
-            return
-        N = self.limit
-        P1 = self.P1_table().astype(np.int64)
-        n = np.arange(N + 1, dtype=np.int64)
-        q = P1.copy()
-        q[:2] = 1
-        rep = np.zeros(N + 1, dtype=bool)
-        rep[2:] = (n[2:] // q[2:]) % q[2:] == 0
-        # strip every copy of the largest prime factor
-        rem = n.copy()
-        rem[:2] = 1
-        mask = rem % q == 0
-        mask[:2] = False
-        while mask.any():
-            rem[mask] //= q[mask]
-            mask &= rem % q == 0
-        P2s = np.where(rem > 1, self.P1_table()[rem], 1).astype(np.uint32)
-        P2s[:2] = 1
-        self._derived["P2s"] = P2s
-        self._derived["rep"] = rep
+
+def _peel_tables(spf: np.ndarray) -> dict[str, np.ndarray]:
+    """mu, omega, P1, P2s and rep for 0 <= n <= limit from one pass that
+    strips the prime factors of n in increasing order (p = spf[rem];
+    rem //= p), _PEEL_BLOCK values of n at a time, so that temporaries
+    stay block-sized.  A lane leaves the active set once rem = 1."""
+    size = len(spf)
+    mu = np.ones(size, dtype=np.int8)
+    mu[0] = 0
+    omega = np.zeros(size, dtype=np.int8)
+    P1 = np.ones(size, dtype=np.uint32)
+    P1[0] = 0
+    P2s = np.ones(size, dtype=np.uint32)
+    rep = np.zeros(size, dtype=bool)
+    for lo in range(2, size, _PEEL_BLOCK):
+        live = np.arange(lo, min(lo + _PEEL_BLOCK, size), dtype=np.uint32)
+        rem = live.copy()
+        last = np.zeros_like(live)  # the previous prime peeled, 0 before the first
+        while live.size:
+            p = spf[rem]
+            rem //= p
+            new = p != last
+            mu[live] = np.where(new, -mu[live], 0)
+            omega[live] += new
+            # a new prime demotes the previous one to second-largest
+            demoted = new & (last > 0)
+            P2s[live[demoted]] = last[demoted]
+            P1[live] = p
+            rep[live] = ~new
+            keep = rem > 1
+            live, rem, last = live[keep], rem[keep], p[keep]
+    return {"mu": mu, "omega": omega, "P1": P1, "P2s": P2s, "rep": rep}
 
 
 def _build_spf(limit: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 """CLI surface: argument handling, output round-trips, exit codes, config
 file, cache directory, and the negative path of the verify command."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -294,6 +296,32 @@ def test_sieve_build_and_reuse(tmp_path, capsys):
     header, rows = parse_csv(out)
     assert header == ["x", "y", "alpha", "psi", "envelope_ratio"]
     assert int(rows[1][3]) == 1000  # Psi(x, x) = x
+
+
+@pytest.fixture(scope="session")
+def saved_cache(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cache") / "spf.sieve"
+    FactorSieve(300).save(path)
+    return path.read_bytes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_sieve_cache_byte_edit_is_rejected(tmp_path_factory, saved_cache, data):
+    # crc32 detects every error burst of up to 32 bits, so no change to one
+    # byte, in the header or the body, gets past the loader
+    raw = bytearray(saved_cache)
+    i = data.draw(st.integers(0, len(raw) - 1))
+    raw[i] ^= data.draw(st.integers(1, 255))
+    path = tmp_path_factory.mktemp("edit") / "spf.sieve"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(IOError):
+        FactorSieve.load(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["scan", "--cyclotomic", "4", "--xmax", "300", "--sieve-cache", str(path), "--out", os.devnull])
+    assert code == cli.EXIT_USAGE
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
 def test_sieve_cache_too_small(tmp_path, capsys):

@@ -2,13 +2,18 @@
 conventions, bulk-table consistency, and the cache file format."""
 
 import math
+import struct
+import sys
+import threading
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinsums.sieve import DEFAULT_LIMIT, FactorSieve, build_sieve, is_prime
+from artinsums import sieve as sieve_mod
+from artinsums.sieve import _PEEL_BLOCK, DEFAULT_LIMIT, FactorSieve, build_sieve, is_prime
 
 
 def trial_spf(n):
@@ -121,12 +126,90 @@ def test_bulk_tables_match_scalar_queries(sieve_small):
     P2s = sieve_small.P2_strict_table()
     rep = sieve_small.repeated_P1_table()
     rng = np.random.default_rng(7)
-    for n in rng.integers(2, 100_000, size=400).tolist():
+    for n in [*range(2, 20_001), *rng.integers(2, 100_000, size=400).tolist()]:
         _, p_big, p2s, _ = sieve_small.prime_extremes(n)
         assert int(P1[n]) == p_big
         assert int(P2s[n]) == p2s
         assert bool(rep[n]) == sieve_small.is_P1_repeated(n)
     assert int(P1[1]) == 1 and int(P2s[1]) == 1
+
+
+def assert_tables_match_trial_division(s, ns):
+    """All five bulk tables at each n >= 2 of ns, against trial division
+    and the scalar prime_extremes / is_P1_repeated."""
+    mu, om = s.mu_table(), s.omega_table()
+    P1, P2s, rep = s.P1_table(), s.P2_strict_table(), s.repeated_P1_table()
+    for n in ns:
+        fac = trial_factorize(n)
+        primes = [p for p, _ in fac]
+        assert (int(mu[n]), int(om[n])) == trial_mu_omega(n), n
+        assert int(P1[n]) == primes[-1], n
+        assert int(P2s[n]) == (primes[-2] if len(primes) > 1 else 1), n
+        assert bool(rep[n]) == (fac[-1][1] > 1), n
+        _, p_big, p2s, _ = s.prime_extremes(n)
+        assert (int(P1[n]), int(P2s[n]), bool(rep[n])) == (p_big, p2s, s.is_P1_repeated(n))
+
+
+def test_tables_across_peel_block_edges():
+    # the peeling pass works on blocks of _PEEL_BLOCK values of n starting
+    # at n = 2; one block plus ~100 puts an edge and the limit in reach
+    limit = _PEEL_BLOCK + 100
+    s = FactorSieve(limit)
+    edges = [*range(2, limit + 1, _PEEL_BLOCK), limit]
+    ns = {n for e in edges for n in range(max(2, e - 64), min(limit, e + 64) + 1)}
+    assert {_PEEL_BLOCK + 1, _PEEL_BLOCK + 2, limit} <= ns
+    assert_tables_match_trial_division(s, sorted(ns))
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4])
+def test_tables_at_tiny_limits(limit):
+    s = FactorSieve(limit)
+    tables = {
+        "mu": (s.mu_table(), np.int8, 0, 1),
+        "omega": (s.omega_table(), np.int8, 0, 0),
+        "P1": (s.P1_table(), np.uint32, 0, 1),
+        "P2s": (s.P2_strict_table(), np.uint32, 1, 1),
+        "rep": (s.repeated_P1_table(), np.bool_, False, False),
+    }
+    for name, (tab, dtype, at0, at1) in tables.items():
+        assert tab.dtype == dtype and len(tab) == limit + 1, name
+        assert (tab[0], tab[1]) == (at0, at1), name
+    assert_tables_match_trial_division(s, range(2, limit + 1))
+
+
+def test_tables_built_once_under_concurrent_access(monkeypatch):
+    # every accessor builds all five tables; racing first calls must share
+    # one build, or a threaded scan would hold several copies at once
+    calls = []
+    real = sieve_mod._peel_tables
+
+    def counted(spf):
+        calls.append(1)
+        return real(spf)
+
+    monkeypatch.setattr(sieve_mod, "_peel_tables", counted)
+    s = FactorSieve(50_000)
+    getters = [s.mu_table, s.omega_table, s.P1_table, s.P2_strict_table, s.repeated_P1_table] * 2
+    barrier = threading.Barrier(len(getters))
+    got = [None] * len(getters)
+
+    def call(i):
+        barrier.wait()
+        got[i] = getters[i]()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=call, args=(i,)) for i in range(len(getters))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert len(calls) == 1
+    assert all(a is b for a, b in zip(got[:5], got[5:]))
 
 
 def test_prime_array_and_iterator(sieve_small):
@@ -192,9 +275,32 @@ def test_cache_header(tmp_path):
     s.save(path)
     raw = path.read_bytes()
     assert raw[:4] == b"AFS1"
-    assert raw[4] == 1
-    assert int.from_bytes(raw[5:13], "little") == 100
+    assert raw[4] == 2
+    assert int.from_bytes(raw[5:9], "little") == 100
+    assert int.from_bytes(raw[9:13], "little") == zlib.crc32(raw[13:])
     assert len(raw) == 13 + 4 * 99
+    assert np.array_equal(np.frombuffer(raw[13:], dtype="<u4"), s.spf[2:])
+
+
+def test_cache_rejects_v1_file(tmp_path):
+    # the v1 layout: magic, version 1, uint64 limit, body with no checksum
+    s = FactorSieve(100)
+    path = tmp_path / "v1.sieve"
+    path.write_bytes(b"AFS1" + bytes([1]) + struct.pack("<Q", 100) + s.spf[2:].astype("<u4").tobytes())
+    with pytest.raises(IOError, match="unsupported cache version 1"):
+        FactorSieve.load(path)
+
+
+@pytest.mark.parametrize("n, bad", [(4, 1), (4, 0), (3, 101)])
+def test_cache_rejects_spf_outside_2_to_limit(tmp_path, n, bad):
+    # saved with a valid crc: spf[4] = 1 would stall the peeling pass, and
+    # spf[3] = 101 would index past every table
+    spf = FactorSieve(100).spf.copy()
+    spf[n] = bad
+    path = tmp_path / "spf.sieve"
+    FactorSieve(100, _spf=spf).save(path)
+    with pytest.raises(IOError, match="outside"):
+        FactorSieve.load(path)
 
 
 def test_cache_rejects_bad_magic(tmp_path):
