@@ -246,18 +246,29 @@ def parse_poly(text: str) -> list[int]:
 
 
 def _get_sieve(args, needed: int) -> FactorSieve:
+    """Load the sieve cache named by --sieve-cache or kept in
+    ARTINSUMS_CACHE_DIR, or build and save it.  An unreadable file in the
+    cache directory (older version, truncated, bad checksum) is rebuilt;
+    an explicit --sieve-cache file that fails to load is an error."""
     path = getattr(args, "sieve_cache", None)
+    explicit = bool(path)
     if not path:
         cache_dir = os.environ.get(CACHE_DIR_ENV)
         if cache_dir:
             path = os.path.join(cache_dir, f"spf-{needed}.sieve")
     if path and os.path.exists(path):
-        sieve = FactorSieve.load(path)
-        if sieve.limit < needed:
-            raise ValueError(
-                f"sieve cache {path} has limit {sieve.limit}, need {needed}"
-            )
-        return sieve
+        try:
+            sieve = FactorSieve.load(path)
+        except OSError as exc:
+            if explicit:
+                raise
+            print(f"note: rebuilding sieve cache ({exc})", file=sys.stderr)
+        else:
+            if sieve.limit < needed:
+                raise ValueError(
+                    f"sieve cache {path} has limit {sieve.limit}, need {needed}"
+                )
+            return sieve
     sieve = FactorSieve(needed)
     if path:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

@@ -2,9 +2,11 @@
 factorization *shape* of an integer polynomial mod p.
 
 Only the multiset of irreducible-factor degrees is ever produced, never
-the factors themselves, so everything here is deterministic.  Moduli are
-primes < 2^31; Python ints make the 64-bit intermediate products a
-non-issue.
+the factors themselves, so everything here is deterministic.  Coefficients
+are Python ints, so a prime modulus of any size works.  The classifier in
+galois.py uses distinct_degree_factorization only for the primes
+p <= deg f, where its trace method does not apply; the tests use it as
+the oracle for every prime.
 """
 
 from __future__ import annotations

@@ -17,6 +17,24 @@ the field discriminant.  A prime dividing disc(f) while actually
 unramified in the field is conservatively routed to the ramified bucket;
 this touches finitely many primes and every fixed-prime slice of the main
 sums vanishes in the limit, so no density statement is affected.
+
+Cycle types come from one numpy routine over an array of primes, one lane
+per prime (Cohen, *A Course in Computational Algebraic Number Theory*,
+3.4).  Each lane reduces f mod its own p, computes h = x^p mod f by
+left-to-right square-and-multiply over the bits of p, and builds the
+Berlekamp matrix Q, whose row i is x^(ip) mod f.  Q is the Frobenius of
+F_p[x]/(f), a product of fields F_(p^e), one per irreducible factor, and
+Frobenius^d has trace e on F_(p^e) when e | d and 0 otherwise.  So
+tr(Q^d) mod p is fix(sigma^d), the number of roots of f fixed by the d-th
+power of the Frobenius permutation sigma, and Moebius inversion gives the
+number of e-cycles, c_e = (1/e) sum_{d | e} mu(e/d) fix(sigma^d).  This
+is exact only while fix <= deg f < p: the few primes p <= deg f (2, 3, 5)
+go through ``fieldpoly.distinct_degree_factorization`` instead.
+
+A matrix or polynomial product adds n products of residues before it
+reduces mod p, so int64 lanes are used only while n (p - 1)^2 < 2^63
+(p below about 1.2e9 for n = 6) and the coefficients of f fit; larger
+primes run the same code on Python-int (``dtype=object``) lanes.
 """
 
 from __future__ import annotations
@@ -28,11 +46,15 @@ from math import factorial, gcd
 import numpy as np
 
 from . import fieldpoly
-from .fieldpoly import PolyModP, shape_label
+from .errors import IntegrityError
+from .fieldpoly import shape_label
 from .sieve import FactorSieve, is_prime
 
 RAMIFIED_CODE = -1
 UNCLASSIFIED_CODE = -2
+
+# primes per call of the trace kernel; bounds its (primes, n, n) temporaries
+_CHUNK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -60,8 +82,8 @@ RAMIFIED = ClassOutcome(None)
 
 
 class GaloisContext:
-    """Immutable after construction; classify() is pure and caches per
-    prime, so bulk scans pay the polynomial work once per prime."""
+    """Immutable after construction, apart from the largest class-code
+    array built, which is kept for later requests."""
 
     def __init__(self, kind, classes, group_order, ramified, *, k=None, poly=None, disc=None):
         self.kind = kind  # "cyclotomic" | "splitting"
@@ -73,8 +95,21 @@ class GaloisContext:
         self.ramified: frozenset[int] = frozenset(ramified)
         self._by_label = {c.label: c for c in self.classes}
         self._code = {c.label: i for i, c in enumerate(self.classes)}
-        self._classify_cache: dict[int, ClassOutcome] = {}
         self._codes: np.ndarray | None = None
+        if kind == "cyclotomic":
+            # class code of each residue p mod k; residues sharing a factor
+            # with k occur only for the ramified primes p | k
+            self._residue_codes = np.full(k, RAMIFIED_CODE, dtype=np.int16)
+            for r in range(k):
+                self._residue_codes[r] = self._code.get(f"{r} mod {k}", RAMIFIED_CODE)
+        else:
+            # class code by cycle type, the counts c_1..c_n of e-cycles read
+            # as the digits of a base-(n + 1) key
+            n = len(self.poly) - 1
+            self._cycle_codes = np.full((n + 1) ** n, UNCLASSIFIED_CODE, dtype=np.int16)
+            for c in self.classes:
+                key = sum((n + 1) ** (int(e) - 1) for e in c.label.split("+"))
+                self._cycle_codes[key] = self._code[c.label]
 
     def labels(self) -> list[str]:
         return [c.label for c in self.classes]
@@ -99,36 +134,8 @@ class GaloisContext:
     def classify(self, p: int) -> ClassOutcome:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        out = self._classify_cache.get(p)
-        if out is None:
-            out = self._classify_prime(p)
-            self._classify_cache[p] = out
-        return out
-
-    def _classify_prime(self, p: int) -> ClassOutcome:
-        if self.kind == "cyclotomic":
-            if self.k % p == 0:
-                return RAMIFIED
-            return ClassOutcome(f"{p % self.k} mod {self.k}")
-        if self.disc % p == 0:
-            return RAMIFIED
-        deg = len(self.poly) - 1
-        if deg == 3 and p >= 5:
-            return ClassOutcome(self._cubic_label(p))
-        shape = fieldpoly.distinct_degree_factorization(
-            fieldpoly.reduce_poly(self.poly, p)
-        )
-        return ClassOutcome(shape_label(shape))
-
-    def _cubic_label(self, p: int) -> str:
-        # For an S_3 cubic with p not dividing disc: the Frobenius lies in
-        # A_3 iff disc is a square mod p.  A non-square disc forces the
-        # 2-cycle shape outright; otherwise one gcd decides identity vs
-        # 3-cycle.  Agrees with the generic degree-shape route (tested).
-        if pow(self.disc % p, (p - 1) // 2, p) == p - 1:
-            return "1+2"
-        f = fieldpoly.reduce_poly(self.poly, p)
-        return "1+1+1" if fieldpoly.count_roots(f) > 0 else "3"
+        code = int(self._class_codes(np.array([p], dtype=object))[0])
+        return RAMIFIED if code == RAMIFIED_CODE else ClassOutcome(self.classes[code].label)
 
     def class_code_array(self, sieve: FactorSieve, limit: int | None = None) -> np.ndarray:
         """int16 array over [0, limit]: class index for primes, -1 for
@@ -140,19 +147,47 @@ class GaloisContext:
             return arr[: limit + 1]
         arr = np.full(limit + 1, UNCLASSIFIED_CODE, dtype=np.int16)
         primes = sieve.prime_array(limit)
-        if self.kind == "cyclotomic":
-            lut = np.full(self.k, RAMIFIED_CODE, dtype=np.int16)
-            for r in range(self.k):
-                lab = f"{r} mod {self.k}"
-                if lab in self._code:
-                    lut[r] = self._code[lab]
-            arr[primes] = lut[primes % self.k]
-        else:
-            for p in primes.tolist():
-                out = self.classify(p)
-                arr[p] = RAMIFIED_CODE if out.is_ramified else self._code[out.label]
+        arr[primes] = self._class_codes(primes)
         self._codes = arr
         return arr
+
+    def _class_codes(self, primes: np.ndarray) -> np.ndarray:
+        """int16 class codes of an array of primes, RAMIFIED_CODE for the
+        ramified ones; splitting-field primes go through the trace kernel
+        _CHUNK at a time."""
+        if self.kind == "cyclotomic":
+            return self._residue_codes[(primes % self.k).astype(np.int64)]
+        codes = np.empty(len(primes), dtype=np.int16)
+        for lo in range(0, len(primes), _CHUNK):
+            codes[lo : lo + _CHUNK] = self._cycle_type_codes(primes[lo : lo + _CHUNK])
+        return codes
+
+    def _cycle_type_codes(self, primes: np.ndarray) -> np.ndarray:
+        n = len(self.poly) - 1
+        codes = np.full(len(primes), RAMIFIED_CODE, dtype=np.int16)
+        unramified = ~np.isin(primes, list(self.ramified))
+        small = unramified & (primes <= n)
+        for i in np.flatnonzero(small):
+            shape = fieldpoly.distinct_degree_factorization(
+                fieldpoly.reduce_poly(self.poly, int(primes[i]))
+            )
+            codes[i] = self._code[shape_label(shape)]
+        lanes = unramified & ~small
+        if lanes.any():
+            fix = _frobenius_fixed_points(self.poly, primes[lanes])
+            # Moebius inversion of fix(sigma^e) = sum of d c_d over d | e
+            counts = np.zeros_like(fix)
+            ok = np.ones(len(fix), dtype=bool)
+            for e in range(1, n + 1):
+                ec = fix[:, e - 1] - sum(d * counts[:, d - 1] for d in range(1, e) if e % d == 0)
+                counts[:, e - 1] = ec // e
+                ok &= (ec >= 0) & (ec % e == 0)
+            ok &= counts @ np.arange(1, n + 1) == n
+            if not ok.all():
+                p = primes[lanes][np.flatnonzero(~ok)[0]]
+                raise IntegrityError(f"Frobenius traces of {list(self.poly)} mod {p} give no cycle type")
+            codes[lanes] = self._cycle_codes[counts @ (n + 1) ** np.arange(n)]
+        return codes
 
     def code_of(self, label: str) -> int:
         if label not in self._code:
@@ -204,6 +239,52 @@ def classify_prime(ctx: GaloisContext, p: int) -> ClassOutcome:
 
 def class_density(ctx: GaloisContext, label: str) -> Fraction:
     return ctx.class_density(label)
+
+
+def _frobenius_fixed_points(poly, primes: np.ndarray) -> np.ndarray:
+    """(L, n) int64 array of fix(sigma^d) = tr(Q^d) mod p, d = 1..n, for
+    primes p > n = deg f not dividing disc(f), one lane per prime."""
+    n = len(poly) - 1
+    pmax = int(primes.max())
+    fits = n * (pmax - 1) ** 2 < 2**63 and max(map(abs, poly)) < 2**62
+    dtype = np.int64 if fits else object
+    P = primes.astype(dtype)
+    p = P[:, None]
+    red = (-np.array(poly[:n], dtype=dtype)) % p  # x^n = sum red_j x^j mod f
+    h = np.zeros((len(P), n), dtype=dtype)
+    h[:, 0] = 1
+    for b in reversed(range(pmax.bit_length())):
+        h = _mulmod(h, h, red, p)
+        xh = np.zeros_like(h)
+        xh[:, 1:] = h[:, :-1]
+        xh = (xh + h[:, -1:] * red) % p
+        h = np.where(((P >> b) & 1).astype(bool)[:, None], xh, h)
+    Q = np.zeros((len(P), n, n), dtype=dtype)
+    Q[:, 0, 0] = 1
+    for i in range(1, n):
+        Q[:, i] = _mulmod(Q[:, i - 1], h, red, p)
+    fix = np.empty((len(P), n), dtype=np.int64)
+    Qd = Q
+    for d in range(n):
+        if d:
+            Qd = np.matmul(Qd, Q) % P[:, None, None]
+        fix[:, d] = (Qd.diagonal(axis1=1, axis2=2).sum(axis=1) % P).astype(np.int64)
+    return fix
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Lane-wise a * b mod (f, p) for (L, n) coefficient arrays, lowest
+    degree first; red holds x^n mod f."""
+    n = a.shape[1]
+    prod = np.zeros((len(a), 2 * n - 1), dtype=a.dtype)
+    for i in range(n):
+        prod[:, i : i + n] += a[:, i : i + 1] * b
+    prod %= p
+    # each coefficient takes at most n - 1 more products before the last
+    # reduction, so it stays below n (p - 1)^2
+    for k in range(2 * n - 2, n - 1, -1):
+        prod[:, k - n : k] += prod[:, k : k + 1] % p * red
+    return prod[:, :n] % p
 
 
 def _partitions(n: int, largest: int | None = None):

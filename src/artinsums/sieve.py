@@ -8,11 +8,12 @@ blockwise pass that peels spf off every n; the first accessor builds all
 five.  Nothing is mutated after construction, so a sieve may be shared
 freely across threads.  Cache format v2: a 13-byte header (b"AFS1",
 version, uint32 limit, uint32 zlib.crc32 of the body), then spf[2..limit]
-as little-endian uint32.
+as little-endian uint32, written to a temporary file and renamed in place.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 import zlib
@@ -103,10 +104,14 @@ class FactorSieve:
         return cls(limit, _spf=spf)
 
     def save(self, path) -> None:
+        """Write the cache to ``<path>.tmp``, then rename it over path, so
+        an interrupted save leaves the previous file in place."""
         body = self.spf[2:].astype("<u4")
-        with open(path, "wb") as fh:
+        tmp = f"{path}.tmp"
+        with open(tmp, "wb") as fh:
             fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, self.limit, zlib.crc32(body)))
             body.tofile(fh)
+        os.replace(tmp, path)
 
     # -- scalar queries ------------------------------------------------
 

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import struct
 from fractions import Fraction
 
 import pytest
@@ -343,6 +344,26 @@ def test_cache_dir_env(tmp_path, capsys, monkeypatch):
     # second run reuses the cache file
     code, _, _ = run(["smooth", "--x", "500", "--y", "5"], capsys)
     assert code == 0
+
+
+def test_cache_dir_rebuilds_unreadable_cache(tmp_path, capsys, monkeypatch):
+    argv = ["smooth", "--x", "500", "--y", "5"]
+    code, cold, _ = run(argv, capsys)
+    assert code == 0
+    # a v1 cache (magic, version 1, uint64 limit, no checksum) in the cache dir
+    path = tmp_path / "spf-500.sieve"
+    body = FactorSieve(500).spf[2:].astype("<u4").tobytes()
+    path.write_bytes(b"AFS1" + bytes([1]) + struct.pack("<Q", 500) + body)
+    monkeypatch.setenv(cli.CACHE_DIR_ENV, str(tmp_path))
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert out == cold
+    assert err.count("note:") == 1 and "unsupported cache version 1" in err
+    assert FactorSieve.load(path).limit == 500  # replaced by a v2 file
+    assert path.read_bytes()[4] == 2
+    assert not (tmp_path / "spf-500.sieve.tmp").exists()
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (0, cold, "")
 
 
 def test_dickman_command(capsys):

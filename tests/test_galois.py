@@ -1,18 +1,24 @@
 """Galois contexts: class tables, densities, ramified sets, prime
-classification (including the cubic fast path against the generic
-factor-shape route)."""
+classification (the batched trace kernel against the distinct-degree
+factorization oracle)."""
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from artinsums.errors import NotSquarefreeError
-from artinsums.fieldpoly import distinct_degree_factorization, reduce_poly, shape_label
+from artinsums.fieldpoly import (
+    discriminant,
+    distinct_degree_factorization,
+    reduce_poly,
+    shape_label,
+)
 from artinsums.galois import (
+    _CHUNK,
     RAMIFIED_CODE,
     UNCLASSIFIED_CODE,
     ClassOutcome,
@@ -21,6 +27,7 @@ from artinsums.galois import (
     new_cyclotomic,
     new_splitting_field,
 )
+from artinsums.sieve import is_prime
 
 
 def test_cyclotomic_class_table():
@@ -118,8 +125,8 @@ def test_splitting_field_validation():
 
 
 def test_cubic_fast_path_matches_generic_ddf(ctx_cubic, sieve_small):
-    """The quadratic-residue shortcut for p >= 5 must agree with the
-    generic distinct-degree route for every prime up to 10^4."""
+    """classify must agree with the generic distinct-degree route for
+    every prime up to 10^4."""
     poly = list(ctx_cubic.poly)
     for p in sieve_small.primes_up_to(10_000):
         out = ctx_cubic.classify(p)
@@ -191,3 +198,93 @@ def test_cyclotomic_classify_is_residue(k, idx):
         assert out.is_ramified
     else:
         assert out.label == f"{p % k} mod {k}"
+
+
+def oracle_code(ctx, p):
+    """Class code of p from the distinct-degree factorization of f mod p."""
+    if ctx.disc % p == 0:
+        return RAMIFIED_CODE
+    shape = distinct_degree_factorization(reduce_poly(list(ctx.poly), p))
+    return ctx.code_of(shape_label(shape))
+
+
+# degrees 2..6; not all have group S_n: x^5+x+1 is reducible, x^4+1 has
+# group V_4 and x^3-3x+1 group A_3
+ORACLE_POLYS = [
+    [1, 1, 1],
+    [1, 1, 0, 1],
+    [1, -3, 0, 1],
+    [1, 0, 0, 0, 1],
+    [-2, 0, 0, 0, 1],
+    [-1, -1, 0, 0, 0, 1],
+    [1, 1, 0, 0, 0, 1],
+    [1, 1, 0, 0, 0, 0, 1],
+]
+
+
+@pytest.mark.parametrize("poly", ORACLE_POLYS, ids=lambda c: ",".join(map(str, c)))
+def test_class_codes_match_ddf_oracle(poly, sieve_small):
+    # every prime <= 2*10^4, the primes p <= deg f included
+    ctx = new_splitting_field(poly)
+    codes = ctx.class_code_array(sieve_small, 20_000)
+    primes = sieve_small.prime_array(20_000).tolist()
+    assert [int(codes[p]) for p in primes] == [oracle_code(ctx, p) for p in primes]
+    # the one-lane route gives the same outcome
+    for p in primes[:8] + primes[::97]:
+        out = ctx.classify(p)
+        assert (RAMIFIED_CODE if out.is_ramified else ctx.code_of(out.label)) == codes[p]
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda deg: st.lists(st.integers(-4, 4), min_size=deg, max_size=deg)
+    ),
+    st.lists(st.integers(2, 999_000), min_size=1, max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_polys_match_ddf_oracle(low, starts):
+    assume(discriminant(low + [1]) != 0)
+    ctx = new_splitting_field(low + [1])
+    primes = sorted({next_prime(n) for n in starts})
+    codes = ctx._class_codes(np.array(primes, dtype=np.int64))
+    assert codes.tolist() == [oracle_code(ctx, p) for p in primes]
+
+
+def test_class_code_array_across_chunk_edge(sieve_small):
+    primes = sieve_small.prime_array()[: _CHUNK + 1].tolist()
+    ctx = new_splitting_field([1, 1, 0, 1])
+    expected = [oracle_code(ctx, p) for p in primes]
+    for count in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
+        fresh = new_splitting_field([1, 1, 0, 1])
+        assert len(sieve_small.prime_array(primes[count - 1])) == count
+        codes = fresh.class_code_array(sieve_small, primes[count - 1])
+        assert [int(codes[p]) for p in primes[:count]] == expected[:count], count
+
+
+def width_primes(n):
+    """2^31 - 1, the primes on either side of the int64 lane bound
+    n (p - 1)^2 < 2^63, and 2^61 - 1."""
+    top = isqrt((2**63 - 1) // n) + 1  # the largest p within the bound
+    while n * (top - 1) ** 2 >= 2**63:
+        top -= 1
+    assert n * top**2 >= 2**63
+    below = top
+    while not is_prime(below):
+        below -= 1
+    return [2**31 - 1, below, next_prime(top + 1), 2**61 - 1]
+
+
+@pytest.mark.parametrize(
+    "poly", [[1, 1, 0, 1], [-1, -1, 0, 0, 0, 1], [1, 1, 0, 0, 0, 0, 1]], ids=["cubic", "quintic", "sextic"]
+)
+def test_classify_across_integer_width_bound(poly):
+    ctx = new_splitting_field(poly)
+    for p in width_primes(len(poly) - 1):
+        out = ctx.classify(p)
+        assert (RAMIFIED_CODE if out.is_ramified else ctx.code_of(out.label)) == oracle_code(ctx, p), p

@@ -2,6 +2,7 @@
 determinism, resume, counting operations against enumeration, Dickman rho
 against quadrature."""
 
+import functools
 import hashlib
 import math
 import re
@@ -15,10 +16,21 @@ from hypothesis import strategies as st
 
 from artinsums import series
 from artinsums.errors import IntegrityError
-from artinsums.galois import UNCLASSIFIED_CODE, new_cyclotomic, new_splitting_field
+from artinsums.galois import (
+    UNCLASSIFIED_CODE,
+    GaloisContext,
+    new_cyclotomic,
+    new_splitting_field,
+)
 
 
 # -- enumeration oracles ----------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def classify(ctx, p):
+    """ctx.classify(p), memoized: the oracles below ask once per n."""
+    return ctx.classify(p)
 
 
 def enum_bucket_sum(sieve, ctx, x, label=None, ramified_p=None):
@@ -30,7 +42,7 @@ def enum_bucket_sum(sieve, ctx, x, label=None, ramified_p=None):
         if mu == 0:
             continue
         p1 = sieve.factorize(n)[0][0]
-        out = ctx.classify(p1)
+        out = classify(ctx, p1)
         if ramified_p is not None:
             if out.is_ramified and p1 == ramified_p:
                 total += Fraction(mu * om, n)
@@ -47,7 +59,7 @@ def enum_n2(sieve, ctx, x, label):
         fac = sieve.factorize(n)
         if len(fac) < 2 or fac[-1][1] >= 2:
             continue
-        out = ctx.classify(fac[-2][0])
+        out = classify(ctx, fac[-2][0])
         if not out.is_ramified and out.label == label:
             count += 1
     return count
@@ -62,7 +74,7 @@ def direct_float_terms(sieve, ctx, x):
         if mu == 0:
             continue
         p1 = sieve.factorize(n)[0][0]
-        out_p = ctx.classify(p1)
+        out_p = classify(ctx, p1)
         bucket = f"ramified:{p1}" if out_p.is_ramified else out_p.label
         terms = {
             "mu_omega_over_n": mu * om / n,
@@ -462,15 +474,23 @@ def test_fixed_prime_slice_drift(sieve_big):
     assert abs(v6) < abs(v3)
 
 
-def test_scan_classifies_primes_only_up_to_x(sieve_small):
+def test_scan_classifies_primes_only_up_to_x(sieve_small, monkeypatch):
+    lanes = []
+    kernel = GaloisContext._class_codes
+
+    def counting(self, primes):
+        lanes.append(len(primes))
+        return kernel(self, primes)
+
+    monkeypatch.setattr(GaloisContext, "_class_codes", counting)
     ctx = new_splitting_field([1, 1, 0, 1])
     series.scan(ctx, 1000, checkpoints=(500,), sieve=sieve_small)
-    assert len(ctx._classify_cache) == 168  # the primes <= 1000
+    assert sum(lanes) == 168  # the primes <= 1000
     # a smaller limit is a view of the array already built
     codes = ctx.class_code_array(sieve_small, 500)
     assert len(codes) == 501
     assert np.shares_memory(codes, ctx.class_code_array(sieve_small, 1000))
-    assert len(ctx._classify_cache) == 168
+    assert sum(lanes) == 168
 
 
 def test_sum_mu_in_class(sieve_small, ctx_c4):

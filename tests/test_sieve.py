@@ -2,6 +2,7 @@
 conventions, bulk-table consistency, and the cache file format."""
 
 import math
+import os
 import struct
 import sys
 import threading
@@ -280,6 +281,19 @@ def test_cache_header(tmp_path):
     assert int.from_bytes(raw[9:13], "little") == zlib.crc32(raw[13:])
     assert len(raw) == 13 + 4 * 99
     assert np.array_equal(np.frombuffer(raw[13:], dtype="<u4"), s.spf[2:])
+
+
+def test_interrupted_cache_save_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "spf.sieve"
+    FactorSieve(100).save(path)
+
+    def crash(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="interrupted"):
+        FactorSieve(200).save(path)
+    assert FactorSieve.load(path).limit == 100
 
 
 def test_cache_rejects_v1_file(tmp_path):
