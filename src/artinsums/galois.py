@@ -233,14 +233,6 @@ def new_splitting_field(int_coeffs) -> GaloisContext:
     )
 
 
-def classify_prime(ctx: GaloisContext, p: int) -> ClassOutcome:
-    return ctx.classify(p)
-
-
-def class_density(ctx: GaloisContext, label: str) -> Fraction:
-    return ctx.class_density(label)
-
-
 def _frobenius_fixed_points(poly, primes: np.ndarray) -> np.ndarray:
     """(L, n) int64 array of fix(sigma^d) = tr(Q^d) mod p, d = 1..n, for
     primes p > n = deg f not dividing disc(f), one lane per prime."""

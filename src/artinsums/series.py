@@ -7,19 +7,19 @@ alongside an unconditional aggregate, so the decomposition
 
 can be audited at every checkpoint.
 
-Two arithmetic modes share one kernel (``_segment_partials``, which routes
-every n of a segment, and ``_masked_sum``, which reduces each bucket):
+One kernel (``_segment_partials``) forms every term of a segment and gives
+it a bucket id once; two reducers sum the buckets:
 
 * ``exact``       -- big-rational accumulation; capped at x <= 10^4
                      because the running lcm denominator growth makes it
                      infeasible beyond desk scale.  Serves as an oracle.
-* ``compensated`` -- each term is rounded to a float once; a segment's
-                     terms are summed with ``math.fsum`` plus the fsum of
-                     its residual, which together hold the exact sum of
-                     the float terms to ~2^-106.  Segment sums are merged
-                     as Fractions, and a snapshot rounds each value once,
-                     so the result does not depend on the segment order,
-                     the thread count or the resume point.
+* ``compensated`` -- the exact sum of the float terms via integer limbs,
+                     rounded once per checkpoint: each term is rounded to
+                     a float once, split exactly into three 30-bit limbs,
+                     and each limb is summed per bucket by ``np.bincount``.
+                     Segment sums are merged as Fractions, so the result
+                     does not depend on the segment order, the thread
+                     count or the resume point.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .sieve import FactorSieve
 
 EXACT_X_CAP = 10_000
 DEFAULT_SEGMENT = 65_536
+# a bincount of at most 2^22 limbs below 2^30 stays below 2^52, so is exact
+MAX_SEGMENT = 1 << 22
 
 PER_N_KINDS = ("mu_omega_over_n", "mu_over_n", "mu_omega_minus1_over_n", "mu_omega_raw")
 CHECKPOINT_KINDS = ("floor_weighted", "frac_weighted")
@@ -62,22 +64,47 @@ def _pairwise_sum(vals: list[Fraction]) -> Fraction:
     return work[0]
 
 
-def _masked_sum(mask, num, den, mode):
-    """Sum of num/den over the masked entries: an int when den is None, a
-    Fraction otherwise -- exact in exact mode, and in compensated mode the
-    sum of the float-rounded terms as fsum plus the fsum of its residual."""
-    num = num[mask]
+# A compensated term is a float t = num/n, num = mu(n) w with |w| <= 9n, as
+# omega(n) <= 9 for n <= limit < 2^32 (spf is uint32).  So t = 0 or 2^-32 <
+# 1/n <= |t| < 16: t is an integer multiple of 2^-84, and t 2^86 splits
+# exactly into three signed limbs below 2^30.
+_LIMB_SHIFTS = (26, 30, 30)
+
+
+def _binned(ids, w, size):
+    """Sums of the weights w per bucket id below `size`, then over all of
+    w; exact while the sum of |w| stays below 2^53."""
+    return [*np.bincount(ids, weights=w, minlength=size + 1)[:size].tolist(), w.sum()]
+
+
+def _bucket_sums(ids, size, num, den, mode):
+    """Sums of num/den (of num, as ints, when den is None) per bucket id
+    below `size`, then over all terms.  Every term carries the factor
+    mu(n), so the last is the sum over mu != 0, taken on its own: a term
+    routed to no bucket breaks the audit.  Compensated sums are the exact
+    sums of the float terms."""
     if den is None:
-        return int(num.sum())
-    den = den[mask]
+        # |num| <= 9 x/n for floor_weighted, x < 2^32: a segment's sum of
+        # |num| is at most 9 x (1/2 + ln 2^31) < 2^40
+        return [int(v) for v in _binned(ids, num, size)]
     if mode == "exact":
-        return _pairwise_sum([Fraction(a, b) for a, b in zip(num.tolist(), den.tolist())])
-    terms = (num / den).tolist()
-    s = fsum(terms)
-    # without the residual, the per-segment roundings add up: 22 ulps on
-    # ramified:2 mu_over_n at x = 10^6 for Q(i), where cancellation is heavy
-    terms.append(-s)
-    return Fraction(s) + Fraction(fsum(terms))
+        live = num != 0
+        terms = [Fraction(a, d) for a, d in zip(num[live].tolist(), den[live].tolist())]
+        groups = [[] for _ in range(size + 1)]
+        for b, t in zip(ids[live].tolist(), terms):
+            groups[b].append(t)
+        return [_pairwise_sum(g) for g in groups[:size]] + [_pairwise_sum(terms)]
+    r = num / den
+    limb = np.empty_like(r)
+    sums = [0] * (size + 1)
+    for shift in _LIMB_SHIFTS:
+        r *= 2.0**shift
+        np.trunc(r, out=limb)
+        sums = [(s << shift) + int(v) for s, v in zip(sums, _binned(ids, limb, size))]
+        r -= limb
+    if np.any(r):
+        raise IntegrityError("a float term is not a multiple of 2^-84")
+    return [Fraction(s, 1 << sum(_LIMB_SHIFTS)) for s in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +150,8 @@ def scan(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact" and x_max > EXACT_X_CAP:
         raise ValueError(f"exact mode is capped at x = {EXACT_X_CAP}")
+    if not 1 <= segment_size <= MAX_SEGMENT:
+        raise ValueError(f"segment_size = {segment_size} outside [1, {MAX_SEGMENT}]")
     cps = sorted(set(checkpoints)) if checkpoints else []
     if cps and (cps[0] < 2 or cps[-1] > x_max):
         raise ValueError("checkpoints must lie in [2, x_max]")
@@ -193,9 +222,9 @@ def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, x=None):
     or with `x` of the checkpoint kinds at x.  The one place where terms
     are formed and routed to buckets; class i of `labels` is code i."""
     sl = slice(lo, hi + 1)
-    mu = sieve.mu_table()[sl].astype(np.int64)
-    om = sieve.omega_table()[sl].astype(np.int64)
-    sp = sieve.spf[sl].astype(np.int64)
+    mu = sieve.mu_table()[sl]
+    om = sieve.omega_table()[sl]
+    sp = sieve.spf[sl]
     n = np.arange(lo, hi + 1, dtype=np.int64)
     muom = mu * om
     if x is None:
@@ -210,15 +239,25 @@ def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, x=None):
             "floor_weighted": (muom * (x // n), None),
             "frac_weighted": (muom * (x % n), n),
         }
-    nz = mu != 0
-    masks = {("class", lab): nz & (codes[sp] == i) for i, lab in enumerate(labels)}
-    masks.update({("ram", p): nz & (sp == p) for p in ram_primes})
-    # summed on its own, so a term routed to no bucket breaks the audit
-    masks["total", None] = nz
-    return {
-        key: {kind: _masked_sum(mask, num, den, mode) for kind, (num, den) in terms.items()}
-        for key, mask in masks.items()
-    }
+    ids = _route(codes, ram_primes, sp, mu != 0, len(labels))
+    size = len(labels) + len(ram_primes)
+    sums = {kind: _bucket_sums(ids, size, num, den, mode) for kind, (num, den) in terms.items()}
+    keys = [*(("class", lab) for lab in labels), *(("ram", p) for p in ram_primes), ("total", None)]
+    return {key: {kind: s[i] for kind, s in sums.items()} for i, key in enumerate(keys)}
+
+
+def _route(codes, ram_primes, sp, nz, n_classes):
+    """Bucket id of every term: its class code, n_classes + j for the
+    ramified prime ram_primes[j], and a last bucket, thrown away, for mu = 0
+    or UNCLASSIFIED_CODE (never a negative id, which would wrap around)."""
+    discard = n_classes + len(ram_primes)
+    ids = np.full(len(sp), discard, dtype=np.intp)
+    if codes is not None:
+        c = codes[sp]
+        np.copyto(ids, c, where=nz & (c >= 0))
+    for j, p in enumerate(ram_primes):
+        np.copyto(ids, n_classes + j, where=nz & (sp == p))
+    return ids
 
 
 def _merge(acc, partial):

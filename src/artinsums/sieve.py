@@ -3,10 +3,12 @@ derived from it: mu, omega, Omega, smallest/largest/second-largest prime
 factors, and smooth-number machinery.
 
 The sieve stores one uint32 per integer (4 bytes/entry), so a limit of
-10^7 costs ~40 MB.  The bulk tables (mu, omega, P1, P2s, rep) come from one
-blockwise pass that peels spf off every n; the first accessor builds all
-five.  Nothing is mutated after construction, so a sieve may be shared
-freely across threads.  Cache format v2: a 13-byte header (b"AFS1",
+10^7 costs ~40 MB.  The bulk tables (mu, omega, P1, P2s, rep) come from the
+recurrence n = p*m, p = spf[n], of the linear sieve: the entries of n
+follow from those of m < n, which are final when n is reached, so one
+blockwise pass of gathers builds all five; the first accessor builds them.
+Nothing is mutated after construction, so a sieve may be shared freely
+across threads.  Cache format v2: a 13-byte header (b"AFS1",
 version, uint32 limit, uint32 zlib.crc32 of the body), then spf[2..limit]
 as little-endian uint32, written to a temporary file and renamed in place.
 """
@@ -27,8 +29,8 @@ _CACHE_MAGIC = b"AFS1"
 _CACHE_VERSION = 2
 _CACHE_HEADER = struct.Struct("<4sBII")  # magic, version, limit, crc32 of the body
 
-# values of n per block of the peeling pass; bounds its temporaries
-_PEEL_BLOCK = 1 << 16
+# most values of n per block of the table pass; bounds its temporaries
+_TABLE_BLOCK = 1 << 18
 
 
 def is_prime(n: int) -> bool:
@@ -97,8 +99,9 @@ class FactorSieve:
             raise IOError(f"{path}: corrupt cache (body checksum mismatch)")
         spf = np.zeros(limit + 1, dtype=np.uint32)
         spf[2:] = body.view("<u4")
-        # a file re-checksummed after editing passes the crc; the peeling
-        # pass stops only if every spf[n] >= 2, and indexes by spf[n]
+        # a file re-checksummed after editing passes the crc; the table pass
+        # needs every spf[n] >= 2 (so m = n/spf[n] < n), and callers index
+        # tables by spf[n]
         if spf[2:].min() < 2 or spf.max() > limit:
             raise IOError(f"{path}: corrupt cache (an spf[n] outside [2, {limit}])")
         return cls(limit, _spf=spf)
@@ -207,40 +210,35 @@ class FactorSieve:
     def _table(self, name: str) -> np.ndarray:
         with self._tables_lock:
             if self._tables is None:
-                self._tables = _peel_tables(self.spf)
+                self._tables = _recurrence_tables(self.spf)
         return self._tables[name]
 
 
-def _peel_tables(spf: np.ndarray) -> dict[str, np.ndarray]:
-    """mu, omega, P1, P2s and rep for 0 <= n <= limit from one pass that
-    strips the prime factors of n in increasing order (p = spf[rem];
-    rem //= p), _PEEL_BLOCK values of n at a time, so that temporaries
-    stay block-sized.  A lane leaves the active set once rem = 1."""
+def _recurrence_tables(spf: np.ndarray) -> dict[str, np.ndarray]:
+    """mu, omega, P1, P2s and rep for 0 <= n <= limit from n = p*m, with
+    p = spf[n], over blocks [lo, min(2 lo, lo + _TABLE_BLOCK)): every m a
+    block reads is at most n/2 < lo, so already final.  spf[1] = 0 makes
+    the m = 1 lanes (n prime) come out right."""
     size = len(spf)
-    mu = np.ones(size, dtype=np.int8)
-    mu[0] = 0
+    mu = np.zeros(size, dtype=np.int8)
     omega = np.zeros(size, dtype=np.int8)
-    P1 = np.ones(size, dtype=np.uint32)
-    P1[0] = 0
+    P1 = np.zeros(size, dtype=np.uint32)
     P2s = np.ones(size, dtype=np.uint32)
     rep = np.zeros(size, dtype=bool)
-    for lo in range(2, size, _PEEL_BLOCK):
-        live = np.arange(lo, min(lo + _PEEL_BLOCK, size), dtype=np.uint32)
-        rem = live.copy()
-        last = np.zeros_like(live)  # the previous prime peeled, 0 before the first
-        while live.size:
-            p = spf[rem]
-            rem //= p
-            new = p != last
-            mu[live] = np.where(new, -mu[live], 0)
-            omega[live] += new
-            # a new prime demotes the previous one to second-largest
-            demoted = new & (last > 0)
-            P2s[live[demoted]] = last[demoted]
-            P1[live] = p
-            rep[live] = ~new
-            keep = rem > 1
-            live, rem, last = live[keep], rem[keep], p[keep]
+    mu[1] = P1[1] = 1
+    lo = 2
+    while lo < size:
+        hi = min(2 * lo, lo + _TABLE_BLOCK, size)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi, dtype=np.uint32) // p
+        new = spf[m] != p  # p does not divide m
+        om_m, P1_m = omega[m], P1[m]
+        mu[lo:hi] = np.where(new, -mu[m], 0)
+        omega[lo:hi] = om_m + new
+        P1[lo:hi] = np.where(m > 1, P1_m, p)
+        P2s[lo:hi] = np.where(new & (om_m == 1), p, P2s[m])
+        rep[lo:hi] = (m > 1) & (rep[m] | (P1_m == p))
+        lo = hi
     return {"mu": mu, "omega": omega, "P1": P1, "P2s": P2s, "rep": rep}
 
 
@@ -253,7 +251,3 @@ def _build_spf(limit: int) -> np.ndarray:
     left = np.nonzero(spf[2:] == 0)[0] + 2
     spf[left] = left
     return spf
-
-
-def build_sieve(limit: int) -> FactorSieve:
-    return FactorSieve(limit)

@@ -22,8 +22,6 @@ from artinsums.galois import (
     RAMIFIED_CODE,
     UNCLASSIFIED_CODE,
     ClassOutcome,
-    class_density,
-    classify_prime,
     new_cyclotomic,
     new_splitting_field,
 )
@@ -108,11 +106,11 @@ def test_classify_rejects_composite(ctx_cubic):
         ctx_cubic.classify(10)
 
 
-def test_module_level_wrappers(ctx_cubic):
-    assert classify_prime(ctx_cubic, 2) == ClassOutcome("3")
-    assert class_density(ctx_cubic, "3") == Fraction(1, 3)
+def test_cubic_classify_and_density(ctx_cubic):
+    assert ctx_cubic.classify(2) == ClassOutcome("3")
+    assert ctx_cubic.class_density("3") == Fraction(1, 3)
     with pytest.raises(ValueError):
-        class_density(ctx_cubic, "2+2")
+        ctx_cubic.class_density("2+2")
 
 
 def test_splitting_field_validation():

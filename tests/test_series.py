@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from artinsums import series
 from artinsums.errors import IntegrityError
 from artinsums.galois import (
+    RAMIFIED_CODE,
     UNCLASSIFIED_CODE,
     GaloisContext,
     new_cyclotomic,
@@ -164,6 +165,9 @@ def test_scan_validation(sieve_small, ctx_c4):
         series.scan(ctx_c4, 20_000, mode="exact", sieve=sieve_small)  # exact cap
     with pytest.raises(ValueError):
         series.scan(ctx_c4, 100, checkpoints=(150,), sieve=sieve_small)
+    for size in (0, series.MAX_SEGMENT + 1):  # beyond it a limb sum may round
+        with pytest.raises(ValueError):
+            series.scan(ctx_c4, 100, sieve=sieve_small, segment_size=size)
 
 
 # -- audits -----------------------------------------------------------------
@@ -240,6 +244,77 @@ def test_compensated_is_fsum_of_float_terms(sieve_small, ctx_cubic, ctx_c4):
         for name, vals in cells.items():
             for kind in ("mu_omega_over_n", "mu_over_n", "mu_omega_minus1_over_n", "frac_weighted"):
                 assert vals[kind] == math.fsum(direct.get(name, {}).get(kind, [])), (name, kind)
+
+
+def limb_reducer_sums(ids, terms, size):
+    terms = np.array(terms)
+    return series._bucket_sums(ids, size, terms, np.ones_like(terms), "compensated")
+
+
+def term_strategy():
+    """A float num/den as the kernel forms it: den < 2^32, |num/den| <= 9."""
+    return st.integers(1, 2**32 - 1).flatmap(
+        lambda d: st.integers(-9 * d, 9 * d).map(lambda a: float(np.float64(a) / np.float64(d)))
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(
+            term_strategy(),
+            st.sampled_from([-1, 0, 1]),  # mu: 0 sends the term nowhere
+            st.sampled_from([UNCLASSIFIED_CODE, RAMIFIED_CODE, 0, 1, 2]),
+            st.sampled_from([None, -1, 1]),  # a partner -t(1 -+ ulp)
+        ),
+        min_size=1,
+        max_size=200,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_limb_reducer_matches_fraction_oracle(rows):
+    # every term n gets its own smallest prime factor n + 2, so codes and
+    # ramified primes can be set per term; a partner term shares it
+    terms, sp, mu = [], [], []
+    for i, (t, m, _, partner) in enumerate(rows):
+        t = m * t
+        terms.append(t)
+        if partner is not None:
+            terms.append(-float(np.nextafter(t, partner * math.inf)) if t else 0.0)
+        sp += [i + 2] * (1 + (partner is not None))
+        mu += [m] * (1 + (partner is not None))
+    codes = np.full(len(rows) + 2, UNCLASSIFIED_CODE, dtype=np.int16)
+    codes[2:] = [code for _, _, code, _ in rows]
+    ram = [p for p in range(2, len(rows) + 2) if codes[p] == RAMIFIED_CODE]
+    sp, mu = np.array(sp, dtype=np.uint32), np.array(mu, dtype=np.int8)
+    ids = series._route(codes, ram, sp, mu != 0, 3)
+    size = 3 + len(ram)
+    want = [Fraction(0)] * (size + 1)
+    for t, p, m in zip(terms, sp.tolist(), mu.tolist()):
+        want[size] += Fraction(t)
+        if m and p in ram:
+            want[3 + ram.index(p)] += Fraction(t)
+        elif m and codes[p] >= 0:
+            want[codes[p]] += Fraction(t)
+    assert limb_reducer_sums(ids, terms, size) == want
+
+
+def test_limb_reducer_full_segment():
+    # a segment of 2^16 large same-sign terms: every limb sum is near the
+    # 2^46 bound, and the sum must still be exact
+    rng = np.random.default_rng(5)
+    den = rng.integers(2**31, 2**32 - 1, size=2**16)
+    terms = (9 * den - rng.integers(1, 2**20, size=2**16)) / den
+    ids = rng.integers(0, 3, size=2**16)
+    got = limb_reducer_sums(ids, terms, 2)
+    want = [sum((Fraction(t) for t, b in zip(terms.tolist(), ids.tolist()) if b == k), Fraction(0)) for k in (0, 1)]
+    assert got == [*want, sum(map(Fraction, terms.tolist()), Fraction(0))]
+
+
+def test_limb_reducer_rejects_term_off_the_grid():
+    # 1/n < 2^-32 would need a limb below 2^-84; the reducer must not drop it
+    ids = np.zeros(2, dtype=np.intp)
+    with pytest.raises(IntegrityError):
+        limb_reducer_sums(ids, [1.0, 2.0**-90], 1)
 
 
 # -- determinism and resume -------------------------------------------------

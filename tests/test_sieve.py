@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinsums import sieve as sieve_mod
-from artinsums.sieve import _PEEL_BLOCK, DEFAULT_LIMIT, FactorSieve, build_sieve, is_prime
+from artinsums.sieve import _TABLE_BLOCK, DEFAULT_LIMIT, FactorSieve, is_prime
 
 
 def trial_spf(n):
@@ -50,12 +50,12 @@ def trial_mu_omega(n):
 
 def test_spf_table_of_ten():
     expected = {2: 2, 3: 3, 4: 2, 5: 5, 6: 2, 7: 7, 8: 2, 9: 3, 10: 2}
-    s = build_sieve(10)
+    s = FactorSieve(10)
     assert {n: int(s.spf[n]) for n in range(2, 11)} == expected
 
 
 def test_smallest_valid_sieve():
-    assert int(build_sieve(2).spf[2]) == 2
+    assert int(FactorSieve(2).spf[2]) == 2
 
 
 def test_spf_against_trial_division(sieve_small):
@@ -152,13 +152,14 @@ def assert_tables_match_trial_division(s, ns):
 
 
 def test_tables_across_peel_block_edges():
-    # the peeling pass works on blocks of _PEEL_BLOCK values of n starting
-    # at n = 2; one block plus ~100 puts an edge and the limit in reach
-    limit = _PEEL_BLOCK + 100
+    # the table pass works on blocks [lo, min(2 lo, lo + _TABLE_BLOCK)) from
+    # n = 2: its edges are the powers of two up to _TABLE_BLOCK, then the
+    # multiples of _TABLE_BLOCK; one block plus ~100 puts the limit in reach
+    limit = _TABLE_BLOCK + 100
     s = FactorSieve(limit)
-    edges = [*range(2, limit + 1, _PEEL_BLOCK), limit]
+    edges = [*(1 << k for k in range(1, _TABLE_BLOCK.bit_length())), limit]
     ns = {n for e in edges for n in range(max(2, e - 64), min(limit, e + 64) + 1)}
-    assert {_PEEL_BLOCK + 1, _PEEL_BLOCK + 2, limit} <= ns
+    assert {_TABLE_BLOCK // 2 - 1, _TABLE_BLOCK // 2, _TABLE_BLOCK, _TABLE_BLOCK + 1, limit} <= ns
     assert_tables_match_trial_division(s, sorted(ns))
 
 
@@ -182,13 +183,13 @@ def test_tables_built_once_under_concurrent_access(monkeypatch):
     # every accessor builds all five tables; racing first calls must share
     # one build, or a threaded scan would hold several copies at once
     calls = []
-    real = sieve_mod._peel_tables
+    real = sieve_mod._recurrence_tables
 
     def counted(spf):
         calls.append(1)
         return real(spf)
 
-    monkeypatch.setattr(sieve_mod, "_peel_tables", counted)
+    monkeypatch.setattr(sieve_mod, "_recurrence_tables", counted)
     s = FactorSieve(50_000)
     getters = [s.mu_table, s.omega_table, s.P1_table, s.P2_strict_table, s.repeated_P1_table] * 2
     barrier = threading.Barrier(len(getters))
@@ -307,8 +308,8 @@ def test_cache_rejects_v1_file(tmp_path):
 
 @pytest.mark.parametrize("n, bad", [(4, 1), (4, 0), (3, 101)])
 def test_cache_rejects_spf_outside_2_to_limit(tmp_path, n, bad):
-    # saved with a valid crc: spf[4] = 1 would stall the peeling pass, and
-    # spf[3] = 101 would index past every table
+    # saved with a valid crc: spf[4] = 1 would make the table pass read
+    # m = 4 before it is built, and spf[3] = 101 would index past every table
     spf = FactorSieve(100).spf.copy()
     spf[n] = bad
     path = tmp_path / "spf.sieve"
