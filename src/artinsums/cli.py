@@ -1,11 +1,11 @@
 """Command-line surface.
 
-Commands: sieve-build, scan, reproduce-table, verify, dickman, smooth,
-classify.  Global flags: --sieve-cache, --threads, --format, --out,
---config.  A config file holds plain ``key = value`` lines (keys are the
-long option names); command-line flags override it.  The environment
-variable ARTINSUMS_CACHE_DIR supplies a default directory for sieve
-caches.
+Commands: sieve-build, scan, reproduce-table, verify, duality-test,
+dickman, smooth, classify.  Global flags: --sieve-cache, --threads,
+--format, --out, --config.  A config file holds plain ``key = value``
+lines (keys are the long option names); command-line flags override it.
+The environment variable ARTINSUMS_CACHE_DIR supplies a default
+directory for sieve caches.
 
 Exit codes: 0 success, 1 a check failed (reproduce-table outside the
 reference tolerance; verify or duality-test finding a failed identity),
@@ -426,12 +426,14 @@ def _cmd_reproduce_table(args) -> int:
 
 
 class _CorruptedMuSieve(FactorSieve):
-    """Test hook: negates mu at one chosen n, to prove the verify command
-    actually detects broken inputs."""
+    """Test hook: negates mu at one chosen n (or sets it to 1 where mu is
+    0), in arith_fns and in a private copy of mu_table(), to prove the
+    verify command actually detects broken inputs."""
 
     def __init__(self, base: FactorSieve, bad_n: int):
         super().__init__(base.limit, _spf=base.spf)
         self._bad_n = bad_n
+        self._bad_mu = None
 
     def arith_fns(self, n):
         mu, omega, big = super().arith_fns(n)
@@ -439,25 +441,38 @@ class _CorruptedMuSieve(FactorSieve):
             mu = -mu if mu else 1
         return mu, omega, big
 
+    def mu_table(self):
+        if self._bad_mu is None:
+            mu = super().mu_table().copy()
+            mu[self._bad_n] = -mu[self._bad_n] if mu[self._bad_n] else 1
+            self._bad_mu = mu
+        return self._bad_mu
 
-def _cmd_verify(args) -> int:
-    nmax = args.nmax
-    sieve = _get_sieve(args, max(nmax, 100))
-    if args.corrupt_mu:
-        sieve = _CorruptedMuSieve(sieve, args.corrupt_mu)
-    weights = [duality.random_weight(args.seed + i) for i in range(args.weights)]
 
-    def fail(summary: str, detail: dict) -> int:
-        print(f"FAIL {summary}")
-        print(json.dumps(detail))
-        return EXIT_CHECK_FAILED
+def _fail(summary: str, detail: dict) -> int:
+    print(f"FAIL {summary}")
+    print(json.dumps(detail))
+    return EXIT_CHECK_FAILED
 
-    # the four divisor-sum duality identities, exact
+
+def _check_suite_args(args) -> None:
+    if args.nmax < 2:
+        raise ValueError(f"--nmax must be >= 2, got {args.nmax}")
+    if args.kmax < 1:
+        raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
+
+
+def _identity_suite(sieve: FactorSieve, nmax: int, kmax: int, weights) -> int | None:
+    """The four divisor-sum duality identities, exact, for each weight,
+    2 <= n <= nmax and k <= kmax.  Returns the number of instances checked,
+    or None after printing the first failure."""
+    checked = 0
     for w in weights:
         for n in range(2, nmax + 1):
-            for rep in duality.check_all_identities(sieve, n, args.kmax, w):
+            for rep in duality.check_all_identities(sieve, n, kmax, w):
+                checked += 1
                 if not rep.passed:
-                    return fail(
+                    _fail(
                         f"duality identity {rep.identity} (k={rep.k}) at n={rep.n}",
                         {
                             "n": rep.n,
@@ -468,6 +483,24 @@ def _cmd_verify(args) -> int:
                             "rhs": str(rep.rhs),
                         },
                     )
+                    return None
+    return checked
+
+
+def _cmd_verify(args) -> int:
+    _check_suite_args(args)
+    nmax = args.nmax
+    if args.weights < 1:
+        raise ValueError(f"--weights must be >= 1, got {args.weights}")
+    if args.corrupt_mu is not None and not 2 <= args.corrupt_mu <= nmax:
+        raise ValueError(f"--corrupt-mu must lie in [2, {nmax}], got {args.corrupt_mu}")
+    sieve = _get_sieve(args, max(nmax, 100))
+    if args.corrupt_mu is not None:
+        sieve = _CorruptedMuSieve(sieve, args.corrupt_mu)
+    weights = [duality.random_weight(args.seed + i) for i in range(args.weights)]
+
+    if _identity_suite(sieve, nmax, args.kmax, weights) is None:
+        return EXIT_CHECK_FAILED
     print(f"PASS duality identities 1-4, k<={args.kmax}, n<={nmax}, {len(weights)} weights")
 
     # Mobius-inverted second-order identity, exact
@@ -475,7 +508,7 @@ def _cmd_verify(args) -> int:
         for n in range(2, nmax + 1):
             rep = duality.check_inversion(sieve, n, w)
             if not rep.passed:
-                return fail(
+                return _fail(
                     f"inversion identity at n={rep.n}",
                     {"n": rep.n, "weight": w.name, "lhs": str(rep.lhs), "rhs": str(rep.rhs)},
                 )
@@ -486,7 +519,7 @@ def _cmd_verify(args) -> int:
     for w in weights:
         lhs, rhs = duality.hyperbola_check(sieve, x_hyp, w)
         if lhs != rhs:
-            return fail(
+            return _fail(
                 f"hyperbola rearrangement at x={x_hyp}",
                 {"x": x_hyp, "weight": w.name, "lhs": str(lhs), "rhs": str(rhs)},
             )
@@ -499,14 +532,14 @@ def _cmd_verify(args) -> int:
         ok, rows = series.splitting_check(result)
         if not ok:
             bad = next(r for r in rows if not r[4])
-            return fail(
+            return _fail(
                 f"floor/frac split for {ctx.describe()}",
                 {"x": bad[0], "bucket": bad[1], "lhs": str(bad[2]), "rhs": str(bad[3])},
             )
         ok, rows = series.partition_audit(result, raise_on_failure=False)
         if not ok:
             bad = next(r for r in rows if not r[5])
-            return fail(
+            return _fail(
                 f"partition audit for {ctx.describe()}",
                 {"x": bad[0], "kind": bad[1], "total": str(bad[2]), "buckets": str(bad[3])},
             )
@@ -516,29 +549,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_duality_test(args) -> int:
+    _check_suite_args(args)
     sieve = _get_sieve(args, max(args.nmax, 100))
     weight = duality.random_weight(args.seed)
-    checked = 0
-    for n in range(2, args.nmax + 1):
-        for rep in duality.check_all_identities(sieve, n, args.kmax, weight):
-            checked += 1
-            if not rep.passed:
-                print(
-                    f"FAIL duality identity {rep.identity} (k={rep.k}) at n={rep.n}"
-                )
-                print(
-                    json.dumps(
-                        {
-                            "n": rep.n,
-                            "identity": rep.identity,
-                            "k": rep.k,
-                            "weight": weight.name,
-                            "lhs": str(rep.lhs),
-                            "rhs": str(rep.rhs),
-                        }
-                    )
-                )
-                return EXIT_CHECK_FAILED
+    checked = _identity_suite(sieve, args.nmax, args.kmax, [weight])
+    if checked is None:
+        return EXIT_CHECK_FAILED
     print(
         f"PASS {checked} identity instances, n<={args.nmax}, k<={args.kmax}, "
         f"weight {weight.name}"

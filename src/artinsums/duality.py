@@ -3,18 +3,22 @@ that exchange information between smallest and k-th largest prime
 factors, and for the Mobius-inversion form that the class-restricted
 series results rest on.
 
-Everything here is exact rational arithmetic: these are identities, not
-estimates, so there is no tolerance anywhere.
+These are identities, not estimates, so there is no tolerance anywhere:
+exact integer sums over a common denominator; Fractions only in reports
+and the oracle.  Every identity is linear in the weight f, so a check
+takes L = lcm of the denominators of f(p) over the primes it reads and
+sums F(p) = f(p) L as Python ints; ``divisor_sum`` and ``identity_rhs``
+are the Fraction oracle.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
-from typing import Callable
+from math import comb, lcm
+from typing import Callable, NamedTuple
 
 from .galois import GaloisContext
 from .sieve import FactorSieve
@@ -22,15 +26,18 @@ from .sieve import FactorSieve
 
 @dataclass(frozen=True)
 class PrimeWeight:
-    """Arithmetic function supported on the primes with f(1) = 0."""
+    """Arithmetic function supported on the primes with f(1) = 0.  Values
+    are memoized per argument."""
 
     name: str
     fn: Callable[[int], Fraction]
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, m: int) -> Fraction:
-        if m == 1:
-            return Fraction(0)
-        return self.fn(m)
+        v = self._memo.get(m)
+        if v is None:
+            v = self._memo[m] = Fraction(0) if m == 1 else self.fn(m)
+        return v
 
 
 def indicator_weight(predicate: Callable[[int], bool], name: str) -> PrimeWeight:
@@ -59,17 +66,29 @@ def random_weight(seed: int) -> PrimeWeight:
     return PrimeWeight(f"random[{seed}]", fn)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
+    """Both sides of one identity instance as integers over the common
+    denominator `denom` (a tuple: hundreds of thousands are built per
+    verify run)."""
+
     n: int
     identity: int  # 1..4, or 0 for the inversion form
     k: int
-    lhs: Fraction
-    rhs: Fraction
+    lhs_num: int
+    rhs_num: int
+    denom: int
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.lhs_num, self.denom)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_num, self.denom)
 
     @property
     def passed(self) -> bool:
-        return self.lhs == self.rhs
+        return self.lhs_num == self.rhs_num
 
 
 def _binom(m: int, j: int) -> int:
@@ -81,6 +100,14 @@ def _binom(m: int, j: int) -> int:
 
 def _distinct_primes(sieve: FactorSieve, n: int) -> list[int]:
     return [p for p, _ in sieve.factorize(n)]
+
+
+def _scaled(weight: PrimeWeight, args) -> tuple[dict[int, int], int]:
+    """({m: F(m)}, L): L the lcm of the denominators of f over `args`,
+    F(m) = f(m) L as an int."""
+    vals = {m: weight(m) for m in args}
+    L = lcm(*(v.denominator for v in vals.values()))
+    return {m: v.numerator * (L // v.denominator) for m, v in vals.items()}, L
 
 
 def _kth(primes_sorted: list[int], k: int, largest: bool) -> int:
@@ -146,37 +173,45 @@ def identity_rhs(
 def check_identity(
     sieve: FactorSieve, n: int, k: int, identity: int, weight: PrimeWeight
 ) -> IdentityReport:
+    """One identity instance from the Fraction oracle."""
     lhs = divisor_sum(sieve, n, k, identity, weight)
     rhs = identity_rhs(sieve, n, k, identity, weight)
-    return IdentityReport(n, identity, k, lhs, rhs)
+    L = lcm(lhs.denominator, rhs.denominator)
+    return IdentityReport(n, identity, k, int(lhs * L), int(rhs * L), L)
 
 
 def check_all_identities(
     sieve: FactorSieve, n: int, kmax: int, weight: PrimeWeight
 ) -> list[IdentityReport]:
-    """All four identities for k = 1..kmax in one subset-enumeration pass."""
+    """All four identities for k = 1..kmax in one subset-enumeration pass
+    over the distinct primes of n, each carried as its scaled weight F(p);
+    the right-hand sides are the closed forms of identity_rhs in F."""
     primes = _distinct_primes(sieve, n)
-    zero = Fraction(0)
-    lhs = {(i, k): zero for i in (1, 2, 3, 4) for k in range(1, kmax + 1)}
-    fcache = {p: weight(p) for p in primes}
-    fcache[1] = zero
-    for r in range(1, len(primes) + 1):
+    w = len(primes)
+    F_of, L = _scaled(weight, primes)
+    F = list(F_of.values())
+    lhs = [[0] * (kmax + 1) for _ in range(5)]  # lhs[identity][k]
+    for r in range(1, w + 1):
         mu_d = -1 if r % 2 else 1
-        for subset in combinations(primes, r):
-            f_small = fcache[subset[0]]
-            f_large = fcache[subset[-1]]
-            for k in range(1, kmax + 1):
-                b = _binom(r - 1, k - 1)
-                lhs[1, k] += mu_d * fcache[subset[-k] if k <= r else 1]
-                lhs[2, k] += mu_d * fcache[subset[k - 1] if k <= r else 1]
-                if b:
-                    lhs[3, k] += mu_d * b * f_large
-                    lhs[4, k] += mu_d * b * f_small
-    return [
-        IdentityReport(n, i, k, lhs[i, k], identity_rhs(sieve, n, k, i, weight))
-        for i in (1, 2, 3, 4)
-        for k in range(1, kmax + 1)
-    ]
+        # k > r reads f(1) = 0 (identities 1, 2) or C(r-1, k-1) = 0 (3, 4)
+        kr = range(1, min(r, kmax) + 1)
+        b = [0] + [mu_d * comb(r - 1, k - 1) for k in kr]
+        for subset in combinations(F, r):
+            for k in kr:
+                lhs[1][k] += mu_d * subset[-k]
+                lhs[2][k] += mu_d * subset[k - 1]
+                lhs[3][k] += b[k] * subset[-1]
+                lhs[4][k] += b[k] * subset[0]
+    reports = []
+    for i in (1, 2, 3, 4):
+        for k in range(1, kmax + 1):
+            sign = -1 if k % 2 else 1
+            if i <= 2:
+                rhs = sign * _binom(w - 1, k - 1) * (F[0] if i == 1 else F[-1])
+            else:
+                rhs = sign * (F[k - 1] if i == 3 else F[-k]) if k <= w else 0
+            reports.append(IdentityReport(n, i, k, lhs[i][k], rhs, L))
+    return reports
 
 
 def check_inversion(sieve: FactorSieve, n: int, weight: PrimeWeight) -> IdentityReport:
@@ -185,44 +220,50 @@ def check_inversion(sieve: FactorSieve, n: int, weight: PrimeWeight) -> Identity
     with the strict (distinct-prime) second-largest factor."""
     if not 2 <= n <= sieve.limit:
         raise ValueError(f"n = {n} outside [2, {sieve.limit}]")
-    mu_n, omega_n, _ = sieve.arith_fns(n)
-    p1 = sieve.prime_extremes(n)[0]
-    lhs = mu_n * (omega_n - 1) * weight(p1)
-    rhs = Fraction(0)
-    for d in _divisors(sieve, n):
-        mu_cof = sieve.arith_fns(n // d)[0]
+    mu, P2 = sieve.mu_table(), sieve.P2_strict_table()
+    factors = sieve.factorize(n)
+    primes = [p for p, _ in factors]
+    F_of, L = _scaled(weight, [1] + primes)
+    lhs = int(mu[n]) * (int(sieve.omega_table()[n]) - 1) * F_of[primes[0]]
+    rhs = 0
+    for d in _divisors(factors):
+        mu_cof = int(mu[n // d])
         if mu_cof:
-            rhs += mu_cof * weight(sieve.prime_extremes(d)[2] if d > 1 else 1)
-    return IdentityReport(n, 0, 2, Fraction(lhs), rhs)
+            rhs += mu_cof * F_of[int(P2[d])]
+    return IdentityReport(n, 0, 2, lhs, rhs, L)
 
 
-def _divisors(sieve: FactorSieve, n: int) -> list[int]:
+def _divisors(factors: list[tuple[int, int]]) -> list[int]:
     divs = [1]
-    for p, e in sieve.factorize(n):
+    for p, e in factors:
         divs = [d * p**j for d in divs for j in range(e + 1)]
-    return sorted(divs)
+    return divs
 
 
 def hyperbola_check(sieve: FactorSieve, x: int, weight: PrimeWeight) -> tuple[Fraction, Fraction]:
     """Both sides of the divisor-sum rearrangement
     sum_{n<=x} sum_{d|n} mu(n/d) f(P2(d))
       = sum_{m<=x} mu(m) sum_{d<=x/m} f(P2(d)).
-    Returns (lhs, rhs); they must be equal exactly."""
-    f_of_P2 = [Fraction(0)] * (x + 1)
-    for d in range(1, x + 1):
-        f_of_P2[d] = weight(sieve.prime_extremes(d)[2] if d > 1 else 1)
-    lhs = Fraction(0)
+    Returns (lhs, rhs); they must be equal exactly.
+
+    The rearrangement holds for any function in place of mu, so the two
+    sides take mu from different sources: the left from the distinct
+    primes of n (mu(n/d) = (-1)^r for n/d a product of r of them), the
+    right from mu_table().  A wrong mu entry then shows."""
+    if x > sieve.limit:
+        raise ValueError(f"x = {x} exceeds sieve limit {sieve.limit}")
+    P2 = sieve.P2_strict_table()[: x + 1].tolist()
+    F_of, L = _scaled(weight, set(P2))
+    f_of_P2 = [F_of[q] for q in P2]
+    lhs = 0
     for n in range(1, x + 1):
-        for d in _divisors(sieve, n):
-            mu_cof = sieve.arith_fns(n // d)[0]
-            if mu_cof:
-                lhs += mu_cof * f_of_P2[d]
-    prefix = [Fraction(0)] * (x + 1)
+        terms = [(1, n)]
+        for p in _distinct_primes(sieve, n):
+            terms += [(-s, d // p) for s, d in terms]
+        lhs += sum(s * f_of_P2[d] for s, d in terms)
+    prefix = [0] * (x + 1)
     for d in range(1, x + 1):
         prefix[d] = prefix[d - 1] + f_of_P2[d]
-    rhs = Fraction(0)
-    for m in range(1, x + 1):
-        mu_m = sieve.arith_fns(m)[0]
-        if mu_m:
-            rhs += mu_m * prefix[x // m]
-    return lhs, rhs
+    mu = sieve.mu_table()[: x + 1].tolist()
+    rhs = sum(mu[m] * prefix[x // m] for m in range(1, x + 1))
+    return Fraction(lhs, L), Fraction(rhs, L)

@@ -11,11 +11,12 @@ import os
 import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinsums import cli, series
+from artinsums import cli, duality, series
 from artinsums.sieve import FactorSieve
 
 
@@ -408,6 +409,46 @@ def test_verify_detects_corrupt_mu(capsys):
     # the counterexample is machine-readable JSON on the last line
     detail = json.loads(out.strip().splitlines()[-1])
     assert "lhs" in detail and "rhs" in detail
+
+
+def test_corrupted_mu_reaches_table_checks():
+    base = FactorSieve(1000)
+    mu_before = base.mu_table().copy()
+    bad = cli._CorruptedMuSieve(base, 42)
+    assert bad.mu_table()[42] == -mu_before[42]
+    assert bad.arith_fns(42)[0] == -mu_before[42]
+    w = duality.random_weight(1)
+    assert not duality.check_inversion(bad, 42, w).passed
+    assert duality.check_inversion(base, 42, w).passed
+    lhs, rhs = duality.hyperbola_check(bad, 300, w)
+    assert lhs != rhs
+    lhs, rhs = duality.hyperbola_check(base, 300, w)
+    assert lhs == rhs
+    # the flip lives in a copy; the base sieve's tables are untouched
+    assert np.array_equal(base.mu_table(), mu_before)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--nmax", "1"],
+        ["verify", "--nmax", "-5"],
+        ["verify", "--kmax", "0"],
+        ["verify", "--kmax", "-2"],
+        ["verify", "--weights", "0"],
+        ["verify", "--weights", "-1"],
+        ["duality-test", "--nmax", "1"],
+        ["duality-test", "--kmax", "0"],
+        ["verify", "--nmax", "60", "--corrupt-mu", "100000"],
+        ["verify", "--nmax", "60", "--corrupt-mu", "-3"],
+        ["verify", "--nmax", "60", "--corrupt-mu", "61"],
+    ],
+)
+def test_suite_args_rejected_before_output(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):

@@ -160,3 +160,111 @@ def test_hyperbola_rearrangement(sieve_small):
         assert lhs == rhs
     lhs, rhs = hyperbola_check(sieve_small, 100, MOD4)
     assert lhs == rhs
+
+
+# --- the integer path against the Fraction oracles ---------------------------
+
+# denominators p: coprime across the primes of n, far past the lcm 60 of
+# random_weight's, so the common-denominator scaling is exercised
+OVER_P = PrimeWeight("(p mod 7 - 3)/p", lambda p: Fraction(p % 7 - 3, p))
+
+
+def scalar_inversion(sieve, n, weight):
+    """Scalar Fraction form of check_inversion: arith_fns and
+    prime_extremes on every divisor."""
+    mu_n, omega_n, _ = sieve.arith_fns(n)
+    p1 = sieve.prime_extremes(n)[0]
+    lhs = mu_n * (omega_n - 1) * weight(p1)
+    rhs = Fraction(0)
+    for d in scalar_divisors(sieve, n):
+        mu_cof = sieve.arith_fns(n // d)[0]
+        if mu_cof:
+            rhs += mu_cof * weight(sieve.prime_extremes(d)[2] if d > 1 else 1)
+    return Fraction(lhs), rhs
+
+
+def scalar_divisors(sieve, n):
+    divs = [1]
+    for p, e in sieve.factorize(n):
+        divs = [d * p**j for d in divs for j in range(e + 1)]
+    return sorted(divs)
+
+
+def scalar_hyperbola(sieve, x, weight):
+    """Scalar Fraction form of hyperbola_check."""
+    f_of_P2 = [Fraction(0)] * (x + 1)
+    for d in range(1, x + 1):
+        f_of_P2[d] = weight(sieve.prime_extremes(d)[2] if d > 1 else 1)
+    lhs = Fraction(0)
+    for n in range(1, x + 1):
+        for d in scalar_divisors(sieve, n):
+            mu_cof = sieve.arith_fns(n // d)[0]
+            if mu_cof:
+                lhs += mu_cof * f_of_P2[d]
+    prefix = [Fraction(0)] * (x + 1)
+    for d in range(1, x + 1):
+        prefix[d] = prefix[d - 1] + f_of_P2[d]
+    rhs = Fraction(0)
+    for m in range(1, x + 1):
+        mu_m = sieve.arith_fns(m)[0]
+        if mu_m:
+            rhs += mu_m * prefix[x // m]
+    return lhs, rhs
+
+
+@given(st.integers(2, 5000), st.integers(1, 4), st.sampled_from(["over_p", "class", "residue"]))
+@settings(max_examples=300, deadline=None)
+def test_check_all_matches_oracle(sieve_small, ctx_cubic, n, kmax, kind):
+    w = {
+        "over_p": OVER_P,
+        "class": class_weight(ctx_cubic, "1+2"),
+        "residue": residue_weight(1, 3),
+    }[kind]
+    reports = check_all_identities(sieve_small, n, kmax, w)
+    assert [(r.identity, r.k) for r in reports] == [
+        (i, k) for i in (1, 2, 3, 4) for k in range(1, kmax + 1)
+    ]
+    for rep in reports:
+        assert rep.n == n and rep.passed
+        assert rep.lhs == divisor_sum(sieve_small, n, rep.k, rep.identity, w)
+        assert rep.rhs == identity_rhs(sieve_small, n, rep.k, rep.identity, w)
+
+
+def test_check_all_scales_coprime_denominators(sieve_small):
+    # 2*3*5*7*11: L = lcm of the denominators 2, 3, 5, 7, 11 (f(3) = 0)
+    reports = check_all_identities(sieve_small, 2310, 3, OVER_P)
+    assert {r.denom for r in reports} == {2 * 5 * 7 * 11}
+    assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("weight", [random_weight(0), random_weight(7), OVER_P, MOD4])
+def test_inversion_matches_scalar_oracle(sieve_small, weight):
+    for n in range(2, 2001):
+        rep = check_inversion(sieve_small, n, weight)
+        assert (rep.n, rep.identity, rep.k) == (n, 0, 2)
+        assert (rep.lhs, rep.rhs) == scalar_inversion(sieve_small, n, weight), n
+        assert rep.passed
+
+
+@pytest.mark.parametrize("x", [1, 2, 300])
+@pytest.mark.parametrize("weight", [random_weight(0), OVER_P, MOD4])
+def test_hyperbola_matches_scalar_oracle(sieve_small, x, weight):
+    lhs, rhs = hyperbola_check(sieve_small, x, weight)
+    assert (lhs, rhs) == scalar_hyperbola(sieve_small, x, weight)
+    assert lhs == rhs
+
+
+def test_weight_memoized():
+    calls = []
+
+    def fn(p):
+        calls.append(p)
+        return Fraction(p, 3)
+
+    w = PrimeWeight("counted", fn)
+    assert [w(5), w(5), w(7), w(5)] == [Fraction(5, 3)] * 2 + [Fraction(7, 3), Fraction(5, 3)]
+    assert calls == [5, 7]
+    w1, w2 = random_weight(11), random_weight(11)
+    first = [w1(p) for p in (2, 3, 5, 97, 4999)]
+    assert first == [w1(p) for p in (2, 3, 5, 97, 4999)]
+    assert first == [w2(p) for p in (2, 3, 5, 97, 4999)]
