@@ -578,7 +578,10 @@ def _cmd_smooth(args) -> int:
     if args.y:
         ys = [int(y) for y in args.y.split(",")]
     elif args.alpha:
-        ys = [max(2, int(round(args.x ** (1.0 / float(a))))) for a in args.alpha.split(",")]
+        alphas = [float(a) for a in args.alpha.split(",")]
+        if not all(a > 0 for a in alphas):
+            raise ValueError(f"--alpha values must be > 0, got {args.alpha}")
+        ys = [max(2, int(round(args.x ** (1.0 / a)))) for a in alphas]
     else:
         raise ValueError("smooth needs --y or --alpha")
     rows = []

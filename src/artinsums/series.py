@@ -7,8 +7,14 @@ alongside an unconditional aggregate, so the decomposition
 
 can be audited at every checkpoint.
 
-One kernel (``_segment_partials``) forms every term of a segment and gives
-it a bucket id once; two reducers sum the buckets:
+A scan makes one pass per segment, in one kernel (``_segment_partials``).
+It gathers the squarefree n of the segment (every other term is 0), gives
+each a bucket id once, and forms from them the per-n kinds and, for every
+checkpoint x not yet reached, the checkpoint kinds (floor_weighted,
+frac_weighted) at x, which wait in pending cells until the scan reaches x.
+The same pass counts n by the class of their strict second-largest prime
+factor, and the n whose largest prime factor repeats, so a snapshot only
+assembles running sums.  Two reducers sum the buckets:
 
 * ``exact``       -- big-rational accumulation; capped at x <= 10^4
                      because the running lcm denominator growth makes it
@@ -35,7 +41,7 @@ from math import fsum
 import numpy as np
 
 from .errors import IntegrityError
-from .galois import RAMIFIED_CODE, GaloisContext
+from .galois import RAMIFIED_CODE, UNCLASSIFIED_CODE, GaloisContext
 from .sieve import FactorSieve
 
 EXACT_X_CAP = 10_000
@@ -72,21 +78,22 @@ _LIMB_SHIFTS = (26, 30, 30)
 
 
 def _binned(ids, w, size):
-    """Sums of the weights w per bucket id below `size`, then over all of
-    w; exact while the sum of |w| stays below 2^53."""
-    return [*np.bincount(ids, weights=w, minlength=size + 1)[:size].tolist(), w.sum()]
+    """Integer sums of the integer weights w per bucket id below `size`,
+    then over all of w (the discarded bucket `size` too); exact while the
+    sum of |w| stays below 2^53."""
+    bins = [int(v) for v in np.bincount(ids, weights=w, minlength=size + 1).tolist()]
+    return [*bins[:size], sum(bins)]
 
 
 def _bucket_sums(ids, size, num, den, mode):
     """Sums of num/den (of num, as ints, when den is None) per bucket id
-    below `size`, then over all terms.  Every term carries the factor
-    mu(n), so the last is the sum over mu != 0, taken on its own: a term
-    routed to no bucket breaks the audit.  Compensated sums are the exact
-    sums of the float terms."""
+    below `size`, then over all terms, those of the discarded bucket too:
+    a term routed to no bucket breaks the audit.  Compensated sums are the
+    exact sums of the float terms."""
     if den is None:
         # |num| <= 9 x/n for floor_weighted, x < 2^32: a segment's sum of
         # |num| is at most 9 x (1/2 + ln 2^31) < 2^40
-        return [int(v) for v in _binned(ids, num, size)]
+        return _binned(ids, num, size)
     if mode == "exact":
         live = num != 0
         terms = [Fraction(a, d) for a, d in zip(num[live].tolist(), den[live].tolist())]
@@ -100,7 +107,7 @@ def _bucket_sums(ids, size, num, den, mode):
     for shift in _LIMB_SHIFTS:
         r *= 2.0**shift
         np.trunc(r, out=limb)
-        sums = [(s << shift) + int(v) for s, v in zip(sums, _binned(ids, limb, size))]
+        sums = [(s << shift) + v for s, v in zip(sums, _binned(ids, limb, size))]
         r -= limb
     if np.any(r):
         raise IntegrityError("a float term is not a multiple of 2^-84")
@@ -131,6 +138,29 @@ class SeriesScan:
     snapshots: dict[int, Snapshot] = field(default_factory=dict)
 
 
+@dataclass
+class _Acc:
+    """Running sums of a scan over [2, next_lo): the per-n kinds per
+    bucket; the checkpoint kinds per bucket at every checkpoint not yet
+    reached; and the counts ("n2:<label>", "n2_ramified", "repeat_count")."""
+
+    sums: dict
+    pending: dict  # x -> bucket -> checkpoint kind -> value
+    counts: dict
+
+    def add(self, partial) -> None:
+        sums, cells, counts = partial
+        _merge(self.sums, sums)
+        for x, cell in cells.items():
+            _merge(self.pending[x], cell)
+        for name, v in counts.items():
+            self.counts[name] += v
+
+
+def _count_names(labels) -> list[str]:
+    return [*(f"n2:{lab}" for lab in labels), "n2_ramified", "repeat_count"]
+
+
 def scan(
     ctx: GaloisContext,
     x_max: int,
@@ -152,6 +182,8 @@ def scan(
         raise ValueError(f"exact mode is capped at x = {EXACT_X_CAP}")
     if not 1 <= segment_size <= MAX_SEGMENT:
         raise ValueError(f"segment_size = {segment_size} outside [1, {MAX_SEGMENT}]")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     cps = sorted(set(checkpoints)) if checkpoints else []
     if cps and (cps[0] < 2 or cps[-1] > x_max):
         raise ValueError("checkpoints must lie in [2, x_max]")
@@ -159,9 +191,10 @@ def scan(
         cps.append(x_max)
     cps = tuple(cps)
 
+    labels = ctx.labels()
     ram_primes = sorted(p for p in ctx.ramified if p <= x_max)
     codes = ctx.class_code_array(sieve, x_max)
-    buckets = [("class", c.label) for c in ctx.classes]
+    buckets = [("class", lab) for lab in labels]
     buckets += [("ram", p) for p in ram_primes]
     buckets.append(("total", None))
 
@@ -171,25 +204,30 @@ def scan(
             state_path, ctx, mode, segment_size, x_max, cps, buckets
         )
     else:
-        acc, snapshots, start_lo = _zeros(buckets, PER_N_KINDS), {}, 2
+        acc = _Acc(
+            _zeros(buckets, PER_N_KINDS),
+            {x: _zeros(buckets, CHECKPOINT_KINDS) for x in cps},
+            dict.fromkeys(_count_names(labels), 0),
+        )
+        snapshots, start_lo = {}, 2
 
     result = SeriesScan(ctx, x_max, mode, cps, snapshots)
     todo = [(lo, hi) for lo, hi in segments if lo >= start_lo]
-    cp_set = set(cps)
 
     def run(seg):
         lo, hi = seg
-        return _segment_partials(ctx.labels(), sieve, codes, ram_primes, lo, hi, mode)
+        xs = [x for x in cps if x >= hi]
+        return _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, xs)
 
     def consume(seg, partial):
         hi = seg[1]
-        _merge(acc, partial)
-        if hi in cp_set:
-            snapshots[hi] = _snapshot(ctx, sieve, codes, ram_primes, hi, mode, segment_size, acc)
+        acc.add(partial)
+        if hi in acc.pending:
+            snapshots[hi] = _snapshot(hi, mode, labels, acc.sums, acc.pending.pop(hi), acc.counts)
         if state_path is not None:
             _save_state(state_path, ctx, mode, segment_size, x_max, cps, hi + 1, acc, snapshots)
 
-    if threads <= 1 or not todo:
+    if threads == 1 or not todo:
         for seg in todo:
             consume(seg, run(seg))
     else:
@@ -217,46 +255,66 @@ def _zeros(buckets, kinds):
     return {b: {k: 0 if k in _INT_KINDS else Fraction(0) for k in kinds} for b in buckets}
 
 
-def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, x=None):
-    """Per-bucket sums over the block lo <= n <= hi: of the per-n kinds,
-    or with `x` of the checkpoint kinds at x.  The one place where terms
-    are formed and routed to buckets; class i of `labels` is code i."""
+def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, xs=()):
+    """All that the block lo <= n <= hi adds to a scan, in one pass:
+    per-bucket sums of the per-n kinds; per-bucket sums of the checkpoint
+    kinds at each x of `xs` (every x >= hi); and, given `codes`, the
+    block's counts by the class of the strict P2 and of repeated P1.
+
+    The one place where terms are formed and routed to buckets; class i
+    of `labels` is code i.  Terms are formed for squarefree n only: every
+    other term is 0, and the sums are exact sums of the terms."""
     sl = slice(lo, hi + 1)
     mu = sieve.mu_table()[sl]
-    om = sieve.omega_table()[sl]
-    sp = sieve.spf[sl]
-    n = np.arange(lo, hi + 1, dtype=np.int64)
+    sf = np.flatnonzero(mu)
+    mu = mu[sf]
+    om = sieve.omega_table()[sl][sf]
+    n = sf + lo
     muom = mu * om
-    if x is None:
-        terms = {
-            "mu_omega_over_n": (muom, n),
-            "mu_over_n": (mu, n),
-            "mu_omega_minus1_over_n": (mu * (om - 1), n),
-            "mu_omega_raw": (muom, None),
-        }
-    else:
-        terms = {
-            "floor_weighted": (muom * (x // n), None),
-            "frac_weighted": (muom * (x % n), n),
-        }
-    ids = _route(codes, ram_primes, sp, mu != 0, len(labels))
+    ids = _route(codes, ram_primes, sieve.spf[sl][sf], len(labels))
     size = len(labels) + len(ram_primes)
-    sums = {kind: _bucket_sums(ids, size, num, den, mode) for kind, (num, den) in terms.items()}
     keys = [*(("class", lab) for lab in labels), *(("ram", p) for p in ram_primes), ("total", None)]
-    return {key: {kind: s[i] for kind, s in sums.items()} for i, key in enumerate(keys)}
+
+    def cells(terms):
+        sums = {kind: _bucket_sums(ids, size, num, den, mode) for kind, (num, den) in terms.items()}
+        return {key: {kind: s[i] for kind, s in sums.items()} for i, key in enumerate(keys)}
+
+    per_n = cells({
+        "mu_omega_over_n": (muom, n),
+        "mu_over_n": (mu, n),
+        "mu_omega_minus1_over_n": (mu * (om - 1), n),
+        "mu_omega_raw": (muom, None),
+    })
+    at_x = {}
+    for x in xs:
+        q, r = np.divmod(x, n)
+        at_x[x] = cells({"floor_weighted": (muom * q, None), "frac_weighted": (muom * r, n)})
+    counts = {}
+    if codes is not None:
+        P2 = sieve.P2_strict_table()[sl]
+        rep = sieve.repeated_P1_table()[sl]
+        # codes run from UNCLASSIFIED_CODE (-2) through RAMIFIED_CODE (-1) to len(labels) - 1
+        by_code = np.bincount(
+            codes[P2[(P2 > 1) & ~rep]] - UNCLASSIFIED_CODE, minlength=len(labels) - UNCLASSIFIED_CODE
+        ).tolist()
+        counts = {f"n2:{lab}": by_code[i - UNCLASSIFIED_CODE] for i, lab in enumerate(labels)}
+        counts["n2_ramified"] = by_code[RAMIFIED_CODE - UNCLASSIFIED_CODE]
+        counts["repeat_count"] = int(np.count_nonzero(rep))
+    return per_n, at_x, counts
 
 
-def _route(codes, ram_primes, sp, nz, n_classes):
-    """Bucket id of every term: its class code, n_classes + j for the
-    ramified prime ram_primes[j], and a last bucket, thrown away, for mu = 0
-    or UNCLASSIFIED_CODE (never a negative id, which would wrap around)."""
+def _route(codes, ram_primes, sp, n_classes):
+    """Bucket id of every term with smallest prime factor sp: its class
+    code, n_classes + j for the ramified prime ram_primes[j], and a last
+    bucket, thrown away, for UNCLASSIFIED_CODE (never a negative id, which
+    would wrap around)."""
     discard = n_classes + len(ram_primes)
     ids = np.full(len(sp), discard, dtype=np.intp)
     if codes is not None:
         c = codes[sp]
-        np.copyto(ids, c, where=nz & (c >= 0))
+        np.copyto(ids, c, where=c >= 0)
     for j, p in enumerate(ram_primes):
-        np.copyto(ids, n_classes + j, where=nz & (sp == p))
+        np.copyto(ids, n_classes + j, where=sp == p)
     return ids
 
 
@@ -266,12 +324,11 @@ def _merge(acc, partial):
             acc[key][kind] += val
 
 
-def _snapshot(ctx, sieve, codes, ram_primes, x, mode, segment_size, acc) -> Snapshot:
-    cells = _zeros(acc, CHECKPOINT_KINDS)
-    for lo, hi in _segments(2, x, segment_size, ()):
-        _merge(cells, _segment_partials(ctx.labels(), sieve, codes, ram_primes, lo, hi, mode, x=x))
+def _snapshot(x, mode, labels, sums, cells, counts) -> Snapshot:
+    """The snapshot at checkpoint x from the running per-n sums, the
+    checkpoint cells at x and the running counts, all over [2, x]."""
     classes, ramified = {}, {}
-    for key, cell in acc.items():
+    for key, cell in sums.items():
         cell = {**cell, **cells[key]}
         if mode == "compensated":
             cell = {k: v if k in _INT_KINDS else float(v) for k, v in cell.items()}
@@ -281,15 +338,14 @@ def _snapshot(ctx, sieve, codes, ram_primes, x, mode, segment_size, acc) -> Snap
             ramified[key[1]] = cell
         else:
             total = cell
-    n2 = {lab: count_P2_in_class(ctx, lab, x, sieve) for lab in ctx.labels()}
     return Snapshot(
         x=x,
         classes=classes,
         ramified=ramified,
         total=total,
-        n2_classes=n2,
-        n2_ramified=count_P2_ramified(ctx, x, sieve),
-        repeat_count=count_repeated_P1(x, sieve),
+        n2_classes={lab: counts[f"n2:{lab}"] for lab in labels},
+        n2_ramified=counts["n2_ramified"],
+        repeat_count=counts["repeat_count"],
     )
 
 
@@ -363,23 +419,14 @@ def fixed_prime_slice(p: int, x: int, sieve: FactorSieve, mode: str = "auto"):
     # the slice is the ramified-bucket routing (spf == p) with no classes
     total = Fraction(0)
     for lo, hi in _segments(2, x, DEFAULT_SEGMENT, ()):
-        total += _segment_partials((), sieve, None, [p], lo, hi, mode)["ram", p]["mu_omega_over_n"]
+        total += _segment_partials((), sieve, None, [p], lo, hi, mode)[0]["ram", p]["mu_omega_over_n"]
     return total if mode == "exact" else float(total)
-
-
-def sum_mu_in_class(ctx: GaloisContext, label: str, x: int, sieve: FactorSieve) -> int:
-    """Integer sum of mu(n) over n <= x whose smallest prime factor lies
-    in the given class."""
-    code = ctx.code_of(label)
-    codes = ctx.class_code_array(sieve, x)
-    sl = slice(2, x + 1)
-    mask = codes[sieve.spf[sl]] == code
-    return int(np.sum(sieve.mu_table()[sl][mask], dtype=np.int64))
 
 
 def count_P2_in_class(ctx: GaloisContext, label: str, x: int, sieve: FactorSieve) -> int:
     """#{n <= x : second-largest prime factor (strict) is in the class},
-    excluding n whose largest prime factor repeats."""
+    excluding n whose largest prime factor repeats.  A scan forms these
+    counts in its segment pass; this full pass over [2, x] is their oracle."""
     return _count_P2_with_code(ctx, ctx.code_of(label), x, sieve)
 
 
@@ -396,15 +443,6 @@ def _count_P2_with_code(ctx: GaloisContext, code: int, x: int, sieve: FactorSiev
     return int(np.count_nonzero((P2 > 1) & ~rep & (codes[P2] == code)))
 
 
-def count_P2_small_or_repeated(x: int, sieve: FactorSieve) -> int:
-    """#{2 <= n <= x : omega(n) <= 1 or the largest prime factor repeats};
-    the complement of the class-countable set."""
-    sl = slice(2, x + 1)
-    P2 = sieve.P2_strict_table()[sl]
-    rep = sieve.repeated_P1_table()[sl]
-    return int(np.count_nonzero((P2 == 1) | rep))
-
-
 def count_repeated_P1(x: int, sieve: FactorSieve) -> int:
     """#{n <= x : P1(n)^2 | n}."""
     return int(np.count_nonzero(sieve.repeated_P1_table()[2 : x + 1]))
@@ -417,13 +455,6 @@ def psi_smooth(x: int, y: int, sieve: FactorSieve) -> int:
     if x > sieve.limit:
         raise ValueError(f"x = {x} exceeds sieve limit {sieve.limit}")
     return int(np.count_nonzero(sieve.P1_table()[1 : x + 1] <= y))
-
-
-def count_P2_below(x: int, y: int, sieve: FactorSieve) -> int:
-    """#{n <= x : second-largest prime factor (strict) <= y}."""
-    if not 1 <= y <= x:
-        raise ValueError(f"need 1 <= y <= x, got y={y}, x={x}")
-    return int(np.count_nonzero(sieve.P2_strict_table()[1 : x + 1] <= y))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +524,7 @@ def dickman_grid() -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # scan state persistence (resume support)
 
-_STATE_HEADER = "artinsums-scan v2"
+_STATE_HEADER = "artinsums-scan v3"
 
 
 def _fmt_value(v) -> str:
@@ -512,7 +543,7 @@ def _bucket_key_str(key) -> str:
     return "total"
 
 
-def _save_state(path, ctx, mode, segment_size, x_max, cps, next_lo, acc, snapshots):
+def _save_state(path, ctx, mode, segment_size, x_max, cps, next_lo, acc: _Acc, snapshots):
     """Write the state to a temporary file beside `path`, then rename it
     over `path`, so an interrupted write leaves the previous state whole."""
     lines = [
@@ -524,9 +555,15 @@ def _save_state(path, ctx, mode, segment_size, x_max, cps, next_lo, acc, snapsho
         "checkpoints = " + ",".join(str(c) for c in cps),
         f"next_lo = {next_lo}",
     ]
-    for key in sorted(acc, key=_bucket_key_str):
+    for key in sorted(acc.sums, key=_bucket_key_str):
         for kind in PER_N_KINDS:
-            lines.append(f"acc.{_bucket_key_str(key)}.{kind} = {_fmt_value(acc[key][kind])}")
+            lines.append(f"acc.{_bucket_key_str(key)}.{kind} = {_fmt_value(acc.sums[key][kind])}")
+    for name in sorted(acc.counts):
+        lines.append(f"count.{name} = int {acc.counts[name]}")
+    for x in sorted(acc.pending):
+        for key in sorted(acc.pending[x], key=_bucket_key_str):
+            for kind in CHECKPOINT_KINDS:
+                lines.append(f"pending.{x}.{_bucket_key_str(key)}.{kind} = {_fmt_value(acc.pending[x][key][kind])}")
     for x in sorted(snapshots):
         snap = snapshots[x]
         cells = {f"class:{lab}": v for lab, v in snap.classes.items()}
@@ -550,8 +587,9 @@ def _save_state(path, ctx, mode, segment_size, x_max, cps, next_lo, acc, snapsho
 
 def _load_state(path, ctx, mode, segment_size, x_max, cps, buckets):
     """(accumulator, snapshots, next segment start) from a state file.
-    The file must hold exactly the entries this scan writes; anything
-    else raises IntegrityError."""
+    The file must hold exactly the entries this scan writes at that start:
+    snapshots of the checkpoints below it, pending cells of the others;
+    anything else raises IntegrityError."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -610,23 +648,27 @@ def _load_state(path, ctx, mode, segment_size, x_max, cps, buckets):
     def kind_tag(kind, frac_tag):
         return "int" if kind in _INT_KINDS else frac_tag
 
-    acc = {
-        b: {k: take(f"acc.{_bucket_key_str(b)}.{k}", kind_tag(k, "frac")) for k in PER_N_KINDS}
-        for b in buckets
-    }
-    snap_tag = "frac" if mode == "exact" else "float"
-    labels = [b[1] for b in buckets if b[0] == "class"]
-    snapshots = {}
-    for x in (c for c in cps if c < next_lo):
-        cells = {
-            b: {k: take(f"snap.{x}.{_bucket_key_str(b)}.{k}", kind_tag(k, snap_tag)) for k in ALL_KINDS}
+    def cells(prefix, kinds, frac_tag):
+        return {
+            b: {k: take(f"{prefix}.{_bucket_key_str(b)}.{k}", kind_tag(k, frac_tag)) for k in kinds}
             for b in buckets
         }
+
+    labels = [b[1] for b in buckets if b[0] == "class"]
+    acc = _Acc(
+        cells("acc", PER_N_KINDS, "frac"),
+        {x: cells(f"pending.{x}", CHECKPOINT_KINDS, "frac") for x in cps if x >= next_lo},
+        {name: take(f"count.{name}", "int") for name in _count_names(labels)},
+    )
+    snap_tag = "frac" if mode == "exact" else "float"
+    snapshots = {}
+    for x in (c for c in cps if c < next_lo):
+        snap = cells(f"snap.{x}", ALL_KINDS, snap_tag)
         snapshots[x] = Snapshot(
             x=x,
-            classes={b[1]: v for b, v in cells.items() if b[0] == "class"},
-            ramified={b[1]: v for b, v in cells.items() if b[0] == "ram"},
-            total=cells["total", None],
+            classes={b[1]: v for b, v in snap.items() if b[0] == "class"},
+            ramified={b[1]: v for b, v in snap.items() if b[0] == "ram"},
+            total=snap["total", None],
             n2_classes={lab: take(f"snap.{x}.n2:{lab}", "int") for lab in labels},
             n2_ramified=take(f"snap.{x}.n2_ramified", "int"),
             repeat_count=take(f"snap.{x}.repeat_count", "int"),

@@ -208,9 +208,11 @@ class FactorSieve:
         return self._table("rep")
 
     def _table(self, name: str) -> np.ndarray:
-        with self._tables_lock:
-            if self._tables is None:
-                self._tables = _recurrence_tables(self.spf)
+        # the lock is taken only while the tables may still be unbuilt
+        if self._tables is None:
+            with self._tables_lock:
+                if self._tables is None:
+                    self._tables = _recurrence_tables(self.spf)
         return self._tables[name]
 
 

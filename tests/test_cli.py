@@ -221,25 +221,26 @@ FUZZ_ARGV = ["scan", "--cyclotomic", "4", "--xmax", "3000", "--checkpoints", "10
 @pytest.fixture(scope="session")
 def stopped_state(tmp_path_factory):
     """Lines of the state body a scan leaves when stopped in its fourth
-    segment: a checkpoint snapshot, partial sums, next_lo = 1025."""
+    segment: a checkpoint snapshot, a pending checkpoint cell, partial
+    sums, next_lo = 1025."""
     path = tmp_path_factory.mktemp("stopped") / "scan.state"
     real = series._segment_partials
     calls = []
 
-    def stop_after_five(*args, **kwargs):
+    def stop_after_three(*args, **kwargs):
         calls.append(args)
-        if len(calls) > 5:
+        if len(calls) > 3:
             raise KeyboardInterrupt
         return real(*args, **kwargs)
 
-    series._segment_partials = stop_after_five
+    series._segment_partials = stop_after_three
     try:
         with pytest.raises(KeyboardInterrupt):
             cli.main(FUZZ_ARGV + ["--state", str(path), "--out", os.devnull])
     finally:
         series._segment_partials = real
     body = path.read_text().rpartition("sha256 = ")[0]
-    assert "next_lo = 1025" in body and "snap.1000.total" in body
+    assert "next_lo = 1025" in body and "snap.1000.total" in body and "pending.3000.total" in body
     return body.splitlines()
 
 
@@ -382,6 +383,21 @@ def test_dickman_command(capsys):
 def test_dickman_rejects_out_of_range(capsys):
     code, _, _ = run(["dickman", "--grid", "25"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("alpha", ["0", "-2", "2,0", "nan"])
+def test_smooth_rejects_nonpositive_alpha(alpha, capsys):
+    # alpha = 0 divided by zero; a negative alpha gave y = 2 and a made-up alpha
+    code, out, err = run(["smooth", "--x", "100", "--alpha", alpha], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_scan_rejects_threads_below_one(threads, capsys):
+    code, out, err = run(["scan", "--cyclotomic", "4", "--xmax", "100", "--threads", threads], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_duality_test_command(capsys):

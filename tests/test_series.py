@@ -66,6 +66,27 @@ def enum_n2(sieve, ctx, x, label):
     return count
 
 
+def sum_mu_in_class(ctx, label, x, sieve):
+    """Integer sum of mu(n) over n <= x whose smallest prime factor lies
+    in the given class."""
+    codes = ctx.class_code_array(sieve, x)
+    sl = slice(2, x + 1)
+    mask = codes[sieve.spf[sl]] == ctx.code_of(label)
+    return int(np.sum(sieve.mu_table()[sl][mask], dtype=np.int64))
+
+
+def count_P2_small_or_repeated(x, sieve):
+    """#{2 <= n <= x : omega(n) <= 1 or the largest prime factor repeats};
+    the complement of the class-countable set."""
+    sl = slice(2, x + 1)
+    return int(np.count_nonzero((sieve.P2_strict_table()[sl] == 1) | sieve.repeated_P1_table()[sl]))
+
+
+def count_P2_below(x, y, sieve):
+    """#{n <= x : second-largest prime factor (strict) <= y}."""
+    return int(np.count_nonzero(sieve.P2_strict_table()[1 : x + 1] <= y))
+
+
 def direct_float_terms(sieve, ctx, x):
     """Bucket name -> kind -> the float terms of that bucket, from per-n
     factorizations: each term rounded once, as the compensated scan does."""
@@ -286,7 +307,7 @@ def test_limb_reducer_matches_fraction_oracle(rows):
     codes[2:] = [code for _, _, code, _ in rows]
     ram = [p for p in range(2, len(rows) + 2) if codes[p] == RAMIFIED_CODE]
     sp, mu = np.array(sp, dtype=np.uint32), np.array(mu, dtype=np.int8)
-    ids = series._route(codes, ram, sp, mu != 0, 3)
+    ids = series._route(codes, ram, sp, 3)
     size = 3 + len(ram)
     want = [Fraction(0)] * (size + 1)
     for t, p, m in zip(terms, sp.tolist(), mu.tolist()):
@@ -336,6 +357,30 @@ def test_thread_determinism(sieve_small, ctx_cubic):
                     )
             for kind in series.ALL_KINDS:
                 assert base.snapshots[x].total[kind] == other.snapshots[x].total[kind]
+
+
+@pytest.mark.parametrize("mode", ["compensated", "exact"])
+def test_threads_give_equal_snapshots(sieve_small, ctx_c4, mode):
+    kwargs = dict(checkpoints=(100, 2048, 5000), sieve=sieve_small, segment_size=512, mode=mode)
+    one = series.scan(ctx_c4, 9000, threads=1, **kwargs)
+    two = series.scan(ctx_c4, 9000, threads=2, **kwargs)
+    assert one.snapshots == two.snapshots
+
+
+def test_scan_counts_match_oracles(sieve_small, ctx_c4, ctx_cubic):
+    # the counts the segment pass forms, against full passes over [2, x]
+    for ctx in (ctx_c4, ctx_cubic):
+        cps = (2, 3, 35, 1000, 4096, 12_345)
+        r = series.scan(ctx, 20_000, checkpoints=cps, sieve=sieve_small, segment_size=4096)
+        assert sorted(r.snapshots) == [*cps, 20_000]
+        for x, snap in r.snapshots.items():
+            assert snap.n2_classes == {
+                lab: series.count_P2_in_class(ctx, lab, x, sieve_small) for lab in ctx.labels()
+            }
+            assert snap.n2_ramified == series.count_P2_ramified(ctx, x, sieve_small)
+            assert snap.repeat_count == series.count_repeated_P1(x, sieve_small)
+            counted = sum(snap.n2_classes.values()) + snap.n2_ramified
+            assert counted + count_P2_small_or_repeated(x, sieve_small) == x - 1
 
 
 def test_segments_partition_range():
@@ -414,6 +459,41 @@ def test_resume_after_interruption(tmp_path, sieve_small, ctx_cubic, monkeypatch
                 ), (x, lab, kind)
 
 
+def interrupted_scan(monkeypatch, segments, *args, **kwargs):
+    """Run series.scan, stopped by a KeyboardInterrupt in the segment
+    after the first `segments`."""
+    real = series._segment_partials
+    calls = []
+
+    def stop(*a, **kw):
+        calls.append(1)
+        if len(calls) > segments:
+            raise KeyboardInterrupt
+        return real(*a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(series, "_segment_partials", stop)
+        with pytest.raises(KeyboardInterrupt):
+            series.scan(*args, **kwargs)
+
+
+@pytest.mark.parametrize("mode", ["compensated", "exact"])
+def test_resume_after_every_segment(tmp_path, sieve_small, ctx_cubic, monkeypatch, mode):
+    # checkpoints inside the first segment, on segment edges and in between
+    kwargs = dict(checkpoints=(100, 256, 700, 1024, 2000), sieve=sieve_small, segment_size=256, mode=mode)
+    whole = tmp_path / "whole.state"
+    reference = series.scan(ctx_cubic, 3000, state_path=whole, **kwargs)
+    segments = series._segments(2, 3000, 256, reference.checkpoints)
+    assert len(segments) == 15
+    for k in range(1, len(segments)):
+        state = tmp_path / f"stopped-{k}.state"
+        interrupted_scan(monkeypatch, k, ctx_cubic, 3000, state_path=state, **kwargs)
+        assert f"next_lo = {segments[k][0]}\n" in state.read_text()
+        resumed = series.scan(ctx_cubic, 3000, state_path=state, resume=True, **kwargs)
+        assert resumed.snapshots == reference.snapshots, k
+        assert state.read_bytes() == whole.read_bytes(), k
+
+
 def test_interrupted_state_write_keeps_previous_state(tmp_path, sieve_small, ctx_cubic, monkeypatch):
     state = tmp_path / "scan.state"
     kwargs = dict(checkpoints=(3000,), sieve=sieve_small, segment_size=1024)
@@ -474,8 +554,13 @@ def rehash_state(path, edit):
         lambda b: re.sub(r"acc\.total\.mu_over_n = .*\n", "", b),
         lambda b: re.sub(r"next_lo = .*\n", "", b),
         lambda b: re.sub(r"next_lo = .*", "next_lo = 7", b),
-        lambda b: b.replace("artinsums-scan v2", "artinsums-scan v1"),
+        lambda b: b.replace("artinsums-scan v3", "artinsums-scan v1"),
         lambda b: b.replace("float ", "neumaier ", 1),
+        lambda b: b.replace("artinsums-scan v3", "artinsums-scan v2"),
+        lambda b: re.sub(r"pending\.2000\.total\.frac_weighted = .*\n", "", b),
+        lambda b: b + "pending.1000.total.floor_weighted = int 0\n",
+        lambda b: re.sub(r"count\.repeat_count = .*\n", "", b),
+        lambda b: re.sub(r"(count\.n2_ramified = ).*", r"\1frac 1/2", b),
     ],
     ids=[
         "unknown-bucket",
@@ -487,13 +572,23 @@ def rehash_state(path, edit):
         "next_lo-inside-segment",
         "v1-header",
         "old-value-tag",
+        "v2-header",
+        "missing-pending-cell",
+        "pending-cell-of-reached-checkpoint",
+        "missing-count",
+        "wrong-count-type",
     ],
 )
-def test_malformed_state_is_integrity_error(tmp_path, sieve_small, ctx_cubic, edit):
+def test_malformed_state_is_integrity_error(tmp_path, sieve_small, ctx_cubic, monkeypatch, edit):
     state = tmp_path / "scan.state"
     kwargs = dict(checkpoints=(1000,), sieve=sieve_small, state_path=state, segment_size=512)
-    series.scan(ctx_cubic, 2000, **kwargs)
+    # stopped after segments [2, 512] and [513, 1000]: a snapshot at 1000,
+    # a pending cell at 2000
+    interrupted_scan(monkeypatch, 2, ctx_cubic, 2000, **kwargs)
+    body = state.read_text()
+    assert "next_lo = 1001\n" in body and "snap.1000.total" in body and "pending.2000.total" in body
     rehash_state(state, edit)
+    assert state.read_text() != body
     with pytest.raises(IntegrityError):
         series.scan(ctx_cubic, 2000, resume=True, **kwargs)
 
@@ -570,7 +665,7 @@ def test_scan_classifies_primes_only_up_to_x(sieve_small, monkeypatch):
 
 def test_sum_mu_in_class(sieve_small, ctx_c4):
     # mu over n <= 10 with p1 = 3 mod 4: n in {3, 7} -> -2
-    assert series.sum_mu_in_class(ctx_c4, "3 mod 4", 10, sieve_small) == -2
+    assert sum_mu_in_class(ctx_c4, "3 mod 4", 10, sieve_small) == -2
 
 
 def test_count_P2_in_class_x35(sieve_small, ctx_cubic):
@@ -604,7 +699,7 @@ def test_P2_count_balance(sieve_small, ctx_cubic, ctx_c4):
                 for lab in ctx.labels()
             )
             total += series.count_P2_ramified(ctx, x, sieve_small)
-            total += series.count_P2_small_or_repeated(x, sieve_small)
+            total += count_P2_small_or_repeated(x, sieve_small)
             assert total == x - 1
 
 
@@ -652,7 +747,7 @@ def test_count_P2_below(sieve_small):
         for n in range(1, 31)
         if (sieve_small.prime_extremes(n)[2] if n > 1 else 1) <= 2
     )
-    assert series.count_P2_below(30, 2, sieve_small) == brute
+    assert count_P2_below(30, 2, sieve_small) == brute
 
 
 # -- Dickman rho ------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import struct
 import sys
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -212,6 +213,43 @@ def test_tables_built_once_under_concurrent_access(monkeypatch):
     assert not any(w.is_alive() for w in workers)
     assert len(calls) == 1
     assert all(a is b for a, b in zip(got[:5], got[5:]))
+
+
+def test_table_reads_take_the_lock_only_to_build(monkeypatch):
+    # 8 threads race on a fresh sieve while the build is slow; one build,
+    # and once built an accessor returns even while the lock is held
+    calls = []
+    real = sieve_mod._recurrence_tables
+
+    def slow(spf):
+        calls.append(1)
+        time.sleep(0.05)
+        return real(spf)
+
+    monkeypatch.setattr(sieve_mod, "_recurrence_tables", slow)
+    s = FactorSieve(20_000)
+    getters = [s.mu_table, s.omega_table, s.P1_table, s.P2_strict_table, s.repeated_P1_table]
+    barrier = threading.Barrier(8)
+    got = [None] * 8
+
+    def call(i):
+        barrier.wait()
+        got[i] = [getters[(i + k) % 5]() for k in range(5)]
+
+    workers = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+    assert not any(w.is_alive() for w in workers)
+    assert len(calls) == 1
+    for i, tables in enumerate(got):
+        assert all(t is getters[(i + k) % 5]() for k, t in enumerate(tables))
+    with s._tables_lock:
+        reader = threading.Thread(target=s.mu_table)
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
 
 
 def test_prime_array_and_iterator(sieve_small):
