@@ -464,26 +464,27 @@ def _check_suite_args(args) -> None:
 
 def _identity_suite(sieve: FactorSieve, nmax: int, kmax: int, weights) -> int | None:
     """The four divisor-sum duality identities, exact, for each weight,
-    2 <= n <= nmax and k <= kmax.  Returns the number of instances checked,
-    or None after printing the first failure."""
+    2 <= n <= nmax and k <= kmax, one batched pass per weight.  Returns
+    the number of instances checked, or None after printing the first
+    failure in (weight, n, identity, k) order."""
     checked = 0
     for w in weights:
-        for n in range(2, nmax + 1):
-            for rep in duality.check_all_identities(sieve, n, kmax, w):
-                checked += 1
-                if not rep.passed:
-                    _fail(
-                        f"duality identity {rep.identity} (k={rep.k}) at n={rep.n}",
-                        {
-                            "n": rep.n,
-                            "identity": rep.identity,
-                            "k": rep.k,
-                            "weight": w.name,
-                            "lhs": str(rep.lhs),
-                            "rhs": str(rep.rhs),
-                        },
-                    )
-                    return None
+        result = duality.check_all_identities(sieve, nmax, kmax, w)
+        if result.failures:
+            rep = result.failures[0]
+            _fail(
+                f"duality identity {rep.identity} (k={rep.k}) at n={rep.n}",
+                {
+                    "n": rep.n,
+                    "identity": rep.identity,
+                    "k": rep.k,
+                    "weight": w.name,
+                    "lhs": str(rep.lhs),
+                    "rhs": str(rep.rhs),
+                },
+            )
+            return None
+        checked += result.instances
     return checked
 
 
@@ -505,13 +506,13 @@ def _cmd_verify(args) -> int:
 
     # Mobius-inverted second-order identity, exact
     for w in weights:
-        for n in range(2, nmax + 1):
-            rep = duality.check_inversion(sieve, n, w)
-            if not rep.passed:
-                return _fail(
-                    f"inversion identity at n={rep.n}",
-                    {"n": rep.n, "weight": w.name, "lhs": str(rep.lhs), "rhs": str(rep.rhs)},
-                )
+        failures = duality.check_inversion(sieve, nmax, w).failures
+        if failures:
+            rep = failures[0]
+            return _fail(
+                f"inversion identity at n={rep.n}",
+                {"n": rep.n, "weight": w.name, "lhs": str(rep.lhs), "rhs": str(rep.rhs)},
+            )
     print(f"PASS Mobius-inverted identity, n<={nmax}")
 
     # divisor-sum rearrangement (hyperbola split)
@@ -563,6 +564,10 @@ def _cmd_duality_test(args) -> int:
 
 
 def _cmd_dickman(args) -> int:
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise ValueError(f"--step must be finite and > 0, got {args.step}")
+    if not 0 <= args.alpha_max <= series.RHO_MAX:
+        raise ValueError(f"--max must lie in [0, {series.RHO_MAX}], got {args.alpha_max}")
     if args.grid:
         alphas = [float(a) for a in args.grid.split(",")]
     else:

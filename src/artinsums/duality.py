@@ -6,9 +6,17 @@ series results rest on.
 These are identities, not estimates, so there is no tolerance anywhere:
 exact integer sums over a common denominator; Fractions only in reports
 and the oracle.  Every identity is linear in the weight f, so a check
-takes L = lcm of the denominators of f(p) over the primes it reads and
-sums F(p) = f(p) L as Python ints; ``divisor_sum`` and ``identity_rhs``
-are the Fraction oracle.
+takes one L per weight, the lcm of the denominators of f(p) over the
+primes p <= nmax, and sums F(p) = f(p) L: on int64 lanes where a stated
+bound rules out overflow, on Python-int (object) lanes otherwise.
+
+Each check covers every 2 <= n <= nmax in one batched pass per weight.
+The four identities take the distinct primes of each n from one strip of
+the spf table, group the n by omega(n) and apply, per omega, the
+coefficients of the subset enumeration to the F columns.  The
+Mobius-inverted form is the Dirichlet convolution mu * (F o P2), formed
+for all n at once.  ``divisor_sum`` and ``identity_rhs`` are the Fraction
+oracle; ``hyperbola_check`` is its own exact check.
 """
 
 from __future__ import annotations
@@ -16,9 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
 
 from .galois import GaloisContext
 from .sieve import FactorSieve
@@ -68,8 +79,8 @@ def random_weight(seed: int) -> PrimeWeight:
 
 class IdentityReport(NamedTuple):
     """Both sides of one identity instance as integers over the common
-    denominator `denom` (a tuple: hundreds of thousands are built per
-    verify run)."""
+    denominator `denom`.  The batched checks build one only for a
+    mismatch."""
 
     n: int
     identity: int  # 1..4, or 0 for the inversion form
@@ -180,64 +191,169 @@ def check_identity(
     return IdentityReport(n, identity, k, int(lhs * L), int(rhs * L), L)
 
 
-def check_all_identities(
-    sieve: FactorSieve, n: int, kmax: int, weight: PrimeWeight
-) -> list[IdentityReport]:
-    """All four identities for k = 1..kmax in one subset-enumeration pass
-    over the distinct primes of n, each carried as its scaled weight F(p);
-    the right-hand sides are the closed forms of identity_rhs in F."""
-    primes = _distinct_primes(sieve, n)
-    w = len(primes)
-    F_of, L = _scaled(weight, primes)
-    F = list(F_of.values())
-    lhs = [[0] * (kmax + 1) for _ in range(5)]  # lhs[identity][k]
+# most values of n per block of the identity pass; bounds its temporaries
+BLOCK = 1 << 16
+# n < 2^32 (uint32 spf) has at most 9 distinct primes: 2*3*...*29 > 2^32
+_MAX_OMEGA = 9
+
+
+class BatchCheck(NamedTuple):
+    """Outcome of one batched check over 2 <= n <= nmax: the common
+    denominator L, how many instances were compared, and a report for each
+    mismatch, in (n, identity, k) order."""
+
+    denom: int
+    instances: int
+    failures: list[IdentityReport]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def _check_nmax(sieve: FactorSieve, nmax: int) -> None:
+    if not 2 <= nmax <= sieve.limit:
+        raise ValueError(f"nmax = {nmax} outside [2, {sieve.limit}]")
+
+
+def _scaled_table(
+    weight: PrimeWeight, sieve: FactorSieve, nmax: int, terms: int
+) -> tuple[np.ndarray, int]:
+    """(F, L): L the lcm of the denominators of f(p) over the primes
+    p <= nmax, F[m] = f(m) L for 0 <= m <= nmax (0 off the primes).  F is
+    int64 when a sum of `terms` values of |F| stays below 2^63, which the
+    caller states as the bound of its sums; Python ints otherwise."""
+    primes = sieve.prime_array(nmax)
+    F_of, L = _scaled(weight, primes.tolist())
+    big = max(map(abs, F_of.values()))
+    F = np.zeros(nmax + 1, dtype=np.int64 if big * terms < 2**63 else object)
+    F[primes] = list(F_of.values())
+    return F, L
+
+
+def distinct_prime_rows(spf: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Distinct primes of every lo <= n < hi (lo >= 2), increasing down
+    column n - lo of a (max omega, hi - lo) int64 array padded with 1.
+    One strip of spf per pass; a prime is recorded where it changes."""
+    size = hi - lo
+    rows = np.ones((_MAX_OMEGA, size), dtype=np.int64)
+    omega = np.zeros(size, dtype=np.intp)
+    lane = np.arange(size)
+    m = np.arange(lo, hi, dtype=np.int64)
+    last = np.zeros(size, dtype=np.int64)
+    while lane.size:
+        p = spf[m].astype(np.int64)
+        new = p != last
+        at = lane[new]
+        rows[omega[at], at] = p[new]
+        omega[at] += 1
+        m //= p
+        live = m > 1
+        lane, m, last = lane[live], m[live], p[live]
+    return rows[: omega.max()]
+
+
+@lru_cache(maxsize=None)  # at most 45 pairs (w, kw), as w <= _MAX_OMEGA
+def _coefficients(w: int, kw: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, R), each (4, kw, w): C[i-1, k-1, j] is the coefficient of F(q_j)
+    in the left side of identity i at k, for n with the w primes
+    q_0 < ... < q_{w-1}, from the subset enumeration of divisor_sum (sign
+    (-1)^r, C(r-1, k-1), k <= r); R holds the closed forms of identity_rhs."""
+    C = np.zeros((4, kw, w), dtype=np.int64)
+    R = np.zeros((4, kw, w), dtype=np.int64)
     for r in range(1, w + 1):
         mu_d = -1 if r % 2 else 1
-        # k > r reads f(1) = 0 (identities 1, 2) or C(r-1, k-1) = 0 (3, 4)
-        kr = range(1, min(r, kmax) + 1)
-        b = [0] + [mu_d * comb(r - 1, k - 1) for k in kr]
-        for subset in combinations(F, r):
-            for k in kr:
-                lhs[1][k] += mu_d * subset[-k]
-                lhs[2][k] += mu_d * subset[k - 1]
-                lhs[3][k] += b[k] * subset[-1]
-                lhs[4][k] += b[k] * subset[0]
-    reports = []
-    for i in (1, 2, 3, 4):
-        for k in range(1, kmax + 1):
-            sign = -1 if k % 2 else 1
-            if i <= 2:
-                rhs = sign * _binom(w - 1, k - 1) * (F[0] if i == 1 else F[-1])
-            else:
-                rhs = sign * (F[k - 1] if i == 3 else F[-k]) if k <= w else 0
-            reports.append(IdentityReport(n, i, k, lhs[i][k], rhs, L))
-    return reports
+        for s in combinations(range(w), r):
+            for k in range(1, min(r, kw) + 1):
+                b = mu_d * comb(r - 1, k - 1)
+                C[0, k - 1, s[-k]] += mu_d
+                C[1, k - 1, s[k - 1]] += mu_d
+                C[2, k - 1, s[-1]] += b
+                C[3, k - 1, s[0]] += b
+    for k in range(1, kw + 1):
+        sign = -1 if k % 2 else 1
+        R[0, k - 1, 0] = R[1, k - 1, w - 1] = sign * comb(w - 1, k - 1)
+        R[2, k - 1, k - 1] += sign
+        R[3, k - 1, w - k] += sign
+    C.flags.writeable = R.flags.writeable = False  # shared by every caller
+    return C, R
 
 
-def check_inversion(sieve: FactorSieve, n: int, weight: PrimeWeight) -> IdentityReport:
-    """Mobius-inverted second-order duality:
+def identity_sides(
+    sieve: FactorSieve, nmax: int, kmax: int, weight: PrimeWeight
+) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """(L, groups): both sides of the four identities, scaled by L, for
+    every 2 <= n <= nmax and k <= min(kmax, omega(n)).  Each group is
+    (ns, lhs, rhs) for the n of one block of at most BLOCK values with
+    omega(n) = w; lhs and rhs have shape (4, min(kmax, w), len(ns)) and are
+    indexed [identity - 1, k - 1, row].  For k > omega(n) both sides are 0
+    (f(1) = 0 in identities 1, 2; C(r-1, k-1) = 0 in 3, 4), so nothing is
+    stored for them and memory does not grow with kmax."""
+    _check_nmax(sieve, nmax)
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    # the |coefficients| of one side sum to less than 3^omega(n)
+    F, L = _scaled_table(weight, sieve, nmax, 3**_MAX_OMEGA)
+    return L, _identity_groups(sieve.spf, nmax, kmax, F)
+
+
+def _identity_groups(spf: np.ndarray, nmax: int, kmax: int, F: np.ndarray):
+    for lo in range(2, nmax + 1, BLOCK):
+        hi = min(lo + BLOCK, nmax + 1)
+        rows = distinct_prime_rows(spf, lo, hi)
+        omega = np.count_nonzero(rows > 1, axis=0)
+        for w in range(1, rows.shape[0] + 1):
+            cols = np.flatnonzero(omega == w)
+            if cols.size:
+                Fc = F[rows[:w, cols]]
+                C, R = _coefficients(w, min(kmax, w))
+                yield cols + lo, C @ Fc, R @ Fc
+
+
+def check_all_identities(
+    sieve: FactorSieve, nmax: int, kmax: int, weight: PrimeWeight
+) -> BatchCheck:
+    """All four identities for every 2 <= n <= nmax and k = 1..kmax, in
+    one batched pass (identity_sides); 4 kmax (nmax - 1) instances, those
+    with k > omega(n) 0 on both sides."""
+    L, groups = identity_sides(sieve, nmax, kmax, weight)
+    failures = [
+        IdentityReport(int(ns[r]), i + 1, k + 1, int(lhs[i, k, r]), int(rhs[i, k, r]), L)
+        for ns, lhs, rhs in groups
+        for i, k, r in np.argwhere(lhs != rhs).tolist()
+    ]
+    return BatchCheck(L, 4 * kmax * (nmax - 1), sorted(failures))
+
+
+def inversion_sides(
+    sieve: FactorSieve, nmax: int, weight: PrimeWeight
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(lhs, rhs, L) of the Mobius-inverted second-order duality
     mu(n)(omega(n)-1) f(p1(n)) = sum_{d|n} mu(n/d) f(P2(d)),
-    with the strict (distinct-prime) second-largest factor."""
-    if not 2 <= n <= sieve.limit:
-        raise ValueError(f"n = {n} outside [2, {sieve.limit}]")
-    mu, P2 = sieve.mu_table(), sieve.P2_strict_table()
-    factors = sieve.factorize(n)
-    primes = [p for p, _ in factors]
-    F_of, L = _scaled(weight, [1] + primes)
-    lhs = int(mu[n]) * (int(sieve.omega_table()[n]) - 1) * F_of[primes[0]]
-    rhs = 0
-    for d in _divisors(factors):
-        mu_cof = int(mu[n // d])
-        if mu_cof:
-            rhs += mu_cof * F_of[int(P2[d])]
-    return IdentityReport(n, 0, 2, lhs, rhs, L)
+    strict P2, scaled by L, as arrays indexed by n <= nmax (entries 0 and
+    1 unused).  The right side is the Dirichlet convolution mu * G with
+    G = F o P2: for every m with mu(m) != 0, mu(m) G[1..nmax/m] is added
+    into rhs[m::m].  mu comes from mu_table()."""
+    _check_nmax(sieve, nmax)
+    # a side sums at most d(n) <= nmax values of |F|
+    F, L = _scaled_table(weight, sieve, nmax, nmax)
+    mu = sieve.mu_table()[: nmax + 1].astype(np.int64)
+    omega = sieve.omega_table()[: nmax + 1].astype(np.int64)
+    lhs = mu * (omega - 1) * F[sieve.spf[: nmax + 1]]
+    G = F[sieve.P2_strict_table()[: nmax + 1]]
+    rhs = np.zeros(nmax + 1, dtype=F.dtype)
+    for m in np.flatnonzero(mu).tolist():
+        rhs[m::m] += int(mu[m]) * G[1 : nmax // m + 1]
+    return lhs, rhs, L
 
 
-def _divisors(factors: list[tuple[int, int]]) -> list[int]:
-    divs = [1]
-    for p, e in factors:
-        divs = [d * p**j for d in divs for j in range(e + 1)]
-    return divs
+def check_inversion(sieve: FactorSieve, nmax: int, weight: PrimeWeight) -> BatchCheck:
+    """The Mobius-inverted form (inversion_sides) for every 2 <= n <= nmax;
+    reports carry identity 0, k 2."""
+    lhs, rhs, L = inversion_sides(sieve, nmax, weight)
+    bad = np.flatnonzero(lhs[2:] != rhs[2:]) + 2
+    failures = [IdentityReport(n, 0, 2, int(lhs[n]), int(rhs[n]), L) for n in bad.tolist()]
+    return BatchCheck(L, nmax - 1, failures)
 
 
 def hyperbola_check(sieve: FactorSieve, x: int, weight: PrimeWeight) -> tuple[Fraction, Fraction]:

@@ -409,20 +409,6 @@ def splitting_check(scan_result: SeriesScan, tol: float = 1e-9, raise_on_failure
 # standalone counting / summing operations
 
 
-def fixed_prime_slice(p: int, x: int, sieve: FactorSieve, mode: str = "auto"):
-    """sum over n <= x with smallest prime factor exactly p of
-    mu(n)*omega(n)/n.  Fraction in exact mode, float otherwise."""
-    if not 2 <= p <= x:
-        raise ValueError(f"need 2 <= p <= x, got p={p}, x={x}")
-    if mode == "auto":
-        mode = "exact" if x <= EXACT_X_CAP else "compensated"
-    # the slice is the ramified-bucket routing (spf == p) with no classes
-    total = Fraction(0)
-    for lo, hi in _segments(2, x, DEFAULT_SEGMENT, ()):
-        total += _segment_partials((), sieve, None, [p], lo, hi, mode)[0]["ram", p]["mu_omega_over_n"]
-    return total if mode == "exact" else float(total)
-
-
 def count_P2_in_class(ctx: GaloisContext, label: str, x: int, sieve: FactorSieve) -> int:
     """#{n <= x : second-largest prime factor (strict) is in the class},
     excluding n whose largest prime factor repeats.  A scan forms these
@@ -461,7 +447,7 @@ def psi_smooth(x: int, y: int, sieve: FactorSieve) -> int:
 # Dickman rho
 
 _RHO_STEPS_PER_UNIT = 10_000
-_RHO_MAX = 20
+RHO_MAX = 20
 
 
 @lru_cache(maxsize=1)
@@ -480,7 +466,7 @@ def _dickman_values() -> tuple[float, ...]:
     h = 1.0 / S
     vals = [1.0] * (S + 1)
     window = fsum(vals[:S]) * h + (vals[S] - vals[0]) * h / 2  # I(1) = 1
-    for i in range(S, _RHO_MAX * S):
+    for i in range(S, RHO_MAX * S):
         a1 = (i + 1) / S
         # trapezoid update of I over [a1 - 1, a1]; the new endpoint value
         # rho(a1) = I(a1)/a1 appears on both sides -- solve for it.
@@ -497,10 +483,8 @@ def _dickman_values() -> tuple[float, ...]:
 def dickman_rho(alpha: float) -> float:
     """Dickman's rho: 1 on [0, 1], then the solution of the delay
     integral equation rho(a) = 1 - integral_1^a rho(u-1)/u du."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if alpha > _RHO_MAX:
-        raise ValueError(f"alpha must be <= {_RHO_MAX}, got {alpha}")
+    if not 0 <= alpha <= RHO_MAX:  # NaN fails too
+        raise ValueError(f"alpha must lie in [0, {RHO_MAX}], got {alpha}")
     if alpha <= 1:
         return 1.0
     S = _RHO_STEPS_PER_UNIT

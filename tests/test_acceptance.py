@@ -155,12 +155,12 @@ def test_criterion_02_duality_identity_suite(sieve_big):
     checked = 0
     for seed in range(5):
         w = duality.random_weight(seed)
-        for n in range(2, 5001):
-            for rep in duality.check_all_identities(sieve_big, n, 3, w):
-                checked += 1
-                failures += not rep.passed
-            checked += 1
-            failures += not duality.check_inversion(sieve_big, n, w).passed
+        for result in (
+            duality.check_all_identities(sieve_big, 5000, 3, w),
+            duality.check_inversion(sieve_big, 5000, w),
+        ):
+            checked += result.instances
+            failures += len(result.failures)
     elapsed = time.time() - t0
     ok = failures == 0 and elapsed < 120
     line = report(

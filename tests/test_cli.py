@@ -385,6 +385,36 @@ def test_dickman_rejects_out_of_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--step", "0"],
+        ["--step", "-1"],
+        ["--step", "inf"],
+        ["--step", "nan"],
+        ["--max", "inf"],
+        ["--max", "-1"],
+        ["--max", "20.5"],
+        ["--max", "nan"],
+        ["--grid", "nan"],
+    ],
+)
+def test_dickman_rejects_bad_step_or_max(argv, capsys):
+    # --step 0 divided by zero, --max inf overflowed, a negative value
+    # printed a header-only table, and a NaN grid value passed both range
+    # checks of dickman_rho
+    code, out, err = run(["dickman", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_dickman_max_edges(capsys):
+    code, out, _ = run(["dickman", "--max", "20", "--step", "10"], capsys)
+    assert code == 0 and parse_csv(out)[1][-1][0] == "20.0"
+    code, out, _ = run(["dickman", "--max", "0"], capsys)
+    assert code == 0 and parse_csv(out)[1] == [["0.0", "1.0"]]
+
+
 @pytest.mark.parametrize("alpha", ["0", "-2", "2,0", "nan"])
 def test_smooth_rejects_nonpositive_alpha(alpha, capsys):
     # alpha = 0 divided by zero; a negative alpha gave y = 2 and a made-up alpha
@@ -406,6 +436,67 @@ def test_duality_test_command(capsys):
     )
     assert code == 0
     assert out.startswith("PASS")
+
+
+def test_duality_test_kmax_beyond_omega(capsys):
+    # k > omega(n) instances are counted but not stored
+    code, out, _ = run(["duality-test", "--nmax", "50", "--kmax", "1000000"], capsys)
+    assert code == 0
+    assert out.startswith("PASS 196000000 identity instances, n<=50, k<=1000000, ")
+
+
+def _inject(monkeypatch, name, bump):
+    """Wrap duality.<name> so that `bump` edits the arrays it returns."""
+    orig = getattr(duality, name)
+
+    def wrapped(*args):
+        return bump(*orig(*args))
+
+    monkeypatch.setattr(duality, name, wrapped)
+
+
+@pytest.mark.parametrize("command", ["verify", "duality-test"])
+def test_first_identity_failure_reported(command, monkeypatch, capsys):
+    # mismatches at n = 210 (identity 1, k = 3) and n = 30 (identity 3, k = 2):
+    # the smaller n is reported, in the format of a single failure
+    w = duality.random_weight(1)
+
+    def bump(L, groups):
+        def edited():
+            for ns, lhs, rhs in groups:
+                lhs = lhs.copy()
+                for n, i, k in ((210, 1, 3), (30, 3, 2)):
+                    if n in ns:
+                        lhs[i - 1, k - 1, ns == n] += 1
+                yield ns, lhs, rhs
+
+        return L, edited()
+
+    _inject(monkeypatch, "identity_sides", bump)
+    argv = [command, "--nmax", "300"] + (["--weights", "1"] if command == "verify" else [])
+    code, out, _ = run(argv, capsys)
+    sieve = FactorSieve(300)
+    rhs = duality.identity_rhs(sieve, 30, 2, 3, w)
+    lhs = rhs + Fraction(1, duality.identity_sides(sieve, 300, 3, w)[0])
+    detail = {"n": 30, "identity": 3, "k": 2, "weight": w.name, "lhs": str(lhs), "rhs": str(rhs)}
+    assert code == 1
+    assert out.splitlines()[-2:] == ["FAIL duality identity 3 (k=2) at n=30", json.dumps(detail)]
+
+
+def test_first_inversion_failure_reported(monkeypatch, capsys):
+    w = duality.random_weight(1)
+    lhs, rhs, L = duality.inversion_sides(FactorSieve(300), 300, w)
+    detail = {"n": 77, "weight": w.name, "lhs": str(Fraction(int(lhs[77]), L)), "rhs": str(Fraction(int(rhs[77]) - 1, L))}
+
+    def bump(lhs, rhs, L):
+        rhs = rhs.copy()
+        rhs[[90, 77]] -= 1
+        return lhs, rhs, L
+
+    _inject(monkeypatch, "inversion_sides", bump)
+    code, out, _ = run(["verify", "--nmax", "300", "--weights", "1"], capsys)
+    assert code == 1
+    assert out.splitlines()[-2:] == ["FAIL inversion identity at n=77", json.dumps(detail)]
 
 
 def test_verify_small(capsys):
@@ -434,8 +525,10 @@ def test_corrupted_mu_reaches_table_checks():
     assert bad.mu_table()[42] == -mu_before[42]
     assert bad.arith_fns(42)[0] == -mu_before[42]
     w = duality.random_weight(1)
-    assert not duality.check_inversion(bad, 42, w).passed
-    assert duality.check_inversion(base, 42, w).passed
+    # the flip shows at 42 and at multiples 42 m with f(P2(m)) != 0
+    failed = [rep.n for rep in duality.check_inversion(bad, 1000, w).failures]
+    assert failed[0] == 42 and all(n % 42 == 0 for n in failed)
+    assert duality.check_inversion(base, 1000, w).passed
     lhs, rhs = duality.hyperbola_check(bad, 300, w)
     assert lhs != rhs
     lhs, rhs = duality.hyperbola_check(base, 300, w)

@@ -2,23 +2,30 @@
 conventions, and property tests with seeded rational weights."""
 
 from fractions import Fraction
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinsums.duality import (
+    BLOCK,
     IdentityReport,
     PrimeWeight,
     _binom,
+    _scaled_table,
     check_all_identities,
     check_identity,
     check_inversion,
     class_weight,
+    distinct_prime_rows,
     divisor_sum,
     hyperbola_check,
     identity_rhs,
+    identity_sides,
     indicator_weight,
+    inversion_sides,
     random_weight,
     residue_weight,
 )
@@ -90,15 +97,11 @@ def test_identity2_k_beyond_omega(sieve_small):
 
 
 def test_inversion_examples(sieve_small):
-    # squarefree omega = 2
-    rep = check_inversion(sieve_small, 15, ONE_ON_PRIMES)
-    assert rep.passed and rep.lhs == 1
-    # prime: both sides zero
-    rep = check_inversion(sieve_small, 13, ONE_ON_PRIMES)
-    assert rep.passed and rep.lhs == 0
-    # non-squarefree: mu(12) = 0 on the left
-    rep = check_inversion(sieve_small, 12, ONE_ON_PRIMES)
-    assert rep.passed and rep.lhs == 0
+    lhs, rhs, L = inversion_sides(sieve_small, 15, ONE_ON_PRIMES)
+    # squarefree omega = 2; a prime: both sides zero; non-squarefree: mu(12) = 0 on the left
+    for n, value in ((15, 1), (13, 0), (12, 0)):
+        assert Fraction(int(lhs[n]), L) == Fraction(int(rhs[n]), L) == value
+    assert check_inversion(sieve_small, 15, ONE_ON_PRIMES).passed
 
 
 def test_divisor_sum_validation(sieve_small):
@@ -110,13 +113,39 @@ def test_divisor_sum_validation(sieve_small):
         divisor_sum(sieve_small, 1, 1, 1, ONE_ON_PRIMES)
 
 
+def batched_sides(sieve, nmax, kmax, weight, wanted=None):
+    """{n: {(identity, k): (lhs, rhs)}} from identity_sides as Fractions,
+    with the k > omega(n) entries, which the batch does not store, as 0."""
+    L, groups = identity_sides(sieve, nmax, kmax, weight)
+    out = {}
+    for ns, lhs, rhs in groups:
+        for r, n in enumerate(ns.tolist()):
+            if wanted is None or n in wanted:
+                out[n] = {
+                    (i, k): (
+                        Fraction(int(lhs[i - 1, k - 1, r]), L) if k <= lhs.shape[1] else 0,
+                        Fraction(int(rhs[i - 1, k - 1, r]), L) if k <= lhs.shape[1] else 0,
+                    )
+                    for i in (1, 2, 3, 4)
+                    for k in range(1, kmax + 1)
+                }
+    return out
+
+
+def assert_matches_oracle(sieve, sides, weight):
+    for n, by_ik in sides.items():
+        for (i, k), (lhs, rhs) in by_ik.items():
+            assert lhs == divisor_sum(sieve, n, k, i, weight), (n, i, k)
+            assert rhs == identity_rhs(sieve, n, k, i, weight), (n, i, k)
+            assert lhs == rhs
+
+
 def test_check_all_matches_single_path(sieve_small):
     w = random_weight(4)
-    for n in (2, 12, 30, 210, 2310, 96577):  # 96577 = 13*17*19*23
-        reports = check_all_identities(sieve_small, n, 3, w)
-        for rep in reports:
-            assert rep.lhs == divisor_sum(sieve_small, n, rep.k, rep.identity, w)
-            assert rep.rhs == identity_rhs(sieve_small, n, rep.k, rep.identity, w)
+    ns = (2, 12, 30, 210, 2310, 96577)  # 96577 = 13*17*19*23
+    sides = batched_sides(sieve_small, 96577, 3, w, set(ns))
+    assert sorted(sides) == list(ns)
+    assert_matches_oracle(sieve_small, sides, w)
 
 
 @given(st.integers(2, 5000), st.integers(1, 4), st.integers(0, 4))
@@ -128,11 +157,10 @@ def test_identities_hold_exactly(sieve_small, n, k, seed):
         assert rep.passed, (n, k, identity, str(rep.lhs), str(rep.rhs))
 
 
-@given(st.integers(2, 5000), st.integers(0, 4))
-@settings(max_examples=300, deadline=None)
-def test_inversion_holds_exactly(sieve_small, n, seed):
-    rep = check_inversion(sieve_small, n, random_weight(seed))
-    assert rep.passed, (n, str(rep.lhs), str(rep.rhs))
+def test_inversion_holds_exactly(sieve_small):
+    for seed in range(5):
+        result = check_inversion(sieve_small, 5000, random_weight(seed))
+        assert result.passed and result.instances == 4999, result.failures[:1]
 
 
 def test_class_weight_indicator(sieve_small, ctx_cubic):
@@ -170,7 +198,7 @@ OVER_P = PrimeWeight("(p mod 7 - 3)/p", lambda p: Fraction(p % 7 - 3, p))
 
 
 def scalar_inversion(sieve, n, weight):
-    """Scalar Fraction form of check_inversion: arith_fns and
+    """Scalar Fraction form of the inversion at one n: arith_fns and
     prime_extremes on every divisor."""
     mu_n, omega_n, _ = sieve.arith_fns(n)
     p1 = sieve.prime_extremes(n)[0]
@@ -212,38 +240,101 @@ def scalar_hyperbola(sieve, x, weight):
     return lhs, rhs
 
 
-@given(st.integers(2, 5000), st.integers(1, 4), st.sampled_from(["over_p", "class", "residue"]))
-@settings(max_examples=300, deadline=None)
-def test_check_all_matches_oracle(sieve_small, ctx_cubic, n, kmax, kind):
-    w = {
-        "over_p": OVER_P,
-        "class": class_weight(ctx_cubic, "1+2"),
-        "residue": residue_weight(1, 3),
-    }[kind]
-    reports = check_all_identities(sieve_small, n, kmax, w)
-    assert [(r.identity, r.k) for r in reports] == [
-        (i, k) for i in (1, 2, 3, 4) for k in range(1, kmax + 1)
-    ]
-    for rep in reports:
-        assert rep.n == n and rep.passed
-        assert rep.lhs == divisor_sum(sieve_small, n, rep.k, rep.identity, w)
-        assert rep.rhs == identity_rhs(sieve_small, n, rep.k, rep.identity, w)
+# integer weights of size 2^62: every |F| fits in int64, but sums over
+# the divisors of n do not, so the checks must take Python-int lanes
+HUGE = PrimeWeight("(p mod 3 - 1) 2^62", lambda p: Fraction((p % 3 - 1) << 62))
+
+
+def test_check_all_matches_oracle(sieve_small, ctx_cubic):
+    # every n <= nmax, every identity and k <= 4; OVER_P and HUGE take the
+    # Python-int lanes, the others int64
+    weights = (random_weight(4), residue_weight(1, 3), class_weight(ctx_cubic, "1+2"), OVER_P)
+    for w, nmax in [(w, 5000) for w in weights] + [(HUGE, 1000)]:
+        result = check_all_identities(sieve_small, nmax, 4, w)
+        assert result.passed and result.instances == 4 * 4 * (nmax - 1)
+        sides = batched_sides(sieve_small, nmax, 4, w)
+        assert sorted(sides) == list(range(2, nmax + 1))
+        assert_matches_oracle(sieve_small, sides, w)
+
+
+def test_scaled_table_lanes(sieve_small):
+    F, L = _scaled_table(random_weight(1), sieve_small, 5000, 3**5)
+    assert F.dtype == np.int64 and 60 % L == 0
+    assert _scaled_table(OVER_P, sieve_small, 5000, 3**5)[0].dtype == object
+    assert _scaled_table(HUGE, sieve_small, 5000, 3**5)[0].dtype == object
+    assert _scaled_table(HUGE, sieve_small, 5000, 1)[0].dtype == np.int64
+    assert F[4] == F[1] == 0 and F[7] == random_weight(1)(7) * L
 
 
 def test_check_all_scales_coprime_denominators(sieve_small):
-    # 2*3*5*7*11: L = lcm of the denominators 2, 3, 5, 7, 11 (f(3) = 0)
-    reports = check_all_identities(sieve_small, 2310, 3, OVER_P)
-    assert {r.denom for r in reports} == {2 * 5 * 7 * 11}
-    assert all(r.passed for r in reports)
+    # L = lcm of the denominators p of f(p) = (p mod 7 - 3)/p over p <= 2310,
+    # except p = 3 mod 7 where f(p) = 0
+    result = check_all_identities(sieve_small, 2310, 3, OVER_P)
+    assert result.denom == prod(p for p in sieve_small.primes_up_to(2310) if p % 7 != 3)
+    assert result.passed
+    # 2*3*5*7*11: each value comes out exact over the common L
+    assert_matches_oracle(sieve_small, batched_sides(sieve_small, 2310, 3, OVER_P, {2310}), OVER_P)
+
+
+def test_distinct_prime_rows_match_factorize(sieve_small):
+    rows = distinct_prime_rows(sieve_small.spf, 2, 100_001)
+    assert rows.shape == (6, 99_999)  # 2*3*5*7*11*13 = 30030 <= 10^5
+    for n in range(2, 100_001):
+        col = [int(p) for p in rows[:, n - 2] if p > 1]
+        assert col == [p for p, _ in sieve_small.factorize(n)], n
+    for lo, hi in ((2, 3), (30029, 30031), (99_990, 100_001)):
+        part = distinct_prime_rows(sieve_small.spf, lo, hi)
+        assert np.array_equal(part, rows[: part.shape[0], lo - 2 : hi - 2])
+
+
+def test_identity_blocks_cover_each_n_once(sieve_big):
+    # two block edges: every n lands in exactly one group of its omega, and
+    # the values beside each edge match the oracle
+    nmax = 2 + 2 * BLOCK + 3
+    w = random_weight(2)
+    _, groups = identity_sides(sieve_big, nmax, 3, w)
+    seen = []
+    for ns, lhs, rhs in groups:
+        omegas = {len(sieve_big.factorize(n)) for n in ns.tolist()}
+        assert len(omegas) == 1 and lhs.shape == rhs.shape == (4, min(3, *omegas), len(ns))
+        seen += ns.tolist()
+    assert sorted(seen) == list(range(2, nmax + 1))
+    edges = {e + d for e in (2 + BLOCK, 2 + 2 * BLOCK) for d in range(-3, 4) if e + d <= nmax}
+    sides = batched_sides(sieve_big, nmax, 3, w, edges)
+    assert sorted(sides) == sorted(edges)
+    assert_matches_oracle(sieve_big, sides, w)
+
+
+def test_kmax_beyond_omega_stores_nothing(sieve_small):
+    result = check_all_identities(sieve_small, 50, 10**6, random_weight(1))
+    assert result.passed and result.instances == 4 * 10**6 * 49
+    _, groups = identity_sides(sieve_small, 50, 10**6, random_weight(1))
+    assert max(lhs.shape[1] for _, lhs, _ in groups) == 3  # omega(30) = omega(42) = 3
+
+
+def test_batch_args_validated(sieve_small):
+    for nmax, kmax in ((1, 3), (100_001, 3), (50, 0)):
+        with pytest.raises(ValueError):
+            check_all_identities(sieve_small, nmax, kmax, ONE_ON_PRIMES)
+    for nmax in (1, 100_001):
+        with pytest.raises(ValueError):
+            check_inversion(sieve_small, nmax, ONE_ON_PRIMES)
 
 
 @pytest.mark.parametrize("weight", [random_weight(0), random_weight(7), OVER_P, MOD4])
 def test_inversion_matches_scalar_oracle(sieve_small, weight):
+    lhs, rhs, L = inversion_sides(sieve_small, 2000, weight)
     for n in range(2, 2001):
-        rep = check_inversion(sieve_small, n, weight)
-        assert (rep.n, rep.identity, rep.k) == (n, 0, 2)
-        assert (rep.lhs, rep.rhs) == scalar_inversion(sieve_small, n, weight), n
-        assert rep.passed
+        assert (Fraction(int(lhs[n]), L), Fraction(int(rhs[n]), L)) == scalar_inversion(sieve_small, n, weight), n
+    result = check_inversion(sieve_small, 2000, weight)
+    assert result.passed and result.instances == 1999
+
+
+def test_inversion_huge_weight_exact(sieve_small):
+    lhs, rhs, L = inversion_sides(sieve_small, 500, HUGE)
+    assert lhs.dtype == rhs.dtype == object
+    for n in range(2, 501):
+        assert (Fraction(lhs[n], L), Fraction(rhs[n], L)) == scalar_inversion(sieve_small, n, HUGE), n
 
 
 @pytest.mark.parametrize("x", [1, 2, 300])

@@ -618,18 +618,33 @@ def test_state_parameter_mismatch(tmp_path, sieve_small, ctx_cubic, ctx_c4):
 # -- standalone operations --------------------------------------------------
 
 
+def fixed_prime_slice(p, x, sieve, mode="auto"):
+    """sum over n <= x with smallest prime factor exactly p of
+    mu(n)*omega(n)/n, from the segment kernel routing spf == p to a
+    ramified bucket with no classes.  Fraction in exact mode, float
+    otherwise."""
+    if not 2 <= p <= x:
+        raise ValueError(f"need 2 <= p <= x, got p={p}, x={x}")
+    if mode == "auto":
+        mode = "exact" if x <= series.EXACT_X_CAP else "compensated"
+    total = Fraction(0)
+    for lo, hi in series._segments(2, x, series.DEFAULT_SEGMENT, ()):
+        total += series._segment_partials((), sieve, None, [p], lo, hi, mode)[0]["ram", p]["mu_omega_over_n"]
+    return total if mode == "exact" else float(total)
+
+
 def test_fixed_prime_slice_oracles(sieve_small):
-    assert series.fixed_prime_slice(2, 10, sieve_small) == Fraction(1, 30)
-    assert series.fixed_prime_slice(7, 10, sieve_small) == Fraction(-1, 7)
+    assert fixed_prime_slice(2, 10, sieve_small) == Fraction(1, 30)
+    assert fixed_prime_slice(7, 10, sieve_small) == Fraction(-1, 7)
     with pytest.raises(ValueError):
-        series.fixed_prime_slice(11, 10, sieve_small)
+        fixed_prime_slice(11, 10, sieve_small)
 
 
 def test_fixed_prime_slices_partition_total(sieve_small, ctx_c4):
     # summing slices over all primes <= x reproduces the unconditional sum
     x = 200
     total = sum(
-        (series.fixed_prime_slice(p, x, sieve_small) for p in sieve_small.primes_up_to(x)),
+        (fixed_prime_slice(p, x, sieve_small) for p in sieve_small.primes_up_to(x)),
         Fraction(0),
     )
     assert total == enum_bucket_sum(sieve_small, ctx_c4, x)
@@ -638,8 +653,8 @@ def test_fixed_prime_slices_partition_total(sieve_small, ctx_c4):
 def test_fixed_prime_slice_drift(sieve_big):
     # each fixed-prime slice drifts toward 0, but very slowly: the p = 2
     # slice still sits near 0.086 at x = 10^6
-    v6 = series.fixed_prime_slice(2, 1_000_000, sieve_big)
-    v3 = series.fixed_prime_slice(2, 1_000, sieve_big, mode="compensated")
+    v6 = fixed_prime_slice(2, 1_000_000, sieve_big)
+    v3 = fixed_prime_slice(2, 1_000, sieve_big, mode="compensated")
     assert abs(v6) < 0.1
     assert abs(v6) < abs(v3)
 
@@ -796,3 +811,5 @@ def test_rho_domain_errors():
         series.dickman_rho(-0.1)
     with pytest.raises(ValueError):
         series.dickman_rho(20.5)
+    with pytest.raises(ValueError, match="must lie in"):
+        series.dickman_rho(float("nan"))
