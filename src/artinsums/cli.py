@@ -608,7 +608,7 @@ def _cmd_classify(args) -> int:
         ]
         _emit(rows, ("class", "size", "density"), args)
         return EXIT_OK
-    rows = [(p, str(ctx.classify(p))) for p in args.primes]
+    rows = [(p, str(out)) for p, out in zip(args.primes, ctx.classify_primes(args.primes))]
     _emit(rows, ("prime", "class"), args)
     return EXIT_OK
 

@@ -31,10 +31,15 @@ number of e-cycles, c_e = (1/e) sum_{d | e} mu(e/d) fix(sigma^d).  This
 is exact only while fix <= deg f < p: the few primes p <= deg f (2, 3, 5)
 go through ``fieldpoly.distinct_degree_factorization`` instead.
 
-A matrix or polynomial product adds n products of residues before it
-reduces mod p, so int64 lanes are used only while n (p - 1)^2 < 2^63
-(p below about 1.2e9 for n = 6) and the coefficients of f fit; larger
-primes run the same code on Python-int (``dtype=object``) lanes.
+The lanes run coefficient-major: row i of an (n, L) array holds the
+coefficient of x^i for all L primes, so every numpy call runs over L
+contiguous lanes.  Each bit step squares h and, in the lanes whose bit of
+p is set, multiplies the square by x before one top-down reduction mod f
+and p.  A row of the product starts as at most n products of residues and
+takes at most n more while the rows above it are reduced, so int64 lanes
+are used only while 2n (p - 1)^2 < 2^63 (p below about 8.8e8 for n = 6)
+and the coefficients of f fit; larger primes run the same code on
+Python-int (``dtype=object``) lanes.
 """
 
 from __future__ import annotations
@@ -53,8 +58,11 @@ from .sieve import FactorSieve, is_prime
 RAMIFIED_CODE = -1
 UNCLASSIFIED_CODE = -2
 
-# primes per call of the trace kernel; bounds its (primes, n, n) temporaries
-_CHUNK = 1 << 11
+# primes per call of the trace kernel.  Of 2^10..2^15 lanes, 2^13 ran
+# fastest on x^3+x+1 to 10^6 and x^5-x-1 to 2*10^5, about 10% ahead of 2^12,
+# but its (n, n, primes) matrix powers raised the x^5-x-1 scan's peak RSS
+# by 1 MB, where 2^12 adds 0.1 MB to that of 2^11
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class GaloisContext:
         self.ramified: frozenset[int] = frozenset(ramified)
         self._by_label = {c.label: c for c in self.classes}
         self._code = {c.label: i for i, c in enumerate(self.classes)}
-        self._codes: np.ndarray | None = None
+        self._codes = np.empty(0, dtype=np.int16)
         if kind == "cyclotomic":
             # class code of each residue p mod k; residues sharing a factor
             # with k occur only for the ramified primes p | k
@@ -132,21 +140,30 @@ class GaloisContext:
     # -- classification ------------------------------------------------
 
     def classify(self, p: int) -> ClassOutcome:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        code = int(self._class_codes(np.array([p], dtype=object))[0])
-        return RAMIFIED if code == RAMIFIED_CODE else ClassOutcome(self.classes[code].label)
+        return self.classify_primes([p])[0]
+
+    def classify_primes(self, primes) -> list[ClassOutcome]:
+        """Outcome of each of a list of primes, all classified in one batch
+        once every entry is known to be prime."""
+        for p in primes:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        codes = self._class_codes(np.array(primes, dtype=object)).tolist()
+        return [RAMIFIED if c == RAMIFIED_CODE else ClassOutcome(self.classes[c].label) for c in codes]
 
     def class_code_array(self, sieve: FactorSieve, limit: int | None = None) -> np.ndarray:
         """int16 array over [0, limit]: class index for primes, -1 for
-        ramified primes, -2 elsewhere.  The largest array built is kept,
-        and a request at or below its limit gets a slice of it."""
+        ramified primes, -2 elsewhere.  The largest array built is kept: a
+        request at or below its limit gets a slice of it, and a larger one
+        copies it and classifies only the primes above its limit."""
         limit = sieve.limit if limit is None else min(limit, sieve.limit)
-        arr = self._codes
-        if arr is not None and len(arr) > limit:
-            return arr[: limit + 1]
+        kept = self._codes
+        if len(kept) > limit:
+            return kept[: limit + 1]
         arr = np.full(limit + 1, UNCLASSIFIED_CODE, dtype=np.int16)
+        arr[: len(kept)] = kept
         primes = sieve.prime_array(limit)
+        primes = primes[np.searchsorted(primes, len(kept)) :]
         arr[primes] = self._class_codes(primes)
         self._codes = arr
         return arr
@@ -238,45 +255,46 @@ def _frobenius_fixed_points(poly, primes: np.ndarray) -> np.ndarray:
     primes p > n = deg f not dividing disc(f), one lane per prime."""
     n = len(poly) - 1
     pmax = int(primes.max())
-    fits = n * (pmax - 1) ** 2 < 2**63 and max(map(abs, poly)) < 2**62
+    # _mulmod keeps every intermediate at most 2n (p - 1)^2
+    fits = 2 * n * (pmax - 1) ** 2 < 2**63 and max(map(abs, poly)) < 2**62
     dtype = np.int64 if fits else object
-    P = primes.astype(dtype)
-    p = P[:, None]
-    red = (-np.array(poly[:n], dtype=dtype)) % p  # x^n = sum red_j x^j mod f
-    h = np.zeros((len(P), n), dtype=dtype)
-    h[:, 0] = 1
+    p = primes.astype(dtype)
+    red = (-np.array(poly[:n], dtype=dtype)[:, None]) % p  # x^n = sum red_j x^j mod f
+    h = np.zeros((n, len(p)), dtype=dtype)
+    h[0] = 1
     for b in reversed(range(pmax.bit_length())):
-        h = _mulmod(h, h, red, p)
-        xh = np.zeros_like(h)
-        xh[:, 1:] = h[:, :-1]
-        xh = (xh + h[:, -1:] * red) % p
-        h = np.where(((P >> b) & 1).astype(bool)[:, None], xh, h)
-    Q = np.zeros((len(P), n, n), dtype=dtype)
-    Q[:, 0, 0] = 1
+        h = _mulmod(h, h, red, p, ((p >> b) & 1).astype(bool))
+    Q = np.zeros((n, n, len(p)), dtype=dtype)
+    Q[0, 0] = 1
     for i in range(1, n):
-        Q[:, i] = _mulmod(Q[:, i - 1], h, red, p)
-    fix = np.empty((len(P), n), dtype=np.int64)
+        Q[i] = _mulmod(Q[i - 1], h, red, p)
+    fix = np.empty((len(p), n), dtype=np.int64)
     Qd = Q
     for d in range(n):
         if d:
-            Qd = np.matmul(Qd, Q) % P[:, None, None]
-        fix[:, d] = (Qd.diagonal(axis1=1, axis2=2).sum(axis=1) % P).astype(np.int64)
+            Qd = np.einsum("ijl,jkl->ikl", Qd, Q)
+            Qd %= p
+        fix[:, d] = (np.trace(Qd) % p).astype(np.int64)
     return fix
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Lane-wise a * b mod (f, p) for (L, n) coefficient arrays, lowest
-    degree first; red holds x^n mod f."""
-    n = a.shape[1]
-    prod = np.zeros((len(a), 2 * n - 1), dtype=a.dtype)
+def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray, times_x=False) -> np.ndarray:
+    """Lane-wise a * b mod (f, p), times x in the lanes where times_x is
+    set, for (n, L) coefficient arrays, row i the coefficient of x^i; red
+    holds x^n mod f."""
+    n = len(a)
+    # row k + 1 holds the x^k coefficient of a * b, so row k holds that of
+    # x * a * b: both products are views of one buffer
+    prod = np.zeros((2 * n + 1, a.shape[1]), dtype=a.dtype)
     for i in range(n):
-        prod[:, i : i + n] += a[:, i : i + 1] * b
-    prod %= p
-    # each coefficient takes at most n - 1 more products before the last
-    # reduction, so it stays below n (p - 1)^2
-    for k in range(2 * n - 2, n - 1, -1):
-        prod[:, k - n : k] += prod[:, k : k + 1] % p * red
-    return prod[:, :n] % p
+        prod[i + 1 : i + n + 1] += a[i] * b
+    prod = np.where(times_x, prod[:-1], prod[1:])
+    # a row starts as at most n products of residues and takes at most n
+    # more while the rows above it are reduced, so it stays at most
+    # 2n (p - 1)^2 until its own reduction
+    for k in range(2 * n - 1, n - 1, -1):
+        prod[k - n : k] += prod[k] % p * red
+    return prod[:n] % p
 
 
 def _partitions(n: int, largest: int | None = None):

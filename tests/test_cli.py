@@ -76,6 +76,27 @@ def test_classify_requires_one_context(capsys):
     assert code == 2
 
 
+def test_classify_several_primes(capsys):
+    # 31 divides disc(x^3+x+1) = -31; 3 goes through the small-prime route
+    code, out, _ = run(
+        ["classify", "--poly", "1,1,0,1", "3", "31", "1000003", "2305843009213693951"],
+        capsys,
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["prime", "class"]
+    assert rows == [
+        ["3", "1+2"],
+        ["31", "ramified"],
+        ["1000003", "3"],
+        ["2305843009213693951", "1+1+1"],
+    ]
+    code, out, err = run(["classify", "--poly", "1,1,0,1", "3", "1000003", "9", "31"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "9 is not prime" in err
+
+
 def test_classify_rejects_composite(capsys):
     code, _, err = run(["classify", "--cyclotomic", "4", "9"], capsys)
     assert code == 2

@@ -22,6 +22,7 @@ from artinsums.galois import (
     RAMIFIED_CODE,
     UNCLASSIFIED_CODE,
     ClassOutcome,
+    _frobenius_fixed_points,
     new_cyclotomic,
     new_splitting_field,
 )
@@ -254,6 +255,42 @@ def test_random_polys_match_ddf_oracle(low, starts):
     assert codes.tolist() == [oracle_code(ctx, p) for p in primes]
 
 
+@pytest.mark.parametrize("poly", ORACLE_POLYS, ids=lambda c: ",".join(map(str, c)))
+def test_class_codes_mixed_bit_lengths(poly):
+    # one batch: the short primes see leading zero bits of the longest, on
+    # Python-int lanes with 2^31 - 1 and on int64 lanes without it
+    ctx = new_splitting_field(poly)
+    primes = [7, 11, 65537, 999983, 2**31 - 1]
+    for batch in (primes, primes[:-1]):
+        codes = ctx._class_codes(np.array(batch, dtype=np.int64))
+        assert codes.tolist() == [oracle_code(ctx, p) for p in batch]
+
+
+@pytest.mark.parametrize(
+    "poly", [ORACLE_POLYS[i] for i in (0, 1, 4, 5, 7)], ids=lambda c: ",".join(map(str, c))
+)
+def test_fixed_points_match_ddf_shape(poly, sieve_small):
+    # fix(sigma^d) = sum of e * c_e over e | d, c_e the number of degree-e
+    # factors of f mod p, on every unramified prime in (deg f, 10^4]
+    n = len(poly) - 1
+    disc = discriminant(poly)
+    primes = [p for p in sieve_small.primes_up_to(10_000) if p > n and disc % p]
+    expected = []
+    for p in primes:
+        shape = distinct_degree_factorization(reduce_poly(poly, p))
+        expected.append([sum(e * c for e, c in shape if d % e == 0) for d in range(1, n + 1)])
+    assert _frobenius_fixed_points(poly, np.array(primes)).tolist() == expected
+
+
+def test_class_code_array_grown_in_steps(sieve_small):
+    grown = new_splitting_field([1, 1, 0, 1])
+    for limit in (1_000, 10_000, 20_000):
+        codes = grown.class_code_array(sieve_small, limit)
+    fresh = new_splitting_field([1, 1, 0, 1]).class_code_array(sieve_small, 20_000)
+    assert np.array_equal(codes, fresh)
+    assert np.array_equal(grown.class_code_array(sieve_small, 5_000), fresh[:5_001])
+
+
 def test_class_code_array_across_chunk_edge(sieve_small):
     primes = sieve_small.prime_array()[: _CHUNK + 1].tolist()
     ctx = new_splitting_field([1, 1, 0, 1])
@@ -267,15 +304,19 @@ def test_class_code_array_across_chunk_edge(sieve_small):
 
 def width_primes(n):
     """2^31 - 1, the primes on either side of the int64 lane bound
-    n (p - 1)^2 < 2^63, and 2^61 - 1."""
-    top = isqrt((2**63 - 1) // n) + 1  # the largest p within the bound
-    while n * (top - 1) ** 2 >= 2**63:
-        top -= 1
-    assert n * top**2 >= 2**63
-    below = top
-    while not is_prime(below):
-        below -= 1
-    return [2**31 - 1, below, next_prime(top + 1), 2**61 - 1]
+    2n (p - 1)^2 < 2^63 and of n (p - 1)^2 < 2^63, the bound of one sum of
+    n products, and 2^61 - 1."""
+    primes = [2**31 - 1, 2**61 - 1]
+    for m in (2 * n, n):
+        top = isqrt((2**63 - 1) // m) + 1  # the largest p within the bound
+        while m * (top - 1) ** 2 >= 2**63:
+            top -= 1
+        assert m * top**2 >= 2**63
+        below = top
+        while not is_prime(below):
+            below -= 1
+        primes += [below, next_prime(top + 1)]
+    return sorted(primes)
 
 
 @pytest.mark.parametrize(
