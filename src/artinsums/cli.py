@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import duality, series
@@ -59,21 +59,6 @@ TABLE_TOLERANCE = 0.005
 
 
 @dataclass
-class RunConfig:
-    command: str
-    context: GaloisContext | None = None
-    class_labels: list[str] = field(default_factory=list)
-    x_max: int = 0
-    checkpoints: tuple[int, ...] = ()
-    mode: str = "compensated"
-    sieve_cache: str | None = None
-    out_format: str = "csv"
-    out_path: str | None = None
-    seed: int = 1
-    threads: int = 1
-
-
-@dataclass
 class TableReport:
     """Rows keyed by class label, columns by checkpoint x; rounded cells
     mirror a 3-decimal presentation, unrounded values kept alongside."""
@@ -83,10 +68,15 @@ class TableReport:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, sys.argv[1:] if argv is None else argv)
+        if args.config:
+            # parsed again, the config values are defaults that argparse
+            # converts with each option's type; explicit flags win
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(args.config, command))
+            args = parser.parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
@@ -101,7 +91,8 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="artinsums",
         description="Class-restricted Mobius partial sums and their exact duality checks.",
@@ -178,26 +169,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list classes with densities")
     p.set_defaults(func=_cmd_classify)
 
-    return parser
+    return parser, sub.choices
 
 
-_CONFIG_FLAGS = {
-    "sieve_cache": "--sieve-cache",
-    "threads": "--threads",
-    "out_format": "--format",
-    "out_path": "--out",
-    "mode": "--mode",
-    "segment_size": "--segment-size",
-}
-
-
-def _apply_config_file(args, argv) -> None:
-    """Config file supplies defaults; a flag given explicitly on the command
-    line always wins over the config file."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    overrides = {}
+def _config_defaults(path, command: argparse.ArgumentParser) -> dict:
+    """The defaults a config file sets for the options of `command`, as
+    strings: one ``key = value`` line per option, keyed by its long name.
+    Keys that name no option of `command` are ignored."""
+    defaults = {}
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -206,19 +185,16 @@ def _apply_config_file(args, argv) -> None:
             key, sep, val = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}: malformed config line {raw.strip()!r}")
-            key = key.strip().replace("-", "_")
-            # config keys use the long option names; a few differ from the
-            # argparse destinations
-            key = {"format": "out_format", "out": "out_path"}.get(key, key)
-            overrides[key] = val.strip()
-    casts = {"threads": int, "segment_size": int}
-    explicit = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
-    for key, val in overrides.items():
-        if not hasattr(args, key):
-            continue
-        if _CONFIG_FLAGS.get(key) in explicit:
-            continue
-        setattr(args, key, casts.get(key, str)(val))
+            action = command._option_string_actions.get("--" + key.strip().replace("_", "-"))
+            if action is None:
+                continue
+            # argparse converts a default with the option's type, but does
+            # not check it against the option's choices
+            val = val.strip()
+            if action.choices and val not in action.choices:
+                command.error(f"{path}: {key.strip()} = {val!r} is not one of {', '.join(action.choices)}")
+            defaults[action.dest] = val
+    return defaults
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +252,11 @@ def _get_sieve(args, needed: int) -> FactorSieve:
     return sieve
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _json_cell(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return v
+def _cell(v):
+    """An output value: a Fraction as "num/den", anything else as is (CSV
+    writes it as str(v), which for a float is its shortest round-trip
+    form)."""
+    return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
 
 
 def _emit(rows, header, args) -> None:
@@ -299,14 +266,14 @@ def _emit(rows, header, args) -> None:
     fh = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
         if args.out_format == "json":
-            payload = [dict(zip(header, (_json_cell(v) for v in row))) for row in rows]
+            payload = [dict(zip(header, (_cell(v) for v in row))) for row in rows]
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         else:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
-                writer.writerow([_format_cell(v) for v in row])
+                writer.writerow([_cell(v) for v in row])
     finally:
         if out_path:
             fh.close()
@@ -427,19 +394,13 @@ def _cmd_reproduce_table(args) -> int:
 
 class _CorruptedMuSieve(FactorSieve):
     """Test hook: negates mu at one chosen n (or sets it to 1 where mu is
-    0), in arith_fns and in a private copy of mu_table(), to prove the
-    verify command actually detects broken inputs."""
+    0) in a private copy of mu_table(), which every check reads, to prove
+    the verify command actually detects broken inputs."""
 
     def __init__(self, base: FactorSieve, bad_n: int):
         super().__init__(base.limit, _spf=base.spf)
         self._bad_n = bad_n
         self._bad_mu = None
-
-    def arith_fns(self, n):
-        mu, omega, big = super().arith_fns(n)
-        if n == self._bad_n:
-            mu = -mu if mu else 1
-        return mu, omega, big
 
     def mu_table(self):
         if self._bad_mu is None:

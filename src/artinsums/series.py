@@ -13,8 +13,10 @@ each a bucket id once, and forms from them the per-n kinds and, for every
 checkpoint x not yet reached, the checkpoint kinds (floor_weighted,
 frac_weighted) at x, which wait in pending cells until the scan reaches x.
 The same pass counts n by the class of their strict second-largest prime
-factor, and the n whose largest prime factor repeats, so a snapshot only
-assembles running sums.  Two reducers sum the buckets:
+factor, and the n whose largest prime factor repeats.  It returns keyed
+cells, which the scan adds to its running state: one dict, laid out by
+``_layout`` alone, whose cells are the entries of the state file (format
+v3) in file order.  Two reducers sum the buckets:
 
 * ``exact``       -- big-rational accumulation; capped at x <= 10^4
                      because the running lcm denominator growth makes it
@@ -35,7 +37,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import zip_longest
 from math import fsum
 
 import numpy as np
@@ -138,29 +141,6 @@ class SeriesScan:
     snapshots: dict[int, Snapshot] = field(default_factory=dict)
 
 
-@dataclass
-class _Acc:
-    """Running sums of a scan over [2, next_lo): the per-n kinds per
-    bucket; the checkpoint kinds per bucket at every checkpoint not yet
-    reached; and the counts ("n2:<label>", "n2_ramified", "repeat_count")."""
-
-    sums: dict
-    pending: dict  # x -> bucket -> checkpoint kind -> value
-    counts: dict
-
-    def add(self, partial) -> None:
-        sums, cells, counts = partial
-        _merge(self.sums, sums)
-        for x, cell in cells.items():
-            _merge(self.pending[x], cell)
-        for name, v in counts.items():
-            self.counts[name] += v
-
-
-def _count_names(labels) -> list[str]:
-    return [*(f"n2:{lab}" for lab in labels), "n2_ramified", "repeat_count"]
-
-
 def scan(
     ctx: GaloisContext,
     x_max: int,
@@ -194,23 +174,22 @@ def scan(
     labels = ctx.labels()
     ram_primes = sorted(p for p in ctx.ramified if p <= x_max)
     codes = ctx.class_code_array(sieve, x_max)
-    buckets = [("class", lab) for lab in labels]
-    buckets += [("ram", p) for p in ram_primes]
-    buckets.append(("total", None))
-
+    layout = partial(_layout, labels, ram_primes, cps, mode=mode)
+    header = {
+        "context": ctx.spec_string(),
+        "mode": mode,
+        "segment_size": str(segment_size),
+        "x_max": str(x_max),
+        "checkpoints": ",".join(str(c) for c in cps),
+    }
     segments = _segments(2, x_max, segment_size, cps)
     if resume and state_path is not None and os.path.exists(state_path):
-        acc, snapshots, start_lo = _load_state(
-            state_path, ctx, mode, segment_size, x_max, cps, buckets
-        )
+        starts = {lo for lo, _ in segments} | {x_max + 1}
+        state, start_lo = _load_state(state_path, header, starts, layout)
     else:
-        acc = _Acc(
-            _zeros(buckets, PER_N_KINDS),
-            {x: _zeros(buckets, CHECKPOINT_KINDS) for x in cps},
-            dict.fromkeys(_count_names(labels), 0),
-        )
-        snapshots, start_lo = {}, 2
+        state, start_lo = layout(2), 2
 
+    snapshots = {x: _snapshot(state, x, labels, ram_primes) for x in cps if x < start_lo}
     result = SeriesScan(ctx, x_max, mode, cps, snapshots)
     todo = [(lo, hi) for lo, hi in segments if lo >= start_lo]
 
@@ -219,21 +198,24 @@ def scan(
         xs = [x for x in cps if x >= hi]
         return _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, xs)
 
-    def consume(seg, partial):
+    def consume(seg, delta):
+        nonlocal state
         hi = seg[1]
-        acc.add(partial)
-        if hi in acc.pending:
-            snapshots[hi] = _snapshot(hi, mode, labels, acc.sums, acc.pending.pop(hi), acc.counts)
+        for key, v in delta.items():
+            state[key] += v
+        if hi in cps:
+            state = _reach(state, hi, layout(hi + 1))
+            snapshots[hi] = _snapshot(state, hi, labels, ram_primes)
         if state_path is not None:
-            _save_state(state_path, ctx, mode, segment_size, x_max, cps, hi + 1, acc, snapshots)
+            _save_state(state_path, header, hi + 1, state)
 
     if threads == 1 or not todo:
         for seg in todo:
             consume(seg, run(seg))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for seg, partial in zip(todo, pool.map(run, todo)):
-                consume(seg, partial)
+            for seg, delta in zip(todo, pool.map(run, todo)):
+                consume(seg, delta)
     return result
 
 
@@ -251,15 +233,13 @@ def _segments(lo: int, hi: int, size: int, checkpoints) -> list[tuple[int, int]]
     return out
 
 
-def _zeros(buckets, kinds):
-    return {b: {k: 0 if k in _INT_KINDS else Fraction(0) for k in kinds} for b in buckets}
-
-
 def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, xs=()):
-    """All that the block lo <= n <= hi adds to a scan, in one pass:
-    per-bucket sums of the per-n kinds; per-bucket sums of the checkpoint
-    kinds at each x of `xs` (every x >= hi); and, given `codes`, the
-    block's counts by the class of the strict P2 and of repeated P1.
+    """All that the block lo <= n <= hi adds to a scan, in one pass, keyed
+    as the cells of ``_layout``: the per-bucket sums of the per-n kinds
+    ("acc." cells); the per-bucket sums of the checkpoint kinds at each x
+    of `xs`, every x >= hi ("pending.<x>." cells); and, given `codes`, the
+    block's counts by the class of the strict P2 and of repeated P1
+    ("count." cells).
 
     The one place where terms are formed and routed to buckets; class i
     of `labels` is code i.  Terms are formed for squarefree n only: every
@@ -273,23 +253,23 @@ def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, xs=()):
     muom = mu * om
     ids = _route(codes, ram_primes, sieve.spf[sl][sf], len(labels))
     size = len(labels) + len(ram_primes)
-    keys = [*(("class", lab) for lab in labels), *(("ram", p) for p in ram_primes), ("total", None)]
+    names = _bucket_names(labels, ram_primes)
+    delta = {}
 
-    def cells(terms):
-        sums = {kind: _bucket_sums(ids, size, num, den, mode) for kind, (num, den) in terms.items()}
-        return {key: {kind: s[i] for kind, s in sums.items()} for i, key in enumerate(keys)}
+    def add(prefix, terms):
+        for kind, (num, den) in terms.items():
+            for name, v in zip(names, _bucket_sums(ids, size, num, den, mode)):
+                delta[f"{prefix}.{name}.{kind}"] = v
 
-    per_n = cells({
+    add("acc", {
         "mu_omega_over_n": (muom, n),
         "mu_over_n": (mu, n),
         "mu_omega_minus1_over_n": (mu * (om - 1), n),
         "mu_omega_raw": (muom, None),
     })
-    at_x = {}
     for x in xs:
         q, r = np.divmod(x, n)
-        at_x[x] = cells({"floor_weighted": (muom * q, None), "frac_weighted": (muom * r, n)})
-    counts = {}
+        add(f"pending.{x}", {"floor_weighted": (muom * q, None), "frac_weighted": (muom * r, n)})
     if codes is not None:
         P2 = sieve.P2_strict_table()[sl]
         rep = sieve.repeated_P1_table()[sl]
@@ -297,10 +277,11 @@ def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, xs=()):
         by_code = np.bincount(
             codes[P2[(P2 > 1) & ~rep]] - UNCLASSIFIED_CODE, minlength=len(labels) - UNCLASSIFIED_CODE
         ).tolist()
-        counts = {f"n2:{lab}": by_code[i - UNCLASSIFIED_CODE] for i, lab in enumerate(labels)}
-        counts["n2_ramified"] = by_code[RAMIFIED_CODE - UNCLASSIFIED_CODE]
-        counts["repeat_count"] = int(np.count_nonzero(rep))
-    return per_n, at_x, counts
+        for i, lab in enumerate(labels):
+            delta[f"count.n2:{lab}"] = by_code[i - UNCLASSIFIED_CODE]
+        delta["count.n2_ramified"] = by_code[RAMIFIED_CODE - UNCLASSIFIED_CODE]
+        delta["count.repeat_count"] = int(np.count_nonzero(rep))
+    return delta
 
 
 def _route(codes, ram_primes, sp, n_classes):
@@ -318,34 +299,64 @@ def _route(codes, ram_primes, sp, n_classes):
     return ids
 
 
-def _merge(acc, partial):
-    for key, cell in partial.items():
-        for kind, val in cell.items():
-            acc[key][kind] += val
+def _bucket_names(labels, ram_primes) -> list[str]:
+    """The name of each bucket, by bucket id."""
+    return [*(f"class:{lab}" for lab in labels), *(f"ram:{p}" for p in ram_primes), "total"]
 
 
-def _snapshot(x, mode, labels, sums, cells, counts) -> Snapshot:
-    """The snapshot at checkpoint x from the running per-n sums, the
-    checkpoint cells at x and the running counts, all over [2, x]."""
-    classes, ramified = {}, {}
-    for key, cell in sums.items():
-        cell = {**cell, **cells[key]}
-        if mode == "compensated":
-            cell = {k: v if k in _INT_KINDS else float(v) for k, v in cell.items()}
-        if key[0] == "class":
-            classes[key[1]] = cell
-        elif key[0] == "ram":
-            ramified[key[1]] = cell
+def _layout(labels, ram_primes, cps, next_lo, mode) -> dict:
+    """The running state of a scan over [2, next_lo), all zeros: one cell
+    per entry of its state file, keyed and ordered as format v3 writes
+    them, each zero of the type of the cell's values.  The per-n sums
+    ("acc.<bucket>.<kind>") and counts ("count.<name>") of [2, next_lo);
+    the checkpoint kinds at each checkpoint x not yet reached
+    ("pending.<x>.<bucket>.<kind>"); and every cell of each reached x
+    ("snap.<x>.<bucket>.<kind>", "snap.<x>.<count name>"), floats in
+    compensated mode."""
+    names = sorted(_bucket_names(labels, ram_primes))
+    counts = sorted([*(f"n2:{lab}" for lab in labels), "n2_ramified", "repeat_count"])
+
+    def cells(prefix, kinds, ratio=Fraction(0)):
+        return {f"{prefix}.{b}.{k}": 0 if k in _INT_KINDS else ratio for b in names for k in kinds}
+
+    state = {**cells("acc", PER_N_KINDS), **{f"count.{c}": 0 for c in counts}}
+    for x in (x for x in cps if x >= next_lo):
+        state.update(cells(f"pending.{x}", CHECKPOINT_KINDS))
+    for x in (x for x in cps if x < next_lo):
+        state.update(cells(f"snap.{x}", sorted(ALL_KINDS), Fraction(0) if mode == "exact" else 0.0))
+        state.update({f"snap.{x}.{c}": 0 for c in counts})
+    return state
+
+
+def _reach(state, x, layout) -> dict:
+    """The state at checkpoint x: the cells of `layout`, the layout past
+    x, taken from `state`, where each new snap.<x> cell takes the value
+    over [2, x] of the running cell of the same name."""
+    out = {}
+    for key, zero in layout.items():
+        if key in state:
+            out[key] = state[key]
         else:
-            total = cell
+            name = key.removeprefix(f"snap.{x}.")
+            running = next(k for k in (f"acc.{name}", f"count.{name}", f"pending.{x}.{name}") if k in state)
+            out[key] = type(zero)(state[running])
+    return out
+
+
+def _snapshot(state, x, labels, ram_primes) -> Snapshot:
+    """The snapshot at checkpoint x, read out of the snap.<x> cells."""
+
+    def cell(name):
+        return {kind: state[f"snap.{x}.{name}.{kind}"] for kind in ALL_KINDS}
+
     return Snapshot(
         x=x,
-        classes=classes,
-        ramified=ramified,
-        total=total,
-        n2_classes={lab: counts[f"n2:{lab}"] for lab in labels},
-        n2_ramified=counts["n2_ramified"],
-        repeat_count=counts["repeat_count"],
+        classes={lab: cell(f"class:{lab}") for lab in labels},
+        ramified={p: cell(f"ram:{p}") for p in ram_primes},
+        total=cell("total"),
+        n2_classes={lab: state[f"snap.{x}.n2:{lab}"] for lab in labels},
+        n2_ramified=state[f"snap.{x}.n2_ramified"],
+        repeat_count=state[f"snap.{x}.repeat_count"],
     )
 
 
@@ -519,47 +530,15 @@ def _fmt_value(v) -> str:
     return f"int {v}"
 
 
-def _bucket_key_str(key) -> str:
-    if key[0] == "class":
-        return f"class:{key[1]}"
-    if key[0] == "ram":
-        return f"ram:{key[1]}"
-    return "total"
-
-
-def _save_state(path, ctx, mode, segment_size, x_max, cps, next_lo, acc: _Acc, snapshots):
+def _save_state(path, header, next_lo, state):
     """Write the state to a temporary file beside `path`, then rename it
     over `path`, so an interrupted write leaves the previous state whole."""
     lines = [
         _STATE_HEADER,
-        f"context = {ctx.spec_string()}",
-        f"mode = {mode}",
-        f"segment_size = {segment_size}",
-        f"x_max = {x_max}",
-        "checkpoints = " + ",".join(str(c) for c in cps),
+        *(f"{k} = {v}" for k, v in header.items()),
         f"next_lo = {next_lo}",
+        *(f"{k} = {_fmt_value(v)}" for k, v in state.items()),
     ]
-    for key in sorted(acc.sums, key=_bucket_key_str):
-        for kind in PER_N_KINDS:
-            lines.append(f"acc.{_bucket_key_str(key)}.{kind} = {_fmt_value(acc.sums[key][kind])}")
-    for name in sorted(acc.counts):
-        lines.append(f"count.{name} = int {acc.counts[name]}")
-    for x in sorted(acc.pending):
-        for key in sorted(acc.pending[x], key=_bucket_key_str):
-            for kind in CHECKPOINT_KINDS:
-                lines.append(f"pending.{x}.{_bucket_key_str(key)}.{kind} = {_fmt_value(acc.pending[x][key][kind])}")
-    for x in sorted(snapshots):
-        snap = snapshots[x]
-        cells = {f"class:{lab}": v for lab, v in snap.classes.items()}
-        cells.update({f"ram:{p}": v for p, v in snap.ramified.items()})
-        cells["total"] = snap.total
-        for name in sorted(cells):
-            for kind, v in sorted(cells[name].items()):
-                lines.append(f"snap.{x}.{name}.{kind} = {_fmt_value(v)}")
-        for lab in sorted(snap.n2_classes):
-            lines.append(f"snap.{x}.n2:{lab} = int {snap.n2_classes[lab]}")
-        lines.append(f"snap.{x}.n2_ramified = int {snap.n2_ramified}")
-        lines.append(f"snap.{x}.repeat_count = int {snap.repeat_count}")
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode()).hexdigest()
     tmp = f"{path}.tmp"
@@ -569,11 +548,23 @@ def _save_state(path, ctx, mode, segment_size, x_max, cps, next_lo, acc: _Acc, s
     os.replace(tmp, path)
 
 
-def _load_state(path, ctx, mode, segment_size, x_max, cps, buckets):
-    """(accumulator, snapshots, next segment start) from a state file.
-    The file must hold exactly the entries this scan writes at that start:
-    snapshots of the checkpoints below it, pending cells of the others;
-    anything else raises IntegrityError."""
+def _parse_value(text, zero):
+    """The value of a cell with zero `zero` from its state-file text, which
+    must carry the tag of that type; ValueError otherwise."""
+    tag, _, rest = text.partition(" ")
+    if tag != _fmt_value(zero).partition(" ")[0]:
+        raise ValueError(text)
+    if tag == "frac":
+        num, den = rest.split("/")
+        return Fraction(int(num), int(den))
+    return float.fromhex(rest) if tag == "float" else int(rest)
+
+
+def _load_state(path, header, starts, layout):
+    """(state, next segment start) from a state file.  The file must hold
+    `header`, a next_lo among `starts`, then exactly the cells of
+    layout(next_lo), in order, each a value of its zero's type; anything
+    else raises IntegrityError."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -586,77 +577,25 @@ def _load_state(path, ctx, mode, segment_size, x_max, cps, buckets):
     lines = body.splitlines()
     if not lines or lines[0] != _STATE_HEADER:
         raise IntegrityError(f"{path}: unrecognized state header (expected {_STATE_HEADER!r})")
-    kv = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        key, _, val = line.partition(" = ")
-        kv[key] = val
-    expect = {
-        "context": ctx.spec_string(),
-        "mode": mode,
-        "segment_size": str(segment_size),
-        "x_max": str(x_max),
-        "checkpoints": ",".join(str(c) for c in cps),
-    }
-    for k, want in expect.items():
-        got = kv.pop(k, None)
-        if got != want:
-            raise IntegrityError(f"{path}: state {k} mismatch (file {got!r}, requested {want!r})")
-
-    def take(key, tag):
-        if key not in kv:
-            raise IntegrityError(f"{path}: state lacks {key}")
-        text = kv.pop(key)
-        got, _, rest = text.partition(" ")
-        try:
-            if got == tag == "int":
-                return int(rest)
-            if got == tag == "float":
-                return float.fromhex(rest)
-            if got == tag == "frac":
-                num, den = rest.split("/")
-                return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError, OverflowError):
-            pass
-        raise IntegrityError(f"{path}: bad state value {key} = {text!r}")
-
+    entries = [line.partition(" = ")[::2] for line in lines[1:]]
+    kv = dict(entries)
+    for k, want in header.items():
+        if kv.get(k) != want:
+            raise IntegrityError(f"{path}: state {k} mismatch (file {kv.get(k)!r}, requested {want!r})")
     try:
-        next_lo = int(kv.pop("next_lo"))
+        next_lo = int(kv["next_lo"])
     except (KeyError, ValueError):
         raise IntegrityError(f"{path}: state lacks a valid next_lo") from None
-    starts = {lo for lo, _ in _segments(2, x_max, segment_size, cps)} | {x_max + 1}
     if next_lo not in starts:
         raise IntegrityError(f"{path}: next_lo = {next_lo} is not a segment start")
-
-    def kind_tag(kind, frac_tag):
-        return "int" if kind in _INT_KINDS else frac_tag
-
-    def cells(prefix, kinds, frac_tag):
-        return {
-            b: {k: take(f"{prefix}.{_bucket_key_str(b)}.{k}", kind_tag(k, frac_tag)) for k in kinds}
-            for b in buckets
-        }
-
-    labels = [b[1] for b in buckets if b[0] == "class"]
-    acc = _Acc(
-        cells("acc", PER_N_KINDS, "frac"),
-        {x: cells(f"pending.{x}", CHECKPOINT_KINDS, "frac") for x in cps if x >= next_lo},
-        {name: take(f"count.{name}", "int") for name in _count_names(labels)},
-    )
-    snap_tag = "frac" if mode == "exact" else "float"
-    snapshots = {}
-    for x in (c for c in cps if c < next_lo):
-        snap = cells(f"snap.{x}", ALL_KINDS, snap_tag)
-        snapshots[x] = Snapshot(
-            x=x,
-            classes={b[1]: v for b, v in snap.items() if b[0] == "class"},
-            ramified={b[1]: v for b, v in snap.items() if b[0] == "ram"},
-            total=snap["total", None],
-            n2_classes={lab: take(f"snap.{x}.n2:{lab}", "int") for lab in labels},
-            n2_ramified=take(f"snap.{x}.n2_ramified", "int"),
-            repeat_count=take(f"snap.{x}.repeat_count", "int"),
-        )
-    if kv:
-        raise IntegrityError(f"{path}: unexpected state entry {next(iter(kv))!r}")
-    return acc, snapshots, next_lo
+    state = layout(next_lo)
+    want = [*header, "next_lo", *state]
+    for got, key in zip_longest((k for k, _ in entries), want):
+        if got != key:
+            raise IntegrityError(f"{path}: state entry {got!r} where {key!r} belongs")
+    for key, text in entries[len(header) + 1 :]:
+        try:
+            state[key] = _parse_value(text, state[key])
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise IntegrityError(f"{path}: bad state value {key} = {text!r}") from None
+    return state, next_lo

@@ -544,7 +544,6 @@ def test_corrupted_mu_reaches_table_checks():
     mu_before = base.mu_table().copy()
     bad = cli._CorruptedMuSieve(base, 42)
     assert bad.mu_table()[42] == -mu_before[42]
-    assert bad.arith_fns(42)[0] == -mu_before[42]
     w = duality.random_weight(1)
     # the flip shows at 42 and at multiples 42 m with f(P2(m)) != 0
     failed = [rep.n for rep in duality.check_inversion(bad, 1000, w).failures]
@@ -630,6 +629,33 @@ def test_config_file_malformed(tmp_path, capsys):
         ["--config", str(cfg), "dickman", "--grid", "1"], capsys
     )
     assert code == 2
+
+
+def test_config_values_are_typed_and_explicit_flags_win(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "artinsums.cfg"
+    cfg.write_text("nmax = 100\nseed = 3\nno-such-option = 1\n")
+    code, out, _ = run(["--config", str(cfg), "verify", "--nmax", "50", "--weights", "1"], capsys)
+    assert code == 0
+    assert "n<=50," in out and "n<=100" not in out
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_duality_test", lambda args: seen.append(args) or 0)
+    assert run(["--config", str(cfg), "duality-test"], capsys)[0] == 0
+    assert run(["--config", str(cfg), "duality-test", "--seed", "1"], capsys)[0] == 0
+    assert [(a.nmax, a.seed) for a in seen] == [(100, 3), (100, 1)]
+    assert all(type(a.nmax) is int and type(a.seed) is int for a in seen)
+
+
+@pytest.mark.parametrize(
+    "line, message", [("nmax = abc", "invalid int value: 'abc'"), ("format = xml", "'xml' is not one of csv, json")]
+)
+def test_config_value_the_option_rejects_is_usage_error(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "verify"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_reproduce_table_runs(tmp_path, capsys, sieve_big):

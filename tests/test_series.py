@@ -6,7 +6,9 @@ import functools
 import hashlib
 import math
 import re
+import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,6 +496,27 @@ def test_resume_after_every_segment(tmp_path, sieve_small, ctx_cubic, monkeypatc
         assert state.read_bytes() == whole.read_bytes(), k
 
 
+@pytest.mark.parametrize(
+    "mode, final", [("compensated", "cubic-3000-compensated-final.state"), ("exact", None)]
+)
+def test_resume_from_pinned_v3_state(tmp_path, sieve_small, ctx_cubic, mode, final):
+    # tests/data holds v3 state files written by the scan as it was before
+    # its state became one keyed dict: this scan stopped after 5 segments
+    # (snapshots at 100, 256, 700) and, in compensated mode, run to the end
+    data = Path(__file__).parent / "data"
+    kwargs = dict(checkpoints=(100, 256, 700, 1024, 2000), sieve=sieve_small, segment_size=256, mode=mode)
+    whole = tmp_path / "whole.state"
+    reference = series.scan(ctx_cubic, 3000, state_path=whole, **kwargs)
+    state = tmp_path / "stopped.state"
+    shutil.copy(data / f"cubic-3000-{mode}-stopped.state", state)
+    assert "next_lo = 769\n" in state.read_text()
+    resumed = series.scan(ctx_cubic, 3000, state_path=state, resume=True, **kwargs)
+    assert resumed.snapshots == reference.snapshots
+    assert state.read_bytes() == whole.read_bytes()
+    if final:
+        assert whole.read_bytes() == (data / final).read_bytes()
+
+
 def test_interrupted_state_write_keeps_previous_state(tmp_path, sieve_small, ctx_cubic, monkeypatch):
     state = tmp_path / "scan.state"
     kwargs = dict(checkpoints=(3000,), sieve=sieve_small, segment_size=1024)
@@ -629,7 +652,7 @@ def fixed_prime_slice(p, x, sieve, mode="auto"):
         mode = "exact" if x <= series.EXACT_X_CAP else "compensated"
     total = Fraction(0)
     for lo, hi in series._segments(2, x, series.DEFAULT_SEGMENT, ()):
-        total += series._segment_partials((), sieve, None, [p], lo, hi, mode)[0]["ram", p]["mu_omega_over_n"]
+        total += series._segment_partials((), sieve, None, [p], lo, hi, mode)[f"acc.ram:{p}.mu_omega_over_n"]
     return total if mode == "exact" else float(total)
 
 
