@@ -172,10 +172,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True, "false": False, "no": False, "off": False, "0": False}
+
+
 def _config_defaults(path, command: argparse.ArgumentParser) -> dict:
     """The defaults a config file sets for the options of `command`, as
-    strings: one ``key = value`` line per option, keyed by its long name.
-    Keys that name no option of `command` are ignored."""
+    strings (bools for flags without a value): one ``key = value`` line per
+    option, keyed by its long name.  Keys that name no option of `command`
+    are ignored."""
     defaults = {}
     with open(path) as fh:
         for raw in fh:
@@ -189,10 +193,15 @@ def _config_defaults(path, command: argparse.ArgumentParser) -> dict:
             if action is None:
                 continue
             # argparse converts a default with the option's type, but does
-            # not check it against the option's choices
+            # not check it against the option's choices, and a flag without
+            # a value has no type: any string would read as true
             val = val.strip()
             if action.choices and val not in action.choices:
                 command.error(f"{path}: {key.strip()} = {val!r} is not one of {', '.join(action.choices)}")
+            if isinstance(action, argparse._StoreTrueAction):
+                if val.lower() not in _BOOLS:
+                    command.error(f"{path}: {key.strip()} = {val!r} is not one of {', '.join(_BOOLS)}")
+                val = _BOOLS[val.lower()]
             defaults[action.dest] = val
     return defaults
 

@@ -181,16 +181,6 @@ def identity_rhs(
     return sign * weight(_kth(primes, k, largest=True))
 
 
-def check_identity(
-    sieve: FactorSieve, n: int, k: int, identity: int, weight: PrimeWeight
-) -> IdentityReport:
-    """One identity instance from the Fraction oracle."""
-    lhs = divisor_sum(sieve, n, k, identity, weight)
-    rhs = identity_rhs(sieve, n, k, identity, weight)
-    L = lcm(lhs.denominator, rhs.denominator)
-    return IdentityReport(n, identity, k, int(lhs * L), int(rhs * L), L)
-
-
 # most values of n per block of the identity pass; bounds its temporaries
 BLOCK = 1 << 16
 # n < 2^32 (uint32 spf) has at most 9 distinct primes: 2*3*...*29 > 2^32

@@ -12,11 +12,11 @@ Two families are supported:
   precondition, not verified here).  Classes are cycle types; a prime is
   classified by the multiset of irreducible-factor degrees of f mod p.
 
-Ramification is tested against the *polynomial* discriminant rather than
-the field discriminant.  A prime dividing disc(f) while actually
-unramified in the field is conservatively routed to the ramified bucket;
-this touches finitely many primes and every fixed-prime slice of the main
-sums vanishes in the limit, so no density statement is affected.
+A prime is ramified when it divides k or the *polynomial* discriminant
+disc(f), which is tested, never factored; the class codes (RAMIFIED_CODE)
+are the one record of it.  A prime dividing disc(f) but unramified in the
+field goes to the ramified bucket: finitely many primes, whose fixed-prime
+slices of the main sums vanish in the limit, so no density is affected.
 
 Cycle types come from one numpy routine over an array of primes, one lane
 per prime (Cohen, *A Course in Computational Algebraic Number Theory*,
@@ -93,23 +93,20 @@ class GaloisContext:
     """Immutable after construction, apart from the largest class-code
     array built, which is kept for later requests."""
 
-    def __init__(self, kind, classes, group_order, ramified, *, k=None, poly=None, disc=None):
+    def __init__(self, kind, classes, group_order, *, k=None, poly=None, disc=None):
         self.kind = kind  # "cyclotomic" | "splitting"
         self.k = k
         self.poly = tuple(poly) if poly is not None else None
         self.disc = disc
         self.classes: tuple[ConjugacyClassSpec, ...] = tuple(classes)
         self.group_order = group_order
-        self.ramified: frozenset[int] = frozenset(ramified)
-        self._by_label = {c.label: c for c in self.classes}
         self._code = {c.label: i for i, c in enumerate(self.classes)}
         self._codes = np.empty(0, dtype=np.int16)
         if kind == "cyclotomic":
             # class code of each residue p mod k; residues sharing a factor
             # with k occur only for the ramified primes p | k
-            self._residue_codes = np.full(k, RAMIFIED_CODE, dtype=np.int16)
-            for r in range(k):
-                self._residue_codes[r] = self._code.get(f"{r} mod {k}", RAMIFIED_CODE)
+            codes = [self._code.get(f"{r} mod {k}", RAMIFIED_CODE) for r in range(k)]
+            self._residue_codes = np.array(codes, dtype=np.int16)
         else:
             # class code by cycle type, the counts c_1..c_n of e-cycles read
             # as the digits of a base-(n + 1) key
@@ -121,11 +118,6 @@ class GaloisContext:
 
     def labels(self) -> list[str]:
         return [c.label for c in self.classes]
-
-    def class_density(self, label: str) -> Fraction:
-        if label not in self._by_label:
-            raise ValueError(f"unknown class label {label!r}")
-        return self._by_label[label].density
 
     def spec_string(self) -> str:
         if self.kind == "cyclotomic":
@@ -182,7 +174,9 @@ class GaloisContext:
     def _cycle_type_codes(self, primes: np.ndarray) -> np.ndarray:
         n = len(self.poly) - 1
         codes = np.full(len(primes), RAMIFIED_CODE, dtype=np.int16)
-        unramified = ~np.isin(primes, list(self.ramified))
+        # p | disc(f) on int64 lanes while both fit, Python-int lanes beyond
+        dtype = np.int64 if max(abs(self.disc), int(primes.max())) < 2**63 else object
+        unramified = np.array(self.disc, dtype=dtype) % primes.astype(dtype) != 0
         small = unramified & (primes <= n)
         for i in np.flatnonzero(small):
             shape = fieldpoly.distinct_degree_factorization(
@@ -221,8 +215,7 @@ def new_cyclotomic(k: int) -> GaloisContext:
     classes = [
         ConjugacyClassSpec(f"{r} mod {k}", 1, Fraction(1, order)) for r in residues
     ]
-    ramified = {p for p, _ in _trial_factorize(k)}
-    return GaloisContext("cyclotomic", classes, order, ramified, k=k)
+    return GaloisContext("cyclotomic", classes, order, k=k)
 
 
 def new_splitting_field(int_coeffs) -> GaloisContext:
@@ -244,10 +237,7 @@ def new_splitting_field(int_coeffs) -> GaloisContext:
         size = _cycle_type_size(deg, parts)
         classes.append(ConjugacyClassSpec(label, size, Fraction(size, order)))
     classes.sort(key=lambda c: c.label)
-    ramified = {p for p, _ in _trial_factorize(abs(disc))}
-    return GaloisContext(
-        "splitting", classes, order, ramified, poly=coeffs, disc=disc
-    )
+    return GaloisContext("splitting", classes, order, poly=coeffs, disc=disc)
 
 
 def _frobenius_fixed_points(poly, primes: np.ndarray) -> np.ndarray:
@@ -315,19 +305,3 @@ def _cycle_type_size(n: int, parts) -> int:
         m = list(parts).count(d)
         denom *= d**m * factorial(m)
     return factorial(n) // denom
-
-
-def _trial_factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out

@@ -172,8 +172,8 @@ def scan(
     cps = tuple(cps)
 
     labels = ctx.labels()
-    ram_primes = sorted(p for p in ctx.ramified if p <= x_max)
     codes = ctx.class_code_array(sieve, x_max)
+    ram_primes = np.flatnonzero(codes == RAMIFIED_CODE).tolist()
     layout = partial(_layout, labels, ram_primes, cps, mode=mode)
     header = {
         "context": ctx.spec_string(),
@@ -506,14 +506,6 @@ def dickman_rho(alpha: float) -> float:
         return vals[-1]
     frac = pos - i
     return vals[i] * (1 - frac) + vals[i + 1] * frac
-
-
-def dickman_grid() -> tuple[np.ndarray, np.ndarray]:
-    """(alphas, rho values) on the internal grid, for plotting and for
-    monotonicity checks."""
-    vals = np.array(_dickman_values())
-    alphas = np.arange(len(vals)) / _RHO_STEPS_PER_UNIT
-    return alphas, vals
 
 
 # ---------------------------------------------------------------------------

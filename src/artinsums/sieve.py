@@ -173,12 +173,6 @@ class FactorSieve:
         _, P1, _, _ = self.prime_extremes(n)
         return n % (P1 * P1) == 0
 
-    def primes_up_to(self, x: int):
-        """Increasing iterator over primes <= x."""
-        if x > self.limit:
-            raise ValueError(f"x = {x} exceeds sieve limit {self.limit}")
-        return iter(self.prime_array(x).tolist())
-
     # -- bulk tables (built lazily, cached) ----------------------------
 
     def prime_array(self, x: int | None = None) -> np.ndarray:

@@ -255,7 +255,8 @@ def test_criterion_07_dickman_rho():
     tail, qerr = scipy.integrate.quad(lambda u: (1 - math.log(u - 1)) / u, 2, 3)
     err3 = abs(series.dickman_rho(3.0) - (1 - math.log(2) - tail))
     unit = all(series.dickman_rho(a) == 1.0 for a in (0.0, 0.3, 0.7, 1.0))
-    alphas, vals = series.dickman_grid()
+    vals = np.array(series._dickman_values())
+    alphas = np.arange(len(vals)) / series._RHO_STEPS_PER_UNIT
     lo = np.searchsorted(alphas, 1.0)
     decreasing = bool(np.all(np.diff(vals[lo:]) < 0))
     ok = err2 < 1e-8 and err3 < 1e-6 and qerr < 1e-9 and unit and decreasing

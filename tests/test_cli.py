@@ -9,6 +9,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinsums import cli, duality, series
-from artinsums.sieve import FactorSieve
+from artinsums.fieldpoly import distinct_degree_factorization, reduce_poly, shape_label
+from artinsums.sieve import FactorSieve, is_prime
 
 
 def run(argv, capsys):
@@ -656,6 +659,71 @@ def test_config_value_the_option_rejects_is_usage_error(tmp_path, capsys, line, 
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_config_flag_false_does_not_resume(tmp_path, capsys):
+    state = tmp_path / "F"
+    cfg = tmp_path / "artinsums.cfg"
+    argv = ["scan", "--cyclotomic", "4", "--xmax", "200", "--state", str(state)]
+    assert run(["scan", "--cyclotomic", "4", "--xmax", "100", "--state", str(state)], capsys)[0] == 0
+    cfg.write_text("resume = FALSE\n")
+    code, out, _ = run(["--config", str(cfg), *argv], capsys)
+    assert code == 0
+    assert out == run(argv, capsys)[1]
+
+
+def test_config_flag_true_resumes(tmp_path, capsys):
+    state = tmp_path / "F"
+    cfg = tmp_path / "artinsums.cfg"
+    assert run(["scan", "--cyclotomic", "4", "--xmax", "100", "--state", str(state)], capsys)[0] == 0
+    cfg.write_text("resume = true\n")
+    # the state was written for x_max = 100, so resuming to 200 is refused
+    code, _, err = run(["--config", str(cfg), "scan", "--cyclotomic", "4", "--xmax", "200", "--state", str(state)], capsys)
+    assert code == 3 and "x_max mismatch" in err
+
+
+def test_config_flag_no_classifies(tmp_path, capsys):
+    cfg = tmp_path / "artinsums.cfg"
+    cfg.write_text("list = no\n")
+    code, out, _ = run(["--config", str(cfg), "classify", "--cyclotomic", "4", "5", "7"], capsys)
+    assert code == 0
+    assert parse_csv(out) == (["prime", "class"], [["5", "1 mod 4"], ["7", "3 mod 4"]])
+
+
+def test_config_flag_other_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "artinsums.cfg"
+    cfg.write_text("resume = maybe\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "scan", "--cyclotomic", "4", "--xmax", "100"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "'maybe'" in err
+
+
+def test_classify_large_discriminant_answers_quickly():
+    # disc(x^6 + 123456789 x + 1) has 173 bits; ramification is a
+    # divisibility test, so no factoring of it stands in the way
+    poly = [1, 0, 0, 0, 0, 123456789, 1]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "artinsums.cli", "classify", "--poly", ",".join(map(str, poly)), "1000003"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    shape = distinct_degree_factorization(reduce_poly(poly, 1000003))
+    assert proc.stdout.splitlines() == ["prime,class", f"1000003,{shape_label(shape)}"]
+
+
+def test_scan_ramified_rows_beyond_int64_discriminant(capsys):
+    # x^2 + x + (2^63 + 1): disc = -(2^65 + 3) = -5 * 7 * ...
+    disc = -(2**65 + 3)
+    code, out, _ = run(["scan", "--poly", f"{2**63 + 1},1,1", "--xmax", "200"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    buckets = {r[1] for r in rows if r[1].startswith("ramified:")}
+    assert buckets == {f"ramified:{p}" for p in range(2, 201) if disc % p == 0 and is_prime(p)}
+    assert "ramified:7" in buckets
 
 
 def test_reproduce_table_runs(tmp_path, capsys, sieve_big):

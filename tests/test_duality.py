@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from artinsums.duality import (
     BLOCK,
-    IdentityReport,
     PrimeWeight,
     _binom,
     _scaled_table,
     check_all_identities,
-    check_identity,
     check_inversion,
     class_weight,
     distinct_prime_rows,
@@ -62,15 +60,12 @@ def test_binom_convention():
 
 def test_identity4_n21_k2(sieve_small):
     # six divisors of 21; the only surviving term is f(P2(21)) = f(3)
-    assert divisor_sum(sieve_small, 21, 2, 4, MOD4) == 1
-    rep = check_identity(sieve_small, 21, 2, 4, MOD4)
-    assert rep.passed and rep.lhs == 1
+    assert divisor_sum(sieve_small, 21, 2, 4, MOD4) == identity_rhs(sieve_small, 21, 2, 4, MOD4) == 1
 
 
 def test_identity4_n12_k2(sieve_small):
     # P2(12) = 2 and f(2) = 0 for the 3-mod-4 indicator
-    rep = check_identity(sieve_small, 12, 2, 4, MOD4)
-    assert rep.passed and rep.lhs == 0
+    assert divisor_sum(sieve_small, 12, 2, 4, MOD4) == identity_rhs(sieve_small, 12, 2, 4, MOD4) == 0
 
 
 def test_identity2_n21_k1(sieve_small):
@@ -86,14 +81,14 @@ def test_identity1_prime(sieve_small):
 
 def test_identity3_n30_k1(sieve_small):
     # sum mu(d) f(P1(d)) over d | 30 collapses to -f(p1(30)) = -f(2)
-    rep = check_identity(sieve_small, 30, 1, 3, ONE_ON_PRIMES)
-    assert rep.passed and rep.lhs == -1
+    lhs = divisor_sum(sieve_small, 30, 1, 3, ONE_ON_PRIMES)
+    assert lhs == identity_rhs(sieve_small, 30, 1, 3, ONE_ON_PRIMES) == -1
 
 
 def test_identity2_k_beyond_omega(sieve_small):
     # omega(6) = 2 < k = 5: the binomial on the right vanishes
-    rep = check_identity(sieve_small, 6, 5, 2, ONE_ON_PRIMES)
-    assert rep.passed and rep.rhs == 0
+    lhs = divisor_sum(sieve_small, 6, 5, 2, ONE_ON_PRIMES)
+    assert lhs == identity_rhs(sieve_small, 6, 5, 2, ONE_ON_PRIMES) == 0
 
 
 def test_inversion_examples(sieve_small):
@@ -153,8 +148,9 @@ def test_check_all_matches_single_path(sieve_small):
 def test_identities_hold_exactly(sieve_small, n, k, seed):
     w = random_weight(seed)
     for identity in (1, 2, 3, 4):
-        rep = check_identity(sieve_small, n, k, identity, w)
-        assert rep.passed, (n, k, identity, str(rep.lhs), str(rep.rhs))
+        lhs = divisor_sum(sieve_small, n, k, identity, w)
+        rhs = identity_rhs(sieve_small, n, k, identity, w)
+        assert lhs == rhs, (n, k, identity, str(lhs), str(rhs))
 
 
 def test_inversion_holds_exactly(sieve_small):
@@ -176,10 +172,8 @@ def test_identity4_k2_reproduces_second_order_form(sieve_small, ctx_cubic):
     # sum_{d|n} mu(d)(omega(d)-1) f(p1(d)) = f(P2(n)) for squarefree n
     w = class_weight(ctx_cubic, "1+2")
     for n in (15, 21, 105, 210, 1155):
-        rep = check_identity(sieve_small, n, 2, 4, w)
-        assert rep.passed
         p2 = sieve_small.prime_extremes(n)[2]
-        assert rep.rhs == w(p2)
+        assert divisor_sum(sieve_small, n, 2, 4, w) == identity_rhs(sieve_small, n, 2, 4, w) == w(p2)
 
 
 def test_hyperbola_rearrangement(sieve_small):
@@ -270,7 +264,7 @@ def test_check_all_scales_coprime_denominators(sieve_small):
     # L = lcm of the denominators p of f(p) = (p mod 7 - 3)/p over p <= 2310,
     # except p = 3 mod 7 where f(p) = 0
     result = check_all_identities(sieve_small, 2310, 3, OVER_P)
-    assert result.denom == prod(p for p in sieve_small.primes_up_to(2310) if p % 7 != 3)
+    assert result.denom == prod(p for p in sieve_small.prime_array(2310).tolist() if p % 7 != 3)
     assert result.passed
     # 2*3*5*7*11: each value comes out exact over the common L
     assert_matches_oracle(sieve_small, batched_sides(sieve_small, 2310, 3, OVER_P, {2310}), OVER_P)

@@ -184,7 +184,7 @@ def test_ddf_vs_irreducible_enumeration(p, coeffs):
 
 
 def test_ddf_degrees_sum(sieve_small):
-    for p in sieve_small.primes_up_to(60):
+    for p in sieve_small.prime_array(60).tolist():
         for coeffs in ([1, 1, 0, 1], [3, 0, 1, 0, 1], [-1, -1, 0, 0, 0, 1]):
             try:
                 shape = distinct_degree_factorization(reduce_poly(coeffs, p))
@@ -244,7 +244,7 @@ def test_disc_mod_p_iff_not_squarefree(sieve_small):
     # p | disc(f) exactly when f mod p has a repeated factor
     for coeffs in ([1, 1, 0, 1], [-1, -1, 0, 1], [7, 0, 1], [3, 0, 1, 0, 1]):
         disc = discriminant(coeffs)
-        for p in sieve_small.primes_up_to(10_000):
+        for p in sieve_small.prime_array(10_000).tolist():
             squarefree = True
             try:
                 distinct_degree_factorization(reduce_poly(coeffs, p))

@@ -29,19 +29,25 @@ from artinsums.galois import (
 from artinsums.sieve import is_prime
 
 
+def ramified_up_to(ctx, bound=1000):
+    """The primes <= bound that classify as ramified."""
+    primes = [p for p in range(2, bound + 1) if is_prime(p)]
+    return {p for p, out in zip(primes, ctx.classify_primes(primes)) if out.is_ramified}
+
+
 def test_cyclotomic_class_table():
     ctx = new_cyclotomic(4)
     assert ctx.labels() == ["1 mod 4", "3 mod 4"]
     assert ctx.group_order == 2
-    assert ctx.class_density("3 mod 4") == Fraction(1, 2)
-    assert ctx.ramified == {2}
+    assert [c.density for c in ctx.classes] == [Fraction(1, 2)] * 2
+    assert ramified_up_to(ctx) == {2}
 
 
 def test_cyclotomic_12():
     ctx = new_cyclotomic(12)
     assert ctx.labels() == ["1 mod 12", "5 mod 12", "7 mod 12", "11 mod 12"]
     assert ctx.group_order == 4  # phi(12)
-    assert ctx.ramified == {2, 3}
+    assert ramified_up_to(ctx) == {2, 3}
     assert all(c.density == Fraction(1, 4) for c in ctx.classes)
 
 
@@ -56,7 +62,7 @@ def test_cyclotomic_coprimality(sieve_small):
     # classify never emits a residue sharing a factor with k
     for k in (4, 9, 12, 15):
         ctx = new_cyclotomic(k)
-        for p in sieve_small.primes_up_to(2000):
+        for p in sieve_small.prime_array(2000).tolist():
             out = ctx.classify(p)
             if not out.is_ramified:
                 r = int(out.label.split()[0])
@@ -76,7 +82,7 @@ def test_cubic_class_table(ctx_cubic):
         ("3", 2, Fraction(1, 3)),
     ]
     assert ctx_cubic.group_order == 6
-    assert ctx_cubic.ramified == {31}
+    assert ramified_up_to(ctx_cubic) == {31}
     assert ctx_cubic.disc == -31
 
 
@@ -109,9 +115,7 @@ def test_classify_rejects_composite(ctx_cubic):
 
 def test_cubic_classify_and_density(ctx_cubic):
     assert ctx_cubic.classify(2) == ClassOutcome("3")
-    assert ctx_cubic.class_density("3") == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        ctx_cubic.class_density("2+2")
+    assert {c.label: c.density for c in ctx_cubic.classes}["3"] == Fraction(1, 3)
 
 
 def test_splitting_field_validation():
@@ -127,7 +131,7 @@ def test_cubic_fast_path_matches_generic_ddf(ctx_cubic, sieve_small):
     """classify must agree with the generic distinct-degree route for
     every prime up to 10^4."""
     poly = list(ctx_cubic.poly)
-    for p in sieve_small.primes_up_to(10_000):
+    for p in sieve_small.prime_array(10_000).tolist():
         out = ctx_cubic.classify(p)
         if ctx_cubic.disc % p == 0:
             assert out.is_ramified
@@ -140,7 +144,7 @@ def test_classify_matches_generic_shape_quintic(sieve_small):
     ctx = new_splitting_field([1, 1, 0, 0, 0, 1])  # x^5 + x + 1... see below
     # note: x^5+x+1 factors over Q, but factor shapes mod p still partition
     # 5 and classification must agree with the DDF route prime by prime
-    for p in sieve_small.primes_up_to(500):
+    for p in sieve_small.prime_array(500).tolist():
         out = ctx.classify(p)
         if ctx.disc % p == 0:
             assert out.is_ramified
@@ -152,7 +156,7 @@ def test_classify_matches_generic_shape_quintic(sieve_small):
 def test_class_code_array(ctx_cubic, ctx_c4, sieve_small):
     for ctx in (ctx_cubic, ctx_c4):
         codes = ctx.class_code_array(sieve_small, 10_000)
-        for p in sieve_small.primes_up_to(10_000):
+        for p in sieve_small.prime_array(10_000).tolist():
             out = ctx.classify(p)
             code = int(codes[p])
             if out.is_ramified:
@@ -166,14 +170,13 @@ def test_class_code_array(ctx_cubic, ctx_c4, sieve_small):
 
 
 def test_ramified_partition(ctx_cubic, ctx_c4, sieve_small):
-    # classify's ramified outcomes are exactly the context's ramified set
-    for ctx in (ctx_cubic, ctx_c4):
-        seen = {
-            p
-            for p in sieve_small.primes_up_to(10_000)
-            if ctx.classify(p).is_ramified
-        }
-        assert seen == {p for p in ctx.ramified if p <= 10_000}
+    # classify's ramified outcomes are exactly the RAMIFIED_CODE entries of
+    # the class-code array, and those are the primes dividing disc(f) or k
+    for ctx, expected in ((ctx_cubic, {31}), (ctx_c4, {2})):
+        primes = sieve_small.prime_array(10_000)
+        seen = {p for p in primes.tolist() if ctx.classify(p).is_ramified}
+        codes = ctx.class_code_array(sieve_small, 10_000)
+        assert seen == set(primes[codes[primes] == RAMIFIED_CODE].tolist()) == expected
 
 
 def test_spec_strings(ctx_cubic, ctx_c4):
@@ -234,6 +237,43 @@ def test_class_codes_match_ddf_oracle(poly, sieve_small):
         assert (RAMIFIED_CODE if out.is_ramified else ctx.code_of(out.label)) == codes[p]
 
 
+def trial_prime_divisors(d, bound):
+    """The primes <= bound dividing d, by trial division."""
+    d, found, q = abs(d), set(), 2
+    while q <= bound and d > 1:
+        if d % q == 0:
+            found.add(q)
+            while d % q == 0:
+                d //= q
+        q += 1
+    return found
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [new_splitting_field(c) for c in ORACLE_POLYS] + [new_cyclotomic(k) for k in (3, 4, 5, 8, 12)],
+    ids=lambda ctx: ctx.spec_string(),
+)
+def test_ramified_codes_are_the_divisors(ctx, sieve_small):
+    # the primes <= 2*10^4 marked RAMIFIED_CODE are those dividing disc(f), or k
+    codes = ctx.class_code_array(sieve_small, 20_000)
+    primes = sieve_small.prime_array(20_000)
+    marked = set(primes[codes[primes] == RAMIFIED_CODE].tolist())
+    assert marked == trial_prime_divisors(ctx.disc if ctx.kind == "splitting" else ctx.k, 20_000)
+
+
+def test_ramified_beyond_int64_discriminant(sieve_small):
+    # x^2 + x + c, c = 2^63 + 1 = 2 mod 7: disc = 1 - 4c = -(2^65 + 3) is
+    # divisible by 7 and too large for int64 lanes
+    ctx = new_splitting_field([2**63 + 1, 1, 1])
+    assert abs(ctx.disc) >= 2**63 and ctx.disc % 7 == 0
+    assert ctx.classify(7).is_ramified
+    codes = ctx.class_code_array(sieve_small, 2_000)
+    primes = sieve_small.prime_array(2_000).tolist()
+    assert [int(codes[p]) for p in primes] == [oracle_code(ctx, p) for p in primes]
+    assert codes[7] == RAMIFIED_CODE
+
+
 def next_prime(n):
     while not is_prime(n):
         n += 1
@@ -274,7 +314,7 @@ def test_fixed_points_match_ddf_shape(poly, sieve_small):
     # factors of f mod p, on every unramified prime in (deg f, 10^4]
     n = len(poly) - 1
     disc = discriminant(poly)
-    primes = [p for p in sieve_small.primes_up_to(10_000) if p > n and disc % p]
+    primes = [p for p in sieve_small.prime_array(10_000).tolist() if p > n and disc % p]
     expected = []
     for p in primes:
         shape = distinct_degree_factorization(reduce_poly(poly, p))

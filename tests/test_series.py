@@ -667,7 +667,7 @@ def test_fixed_prime_slices_partition_total(sieve_small, ctx_c4):
     # summing slices over all primes <= x reproduces the unconditional sum
     x = 200
     total = sum(
-        (fixed_prime_slice(p, x, sieve_small) for p in sieve_small.primes_up_to(x)),
+        (fixed_prime_slice(p, x, sieve_small) for p in sieve_small.prime_array(x).tolist()),
         Fraction(0),
     )
     assert total == enum_bucket_sum(sieve_small, ctx_c4, x)
@@ -816,7 +816,8 @@ def test_rho_at_three_vs_quadrature():
 
 
 def test_rho_monotone_positive():
-    alphas, vals = series.dickman_grid()
+    vals = np.array(series._dickman_values())
+    alphas = np.arange(len(vals)) / series._RHO_STEPS_PER_UNIT
     assert np.all(vals > 0)
     lo = np.searchsorted(alphas, 1.0)
     assert np.all(np.diff(vals[lo:]) < 0)
