@@ -230,17 +230,31 @@ def parse_poly(text: str) -> list[int]:
     return coeffs
 
 
+def _cache_path(explicit, limit: int):
+    """The sieve cache file: `explicit` if given, else spf-<limit>.sieve in
+    ARTINSUMS_CACHE_DIR when that is set, else None."""
+    if explicit:
+        return explicit
+    cache_dir = os.environ.get(CACHE_DIR_ENV)
+    return os.path.join(cache_dir, f"spf-{limit}.sieve") if cache_dir else None
+
+
+def _build_sieve(limit: int, path) -> FactorSieve:
+    """A fresh sieve, saved to `path` (its directory made) when given."""
+    sieve = FactorSieve(limit)
+    if path:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        sieve.save(path)
+    return sieve
+
+
 def _get_sieve(args, needed: int) -> FactorSieve:
     """Load the sieve cache named by --sieve-cache or kept in
     ARTINSUMS_CACHE_DIR, or build and save it.  An unreadable file in the
     cache directory (older version, truncated, bad checksum) is rebuilt;
     an explicit --sieve-cache file that fails to load is an error."""
-    path = getattr(args, "sieve_cache", None)
-    explicit = bool(path)
-    if not path:
-        cache_dir = os.environ.get(CACHE_DIR_ENV)
-        if cache_dir:
-            path = os.path.join(cache_dir, f"spf-{needed}.sieve")
+    explicit = getattr(args, "sieve_cache", None)
+    path = _cache_path(explicit, needed)
     if path and os.path.exists(path):
         try:
             sieve = FactorSieve.load(path)
@@ -254,11 +268,7 @@ def _get_sieve(args, needed: int) -> FactorSieve:
                     f"sieve cache {path} has limit {sieve.limit}, need {needed}"
                 )
             return sieve
-    sieve = FactorSieve(needed)
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        sieve.save(path)
-    return sieve
+    return _build_sieve(needed, path)
 
 
 def _cell(v):
@@ -293,15 +303,10 @@ def _emit(rows, header, args) -> None:
 
 
 def _cmd_sieve_build(args) -> int:
-    path = args.sieve_cache or args.out_path
+    path = _cache_path(args.sieve_cache or args.out_path, args.limit)
     if not path:
-        cache_dir = os.environ.get(CACHE_DIR_ENV)
-        if not cache_dir:
-            raise ValueError("sieve-build needs --sieve-cache, --out, or " + CACHE_DIR_ENV)
-        path = os.path.join(cache_dir, f"spf-{args.limit}.sieve")
-    sieve = FactorSieve(args.limit)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    sieve.save(path)
+        raise ValueError("sieve-build needs --sieve-cache, --out, or " + CACHE_DIR_ENV)
+    sieve = _build_sieve(args.limit, path)
     print(f"wrote sieve with limit {sieve.limit} to {path}")
     return EXIT_OK
 

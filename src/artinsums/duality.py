@@ -1,22 +1,30 @@
 """Exact verification machinery for the divisor-sum duality identities
 that exchange information between smallest and k-th largest prime
 factors, and for the Mobius-inversion form that the class-restricted
-series results rest on.
+series results rest on.  For a weight f on the primes, f(1) = 0, and n
+with omega(n) = w, the four identities read
+
+    1: sum_{d|n} mu(d) f(P_k(d))                    = (-1)^k C(w-1, k-1) f(p_1(n))
+    2: sum_{d|n} mu(d) f(p_k(d))                    = (-1)^k C(w-1, k-1) f(P_1(n))
+    3: sum_{d|n} mu(d) C(omega(d)-1, k-1) f(P_1(d)) = (-1)^k f(p_k(n))
+    4: sum_{d|n} mu(d) C(omega(d)-1, k-1) f(p_1(d)) = (-1)^k f(P_k(n))
+
+with p_k / P_k the k-th smallest / largest distinct prime factor, 1 when
+there are fewer than k.
 
 These are identities, not estimates, so there is no tolerance anywhere:
-exact integer sums over a common denominator; Fractions only in reports
-and the oracle.  Every identity is linear in the weight f, so a check
-takes one L per weight, the lcm of the denominators of f(p) over the
-primes p <= nmax, and sums F(p) = f(p) L: on int64 lanes where a stated
-bound rules out overflow, on Python-int (object) lanes otherwise.
+exact integer sums over a common denominator; Fractions only in reports.
+Every identity is linear in the weight f, so a check takes one L per
+weight, the lcm of the denominators of f(p) over the primes p <= nmax,
+and sums F(p) = f(p) L: on int64 lanes where a stated bound rules out
+overflow, on Python-int (object) lanes otherwise.
 
 Each check covers every 2 <= n <= nmax in one batched pass per weight.
 The four identities take the distinct primes of each n from one strip of
 the spf table, group the n by omega(n) and apply, per omega, the
 coefficients of the subset enumeration to the F columns.  The
 Mobius-inverted form is the Dirichlet convolution mu * (F o P2), formed
-for all n at once.  ``divisor_sum`` and ``identity_rhs`` are the Fraction
-oracle; ``hyperbola_check`` is its own exact check.
+for all n at once.  ``hyperbola_check`` is its own exact check.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .galois import GaloisContext
 from .sieve import FactorSieve
 
 
@@ -49,23 +56,6 @@ class PrimeWeight:
         if v is None:
             v = self._memo[m] = Fraction(0) if m == 1 else self.fn(m)
         return v
-
-
-def indicator_weight(predicate: Callable[[int], bool], name: str) -> PrimeWeight:
-    return PrimeWeight(name, lambda p: Fraction(1 if predicate(p) else 0))
-
-
-def residue_weight(ell: int, k: int) -> PrimeWeight:
-    """Indicator of primes congruent to ell mod k."""
-    return indicator_weight(lambda p: p % k == ell, f"p = {ell} mod {k}")
-
-def class_weight(ctx: GaloisContext, label: str) -> PrimeWeight:
-    """Indicator of primes whose Frobenius class is `label` (ramified
-    primes get 0)."""
-    def fn(p: int) -> Fraction:
-        out = ctx.classify(p)
-        return Fraction(1 if (not out.is_ramified and out.label == label) else 0)
-    return PrimeWeight(f"class {label} in {ctx.spec_string()}", fn)
 
 
 def random_weight(seed: int) -> PrimeWeight:
@@ -102,13 +92,6 @@ class IdentityReport(NamedTuple):
         return self.lhs_num == self.rhs_num
 
 
-def _binom(m: int, j: int) -> int:
-    # the m = -1 case only ever multiplies f(1) = 0; fixed for definiteness
-    if m < 0:
-        return 1 if (m == -1 and j == 0) else 0
-    return comb(m, j) if j <= m else 0
-
-
 def _distinct_primes(sieve: FactorSieve, n: int) -> list[int]:
     return [p for p, _ in sieve.factorize(n)]
 
@@ -119,66 +102,6 @@ def _scaled(weight: PrimeWeight, args) -> tuple[dict[int, int], int]:
     vals = {m: weight(m) for m in args}
     L = lcm(*(v.denominator for v in vals.values()))
     return {m: v.numerator * (L // v.denominator) for m, v in vals.items()}, L
-
-
-def _kth(primes_sorted: list[int], k: int, largest: bool) -> int:
-    """k-th largest (or smallest) element of an increasing prime list,
-    1 when there are fewer than k."""
-    if k > len(primes_sorted):
-        return 1
-    return primes_sorted[-k] if largest else primes_sorted[k - 1]
-
-
-def divisor_sum(
-    sieve: FactorSieve, n: int, k: int, identity: int, weight: PrimeWeight
-) -> Fraction:
-    """Left-hand side of one of the four duality identities, by full
-    divisor enumeration.
-
-    1: sum_{d|n} mu(d) f(P_k(d))
-    2: sum_{d|n} mu(d) f(p_k(d))
-    3: sum_{d|n} mu(d) C(omega(d)-1, k-1) f(P_1(d))
-    4: sum_{d|n} mu(d) C(omega(d)-1, k-1) f(p_1(d))
-
-    Only squarefree divisors contribute (mu kills the rest), so d ranges
-    over subsets of the distinct primes of n; d = 1 contributes 0 because
-    f(1) = 0.
-    """
-    if identity not in (1, 2, 3, 4):
-        raise ValueError(f"identity must be 1..4, got {identity}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 2 <= n <= sieve.limit:
-        raise ValueError(f"n = {n} outside [2, {sieve.limit}]")
-    primes = _distinct_primes(sieve, n)
-    total = Fraction(0)
-    for r in range(1, len(primes) + 1):
-        mu_d = -1 if r % 2 else 1
-        for subset in combinations(primes, r):
-            if identity == 1:
-                term = weight(_kth(list(subset), k, largest=True))
-            elif identity == 2:
-                term = weight(subset[k - 1] if k <= r else 1)
-            elif identity == 3:
-                term = _binom(r - 1, k - 1) * weight(subset[-1])
-            else:
-                term = _binom(r - 1, k - 1) * weight(subset[0])
-            total += mu_d * term
-    return total
-
-
-def identity_rhs(
-    sieve: FactorSieve, n: int, k: int, identity: int, weight: PrimeWeight
-) -> Fraction:
-    primes = _distinct_primes(sieve, n)
-    sign = (-1) ** k
-    if identity == 1:
-        return sign * _binom(len(primes) - 1, k - 1) * weight(primes[0])
-    if identity == 2:
-        return sign * _binom(len(primes) - 1, k - 1) * weight(primes[-1])
-    if identity == 3:
-        return sign * weight(_kth(primes, k, largest=False))
-    return sign * weight(_kth(primes, k, largest=True))
 
 
 # most values of n per block of the identity pass; bounds its temporaries
@@ -247,8 +170,9 @@ def distinct_prime_rows(spf: np.ndarray, lo: int, hi: int) -> np.ndarray:
 def _coefficients(w: int, kw: int) -> tuple[np.ndarray, np.ndarray]:
     """(C, R), each (4, kw, w): C[i-1, k-1, j] is the coefficient of F(q_j)
     in the left side of identity i at k, for n with the w primes
-    q_0 < ... < q_{w-1}, from the subset enumeration of divisor_sum (sign
-    (-1)^r, C(r-1, k-1), k <= r); R holds the closed forms of identity_rhs."""
+    q_0 < ... < q_{w-1}, from the enumeration of the squarefree divisors d
+    as subsets of r primes (sign (-1)^r, C(r-1, k-1), k <= r); R holds the
+    right sides."""
     C = np.zeros((4, kw, w), dtype=np.int64)
     R = np.zeros((4, kw, w), dtype=np.int64)
     for r in range(1, w + 1):

@@ -113,12 +113,6 @@ class PolyModP:
     def deriv(self) -> "PolyModP":
         return PolyModP.make(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def evaluate(self, a: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % self.p
-        return acc
-
     def _same_field(self, other: "PolyModP") -> None:
         if self.p != other.p:
             raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")

@@ -47,6 +47,9 @@ from .errors import IntegrityError
 from .galois import RAMIFIED_CODE, UNCLASSIFIED_CODE, GaloisContext
 from .sieve import FactorSieve
 
+# the exact state at x = 10^4 already holds integers of 4298 digits (the
+# primorial of 10^4), just below the 4300 that int <-> str converts by
+# default; a larger cap needs the state and output formats to change
 EXACT_X_CAP = 10_000
 DEFAULT_SEGMENT = 65_536
 # a bincount of at most 2^22 limbs below 2^30 stays below 2^52, so is exact
@@ -237,9 +240,8 @@ def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, xs=()):
     """All that the block lo <= n <= hi adds to a scan, in one pass, keyed
     as the cells of ``_layout``: the per-bucket sums of the per-n kinds
     ("acc." cells); the per-bucket sums of the checkpoint kinds at each x
-    of `xs`, every x >= hi ("pending.<x>." cells); and, given `codes`, the
-    block's counts by the class of the strict P2 and of repeated P1
-    ("count." cells).
+    of `xs`, every x >= hi ("pending.<x>." cells); and the block's counts
+    by the class of the strict P2 and of repeated P1 ("count." cells).
 
     The one place where terms are formed and routed to buckets; class i
     of `labels` is code i.  Terms are formed for squarefree n only: every
@@ -270,17 +272,16 @@ def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, xs=()):
     for x in xs:
         q, r = np.divmod(x, n)
         add(f"pending.{x}", {"floor_weighted": (muom * q, None), "frac_weighted": (muom * r, n)})
-    if codes is not None:
-        P2 = sieve.P2_strict_table()[sl]
-        rep = sieve.repeated_P1_table()[sl]
-        # codes run from UNCLASSIFIED_CODE (-2) through RAMIFIED_CODE (-1) to len(labels) - 1
-        by_code = np.bincount(
-            codes[P2[(P2 > 1) & ~rep]] - UNCLASSIFIED_CODE, minlength=len(labels) - UNCLASSIFIED_CODE
-        ).tolist()
-        for i, lab in enumerate(labels):
-            delta[f"count.n2:{lab}"] = by_code[i - UNCLASSIFIED_CODE]
-        delta["count.n2_ramified"] = by_code[RAMIFIED_CODE - UNCLASSIFIED_CODE]
-        delta["count.repeat_count"] = int(np.count_nonzero(rep))
+    P2 = sieve.P2_strict_table()[sl]
+    rep = sieve.repeated_P1_table()[sl]
+    # codes run from UNCLASSIFIED_CODE (-2) through RAMIFIED_CODE (-1) to len(labels) - 1
+    by_code = np.bincount(
+        codes[P2[(P2 > 1) & ~rep]] - UNCLASSIFIED_CODE, minlength=len(labels) - UNCLASSIFIED_CODE
+    ).tolist()
+    for i, lab in enumerate(labels):
+        delta[f"count.n2:{lab}"] = by_code[i - UNCLASSIFIED_CODE]
+    delta["count.n2_ramified"] = by_code[RAMIFIED_CODE - UNCLASSIFIED_CODE]
+    delta["count.repeat_count"] = int(np.count_nonzero(rep))
     return delta
 
 
@@ -288,12 +289,10 @@ def _route(codes, ram_primes, sp, n_classes):
     """Bucket id of every term with smallest prime factor sp: its class
     code, n_classes + j for the ramified prime ram_primes[j], and a last
     bucket, thrown away, for UNCLASSIFIED_CODE (never a negative id, which
-    would wrap around)."""
-    discard = n_classes + len(ram_primes)
-    ids = np.full(len(sp), discard, dtype=np.intp)
-    if codes is not None:
-        c = codes[sp]
-        np.copyto(ids, c, where=c >= 0)
+    would wrap around).  The ids are intp: each of the many bincounts of
+    them would first convert narrower ids."""
+    c = codes[sp]
+    ids = np.where(c >= 0, c, np.intp(n_classes + len(ram_primes)))
     for j, p in enumerate(ram_primes):
         np.copyto(ids, n_classes + j, where=sp == p)
     return ids

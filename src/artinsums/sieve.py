@@ -1,6 +1,6 @@
-"""Smallest-prime-factor sieve and the multiplicative-structure functions
-derived from it: mu, omega, Omega, smallest/largest/second-largest prime
-factors, and smooth-number machinery.
+"""Smallest-prime-factor sieve, the factorization of any n it covers, and
+the bulk tables derived from it: mu, omega, the largest and the strict
+second-largest prime factor, and whether the largest one repeats.
 
 The sieve stores one uint32 per integer (4 bytes/entry), so a limit of
 10^7 costs ~40 MB.  The bulk tables (mu, omega, P1, P2s, rep) come from the
@@ -118,13 +118,10 @@ class FactorSieve:
 
     # -- scalar queries ------------------------------------------------
 
-    def _check_range(self, n: int, lo: int = 1) -> None:
-        if not lo <= n <= self.limit:
-            raise ValueError(f"n = {n} outside [{lo}, {self.limit}]")
-
     def factorize(self, n: int) -> list[tuple[int, int]]:
         """(prime, exponent) pairs, primes increasing; empty for n = 1."""
-        self._check_range(n)
+        if not 1 <= n <= self.limit:
+            raise ValueError(f"n = {n} outside [1, {self.limit}]")
         out: list[tuple[int, int]] = []
         while n > 1:
             p = int(self.spf[n])
@@ -134,44 +131,6 @@ class FactorSieve:
                 e += 1
             out.append((p, e))
         return out
-
-    def arith_fns(self, n: int) -> tuple[int, int, int]:
-        """(mu, omega, Omega); by convention (1, 0, 0) at n = 1."""
-        self._check_range(n)
-        mu, omega, big = 1, 0, 0
-        while n > 1:
-            p = int(self.spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            omega += 1
-            big += e
-            mu = 0 if e > 1 else -mu
-        return mu, omega, big
-
-    def prime_extremes(self, n: int) -> tuple[int, int, int, int]:
-        """(p1, P1, P2_strict, P2_mult) with the value-1 conventions for
-        small omega/Omega.  P2_strict is the largest prime factor strictly
-        below P1; P2_mult is the largest prime factor of n / P1."""
-        self._check_range(n)
-        fac = self.factorize(n)
-        if not fac:
-            return 1, 1, 1, 1
-        p1 = fac[0][0]
-        P1, e1 = fac[-1]
-        P2_strict = fac[-2][0] if len(fac) >= 2 else 1
-        if e1 >= 2:
-            P2_mult = P1
-        else:
-            P2_mult = P2_strict
-        return p1, P1, P2_strict, P2_mult
-
-    def is_P1_repeated(self, n: int) -> bool:
-        """True iff the largest prime factor divides n at least twice."""
-        self._check_range(n, lo=2)
-        _, P1, _, _ = self.prime_extremes(n)
-        return n % (P1 * P1) == 0
 
     # -- bulk tables (built lazily, cached) ----------------------------
 

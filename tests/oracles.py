@@ -1,0 +1,94 @@
+"""Scalar oracles shared by the tests, independent of the bulk paths they
+check: the multiplicative functions of n read off ``factorize``, and the
+Fraction forms of the four duality identities by enumeration of the
+squarefree divisors (not the coefficient tables of artinsums.duality)."""
+
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+from typing import NamedTuple
+
+
+class Factored(NamedTuple):
+    """Functions of n with the value-1 conventions: p1 = P1 = 1 at n = 1,
+    P2s = 1 when omega(n) < 2."""
+
+    mu: int
+    omega: int
+    Omega: int
+    p1: int  # smallest prime factor
+    P1: int  # largest prime factor
+    P2s: int  # largest prime factor strictly below P1
+    repeats: bool  # P1^2 divides n
+
+
+def factored(sieve, n: int) -> Factored:
+    fac = sieve.factorize(n)
+    primes = [p for p, _ in fac]
+    return Factored(
+        mu=0 if any(e > 1 for _, e in fac) else (-1) ** len(fac),
+        omega=len(fac),
+        Omega=sum(e for _, e in fac),
+        p1=primes[0] if primes else 1,
+        P1=primes[-1] if primes else 1,
+        P2s=primes[-2] if len(primes) > 1 else 1,
+        repeats=bool(fac) and fac[-1][1] > 1,
+    )
+
+
+def binom(m: int, j: int) -> int:
+    # the m = -1 case only ever multiplies f(1) = 0; fixed for definiteness
+    if m < 0:
+        return 1 if (m == -1 and j == 0) else 0
+    return comb(m, j) if j <= m else 0
+
+
+def kth(primes_sorted: list[int], k: int, largest: bool) -> int:
+    """k-th largest (or smallest) element of an increasing prime list,
+    1 when there are fewer than k."""
+    if k > len(primes_sorted):
+        return 1
+    return primes_sorted[-k] if largest else primes_sorted[k - 1]
+
+
+def divisor_sum(sieve, n: int, k: int, identity: int, weight) -> Fraction:
+    """Left-hand side of duality identity 1..4 at n >= 2 and k >= 1, by
+    full divisor enumeration.
+
+    1: sum_{d|n} mu(d) f(P_k(d))
+    2: sum_{d|n} mu(d) f(p_k(d))
+    3: sum_{d|n} mu(d) C(omega(d)-1, k-1) f(P_1(d))
+    4: sum_{d|n} mu(d) C(omega(d)-1, k-1) f(p_1(d))
+
+    Only squarefree divisors contribute (mu kills the rest), so d ranges
+    over subsets of the distinct primes of n; d = 1 contributes 0 because
+    f(1) = 0.
+    """
+    primes = [p for p, _ in sieve.factorize(n)]
+    total = Fraction(0)
+    for r in range(1, len(primes) + 1):
+        mu_d = -1 if r % 2 else 1
+        for subset in combinations(primes, r):
+            if identity == 1:
+                term = weight(kth(list(subset), k, largest=True))
+            elif identity == 2:
+                term = weight(subset[k - 1] if k <= r else 1)
+            elif identity == 3:
+                term = binom(r - 1, k - 1) * weight(subset[-1])
+            else:
+                term = binom(r - 1, k - 1) * weight(subset[0])
+            total += mu_d * term
+    return total
+
+
+def identity_rhs(sieve, n: int, k: int, identity: int, weight) -> Fraction:
+    """Right-hand side of duality identity 1..4, in closed form."""
+    primes = [p for p, _ in sieve.factorize(n)]
+    sign = (-1) ** k
+    if identity == 1:
+        return sign * binom(len(primes) - 1, k - 1) * weight(primes[0])
+    if identity == 2:
+        return sign * binom(len(primes) - 1, k - 1) * weight(primes[-1])
+    if identity == 3:
+        return sign * weight(kth(primes, k, largest=False))
+    return sign * weight(kth(primes, k, largest=True))

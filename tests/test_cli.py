@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from artinsums import cli, duality, series
 from artinsums.fieldpoly import distinct_degree_factorization, reduce_poly, shape_label
 from artinsums.sieve import FactorSieve, is_prime
+from oracles import identity_rhs
 
 
 def run(argv, capsys):
@@ -237,6 +239,19 @@ def test_scan_resume_integrity_exit_code(tmp_path, capsys):
     state.write_text(state.read_text().replace("mode = compensated", "mode = exact"))
     code, _, err = run(argv + ["--resume"], capsys)
     assert code == 3
+
+
+def test_exact_scan_at_the_cap_stays_below_the_int_str_limit(tmp_path, capsys):
+    # Python converts int <-> str only below 4300 digits by default; at the
+    # cap the largest numerator or denominator, in the output and the state
+    # file, has 4298 digits (the primorial of 10^4)
+    state = tmp_path / "scan.state"
+    argv = ["scan", "--poly", "1,1,0,1", "--xmax", str(series.EXACT_X_CAP), "--mode", "exact"]
+    argv += ["--format", "json", "--state", str(state)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert max(map(len, re.findall(r"\d+", out + state.read_text()))) < 4300
+    assert run(argv + ["--resume"], capsys)[:2] == (0, out)
 
 
 FUZZ_ARGV = ["scan", "--cyclotomic", "4", "--xmax", "3000", "--checkpoints", "1000", "--segment-size", "512"]
@@ -500,7 +515,7 @@ def test_first_identity_failure_reported(command, monkeypatch, capsys):
     argv = [command, "--nmax", "300"] + (["--weights", "1"] if command == "verify" else [])
     code, out, _ = run(argv, capsys)
     sieve = FactorSieve(300)
-    rhs = duality.identity_rhs(sieve, 30, 2, 3, w)
+    rhs = identity_rhs(sieve, 30, 2, 3, w)
     lhs = rhs + Fraction(1, duality.identity_sides(sieve, 300, 3, w)[0])
     detail = {"n": 30, "identity": 3, "k": 2, "weight": w.name, "lhs": str(lhs), "rhs": str(rhs)}
     assert code == 1

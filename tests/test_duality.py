@@ -12,24 +12,29 @@ from hypothesis import strategies as st
 from artinsums.duality import (
     BLOCK,
     PrimeWeight,
-    _binom,
     _scaled_table,
     check_all_identities,
     check_inversion,
-    class_weight,
     distinct_prime_rows,
-    divisor_sum,
     hyperbola_check,
-    identity_rhs,
     identity_sides,
-    indicator_weight,
     inversion_sides,
     random_weight,
-    residue_weight,
 )
+from oracles import binom, divisor_sum, factored, identity_rhs
 
-ONE_ON_PRIMES = indicator_weight(lambda p: True, "1 on primes")
-MOD4 = residue_weight(3, 4)
+ONE_ON_PRIMES = PrimeWeight("1 on primes", lambda p: Fraction(1))
+MOD4 = PrimeWeight("p = 3 mod 4", lambda p: Fraction(int(p % 4 == 3)))
+MOD3 = PrimeWeight("p = 1 mod 3", lambda p: Fraction(int(p % 3 == 1)))
+
+
+def class_weight(ctx, label):
+    """Indicator of the primes whose Frobenius class is `label` (ramified
+    primes get 0)."""
+    def fn(p):
+        out = ctx.classify(p)
+        return Fraction(int(not out.is_ramified and out.label == label))
+    return PrimeWeight(f"class {label} in {ctx.spec_string()}", fn)
 
 
 def test_weight_vanishes_at_one():
@@ -51,11 +56,11 @@ def test_random_weight_deterministic():
 
 
 def test_binom_convention():
-    assert _binom(-1, 0) == 1
-    assert _binom(-1, 1) == 0
-    assert _binom(-1, 5) == 0
-    assert _binom(3, 2) == 3
-    assert _binom(2, 5) == 0
+    assert binom(-1, 0) == 1
+    assert binom(-1, 1) == 0
+    assert binom(-1, 5) == 0
+    assert binom(3, 2) == 3
+    assert binom(2, 5) == 0
 
 
 def test_identity4_n21_k2(sieve_small):
@@ -97,15 +102,6 @@ def test_inversion_examples(sieve_small):
     for n, value in ((15, 1), (13, 0), (12, 0)):
         assert Fraction(int(lhs[n]), L) == Fraction(int(rhs[n]), L) == value
     assert check_inversion(sieve_small, 15, ONE_ON_PRIMES).passed
-
-
-def test_divisor_sum_validation(sieve_small):
-    with pytest.raises(ValueError):
-        divisor_sum(sieve_small, 12, 1, 5, ONE_ON_PRIMES)
-    with pytest.raises(ValueError):
-        divisor_sum(sieve_small, 12, 0, 1, ONE_ON_PRIMES)
-    with pytest.raises(ValueError):
-        divisor_sum(sieve_small, 1, 1, 1, ONE_ON_PRIMES)
 
 
 def batched_sides(sieve, nmax, kmax, weight, wanted=None):
@@ -172,7 +168,7 @@ def test_identity4_k2_reproduces_second_order_form(sieve_small, ctx_cubic):
     # sum_{d|n} mu(d)(omega(d)-1) f(p1(d)) = f(P2(n)) for squarefree n
     w = class_weight(ctx_cubic, "1+2")
     for n in (15, 21, 105, 210, 1155):
-        p2 = sieve_small.prime_extremes(n)[2]
+        p2 = factored(sieve_small, n).P2s
         assert divisor_sum(sieve_small, n, 2, 4, w) == identity_rhs(sieve_small, n, 2, 4, w) == w(p2)
 
 
@@ -192,16 +188,15 @@ OVER_P = PrimeWeight("(p mod 7 - 3)/p", lambda p: Fraction(p % 7 - 3, p))
 
 
 def scalar_inversion(sieve, n, weight):
-    """Scalar Fraction form of the inversion at one n: arith_fns and
-    prime_extremes on every divisor."""
-    mu_n, omega_n, _ = sieve.arith_fns(n)
-    p1 = sieve.prime_extremes(n)[0]
-    lhs = mu_n * (omega_n - 1) * weight(p1)
+    """Scalar Fraction form of the inversion at one n: the factorize
+    oracle on every divisor."""
+    f = factored(sieve, n)
+    lhs = f.mu * (f.omega - 1) * weight(f.p1)
     rhs = Fraction(0)
     for d in scalar_divisors(sieve, n):
-        mu_cof = sieve.arith_fns(n // d)[0]
+        mu_cof = factored(sieve, n // d).mu
         if mu_cof:
-            rhs += mu_cof * weight(sieve.prime_extremes(d)[2] if d > 1 else 1)
+            rhs += mu_cof * weight(factored(sieve, d).P2s)
     return Fraction(lhs), rhs
 
 
@@ -216,11 +211,11 @@ def scalar_hyperbola(sieve, x, weight):
     """Scalar Fraction form of hyperbola_check."""
     f_of_P2 = [Fraction(0)] * (x + 1)
     for d in range(1, x + 1):
-        f_of_P2[d] = weight(sieve.prime_extremes(d)[2] if d > 1 else 1)
+        f_of_P2[d] = weight(factored(sieve, d).P2s)
     lhs = Fraction(0)
     for n in range(1, x + 1):
         for d in scalar_divisors(sieve, n):
-            mu_cof = sieve.arith_fns(n // d)[0]
+            mu_cof = factored(sieve, n // d).mu
             if mu_cof:
                 lhs += mu_cof * f_of_P2[d]
     prefix = [Fraction(0)] * (x + 1)
@@ -228,7 +223,7 @@ def scalar_hyperbola(sieve, x, weight):
         prefix[d] = prefix[d - 1] + f_of_P2[d]
     rhs = Fraction(0)
     for m in range(1, x + 1):
-        mu_m = sieve.arith_fns(m)[0]
+        mu_m = factored(sieve, m).mu
         if mu_m:
             rhs += mu_m * prefix[x // m]
     return lhs, rhs
@@ -242,7 +237,7 @@ HUGE = PrimeWeight("(p mod 3 - 1) 2^62", lambda p: Fraction((p % 3 - 1) << 62))
 def test_check_all_matches_oracle(sieve_small, ctx_cubic):
     # every n <= nmax, every identity and k <= 4; OVER_P and HUGE take the
     # Python-int lanes, the others int64
-    weights = (random_weight(4), residue_weight(1, 3), class_weight(ctx_cubic, "1+2"), OVER_P)
+    weights = (random_weight(4), MOD3, class_weight(ctx_cubic, "1+2"), OVER_P)
     for w, nmax in [(w, 5000) for w in weights] + [(HUGE, 1000)]:
         result = check_all_identities(sieve_small, nmax, 4, w)
         assert result.passed and result.instances == 4 * 4 * (nmax - 1)

@@ -2,6 +2,7 @@
 brute-force irreducible-enumeration oracle, and the exact discriminant."""
 
 import math
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -105,12 +106,17 @@ def test_mul_distributes(p, a, b, c):
     assert fa * (fb + fc) == fa * fb + fa * fc
 
 
-@given(prime_st, coeff_lists, st.integers(0, 40))
+@given(prime_st, coeff_lists, coeff_lists, st.integers(0, 40))
 @settings(max_examples=100, deadline=None)
-def test_evaluate_is_ring_hom(p, a, x0):
-    fa = PolyModP.make(p, a)
-    direct = sum(c * x0**i for i, c in enumerate(a)) % p
-    assert fa.evaluate(x0) == direct
+def test_evaluate_is_ring_hom(p, a, b, x0):
+    # evaluation at x0, by Horner's rule on the reduced coefficients
+    def at(f):
+        return reduce(lambda v, c: (v * x0 + c) % p, reversed(f.coeffs), 0)
+
+    fa, fb = PolyModP.make(p, a), PolyModP.make(p, b)
+    assert at(fa) == sum(c * x0**i for i, c in enumerate(a)) % p
+    assert at(fa + fb) == (at(fa) + at(fb)) % p
+    assert at(fa * fb) == at(fa) * at(fb) % p
 
 
 @given(prime_st, coeff_lists, coeff_lists)
@@ -158,7 +164,8 @@ def test_count_roots_vs_exhaustive(p, coeffs):
     f = PolyModP.make(p, coeffs[:-1] + [1])
     if f.degree() < 1:
         return
-    brute = sum(1 for a in range(p) if f.evaluate(a) == 0)
+    # f(a) by Horner's rule
+    brute = sum(1 for a in range(p) if reduce(lambda v, c: (v * a + c) % p, reversed(f.coeffs), 0) == 0)
     assert count_roots(f) == brute
 
 

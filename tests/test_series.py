@@ -25,6 +25,7 @@ from artinsums.galois import (
     new_cyclotomic,
     new_splitting_field,
 )
+from oracles import factored
 
 
 # -- enumeration oracles ----------------------------------------------------
@@ -41,10 +42,9 @@ def enum_bucket_sum(sieve, ctx, x, label=None, ramified_p=None):
     smallest prime factor, by direct per-n evaluation."""
     total = Fraction(0)
     for n in range(2, x + 1):
-        mu, om, _ = sieve.arith_fns(n)
+        mu, om, _, p1, *_ = factored(sieve, n)
         if mu == 0:
             continue
-        p1 = sieve.factorize(n)[0][0]
         out = classify(ctx, p1)
         if ramified_p is not None:
             if out.is_ramified and p1 == ramified_p:
@@ -59,10 +59,10 @@ def enum_bucket_sum(sieve, ctx, x, label=None, ramified_p=None):
 def enum_n2(sieve, ctx, x, label):
     count = 0
     for n in range(2, x + 1):
-        fac = sieve.factorize(n)
-        if len(fac) < 2 or fac[-1][1] >= 2:
+        f = factored(sieve, n)
+        if f.P2s == 1 or f.repeats:
             continue
-        out = classify(ctx, fac[-2][0])
+        out = classify(ctx, f.P2s)
         if not out.is_ramified and out.label == label:
             count += 1
     return count
@@ -94,10 +94,9 @@ def direct_float_terms(sieve, ctx, x):
     factorizations: each term rounded once, as the compensated scan does."""
     out = {}
     for n in range(2, x + 1):
-        mu, om, _ = sieve.arith_fns(n)
+        mu, om, _, p1, *_ = factored(sieve, n)
         if mu == 0:
             continue
-        p1 = sieve.factorize(n)[0][0]
         out_p = classify(ctx, p1)
         bucket = f"ramified:{p1}" if out_p.is_ramified else out_p.label
         terms = {
@@ -644,15 +643,16 @@ def test_state_parameter_mismatch(tmp_path, sieve_small, ctx_cubic, ctx_c4):
 def fixed_prime_slice(p, x, sieve, mode="auto"):
     """sum over n <= x with smallest prime factor exactly p of
     mu(n)*omega(n)/n, from the segment kernel routing spf == p to a
-    ramified bucket with no classes.  Fraction in exact mode, float
-    otherwise."""
+    ramified bucket with no classes, every prime unclassified.  Fraction
+    in exact mode, float otherwise."""
     if not 2 <= p <= x:
         raise ValueError(f"need 2 <= p <= x, got p={p}, x={x}")
     if mode == "auto":
         mode = "exact" if x <= series.EXACT_X_CAP else "compensated"
+    codes = np.full(x + 1, UNCLASSIFIED_CODE, dtype=np.int16)
     total = Fraction(0)
     for lo, hi in series._segments(2, x, series.DEFAULT_SEGMENT, ()):
-        total += series._segment_partials((), sieve, None, [p], lo, hi, mode)[f"acc.ram:{p}.mu_omega_over_n"]
+        total += series._segment_partials((), sieve, codes, [p], lo, hi, mode)[f"acc.ram:{p}.mu_omega_over_n"]
     return total if mode == "exact" else float(total)
 
 
@@ -780,11 +780,7 @@ def test_psi_monotone_in_y(sieve_small):
 
 def test_count_P2_below(sieve_small):
     # n <= 30 with strict P2 <= 2: all n with omega < 2, plus P2 = 2 cases
-    brute = sum(
-        1
-        for n in range(1, 31)
-        if (sieve_small.prime_extremes(n)[2] if n > 1 else 1) <= 2
-    )
+    brute = sum(1 for n in range(1, 31) if factored(sieve_small, n).P2s <= 2)
     assert count_P2_below(30, 2, sieve_small) == brute
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from artinsums import sieve as sieve_mod
 from artinsums.sieve import _TABLE_BLOCK, DEFAULT_LIMIT, FactorSieve, is_prime
+from oracles import factored
 
 
 def trial_spf(n):
@@ -88,30 +89,37 @@ def test_mu_against_trial_division(sieve_small):
         assert int(om_tab[n]) == om
 
 
-def test_arith_fns_conventions(sieve_small):
-    assert sieve_small.arith_fns(1) == (1, 0, 0)
-    assert sieve_small.arith_fns(2) == (-1, 1, 1)
-    assert sieve_small.arith_fns(12) == (0, 2, 3)
-    assert sieve_small.arith_fns(30) == (-1, 3, 3)
+# (mu, omega, Omega, p1, P1, P2s, repeats) by hand: value 1 at n = 1, and
+# for P2s where omega(n) < 2
+CONVENTIONS = {
+    1: (1, 0, 0, 1, 1, 1, False),
+    2: (-1, 1, 1, 2, 2, 1, False),
+    7: (-1, 1, 1, 7, 7, 1, False),
+    8: (0, 1, 3, 2, 2, 1, True),
+    12: (0, 2, 3, 2, 3, 2, False),
+    18: (0, 2, 3, 2, 3, 2, True),
+    30: (-1, 3, 3, 2, 5, 3, False),
+}
 
 
-def test_prime_extremes_conventions(sieve_small):
-    # value-1 conventions at n = 1 and at primes
-    assert sieve_small.prime_extremes(1) == (1, 1, 1, 1)
-    assert sieve_small.prime_extremes(7) == (7, 7, 1, 1)
-    # strict vs multiplicative second-largest differ exactly on repeats
-    assert sieve_small.prime_extremes(12) == (2, 3, 2, 2)
-    assert sieve_small.prime_extremes(18) == (2, 3, 2, 3)
-    assert sieve_small.prime_extremes(8) == (2, 2, 1, 2)
+def test_factored_conventions(sieve_small):
+    for n, row in CONVENTIONS.items():
+        assert factored(sieve_small, n) == row, n
+
+
+def test_table_conventions(sieve_small):
+    s = sieve_small
+    tables = (s.mu_table(), s.omega_table(), s.P1_table(), s.P2_strict_table(), s.repeated_P1_table())
+    for n, (mu, omega, _, _, P1, P2s, repeats) in CONVENTIONS.items():
+        assert [t[n].item() for t in tables] == [mu, omega, P1, P2s, repeats], n
 
 
 def test_P2_definitions_agree_off_repeat_set(sieve_small):
-    for n in range(2, 50_001):
-        p1, P1, P2s, P2m = sieve_small.prime_extremes(n)
-        if not sieve_small.is_P1_repeated(n):
-            assert P2s == P2m
-        else:
-            assert P2m == P1
+    # P1(n / P1(n)), the second-largest prime factor with multiplicity, is
+    # the strict P2 off the repeat set and P1 itself on it
+    P1, P2s, rep = sieve_small.P1_table(), sieve_small.P2_strict_table(), sieve_small.repeated_P1_table()
+    n = np.arange(2, 50_001)
+    assert np.array_equal(P1[n // P1[n]], np.where(rep[n], P1[n], P2s[n]))
 
 
 def test_spf_le_P1_with_equality_iff_omega_one(sieve_small):
@@ -129,16 +137,16 @@ def test_bulk_tables_match_scalar_queries(sieve_small):
     rep = sieve_small.repeated_P1_table()
     rng = np.random.default_rng(7)
     for n in [*range(2, 20_001), *rng.integers(2, 100_000, size=400).tolist()]:
-        _, p_big, p2s, _ = sieve_small.prime_extremes(n)
-        assert int(P1[n]) == p_big
-        assert int(P2s[n]) == p2s
-        assert bool(rep[n]) == sieve_small.is_P1_repeated(n)
+        f = factored(sieve_small, n)
+        assert int(P1[n]) == f.P1
+        assert int(P2s[n]) == f.P2s
+        assert bool(rep[n]) == f.repeats
     assert int(P1[1]) == 1 and int(P2s[1]) == 1
 
 
 def assert_tables_match_trial_division(s, ns):
     """All five bulk tables at each n >= 2 of ns, against trial division
-    and the scalar prime_extremes / is_P1_repeated."""
+    and the factorize oracle."""
     mu, om = s.mu_table(), s.omega_table()
     P1, P2s, rep = s.P1_table(), s.P2_strict_table(), s.repeated_P1_table()
     for n in ns:
@@ -148,8 +156,8 @@ def assert_tables_match_trial_division(s, ns):
         assert int(P1[n]) == primes[-1], n
         assert int(P2s[n]) == (primes[-2] if len(primes) > 1 else 1), n
         assert bool(rep[n]) == (fac[-1][1] > 1), n
-        _, p_big, p2s, _ = s.prime_extremes(n)
-        assert (int(P1[n]), int(P2s[n]), bool(rep[n])) == (p_big, p2s, s.is_P1_repeated(n))
+        f = factored(s, n)
+        assert (int(mu[n]), int(om[n]), int(P1[n]), int(P2s[n]), bool(rep[n])) == (f.mu, f.omega, f.P1, f.P2s, f.repeats)
 
 
 def test_tables_across_peel_block_edges():
