@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from . import duality, series
 from .errors import IntegrityError
@@ -316,7 +317,9 @@ def _cmd_scan(args) -> int:
     checkpoints = (
         [int(c) for c in args.checkpoints.split(",")] if args.checkpoints else None
     )
-    sieve = _get_sieve(args, args.xmax)
+    series.check_x_max(args.xmax)
+    # the scan reads only the primes up to isqrt(xmax)
+    sieve = _get_sieve(args, max(2, isqrt(args.xmax)))
     if args.class_label is not None:
         ctx.code_of(args.class_label)  # raises on unknown label
     result = series.scan(
@@ -377,7 +380,7 @@ def reproduce_table(sieve: FactorSieve, threads: int = 1) -> TableReport:
 
 
 def _cmd_reproduce_table(args) -> int:
-    sieve = _get_sieve(args, TABLE_CHECKPOINTS[-1])
+    sieve = _get_sieve(args, isqrt(TABLE_CHECKPOINTS[-1]))
     report = reproduce_table(sieve, threads=args.threads)
     width = max(len(r["name"]) for r in report.rows.values())
     head = " | ".join(f"x<={x}" for x in report.checkpoints)
@@ -408,8 +411,9 @@ def _cmd_reproduce_table(args) -> int:
 
 class _CorruptedMuSieve(FactorSieve):
     """Test hook: negates mu at one chosen n (or sets it to 1 where mu is
-    0) in a private copy of mu_table(), which every check reads, to prove
-    the verify command actually detects broken inputs."""
+    0) in a private copy of mu_table(), which the identity, inversion and
+    hyperbola checks read (the exact scans take mu from the block kernel),
+    to prove the verify command actually detects broken inputs."""
 
     def __init__(self, base: FactorSieve, bad_n: int):
         super().__init__(base.limit, _spf=base.spf)

@@ -14,9 +14,11 @@ Two families are supported:
 
 A prime is ramified when it divides k or the *polynomial* discriminant
 disc(f), which is tested, never factored; the class codes (RAMIFIED_CODE)
-are the one record of it.  A prime dividing disc(f) but unramified in the
-field goes to the ramified bucket: finitely many primes, whose fixed-prime
-slices of the main sums vanish in the limit, so no density is affected.
+record it.  ``ramified_primes`` lists those up to x from the codes up to
+isqrt(x) and the cofactor of disc(f) (or k) they leave.  A prime dividing
+disc(f) but unramified in the field goes to the ramified bucket: finitely
+many primes, whose fixed-prime slices of the main sums vanish in the
+limit, so no density is affected.
 
 Cycle types come from one numpy routine over an array of primes, one lane
 per prime (Cohen, *A Course in Computational Algebraic Number Theory*,
@@ -53,7 +55,7 @@ import numpy as np
 from . import fieldpoly
 from .errors import IntegrityError
 from .fieldpoly import shape_label
-from .sieve import FactorSieve, is_prime
+from .sieve import MR_PROVEN_BELOW, FactorSieve, block_primes, is_prime
 
 RAMIFIED_CODE = -1
 UNCLASSIFIED_CODE = -2
@@ -63,6 +65,8 @@ UNCLASSIFIED_CODE = -2
 # but its (n, n, primes) matrix powers raised the x^5-x-1 scan's peak RSS
 # by 1 MB, where 2^12 adds 0.1 MB to that of 2^11
 _CHUNK = 1 << 12
+# integers per block of the search for ramified primes above isqrt(x)
+_SEARCH_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,31 @@ class GaloisContext:
         arr[primes] = self._class_codes(primes)
         self._codes = arr
         return arr
+
+    def ramified_primes(self, codes: np.ndarray, x: int) -> list[int]:
+        """The ramified primes up to x, increasing, where `codes` is the
+        class-code array over [0, isqrt(x)]: the ones up to isqrt(x) are
+        read off it.  What is left of disc(f), or of k, once they are
+        divided out has only prime factors above isqrt(x): a cofactor up to
+        x is one prime, a prime cofactor above x names none, and only a
+        composite one above x is tested against the primes in
+        (isqrt(x), x]."""
+        small = np.flatnonzero(codes == RAMIFIED_CODE).tolist()
+        cof = self.k if self.kind == "cyclotomic" else abs(self.disc)
+        for p in small:
+            while cof % p == 0:
+                cof //= p
+        if cof <= x:
+            return small + [cof] * (cof > 1)
+        if cof < MR_PROVEN_BELOW and is_prime(cof):
+            return small
+        sieving = np.flatnonzero(codes != UNCLASSIFIED_CODE)
+        dtype = np.int64 if cof < 2**63 else object
+        found = []
+        for lo in range(len(codes), x + 1, _SEARCH_BLOCK):
+            primes = block_primes(sieving, lo, min(lo + _SEARCH_BLOCK, x + 1))
+            found += primes[np.array(cof, dtype=dtype) % primes.astype(dtype) == 0].tolist()
+        return small + found
 
     def _class_codes(self, primes: np.ndarray) -> np.ndarray:
         """int16 class codes of an array of primes, RAMIFIED_CODE for the

@@ -7,6 +7,14 @@ alongside an unconditional aggregate, so the decomposition
 
 can be audited at every checkpoint.
 
+A scan streams: it holds no table of length x.  Each segment gets its
+mu, omega, spf, P2s and "P1 repeats" from ``sieve.factor_block``, which
+reads only the primes up to isqrt(x), so a scan takes O(sqrt(x) + segment)
+memory and x may reach X_MAX = 2^32 - 1.  Class codes come from the
+context's code array over [0, isqrt(x)], which holds the spf of every
+composite n and the strict P2 of every n, and from one batch per window
+of segments for the primes above isqrt(x) in it.
+
 A scan makes one pass per segment, in one kernel (``_segment_partials``).
 It gathers the squarefree n of the segment (every other term is 0), gives
 each a bucket id once, and forms from them the per-n kinds and, for every
@@ -16,7 +24,10 @@ The same pass counts n by the class of their strict second-largest prime
 factor, and the n whose largest prime factor repeats.  It returns keyed
 cells, which the scan adds to its running state: one dict, laid out by
 ``_layout`` alone, whose cells are the entries of the state file (format
-v3) in file order.  Two reducers sum the buckets:
+v3) in file order.  The state file is written at every checkpoint, and
+between checkpoints at most once per _STATE_INTERVAL_S seconds; it records
+the next segment start, so a resume from any write is exact.  Two reducers
+sum the buckets:
 
 * ``exact``       -- big-rational accumulation; capped at x <= 10^4
                      because the running lcm denominator growth makes it
@@ -34,18 +45,20 @@ from __future__ import annotations
 
 import hashlib
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import zip_longest
-from math import fsum
+from itertools import groupby, zip_longest
+from math import fsum, isqrt
 
 import numpy as np
 
 from .errors import IntegrityError
 from .galois import RAMIFIED_CODE, UNCLASSIFIED_CODE, GaloisContext
-from .sieve import FactorSieve
+from .sieve import FactorSieve, block_primes, factor_block
 
 # the exact state at x = 10^4 already holds integers of 4298 digits (the
 # primorial of 10^4), just below the 4300 that int <-> str converts by
@@ -54,6 +67,14 @@ EXACT_X_CAP = 10_000
 DEFAULT_SEGMENT = 65_536
 # a bincount of at most 2^22 limbs below 2^30 stays below 2^52, so is exact
 MAX_SEGMENT = 1 << 22
+# the segments starting in one window of this many integers have their
+# primes above isqrt(x_max) classified in one batch: one batch on scans to
+# 10^6.  The window's prime sieve is also the largest buffer a scan frees,
+# after which glibc keeps the per-segment buffers in its heap: windows of
+# 2^18 cost cyclo-1e7 172,887 minor page faults and 0.4 s of system time
+_CODE_WINDOW = 1 << 22
+# seconds between state writes, besides the one at each checkpoint
+_STATE_INTERVAL_S = 10.0
 
 PER_N_KINDS = ("mu_omega_over_n", "mu_over_n", "mu_omega_minus1_over_n", "mu_omega_raw")
 CHECKPOINT_KINDS = ("floor_weighted", "frac_weighted")
@@ -77,10 +98,16 @@ def _pairwise_sum(vals: list[Fraction]) -> Fraction:
 
 
 # A compensated term is a float t = num/n, num = mu(n) w with |w| <= 9n, as
-# omega(n) <= 9 for n <= limit < 2^32 (spf is uint32).  So t = 0 or 2^-32 <
-# 1/n <= |t| < 16: t is an integer multiple of 2^-84, and t 2^86 splits
-# exactly into three signed limbs below 2^30.
+# omega(n) <= 9 for n <= X_MAX.  So t = 0 or 2^-32 < 1/n <= |t| < 16: t is
+# an integer multiple of 2^-84, and t 2^86 splits exactly into three signed
+# limbs below 2^30.
 _LIMB_SHIFTS = (26, 30, 30)
+X_MAX = 2**32 - 1
+
+
+def check_x_max(x_max: int) -> None:
+    if not 2 <= x_max <= X_MAX:
+        raise ValueError(f"x_max = {x_max} outside [2, {X_MAX}]")
 
 
 def _binned(ids, w, size):
@@ -155,10 +182,14 @@ def scan(
     state_path=None,
     resume: bool = False,
 ) -> SeriesScan:
+    """Scan [2, x_max]; `sieve` needs a limit of at least isqrt(x_max):
+    only its primes up to there are read."""
     if sieve is None:
         raise ValueError("a FactorSieve is required")
-    if x_max < 2 or x_max > sieve.limit:
-        raise ValueError(f"x_max = {x_max} outside [2, {sieve.limit}]")
+    check_x_max(x_max)
+    root = isqrt(x_max)
+    if sieve.limit < root:
+        raise ValueError(f"sieve limit {sieve.limit} is below isqrt(x_max) = {root}")
     if mode not in ("exact", "compensated"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact" and x_max > EXACT_X_CAP:
@@ -175,8 +206,12 @@ def scan(
     cps = tuple(cps)
 
     labels = ctx.labels()
-    codes = ctx.class_code_array(sieve, x_max)
-    ram_primes = np.flatnonzero(codes == RAMIFIED_CODE).tolist()
+    # the primes up to isqrt(x_max) are the smallest prime factor of every
+    # composite n <= x_max and the strict P2 of every n; the scan classifies
+    # the primes above, one window of segments at a time
+    codes = ctx.class_code_array(sieve, root)
+    primes = sieve.prime_array(root)
+    ram_primes = ctx.ramified_primes(codes, x_max)
     layout = partial(_layout, labels, ram_primes, cps, mode=mode)
     header = {
         "context": ctx.spec_string(),
@@ -195,29 +230,32 @@ def scan(
     snapshots = {x: _snapshot(state, x, labels, ram_primes) for x in cps if x < start_lo}
     result = SeriesScan(ctx, x_max, mode, cps, snapshots)
     todo = [(lo, hi) for lo, hi in segments if lo >= start_lo]
+    saved = time.monotonic()
 
-    def run(seg):
+    def run(seg, big_codes):
         lo, hi = seg
         xs = [x for x in cps if x >= hi]
-        return _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, xs)
+        return _segment_partials(labels, primes, codes, big_codes, ram_primes, lo, hi, mode, xs)
 
     def consume(seg, delta):
-        nonlocal state
+        nonlocal state, saved
         hi = seg[1]
         for key, v in delta.items():
             state[key] += v
         if hi in cps:
             state = _reach(state, hi, layout(hi + 1))
             snapshots[hi] = _snapshot(state, hi, labels, ram_primes)
-        if state_path is not None:
+        if state_path is not None and (hi in cps or time.monotonic() - saved >= _STATE_INTERVAL_S):
             _save_state(state_path, header, hi + 1, state)
+            saved = time.monotonic()
 
-    if threads == 1 or not todo:
-        for seg in todo:
-            consume(seg, run(seg))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for seg, delta in zip(todo, pool.map(run, todo)):
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        each = pool.map if pool else map
+        for _, window in groupby(todo, key=lambda seg: seg[0] // _CODE_WINDOW):
+            window = list(window)
+            big = block_primes(primes, max(window[0][0], root + 1), window[-1][1] + 1)
+            big_codes = np.split(ctx._class_codes(big), np.searchsorted(big, [lo for lo, _ in window[1:]]))
+            for seg, delta in zip(window, each(run, window, big_codes)):
                 consume(seg, delta)
     return result
 
@@ -236,24 +274,31 @@ def _segments(lo: int, hi: int, size: int, checkpoints) -> list[tuple[int, int]]
     return out
 
 
-def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, xs=()):
+def _segment_partials(labels, primes, codes, big_codes, ram_primes, lo, hi, mode, xs=()):
     """All that the block lo <= n <= hi adds to a scan, in one pass, keyed
     as the cells of ``_layout``: the per-bucket sums of the per-n kinds
     ("acc." cells); the per-bucket sums of the checkpoint kinds at each x
     of `xs`, every x >= hi ("pending.<x>." cells); and the block's counts
     by the class of the strict P2 and of repeated P1 ("count." cells).
 
-    The one place where terms are formed and routed to buckets; class i
-    of `labels` is code i.  Terms are formed for squarefree n only: every
-    other term is 0, and the sums are exact sums of the terms."""
-    sl = slice(lo, hi + 1)
-    mu = sieve.mu_table()[sl]
+    `primes` holds the primes up to r = isqrt(x_max), whose class codes
+    are `codes`, over [0, r]; `big_codes` are those of the block's primes
+    above r, increasing.  The one place where terms are formed and routed
+    to buckets; class i of `labels` is code i.  Terms are formed for
+    squarefree n only: every other term is 0, and the sums are exact sums
+    of the terms."""
+    block = factor_block(primes, lo, hi + 1)
+    mu = block["mu"]
     sf = np.flatnonzero(mu)
     mu = mu[sf]
-    om = sieve.omega_table()[sl][sf]
+    om = block["omega"][sf]
     n = sf + lo
     muom = mu * om
-    ids = _route(codes, ram_primes, sieve.spf[sl][sf], len(labels))
+    # a squarefree n is composite with spf <= r, or a prime
+    sp = block["spf"][sf]
+    c = codes.take(sp, mode="clip")
+    c[sp >= len(codes)] = big_codes
+    ids = _route(c, ram_primes, sp, len(labels))
     size = len(labels) + len(ram_primes)
     names = _bucket_names(labels, ram_primes)
     delta = {}
@@ -272,11 +317,12 @@ def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, xs=()):
     for x in xs:
         q, r = np.divmod(x, n)
         add(f"pending.{x}", {"floor_weighted": (muom * q, None), "frac_weighted": (muom * r, n)})
-    P2 = sieve.P2_strict_table()[sl]
-    rep = sieve.repeated_P1_table()[sl]
-    # codes run from UNCLASSIFIED_CODE (-2) through RAMIFIED_CODE (-1) to len(labels) - 1
+    rep = block["rep"]
+    # P2s(n)^2 < n, so codes covers it; an n with P2s = 1 or a repeated P1
+    # reads codes[1] or codes[0], UNCLASSIFIED_CODE (-2), and the codes run
+    # from there through RAMIFIED_CODE (-1) to len(labels) - 1
     by_code = np.bincount(
-        codes[P2[(P2 > 1) & ~rep]] - UNCLASSIFIED_CODE, minlength=len(labels) - UNCLASSIFIED_CODE
+        codes.take(block["P2s"] * ~rep) - UNCLASSIFIED_CODE, minlength=len(labels) - UNCLASSIFIED_CODE
     ).tolist()
     for i, lab in enumerate(labels):
         delta[f"count.n2:{lab}"] = by_code[i - UNCLASSIFIED_CODE]
@@ -285,13 +331,12 @@ def _segment_partials(labels, sieve, codes, ram_primes, lo, hi, mode, xs=()):
     return delta
 
 
-def _route(codes, ram_primes, sp, n_classes):
-    """Bucket id of every term with smallest prime factor sp: its class
-    code, n_classes + j for the ramified prime ram_primes[j], and a last
-    bucket, thrown away, for UNCLASSIFIED_CODE (never a negative id, which
-    would wrap around).  The ids are intp: each of the many bincounts of
-    them would first convert narrower ids."""
-    c = codes[sp]
+def _route(c, ram_primes, sp, n_classes):
+    """Bucket id of every term with smallest prime factor sp and class
+    code c of sp: the code, n_classes + j for the ramified prime
+    ram_primes[j], and a last bucket, thrown away, for UNCLASSIFIED_CODE
+    (never a negative id, which would wrap around).  The ids are intp:
+    each of the many bincounts of them would first convert narrower ids."""
     ids = np.where(c >= 0, c, np.intp(n_classes + len(ram_primes)))
     for j, p in enumerate(ram_primes):
         np.copyto(ids, n_classes + j, where=sp == p)

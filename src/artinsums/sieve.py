@@ -1,22 +1,27 @@
 """Smallest-prime-factor sieve, the factorization of any n it covers, and
-the bulk tables derived from it: mu, omega, the largest and the strict
-second-largest prime factor, and whether the largest one repeats.
+the block factor kernel: mu, omega, the smallest, the largest and the
+strict second-largest prime factor of every n of a block, and whether the
+largest one repeats, from the primes up to the square root of the block's
+end alone.
 
 The sieve stores one uint32 per integer (4 bytes/entry), so a limit of
-10^7 costs ~40 MB.  The bulk tables (mu, omega, P1, P2s, rep) come from the
-recurrence n = p*m, p = spf[n], of the linear sieve: the entries of n
-follow from those of m < n, which are final when n is reached, so one
-blockwise pass of gathers builds all five; the first accessor builds them.
-Nothing is mutated after construction, so a sieve may be shared freely
-across threads.  Cache format v2: a 13-byte header (b"AFS1",
-version, uint32 limit, uint32 zlib.crc32 of the body), then spf[2..limit]
-as little-endian uint32, written to a temporary file and renamed in place.
+10^7 costs ~40 MB.  ``factor_block`` is the segmented factor sieve of Bays
+and Hudson (BIT 17, 1977): a block lo <= n < hi takes O(hi - lo) memory,
+so a scan to x needs only a sieve of the primes up to isqrt(x);
+``block_primes`` lists a block's primes from the same primes.  The bulk
+tables of a sieve (mu, omega, P1, P2s, rep) are its blocks joined; the
+first accessor builds them.  Nothing is mutated after construction, so a
+sieve may be shared freely across threads.  Cache format v2: a 13-byte
+header (b"AFS1", version, uint32 limit, uint32 zlib.crc32 of the body),
+then spf[2..limit] as little-endian uint32, written to a temporary file
+and renamed in place.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import sys
 import threading
 import zlib
 from math import isqrt
@@ -29,8 +34,11 @@ _CACHE_MAGIC = b"AFS1"
 _CACHE_VERSION = 2
 _CACHE_HEADER = struct.Struct("<4sBII")  # magic, version, limit, crc32 of the body
 
-# most values of n per block of the table pass; bounds its temporaries
-_TABLE_BLOCK = 1 << 18
+# values of n per factor_block call when the tables are built
+_TABLE_BLOCK = 1 << 16
+# is_prime is proven correct below this bound
+MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+_ONE = np.int8(1)
 
 
 def is_prime(n: int) -> bool:
@@ -45,7 +53,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # these bases are a proven witness set for n < 3.3 * 10^24
+    # these bases are a proven witness set for n < MR_PROVEN_BELOW
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if a % n == 0:
             continue
@@ -82,7 +90,8 @@ class FactorSieve:
     @classmethod
     def load(cls, path) -> "FactorSieve":
         """Load a sieve cache written by save(); validates the header, the
-        body length, the body's crc32 and that 2 <= spf[n] <= limit."""
+        body length, the body's crc32 and that 2 <= spf[n] <= limit.  The
+        body is read straight into the table."""
         with open(path, "rb") as fh:
             head = fh.read(_CACHE_HEADER.size)
             if len(head) < _CACHE_HEADER.size or head[:4] != _CACHE_MAGIC:
@@ -90,18 +99,20 @@ class FactorSieve:
             _, version, limit, crc = _CACHE_HEADER.unpack(head)
             if version != _CACHE_VERSION:
                 raise IOError(f"{path}: unsupported cache version {version}")
-            body = np.fromfile(fh, dtype=np.uint8)
-        if limit < 2 or body.size != 4 * (limit - 1):
-            raise IOError(
-                f"{path}: truncated cache ({body.size // 4} entries for limit {limit})"
-            )
+            size = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
+            # the length is checked before the table is allocated
+            if limit < 2 or size != 4 * (limit - 1):
+                raise IOError(f"{path}: truncated cache ({size // 4} entries for limit {limit})")
+            spf = np.zeros(limit + 1, dtype=np.uint32)
+            body = spf[2:].view(np.uint8)
+            if fh.readinto(body) != size:
+                raise IOError(f"{path}: truncated cache (short read)")
         if zlib.crc32(body) != crc:
             raise IOError(f"{path}: corrupt cache (body checksum mismatch)")
-        spf = np.zeros(limit + 1, dtype=np.uint32)
-        spf[2:] = body.view("<u4")
-        # a file re-checksummed after editing passes the crc; the table pass
-        # needs every spf[n] >= 2 (so m = n/spf[n] < n), and callers index
-        # tables by spf[n]
+        if sys.byteorder == "big":
+            spf.byteswap(inplace=True)
+        # a file re-checksummed after editing passes the crc; callers index
+        # tables by spf[n] and divide by it
         if spf[2:].min() < 2 or spf.max() > limit:
             raise IOError(f"{path}: corrupt cache (an spf[n] outside [2, {limit}])")
         return cls(limit, _spf=spf)
@@ -165,36 +176,100 @@ class FactorSieve:
         if self._tables is None:
             with self._tables_lock:
                 if self._tables is None:
-                    self._tables = _recurrence_tables(self.spf)
+                    self._tables = _joined_tables(self.prime_array(isqrt(self.limit)), self.limit)
         return self._tables[name]
 
 
-def _recurrence_tables(spf: np.ndarray) -> dict[str, np.ndarray]:
-    """mu, omega, P1, P2s and rep for 0 <= n <= limit from n = p*m, with
-    p = spf[n], over blocks [lo, min(2 lo, lo + _TABLE_BLOCK)): every m a
-    block reads is at most n/2 < lo, so already final.  spf[1] = 0 makes
-    the m = 1 lanes (n prime) come out right."""
-    size = len(spf)
-    mu = np.zeros(size, dtype=np.int8)
+def _joined_tables(primes: np.ndarray, limit: int) -> dict[str, np.ndarray]:
+    """mu, omega, P1, P2s and rep for 0 <= n <= limit, joined from the
+    factor_block blocks of [2, limit]; `primes` holds every prime up to
+    isqrt(limit)."""
+    tables = {
+        "mu": np.zeros(limit + 1, dtype=np.int8),
+        "omega": np.zeros(limit + 1, dtype=np.int8),
+        "P1": np.zeros(limit + 1, dtype=np.uint32),
+        "P2s": np.ones(limit + 1, dtype=np.uint32),
+        "rep": np.zeros(limit + 1, dtype=bool),
+    }
+    tables["mu"][1] = tables["P1"][1] = 1
+    for lo in range(2, limit + 1, _TABLE_BLOCK):
+        hi = min(lo + _TABLE_BLOCK, limit + 1)
+        block = factor_block(primes, lo, hi, P1=True)
+        for name, table in tables.items():
+            table[lo:hi] = block[name]
+    return tables
+
+
+def factor_block(primes: np.ndarray, lo: int, hi: int, P1: bool = False) -> dict[str, np.ndarray]:
+    """mu (int8), omega (int8), spf, P2s (uint32) and rep (bool), and P1
+    (uint32) when asked, for 2 <= lo <= n < hi <= 2^32, keyed as the
+    tables of FactorSieve, with P2s = 1 when omega(n) < 2.  `primes` must
+    hold, in increasing order, every prime up to isqrt(hi - 1), the only
+    ones read.
+
+    Each such prime p multiplies prod(n) by every power of it that divides
+    n, adds 1 to omega(n), and moves the largest of them so far, b1(n),
+    into b2(n); the largest p whose square divides n is kept too.  What is
+    left of n, n / prod(n), is 1 or the one prime factor of n above
+    isqrt(hi - 1), so prod(n) != n says whether it exists.  spf comes from
+    writing the primes in descending order, the smallest last."""
+    size = hi - lo
+    primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")].astype(np.uint32)
+    prod = np.ones(size, dtype=np.uint32)
     omega = np.zeros(size, dtype=np.int8)
-    P1 = np.zeros(size, dtype=np.uint32)
-    P2s = np.ones(size, dtype=np.uint32)
-    rep = np.zeros(size, dtype=bool)
-    mu[1] = P1[1] = 1
-    lo = 2
-    while lo < size:
-        hi = min(2 * lo, lo + _TABLE_BLOCK, size)
-        p = spf[lo:hi]
-        m = np.arange(lo, hi, dtype=np.uint32) // p
-        new = spf[m] != p  # p does not divide m
-        om_m, P1_m = omega[m], P1[m]
-        mu[lo:hi] = np.where(new, -mu[m], 0)
-        omega[lo:hi] = om_m + new
-        P1[lo:hi] = np.where(m > 1, P1_m, p)
-        P2s[lo:hi] = np.where(new & (om_m == 1), p, P2s[m])
-        rep[lo:hi] = (m > 1) & (rep[m] | (P1_m == p))
-        lo = hi
-    return {"mu": mu, "omega": omega, "P1": P1, "P2s": P2s, "rep": rep}
+    # the sieving primes are at most isqrt(2^32 - 1) = 2^16 - 1
+    b1 = np.ones(size, dtype=np.uint16)
+    b2 = np.ones(size, dtype=np.uint16)
+    sq = np.zeros(size, dtype=np.uint16)  # largest p with p^2 | n, or 0
+    # numpy scalars, not ints: a Python int operand costs each ufunc call
+    # a cast check of its value
+    for p, P, Q in zip(primes.tolist(), primes, primes.astype(np.uint16)):
+        sl = slice(-lo % p, None, p)
+        view = prod[sl]
+        view *= P
+        view = omega[sl]
+        view += _ONE
+        b2[sl] = b1[sl]
+        b1[sl] = Q
+        q = p * p
+        s = -lo % q
+        if s < size:
+            sq[s::q] = Q
+            # each power of p up to the first without a multiple in the block
+            while s < size:
+                view = prod[s::q]
+                view *= P
+                q *= p
+                s = -lo % q
+    spf = np.zeros(size, dtype=np.uint32)
+    for p, P in zip(primes[::-1].tolist(), primes[::-1]):
+        spf[-lo % p :: p] = P
+    n = np.arange(lo, hi, dtype=np.uint32)
+    big = prod != n
+    omega += big
+    mu = omega & _ONE
+    mu += mu
+    np.subtract(_ONE, mu, out=mu)  # (-1)^omega
+    mu *= sq == 0
+    np.copyto(spf, n, where=spf == 0)
+    out = {"mu": mu, "omega": omega, "spf": spf, "rep": ~big & (sq == b1)}
+    if P1:
+        out["P1"] = np.where(big, n // prod, b1)
+    # P2s = b1 where n has a prime factor above isqrt(hi - 1), b2 elsewhere
+    b1 -= b2
+    b1 *= big
+    b2 += b1
+    out["P2s"] = b2.astype(np.uint32)
+    return out
+
+
+def block_primes(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The primes in [lo, hi), 2 <= lo, as int64; `primes` must hold, in
+    increasing order, every prime up to isqrt(hi - 1)."""
+    keep = np.ones(max(hi - lo, 0), dtype=bool)
+    for p in primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")].tolist():
+        keep[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return np.flatnonzero(keep) + lo
 
 
 def _build_spf(limit: int) -> np.ndarray:

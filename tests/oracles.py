@@ -1,12 +1,15 @@
-"""Scalar oracles shared by the tests, independent of the bulk paths they
-check: the multiplicative functions of n read off ``factorize``, and the
-Fraction forms of the four duality identities by enumeration of the
-squarefree divisors (not the coefficient tables of artinsums.duality)."""
+"""Oracles shared by the tests, independent of the bulk paths they check:
+the multiplicative functions of n read off ``factorize``, the bulk tables
+from the recurrence n = p*m over a full spf table, and the Fraction forms
+of the four duality identities by enumeration of the squarefree divisors
+(not the coefficient tables of artinsums.duality)."""
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
+
+import numpy as np
 
 
 class Factored(NamedTuple):
@@ -34,6 +37,34 @@ def factored(sieve, n: int) -> Factored:
         P2s=primes[-2] if len(primes) > 1 else 1,
         repeats=bool(fac) and fac[-1][1] > 1,
     )
+
+
+def recurrence_tables(spf: np.ndarray) -> dict[str, np.ndarray]:
+    """mu, omega, P1, P2s and rep for 0 <= n <= limit from n = p*m, with
+    p = spf[n], over blocks [lo, min(2 lo, lo + 2^18)): every m a block
+    reads is at most n/2 < lo, so already final.  spf[1] = 0 makes the
+    m = 1 lanes (n prime) come out right."""
+    size = len(spf)
+    mu = np.zeros(size, dtype=np.int8)
+    omega = np.zeros(size, dtype=np.int8)
+    P1 = np.zeros(size, dtype=np.uint32)
+    P2s = np.ones(size, dtype=np.uint32)
+    rep = np.zeros(size, dtype=bool)
+    mu[1] = P1[1] = 1
+    lo = 2
+    while lo < size:
+        hi = min(2 * lo, lo + (1 << 18), size)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi, dtype=np.uint32) // p
+        new = spf[m] != p  # p does not divide m
+        om_m, P1_m = omega[m], P1[m]
+        mu[lo:hi] = np.where(new, -mu[m], 0)
+        omega[lo:hi] = om_m + new
+        P1[lo:hi] = np.where(m > 1, P1_m, p)
+        P2s[lo:hi] = np.where(new & (om_m == 1), p, P2s[m])
+        rep[lo:hi] = (m > 1) & (rep[m] | (P1_m == p))
+        lo = hi
+    return {"mu": mu, "omega": omega, "P1": P1, "P2s": P2s, "rep": rep}
 
 
 def binom(m: int, j: int) -> int:

@@ -263,7 +263,8 @@ def stopped_state(tmp_path_factory):
     segment: a checkpoint snapshot, a pending checkpoint cell, partial
     sums, next_lo = 1025."""
     path = tmp_path_factory.mktemp("stopped") / "scan.state"
-    real = series._segment_partials
+    real, interval = series._segment_partials, series._STATE_INTERVAL_S
+    series._STATE_INTERVAL_S = 0  # a state write after every segment
     calls = []
 
     def stop_after_three(*args, **kwargs):
@@ -277,7 +278,7 @@ def stopped_state(tmp_path_factory):
         with pytest.raises(KeyboardInterrupt):
             cli.main(FUZZ_ARGV + ["--state", str(path), "--out", os.devnull])
     finally:
-        series._segment_partials = real
+        series._segment_partials, series._STATE_INTERVAL_S = real, interval
     body = path.read_text().rpartition("sha256 = ")[0]
     assert "next_lo = 1025" in body and "snap.1000.total" in body and "pending.3000.total" in body
     return body.splitlines()
@@ -739,6 +740,41 @@ def test_scan_ramified_rows_beyond_int64_discriminant(capsys):
     buckets = {r[1] for r in rows if r[1].startswith("ramified:")}
     assert buckets == {f"ramified:{p}" for p in range(2, 201) if disc % p == 0 and is_prime(p)}
     assert "ramified:7" in buckets
+
+
+@pytest.mark.parametrize("c", [757, 2_524_266])
+def test_scan_ramified_rows_above_isqrt_xmax(c, capsys):
+    # disc(x^2 + x + c) = 1 - 4c is -3 * 1009 (cofactor 1009 <= x) or
+    # -1009 * 10007 (composite cofactor > x); isqrt(x) = 100
+    disc = 1 - 4 * c
+    code, out, _ = run(["scan", "--poly", f"{c},1,1", "--xmax", "10000"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    buckets = {r[1] for r in rows if r[1].startswith("ramified:")}
+    assert buckets == {f"ramified:{p}" for p in range(2, 10_001) if disc % p == 0 and is_prime(p)}
+    assert "ramified:1009" in buckets
+
+
+@pytest.mark.parametrize("xmax", [2**32, 10**30, 1])
+def test_scan_xmax_beyond_limb_bound_exits_2(xmax, capsys):
+    code, out, err = run(["scan", "--cyclotomic", "4", "--xmax", str(xmax)], capsys)
+    assert (code, out) == (2, "")
+    assert "outside [2, 4294967295]" in err
+
+
+def test_scan_sieve_cache_holds_the_sieving_primes(tmp_path, capsys, monkeypatch):
+    # scan reads a cache of the primes up to isqrt(xmax), and builds one of
+    # that limit where none is found
+    monkeypatch.setenv(cli.CACHE_DIR_ENV, str(tmp_path))
+    code, out, _ = run(["scan", "--cyclotomic", "4", "--xmax", "10000"], capsys)
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["spf-100.sieve"]
+    cache = tmp_path / "small.sieve"
+    FactorSieve(99).save(cache)
+    code, _, err = run(["scan", "--cyclotomic", "4", "--xmax", "10000", "--sieve-cache", str(cache)], capsys)
+    assert code == 2 and "limit 99, need 100" in err
+    FactorSieve(5000).save(cache)
+    assert run(["scan", "--cyclotomic", "4", "--xmax", "10000", "--sieve-cache", str(cache)], capsys)[:2] == (0, out)
 
 
 def test_reproduce_table_runs(tmp_path, capsys, sieve_big):

@@ -25,6 +25,7 @@ from artinsums.galois import (
     new_cyclotomic,
     new_splitting_field,
 )
+from artinsums.sieve import FactorSieve, block_primes
 from oracles import factored
 
 
@@ -180,7 +181,9 @@ def test_scan_validation(sieve_small, ctx_c4):
     with pytest.raises(ValueError):
         series.scan(ctx_c4, 1, sieve=sieve_small)
     with pytest.raises(ValueError):
-        series.scan(ctx_c4, 200_000, sieve=sieve_small)  # beyond sieve limit
+        series.scan(ctx_c4, 200, sieve=FactorSieve(13))  # sieve below isqrt(x_max) = 14
+    with pytest.raises(ValueError):
+        series.scan(ctx_c4, 2**32, sieve=FactorSieve(1 << 16))  # beyond the limb bound
     with pytest.raises(ValueError):
         series.scan(ctx_c4, 10, mode="nearest", sieve=sieve_small)
     with pytest.raises(ValueError):
@@ -190,6 +193,57 @@ def test_scan_validation(sieve_small, ctx_c4):
     for size in (0, series.MAX_SEGMENT + 1):  # beyond it a limb sum may round
         with pytest.raises(ValueError):
             series.scan(ctx_c4, 100, sieve=sieve_small, segment_size=size)
+
+
+@pytest.mark.parametrize("mode, x", [("exact", 10_000), ("compensated", 99_999)])
+@pytest.mark.parametrize("poly", [None, [1, 1, 0, 1], [-1, -1, 0, 0, 0, 1]], ids=["c4", "cubic", "quintic"])
+def test_scan_reads_only_the_sieving_primes(sieve_small, ctx_c4, mode, x, poly):
+    # a sieve up to isqrt(x) holds no table of length x: the snapshots must
+    # equal those of a scan given the 10^5 sieve
+    ctx = ctx_c4 if poly is None else new_splitting_field(poly)
+    kwargs = dict(checkpoints=(2, 3, 1000, 4096, 4097), mode=mode, segment_size=4096)
+    small = FactorSieve(math.isqrt(x))
+    got = series.scan(ctx, x, sieve=small, **kwargs).snapshots
+    assert small._tables is None
+    fresh = ctx_c4 if poly is None else new_splitting_field(poly)
+    assert got == series.scan(fresh, x, sieve=sieve_small, **kwargs).snapshots
+
+
+def trial_prime_divisors(n, x):
+    """The primes <= x dividing n != 0, by trial division."""
+    n, out, d = abs(n), [], 2
+    while d <= x and n > 1:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "c, ramified",
+    [
+        (757, [3, 1009]),  # disc -3 * 1009: a cofactor 1009 <= x
+        (2_524_266, [1009]),  # disc -1009 * 10007: composite cofactor > x
+        (2502, []),  # disc -10007: prime cofactor > x
+        (1, [3]),  # disc -3
+    ],
+)
+def test_ramified_primes_above_isqrt_x(c, ramified):
+    # x^2 + x + c, disc 1 - 4c; x = 10^4, so isqrt(x) = 100
+    x = 10_000
+    ctx = new_splitting_field([c, 1, 1])
+    assert trial_prime_divisors(ctx.disc, x) == ramified
+    r = series.scan(ctx, x, checkpoints=(1008, 1009), sieve=FactorSieve(100))
+    # every checkpoint has a bucket for each ramified prime <= x_max
+    assert all(sorted(snap.ramified) == ramified for snap in r.snapshots.values())
+    series.partition_audit(r)
+    if 1009 in ramified:
+        # the prime itself is the only squarefree n <= x with spf 1009
+        assert r.snapshots[1008].ramified[1009]["mu_omega_raw"] == 0
+        assert r.snapshots[1009].ramified[1009]["mu_omega_raw"] == -1
+        assert r.snapshots[x].ramified[1009]["mu_omega_raw"] == -1
 
 
 # -- audits -----------------------------------------------------------------
@@ -308,7 +362,7 @@ def test_limb_reducer_matches_fraction_oracle(rows):
     codes[2:] = [code for _, _, code, _ in rows]
     ram = [p for p in range(2, len(rows) + 2) if codes[p] == RAMIFIED_CODE]
     sp, mu = np.array(sp, dtype=np.uint32), np.array(mu, dtype=np.int8)
-    ids = series._route(codes, ram, sp, 3)
+    ids = series._route(codes[sp], ram, sp, 3)
     size = 3 + len(ram)
     want = [Fraction(0)] * (size + 1)
     for t, p, m in zip(terms, sp.tolist(), mu.tolist()):
@@ -416,7 +470,28 @@ def test_state_roundtrip(tmp_path, sieve_small, ctx_cubic):
                 )
 
 
+def test_state_written_once_per_checkpoint(tmp_path, sieve_small, ctx_cubic, monkeypatch):
+    # between checkpoints the state is written at most once per interval
+    monkeypatch.setattr(series, "_STATE_INTERVAL_S", 1e9)
+    writes = []
+    real = series._save_state
+
+    def counted(path, header, next_lo, state):
+        writes.append(next_lo)
+        return real(path, header, next_lo, state)
+
+    monkeypatch.setattr(series, "_save_state", counted)
+    state = tmp_path / "scan.state"
+    kwargs = dict(checkpoints=(100, 700, 1024, 2000), sieve=sieve_small, segment_size=256)
+    r = series.scan(ctx_cubic, 3000, state_path=state, **kwargs)
+    assert writes == [101, 701, 1025, 2001, 3001]
+    resumed = series.scan(ctx_cubic, 3000, state_path=state, resume=True, **kwargs)
+    assert resumed.snapshots == r.snapshots
+    assert len(writes) == 5
+
+
 def test_resume_after_interruption(tmp_path, sieve_small, ctx_cubic, monkeypatch):
+    monkeypatch.setattr(series, "_STATE_INTERVAL_S", 0)  # a state write after every segment
     state = tmp_path / "scan.state"
     reference = series.scan(
         ctx_cubic, 9000, checkpoints=(3000,), sieve=sieve_small, segment_size=1024
@@ -481,6 +556,7 @@ def interrupted_scan(monkeypatch, segments, *args, **kwargs):
 @pytest.mark.parametrize("mode", ["compensated", "exact"])
 def test_resume_after_every_segment(tmp_path, sieve_small, ctx_cubic, monkeypatch, mode):
     # checkpoints inside the first segment, on segment edges and in between
+    monkeypatch.setattr(series, "_STATE_INTERVAL_S", 0)  # a state write after every segment
     kwargs = dict(checkpoints=(100, 256, 700, 1024, 2000), sieve=sieve_small, segment_size=256, mode=mode)
     whole = tmp_path / "whole.state"
     reference = series.scan(ctx_cubic, 3000, state_path=whole, **kwargs)
@@ -517,6 +593,7 @@ def test_resume_from_pinned_v3_state(tmp_path, sieve_small, ctx_cubic, mode, fin
 
 
 def test_interrupted_state_write_keeps_previous_state(tmp_path, sieve_small, ctx_cubic, monkeypatch):
+    monkeypatch.setattr(series, "_STATE_INTERVAL_S", 0)  # a state write after every segment
     state = tmp_path / "scan.state"
     kwargs = dict(checkpoints=(3000,), sieve=sieve_small, segment_size=1024)
     reference = series.scan(ctx_cubic, 9000, **kwargs)
@@ -649,10 +726,14 @@ def fixed_prime_slice(p, x, sieve, mode="auto"):
         raise ValueError(f"need 2 <= p <= x, got p={p}, x={x}")
     if mode == "auto":
         mode = "exact" if x <= series.EXACT_X_CAP else "compensated"
-    codes = np.full(x + 1, UNCLASSIFIED_CODE, dtype=np.int16)
+    root = math.isqrt(x)
+    codes = np.full(root + 1, UNCLASSIFIED_CODE, dtype=np.int16)
     total = Fraction(0)
+    primes = sieve.prime_array(root)
     for lo, hi in series._segments(2, x, series.DEFAULT_SEGMENT, ()):
-        total += series._segment_partials((), sieve, codes, [p], lo, hi, mode)[f"acc.ram:{p}.mu_omega_over_n"]
+        big_codes = np.full(len(block_primes(primes, max(lo, root + 1), hi + 1)), UNCLASSIFIED_CODE, dtype=np.int16)
+        delta = series._segment_partials((), primes, codes, big_codes, [p], lo, hi, mode)
+        total += delta[f"acc.ram:{p}.mu_omega_over_n"]
     return total if mode == "exact" else float(total)
 
 
@@ -693,12 +774,36 @@ def test_scan_classifies_primes_only_up_to_x(sieve_small, monkeypatch):
     monkeypatch.setattr(GaloisContext, "_class_codes", counting)
     ctx = new_splitting_field([1, 1, 0, 1])
     series.scan(ctx, 1000, checkpoints=(500,), sieve=sieve_small)
-    assert sum(lanes) == 168  # the primes <= 1000
+    assert sum(lanes) == 168  # the primes <= 1000, each once
+    # the kept code array covers [0, isqrt(1000)] alone; the primes above
+    # are classified per window of segments and not kept
+    assert len(ctx._codes) == 32
     # a smaller limit is a view of the array already built
-    codes = ctx.class_code_array(sieve_small, 500)
-    assert len(codes) == 501
-    assert np.shares_memory(codes, ctx.class_code_array(sieve_small, 1000))
+    codes = ctx.class_code_array(sieve_small, 20)
+    assert len(codes) == 21
+    assert np.shares_memory(codes, ctx.class_code_array(sieve_small, 31))
     assert sum(lanes) == 168
+
+
+@pytest.mark.parametrize("window", [1, 3000])
+def test_classification_windows_leave_results_unchanged(sieve_small, ctx_cubic, monkeypatch, window):
+    # windows of one segment each, and of a few, against the one window of
+    # a scan to 30000; every prime is still classified exactly once
+    kwargs = dict(checkpoints=(2, 1000, 5000), sieve=sieve_small, segment_size=1024)
+    whole = series.scan(ctx_cubic, 30_000, **kwargs).snapshots
+    lanes = []
+    kernel = GaloisContext._class_codes
+
+    def counting(self, primes):
+        lanes.extend(primes.tolist())
+        return kernel(self, primes)
+
+    monkeypatch.setattr(GaloisContext, "_class_codes", counting)
+    monkeypatch.setattr(series, "_CODE_WINDOW", window)
+    for threads in (1, 2):
+        lanes.clear()
+        assert series.scan(new_splitting_field([1, 1, 0, 1]), 30_000, threads=threads, **kwargs).snapshots == whole
+        assert sorted(lanes) == sieve_small.prime_array(30_000).tolist()
 
 
 def test_sum_mu_in_class(sieve_small, ctx_c4):

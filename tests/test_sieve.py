@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinsums import sieve as sieve_mod
-from artinsums.sieve import _TABLE_BLOCK, DEFAULT_LIMIT, FactorSieve, is_prime
-from oracles import factored
+from artinsums.sieve import _TABLE_BLOCK, DEFAULT_LIMIT, FactorSieve, block_primes, factor_block, is_prime
+from oracles import factored, recurrence_tables
 
 
 def trial_spf(n):
@@ -161,15 +161,107 @@ def assert_tables_match_trial_division(s, ns):
 
 
 def test_tables_across_peel_block_edges():
-    # the table pass works on blocks [lo, min(2 lo, lo + _TABLE_BLOCK)) from
-    # n = 2: its edges are the powers of two up to _TABLE_BLOCK, then the
-    # multiples of _TABLE_BLOCK; one block plus ~100 puts the limit in reach
-    limit = _TABLE_BLOCK + 100
+    # the tables join factor_block blocks [2 + k _TABLE_BLOCK, 2 + (k+1)
+    # _TABLE_BLOCK); two blocks plus ~100 puts the limit in reach
+    limit = 2 * _TABLE_BLOCK + 100
     s = FactorSieve(limit)
-    edges = [*(1 << k for k in range(1, _TABLE_BLOCK.bit_length())), limit]
+    edges = [2 + k * _TABLE_BLOCK for k in range(3)] + [limit]
     ns = {n for e in edges for n in range(max(2, e - 64), min(limit, e + 64) + 1)}
-    assert {_TABLE_BLOCK // 2 - 1, _TABLE_BLOCK // 2, _TABLE_BLOCK, _TABLE_BLOCK + 1, limit} <= ns
+    assert {_TABLE_BLOCK + 1, _TABLE_BLOCK + 2, 2 * _TABLE_BLOCK + 1, 2 * _TABLE_BLOCK + 2, limit} <= ns
     assert_tables_match_trial_division(s, sorted(ns))
+
+
+# -- block factor kernel ------------------------------------------------------
+
+
+BLOCK_DTYPES = {"mu": np.int8, "omega": np.int8, "spf": np.uint32, "P1": np.uint32, "P2s": np.uint32, "rep": np.bool_}
+
+
+def assert_block_matches_factored(s, lo, hi):
+    """factor_block over [lo, hi), from the primes up to isqrt(hi - 1)
+    alone, against the factorize oracle at every n."""
+    block = factor_block(s.prime_array(math.isqrt(hi - 1)), lo, hi, P1=True)
+    assert {k: (v.dtype, len(v)) for k, v in block.items()} == {k: (np.dtype(t), hi - lo) for k, t in BLOCK_DTYPES.items()}
+    got = zip(*(block[k].tolist() for k in ("mu", "omega", "spf", "P1", "P2s", "rep")))
+    for n, row in zip(range(lo, hi), got):
+        f = factored(s, n)
+        assert row == (f.mu, f.omega, f.p1, f.P1, f.P2s, f.repeats), n
+
+
+@pytest.mark.parametrize("size", [20_000, 1000, 97])
+def test_factor_block_every_n_to_2e4(sieve_small, size):
+    for lo in range(2, 20_001, size):
+        assert_block_matches_factored(sieve_small, lo, min(lo + size, 20_001))
+
+
+def test_factor_block_near_block_edges(sieve_small):
+    # blocks of 4096 from lo = 77_777, not a multiple of the block size:
+    # every n within 64 of an edge, from the blocks on both sides of it
+    size, start = 4096, 77_777
+    for edge in range(start, start + 5 * size + 1, size):
+        assert_block_matches_factored(sieve_small, edge - 64, edge)
+        assert_block_matches_factored(sieve_small, edge, edge + 64)
+        assert_block_matches_factored(sieve_small, edge - size, edge)
+
+
+@pytest.mark.parametrize("p", [2, 3, 313])
+def test_factor_block_straddling_the_square_of_its_largest_prime(sieve_small, p):
+    # 313^2 = 97_969: a block holding it sieves with the primes up to 313,
+    # one ending just below it with those up to 311; p = 2, 3 are the
+    # smallest blocks, where p^2 is one of the first few n
+    q = p * p
+    for lo, hi in ((max(2, q - 64), q + 64), (max(2, q - 64), q), (q, q + 64), (max(2, q - 1), q + 1)):
+        assert_block_matches_factored(sieve_small, lo, hi)
+
+
+def test_factor_block_at_the_top_of_the_range():
+    # the last n below 2^32, from all 6542 primes below 2^16, against trial
+    # division by the same primes
+    primes = FactorSieve((1 << 16) - 1).prime_array()
+    lo, hi = (1 << 32) - 300, 1 << 32
+    block = factor_block(primes, lo, hi, P1=True)
+    got = zip(*(block[k].tolist() for k in ("mu", "omega", "spf", "P1", "P2s", "rep")))
+    for n, row in zip(range(lo, hi), got):
+        m, fac = n, []
+        for p in primes.tolist():
+            if p * p > m:
+                break
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                fac.append((p, e))
+        fac += [(m, 1)] if m > 1 else []
+        ps = [p for p, _ in fac]
+        mu = 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
+        assert row == (mu, len(fac), ps[0], ps[-1], ps[-2] if len(ps) > 1 else 1, fac[-1][1] > 1), n
+
+
+def test_factor_block_matches_recurrence_tables(sieve_big):
+    # the tables joined from blocks against the bulk oracle, dtypes too
+    want = recurrence_tables(sieve_big.spf)
+    got = {
+        "mu": sieve_big.mu_table(),
+        "omega": sieve_big.omega_table(),
+        "P1": sieve_big.P1_table(),
+        "P2s": sieve_big.P2_strict_table(),
+        "rep": sieve_big.repeated_P1_table(),
+    }
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+    primes = sieve_big.prime_array(1000)
+    for lo, hi in ((2, 65_538), (900_000, 1_000_001)):
+        spf = factor_block(primes, lo, hi)["spf"]
+        assert spf.dtype == sieve_big.spf.dtype and np.array_equal(spf, sieve_big.spf[lo:hi])
+
+
+def test_block_primes(sieve_small):
+    primes = sieve_small.prime_array()
+    for lo, hi in ((2, 3), (2, 100), (97, 98), (1000, 1009), (90_000, 100_001)):
+        want = primes[(primes >= lo) & (primes < hi)]
+        assert block_primes(sieve_small.prime_array(math.isqrt(hi - 1)), lo, hi).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4])
@@ -192,13 +284,13 @@ def test_tables_built_once_under_concurrent_access(monkeypatch):
     # every accessor builds all five tables; racing first calls must share
     # one build, or a threaded scan would hold several copies at once
     calls = []
-    real = sieve_mod._recurrence_tables
+    real = sieve_mod._joined_tables
 
-    def counted(spf):
+    def counted(primes, limit):
         calls.append(1)
-        return real(spf)
+        return real(primes, limit)
 
-    monkeypatch.setattr(sieve_mod, "_recurrence_tables", counted)
+    monkeypatch.setattr(sieve_mod, "_joined_tables", counted)
     s = FactorSieve(50_000)
     getters = [s.mu_table, s.omega_table, s.P1_table, s.P2_strict_table, s.repeated_P1_table] * 2
     barrier = threading.Barrier(len(getters))
@@ -227,14 +319,14 @@ def test_table_reads_take_the_lock_only_to_build(monkeypatch):
     # 8 threads race on a fresh sieve while the build is slow; one build,
     # and once built an accessor returns even while the lock is held
     calls = []
-    real = sieve_mod._recurrence_tables
+    real = sieve_mod._joined_tables
 
-    def slow(spf):
+    def slow(primes, limit):
         calls.append(1)
         time.sleep(0.05)
-        return real(spf)
+        return real(primes, limit)
 
-    monkeypatch.setattr(sieve_mod, "_recurrence_tables", slow)
+    monkeypatch.setattr(sieve_mod, "_joined_tables", slow)
     s = FactorSieve(20_000)
     getters = [s.mu_table, s.omega_table, s.P1_table, s.P2_strict_table, s.repeated_P1_table]
     barrier = threading.Barrier(8)
