@@ -24,7 +24,11 @@ The four identities take the distinct primes of each n from one strip of
 the spf table, group the n by omega(n) and apply, per omega, the
 coefficients of the subset enumeration to the F columns.  The
 Mobius-inverted form is the Dirichlet convolution mu * (F o P2), formed
-for all n at once.  ``hyperbola_check`` is its own exact check.
+for all n at once in two loops split at s = isqrt(nmax): one slice per
+m <= s, then one per d <= nmax/(s+1), at most 2 sqrt(nmax) slices.
+``hyperbola_check`` is its own exact check; its left side groups the n
+by omega(n) from the same strips of spf and sums over the 2^omega
+subsets of each group at once.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb, isqrt, lcm
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -92,18 +96,6 @@ class IdentityReport(NamedTuple):
         return self.lhs_num == self.rhs_num
 
 
-def _distinct_primes(sieve: FactorSieve, n: int) -> list[int]:
-    return [p for p, _ in sieve.factorize(n)]
-
-
-def _scaled(weight: PrimeWeight, args) -> tuple[dict[int, int], int]:
-    """({m: F(m)}, L): L the lcm of the denominators of f over `args`,
-    F(m) = f(m) L as an int."""
-    vals = {m: weight(m) for m in args}
-    L = lcm(*(v.denominator for v in vals.values()))
-    return {m: v.numerator * (L // v.denominator) for m, v in vals.items()}, L
-
-
 # most values of n per block of the identity pass; bounds its temporaries
 BLOCK = 1 << 16
 # n < 2^32 (uint32 spf) has at most 9 distinct primes: 2*3*...*29 > 2^32
@@ -137,10 +129,12 @@ def _scaled_table(
     int64 when a sum of `terms` values of |F| stays below 2^63, which the
     caller states as the bound of its sums; Python ints otherwise."""
     primes = sieve.prime_array(nmax)
-    F_of, L = _scaled(weight, primes.tolist())
-    big = max(map(abs, F_of.values()))
+    vals = [weight(p) for p in primes.tolist()]
+    L = lcm(*(v.denominator for v in vals))
+    F_of = [v.numerator * (L // v.denominator) for v in vals]
+    big = max(map(abs, F_of), default=0)
     F = np.zeros(nmax + 1, dtype=np.int64 if big * terms < 2**63 else object)
-    F[primes] = list(F_of.values())
+    F[primes] = F_of
     return F, L
 
 
@@ -246,8 +240,11 @@ def inversion_sides(
     mu(n)(omega(n)-1) f(p1(n)) = sum_{d|n} mu(n/d) f(P2(d)),
     strict P2, scaled by L, as arrays indexed by n <= nmax (entries 0 and
     1 unused).  The right side is the Dirichlet convolution mu * G with
-    G = F o P2: for every m with mu(m) != 0, mu(m) G[1..nmax/m] is added
-    into rhs[m::m].  mu comes from mu_table()."""
+    G = F o P2, its pairs m d <= nmax split at s = isqrt(nmax): for every
+    m <= s with mu(m) != 0, mu(m) G[1..nmax/m] is added into rhs[m::m];
+    for every d <= nmax/(s+1) with G[d] != 0, mu[s+1..nmax/d] G[d] into
+    rhs[(s+1)d::d].  At most 2 sqrt(nmax) slices; mu comes from
+    mu_table()."""
     _check_nmax(sieve, nmax)
     # a side sums at most d(n) <= nmax values of |F|
     F, L = _scaled_table(weight, sieve, nmax, nmax)
@@ -256,8 +253,13 @@ def inversion_sides(
     lhs = mu * (omega - 1) * F[sieve.spf[: nmax + 1]]
     G = F[sieve.P2_strict_table()[: nmax + 1]]
     rhs = np.zeros(nmax + 1, dtype=F.dtype)
-    for m in np.flatnonzero(mu).tolist():
+    s = isqrt(nmax)
+    for m in np.flatnonzero(mu[: s + 1]).tolist():
         rhs[m::m] += int(mu[m]) * G[1 : nmax // m + 1]
+    # an int64 slice times a Python-int G[d] would overflow: cast mu first
+    mu = mu.astype(F.dtype)
+    for d in np.flatnonzero(G[: nmax // (s + 1) + 1]).tolist():
+        rhs[(s + 1) * d :: d] += mu[s + 1 : nmax // d + 1] * G[d]
     return lhs, rhs, L
 
 
@@ -279,21 +281,27 @@ def hyperbola_check(sieve: FactorSieve, x: int, weight: PrimeWeight) -> tuple[Fr
     The rearrangement holds for any function in place of mu, so the two
     sides take mu from different sources: the left from the distinct
     primes of n (mu(n/d) = (-1)^r for n/d a product of r of them), the
-    right from mu_table().  A wrong mu entry then shows."""
+    right from mu_table().  A wrong mu entry then shows.  The left side
+    takes the distinct primes from strips of spf (distinct_prime_rows),
+    groups the n by omega(n) = w and sums G = F o P2 over each of the 2^w
+    subsets at once; n = 1 adds G[1] = 0."""
     if x > sieve.limit:
         raise ValueError(f"x = {x} exceeds sieve limit {sieve.limit}")
-    P2 = sieve.P2_strict_table()[: x + 1].tolist()
-    F_of, L = _scaled(weight, set(P2))
-    f_of_P2 = [F_of[q] for q in P2]
+    # a group or prefix sum adds at most x values of |F|
+    F, L = _scaled_table(weight, sieve, x, x)
+    G = F[sieve.P2_strict_table()[: x + 1]]
     lhs = 0
-    for n in range(1, x + 1):
-        terms = [(1, n)]
-        for p in _distinct_primes(sieve, n):
-            terms += [(-s, d // p) for s, d in terms]
-        lhs += sum(s * f_of_P2[d] for s, d in terms)
-    prefix = [0] * (x + 1)
-    for d in range(1, x + 1):
-        prefix[d] = prefix[d - 1] + f_of_P2[d]
+    for lo in range(2, x + 1, BLOCK):
+        hi = min(lo + BLOCK, x + 1)
+        rows = distinct_prime_rows(sieve.spf, lo, hi)
+        omega = np.count_nonzero(rows > 1, axis=0)
+        for w in range(1, rows.shape[0] + 1):
+            cols = np.flatnonzero(omega == w)
+            terms = [(1, cols + lo)]
+            for p in rows[:w, cols]:
+                terms += [(-s, d // p) for s, d in terms]
+            lhs += sum(s * int(G[d].sum()) for s, d in terms)
+    prefix = np.cumsum(G).tolist()
     mu = sieve.mu_table()[: x + 1].tolist()
     rhs = sum(mu[m] * prefix[x // m] for m in range(1, x + 1))
     return Fraction(lhs, L), Fraction(rhs, L)

@@ -29,9 +29,13 @@ between checkpoints at most once per _STATE_INTERVAL_S seconds; it records
 the next segment start, so a resume from any write is exact.  Two reducers
 sum the buckets:
 
-* ``exact``       -- big-rational accumulation; capped at x <= 10^4
-                     because the running lcm denominator growth makes it
-                     infeasible beyond desk scale.  Serves as an oracle.
+* ``exact``       -- rational sums: each segment's sums of a kind are
+                     integers over one common denominator L, the lcm of
+                     its squarefree n, each made into one Fraction; one
+                     loop over the n forms L // n once for every kind.
+                     Capped at x <= EXACT_X_CAP = 10^4, where the state's
+                     integers reach the 4,300-digit limit of int <-> str
+                     conversion (see EXACT_X_CAP).  Serves as an oracle.
 * ``compensated`` -- the exact sum of the float terms via integer limbs,
                      rounded once per checkpoint: each term is rounded to
                      a float once, split exactly into three 30-bit limbs,
@@ -52,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import groupby, zip_longest
-from math import fsum, isqrt
+from math import fsum, isqrt, lcm
 
 import numpy as np
 
@@ -83,20 +87,6 @@ ALL_KINDS = PER_N_KINDS + CHECKPOINT_KINDS
 _INT_KINDS = {"mu_omega_raw", "floor_weighted"}
 
 
-def _pairwise_sum(vals: list[Fraction]) -> Fraction:
-    """Tree-shaped Fraction sum; keeps the giant-denominator additions to
-    O(log n) instead of O(n)."""
-    if not vals:
-        return Fraction(0)
-    work = list(vals)
-    while len(work) > 1:
-        work = [
-            work[i] + work[i + 1] if i + 1 < len(work) else work[i]
-            for i in range(0, len(work), 2)
-        ]
-    return work[0]
-
-
 # A compensated term is a float t = num/n, num = mu(n) w with |w| <= 9n, as
 # omega(n) <= 9 for n <= X_MAX.  So t = 0 or 2^-32 < 1/n <= |t| < 16: t is
 # an integer multiple of 2^-84, and t 2^86 splits exactly into three signed
@@ -118,23 +108,10 @@ def _binned(ids, w, size):
     return [*bins[:size], sum(bins)]
 
 
-def _bucket_sums(ids, size, num, den, mode):
-    """Sums of num/den (of num, as ints, when den is None) per bucket id
-    below `size`, then over all terms, those of the discarded bucket too:
-    a term routed to no bucket breaks the audit.  Compensated sums are the
-    exact sums of the float terms."""
-    if den is None:
-        # |num| <= 9 x/n for floor_weighted, x < 2^32: a segment's sum of
-        # |num| is at most 9 x (1/2 + ln 2^31) < 2^40
-        return _binned(ids, num, size)
-    if mode == "exact":
-        live = num != 0
-        terms = [Fraction(a, d) for a, d in zip(num[live].tolist(), den[live].tolist())]
-        groups = [[] for _ in range(size + 1)]
-        for b, t in zip(ids[live].tolist(), terms):
-            groups[b].append(t)
-        return [_pairwise_sum(g) for g in groups[:size]] + [_pairwise_sum(terms)]
-    r = num / den
+def _limb_sums(ids, size, r):
+    """The exact sums of the float terms r per bucket id below `size`,
+    then over all of r, as Fractions; r is used up.  Each term is split
+    exactly into three 30-bit limbs, each limb summed by ``_binned``."""
     limb = np.empty_like(r)
     sums = [0] * (size + 1)
     for shift in _LIMB_SHIFTS:
@@ -145,6 +122,33 @@ def _bucket_sums(ids, size, num, den, mode):
     if np.any(r):
         raise IntegrityError("a float term is not a multiple of 2^-84")
     return [Fraction(s, 1 << sum(_LIMB_SHIFTS)) for s in sums]
+
+
+def _lcm_tree(ns: list[int]) -> int:
+    """lcm of ns (1 for none), pairwise: operands grow evenly, which is
+    3x faster than math.lcm(*ns) over a segment of squarefree n."""
+    while len(ns) > 1:
+        ns = [lcm(*ns[i : i + 2]) for i in range(0, len(ns), 2)]
+    return ns[0] if ns else 1
+
+
+def _exact_sums(ids, size, n, nums) -> dict:
+    """{key: the sums of nums[key]/n per bucket id below `size`, then over
+    all terms, as Fractions}, exact.  Every cell is one integer sum over
+    L = lcm(n), which Fraction brings to lowest terms; each L // n is
+    formed once, for all the keys, and not kept."""
+    L = _lcm_tree(n.tolist())
+    cols = [v.tolist() for v in nums.values()]
+    sums = [[0] * (size + 1) for _ in cols]
+    for b, m, *row in zip(ids.tolist(), n.tolist(), *cols):
+        q = L // m
+        for a, cells in zip(row, sums):
+            if a:
+                cells[b] += a * q
+    return {
+        key: [*(Fraction(v, L) for v in cells[:size]), Fraction(sum(cells), L)]
+        for key, cells in zip(nums, sums)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +304,36 @@ def _segment_partials(labels, primes, codes, big_codes, ram_primes, lo, hi, mode
     c[sp >= len(codes)] = big_codes
     ids = _route(c, ram_primes, sp, len(labels))
     size = len(labels) + len(ram_primes)
+
+    def kinds():
+        """(cell prefix.kind, numerator, whether over n) of every kind,
+        one x at a time; |floor_weighted| <= 9 x/n, x < 2^32: a segment's
+        sum of it is at most 9 x (1/2 + ln 2^31) < 2^40, exact in _binned."""
+        yield "acc.mu_omega_over_n", muom, True
+        yield "acc.mu_over_n", mu, True
+        yield "acc.mu_omega_minus1_over_n", mu * (om - 1), True
+        yield "acc.mu_omega_raw", muom, False
+        for x in xs:
+            q, r = np.divmod(x, n)
+            yield f"pending.{x}.floor_weighted", muom * q, False
+            yield f"pending.{x}.frac_weighted", muom * r, True
+
+    sums, exact = {}, {}
+    for key, num, over_n in kinds():
+        if not over_n:
+            sums[key] = _binned(ids, num, size)
+        elif mode == "exact":
+            exact[key] = num  # summed below, over one common denominator
+        else:
+            sums[key] = _limb_sums(ids, size, num / n)
+    if exact:
+        sums.update(_exact_sums(ids, size, n, exact))
     names = _bucket_names(labels, ram_primes)
     delta = {}
-
-    def add(prefix, terms):
-        for kind, (num, den) in terms.items():
-            for name, v in zip(names, _bucket_sums(ids, size, num, den, mode)):
-                delta[f"{prefix}.{name}.{kind}"] = v
-
-    add("acc", {
-        "mu_omega_over_n": (muom, n),
-        "mu_over_n": (mu, n),
-        "mu_omega_minus1_over_n": (mu * (om - 1), n),
-        "mu_omega_raw": (muom, None),
-    })
-    for x in xs:
-        q, r = np.divmod(x, n)
-        add(f"pending.{x}", {"floor_weighted": (muom * q, None), "frac_weighted": (muom * r, n)})
+    for key, vals in sums.items():
+        prefix, kind = key.rsplit(".", 1)
+        for name, v in zip(names, vals):
+            delta[f"{prefix}.{name}.{kind}"] = v
     rep = block["rep"]
     # P2s(n)^2 < n, so codes covers it; an n with P2s = 1 or a repeated P1
     # reads codes[1] or codes[0], UNCLASSIFIED_CODE (-2), and the codes run

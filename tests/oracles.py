@@ -1,8 +1,10 @@
 """Oracles shared by the tests, independent of the bulk paths they check:
 the multiplicative functions of n read off ``factorize``, the bulk tables
-from the recurrence n = p*m over a full spf table, and the Fraction forms
+from the recurrence n = p*m over a full spf table, the Fraction forms
 of the four duality identities by enumeration of the squarefree divisors
-(not the coefficient tables of artinsums.duality)."""
+(not the coefficient tables of artinsums.duality), the exact bucket sums
+as one Fraction per term added in pairs, and the inversion's Dirichlet
+convolution as one slice per squarefree m."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -123,3 +125,38 @@ def identity_rhs(sieve, n: int, k: int, identity: int, weight) -> Fraction:
     if identity == 3:
         return sign * weight(kth(primes, k, largest=False))
     return sign * weight(kth(primes, k, largest=True))
+
+
+def pairwise_sum(vals: list[Fraction]) -> Fraction:
+    """Tree-shaped Fraction sum."""
+    if not vals:
+        return Fraction(0)
+    work = list(vals)
+    while len(work) > 1:
+        work = [
+            work[i] + work[i + 1] if i + 1 < len(work) else work[i]
+            for i in range(0, len(work), 2)
+        ]
+    return work[0]
+
+
+def fraction_bucket_sums(ids, size, num, den) -> list[Fraction]:
+    """Sums of num/den per bucket id below `size`, then over all terms,
+    those of the discarded bucket `size` too: one Fraction per nonzero
+    term, grouped by bucket, each group summed pairwise."""
+    live = num != 0
+    terms = [Fraction(a, d) for a, d in zip(num[live].tolist(), den[live].tolist())]
+    groups = [[] for _ in range(size + 1)]
+    for b, t in zip(ids[live].tolist(), terms):
+        groups[b].append(t)
+    return [pairwise_sum(g) for g in groups[:size]] + [pairwise_sum(terms)]
+
+
+def inversion_rhs(mu: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """rhs[n] = sum_{m d = n} mu(m) G[d] for n < len(G): for every m with
+    mu(m) != 0, mu(m) G[1..N/m] added into rhs[m::m]."""
+    nmax = len(G) - 1
+    rhs = np.zeros(nmax + 1, dtype=G.dtype)
+    for m in np.flatnonzero(mu).tolist():
+        rhs[m::m] += int(mu[m]) * G[1 : nmax // m + 1]
+    return rhs

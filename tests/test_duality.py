@@ -21,7 +21,9 @@ from artinsums.duality import (
     inversion_sides,
     random_weight,
 )
-from oracles import binom, divisor_sum, factored, identity_rhs
+from artinsums.cli import _CorruptedMuSieve
+from artinsums.sieve import FactorSieve
+from oracles import binom, divisor_sum, factored, identity_rhs, inversion_rhs
 
 ONE_ON_PRIMES = PrimeWeight("1 on primes", lambda p: Fraction(1))
 MOD4 = PrimeWeight("p = 3 mod 4", lambda p: Fraction(int(p % 4 == 3)))
@@ -326,12 +328,52 @@ def test_inversion_huge_weight_exact(sieve_small):
         assert (Fraction(lhs[n], L), Fraction(rhs[n], L)) == scalar_inversion(sieve_small, n, HUGE), n
 
 
-@pytest.mark.parametrize("x", [1, 2, 300])
+@pytest.mark.parametrize("nmax", [2, 3, 4, 8, 9, 10, 24, 25, 26, 99, 100, 101, 5000])
+@pytest.mark.parametrize(
+    "weight", [random_weight(3), HUGE, OVER_P], ids=["int64", "object", "object-beyond-int64"]
+)
+def test_inversion_matches_full_m_loop(sieve_small, nmax, weight):
+    # nmax = s^2 - 1, s^2 and s^2 + 1 put the split s = isqrt(nmax) on
+    # each side of a square; OVER_P has values F(p) beyond int64 at
+    # nmax >= 99
+    lhs, rhs, L = inversion_sides(sieve_small, nmax, weight)
+    F, L_F = _scaled_table(weight, sieve_small, nmax, nmax)
+    want = inversion_rhs(sieve_small.mu_table()[: nmax + 1], F[sieve_small.P2_strict_table()[: nmax + 1]])
+    assert rhs.dtype == want.dtype == F.dtype
+    assert L == L_F and rhs.tolist() == want.tolist()
+
+
+# 210 = 2*3*5*7 and 2310 = 2*3*5*7*11: omega reaches 4 and 5
+@pytest.mark.parametrize("x", [1, 2, 300, 210, 2310, 2500])
 @pytest.mark.parametrize("weight", [random_weight(0), OVER_P, MOD4])
 def test_hyperbola_matches_scalar_oracle(sieve_small, x, weight):
     lhs, rhs = hyperbola_check(sieve_small, x, weight)
     assert (lhs, rhs) == scalar_hyperbola(sieve_small, x, weight)
     assert lhs == rhs
+
+
+class MuCountingSieve(FactorSieve):
+    """A sieve that counts its mu_table() calls."""
+
+    def __init__(self, base: FactorSieve):
+        super().__init__(base.limit, _spf=base.spf)
+        self.calls = 0
+
+    def mu_table(self):
+        self.calls += 1
+        return super().mu_table()
+
+
+def test_hyperbola_reads_mu_table_only_on_the_right(sieve_small):
+    w = random_weight(1)
+    counting = MuCountingSieve(sieve_small)
+    for calls, x in enumerate((1, 300, 2310), start=1):
+        hyperbola_check(counting, x, w)
+        assert counting.calls == calls
+    # a wrong mu(42) moves the right side only
+    lhs, rhs = hyperbola_check(sieve_small, 300, w)
+    bad_lhs, bad_rhs = hyperbola_check(_CorruptedMuSieve(sieve_small, 42), 300, w)
+    assert bad_lhs == lhs == rhs != bad_rhs
 
 
 def test_weight_memoized():

@@ -26,7 +26,7 @@ from artinsums.galois import (
     new_splitting_field,
 )
 from artinsums.sieve import FactorSieve, block_primes
-from oracles import factored
+from oracles import factored, fraction_bucket_sums
 
 
 # -- enumeration oracles ----------------------------------------------------
@@ -323,8 +323,7 @@ def test_compensated_is_fsum_of_float_terms(sieve_small, ctx_cubic, ctx_c4):
 
 
 def limb_reducer_sums(ids, terms, size):
-    terms = np.array(terms)
-    return series._bucket_sums(ids, size, terms, np.ones_like(terms), "compensated")
+    return series._limb_sums(ids, size, np.array(terms, dtype=float))
 
 
 def term_strategy():
@@ -391,6 +390,40 @@ def test_limb_reducer_rejects_term_off_the_grid():
     ids = np.zeros(2, dtype=np.intp)
     with pytest.raises(IntegrityError):
         limb_reducer_sums(ids, [1.0, 2.0**-90], 1)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda size: st.tuples(
+            st.just(size),
+            st.lists(
+                st.tuples(
+                    st.integers(0, size),  # size: the discarded bucket
+                    st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 2**32 - 1)),
+                    st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**40), 2**40)),
+                    st.one_of(st.just(0), st.integers(-9, 9)),
+                ),
+                max_size=80,
+            ),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_exact_reducer_matches_fraction_oracle(case):
+    # denominators 1 and repeats, zero numerators, empty buckets; two keys
+    # share the common denominator
+    size, rows = case
+    ids = np.array([b for b, _, _, _ in rows], dtype=np.intp)
+    n = np.array([d for _, d, _, _ in rows], dtype=np.int64)
+    nums = {
+        "a": np.array([a for _, _, a, _ in rows], dtype=np.int64),
+        "b": np.array([b for _, _, _, b in rows], dtype=np.int64),
+    }
+    got = series._exact_sums(ids, size, n, nums)
+    assert list(got) == ["a", "b"]
+    for key, num in nums.items():
+        assert got[key] == fraction_bucket_sums(ids, size, num, n)
+        assert all(type(v) is Fraction for v in got[key])
 
 
 # -- determinism and resume -------------------------------------------------
@@ -572,12 +605,14 @@ def test_resume_after_every_segment(tmp_path, sieve_small, ctx_cubic, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "mode, final", [("compensated", "cubic-3000-compensated-final.state"), ("exact", None)]
+    "mode, final",
+    [("compensated", "cubic-3000-compensated-final.state"), ("exact", "cubic-3000-exact-final.state")],
 )
 def test_resume_from_pinned_v3_state(tmp_path, sieve_small, ctx_cubic, mode, final):
     # tests/data holds v3 state files written by the scan as it was before
     # its state became one keyed dict: this scan stopped after 5 segments
-    # (snapshots at 100, 256, 700) and, in compensated mode, run to the end
+    # (snapshots at 100, 256, 700), and the same scan run to the end; the
+    # exact final state was written by the pairwise Fraction reducer
     data = Path(__file__).parent / "data"
     kwargs = dict(checkpoints=(100, 256, 700, 1024, 2000), sieve=sieve_small, segment_size=256, mode=mode)
     whole = tmp_path / "whole.state"
@@ -588,8 +623,7 @@ def test_resume_from_pinned_v3_state(tmp_path, sieve_small, ctx_cubic, mode, fin
     resumed = series.scan(ctx_cubic, 3000, state_path=state, resume=True, **kwargs)
     assert resumed.snapshots == reference.snapshots
     assert state.read_bytes() == whole.read_bytes()
-    if final:
-        assert whole.read_bytes() == (data / final).read_bytes()
+    assert whole.read_bytes() == (data / final).read_bytes()
 
 
 def test_interrupted_state_write_keeps_previous_state(tmp_path, sieve_small, ctx_cubic, monkeypatch):
