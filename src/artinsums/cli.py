@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from . import duality, series
+from . import series
 from .errors import IntegrityError
 from .galois import GaloisContext, new_cyclotomic, new_splitting_field
 from .sieve import DEFAULT_LIMIT, FactorSieve
@@ -68,7 +67,33 @@ class TableReport:
     rows: dict  # label -> {"name", "values", "rounded", "reference", "deviation"}
 
 
+def _set_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds; a no-op where the C library
+    has no mallopt.
+
+    glibc's malloc serves requests from the mmap threshold up with mmap,
+    and returns the top of its heap to the OS once more than the trim
+    threshold of it is free (mallopt(3)).  Left to itself it moves both
+    with the sizes of the mmapped blocks freed, so whether a scan's
+    per-segment temporaries (~3 MB) stayed in the heap or went back to
+    the OS and were faulted in again each segment hung on what else the
+    scan happened to free: scan --cyclotomic 4 --xmax 10^7 --state took
+    182k minor faults and 0.44 s of system time on a 2-core VM, against
+    6k and 0.05 s with both fixed.  Setting either one turns the adjustment off for
+    both, and alone made it worse (218k faults with the mmap threshold
+    set, 358k with the trim threshold)."""
+    import ctypes  # already loaded by numpy
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _set_malloc_thresholds()
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -286,6 +311,8 @@ def _emit(rows, header, args) -> None:
     fh = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
         if args.out_format == "json":
+            import json
+
             payload = [dict(zip(header, (_cell(v) for v in row))) for row in rows]
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -429,6 +456,8 @@ class _CorruptedMuSieve(FactorSieve):
 
 
 def _fail(summary: str, detail: dict) -> int:
+    import json
+
     print(f"FAIL {summary}")
     print(json.dumps(detail))
     return EXIT_CHECK_FAILED
@@ -446,6 +475,8 @@ def _identity_suite(sieve: FactorSieve, nmax: int, kmax: int, weights) -> int | 
     2 <= n <= nmax and k <= kmax, one batched pass per weight.  Returns
     the number of instances checked, or None after printing the first
     failure in (weight, n, identity, k) order."""
+    from . import duality
+
     checked = 0
     for w in weights:
         result = duality.check_all_identities(sieve, nmax, kmax, w)
@@ -468,6 +499,8 @@ def _identity_suite(sieve: FactorSieve, nmax: int, kmax: int, weights) -> int | 
 
 
 def _cmd_verify(args) -> int:
+    from . import duality
+
     _check_suite_args(args)
     nmax = args.nmax
     if args.weights < 1:
@@ -529,6 +562,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_duality_test(args) -> int:
+    from . import duality
+
     _check_suite_args(args)
     sieve = _get_sieve(args, max(args.nmax, 100))
     weight = duality.random_weight(args.seed)

@@ -12,8 +12,10 @@ mu, omega, spf, P2s and "P1 repeats" from ``sieve.factor_block``, which
 reads only the primes up to isqrt(x), so a scan takes O(sqrt(x) + segment)
 memory and x may reach X_MAX = 2^32 - 1.  Class codes come from the
 context's code array over [0, isqrt(x)], which holds the spf of every
-composite n and the strict P2 of every n, and from one batch per window
-of segments for the primes above isqrt(x) in it.
+composite n and the strict P2 of every n; the primes above isqrt(x) are
+the squarefree n of a segment whose spf lies above it, and the kernel
+classifies them there, one batch per segment (in the worker threads when
+there are several), so no table of them is ever held.
 
 A scan makes one pass per segment, in one kernel (``_segment_partials``).
 It gathers the squarefree n of the segment (every other term is 0), gives
@@ -47,22 +49,21 @@ sum the buckets:
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import groupby, zip_longest
+from itertools import zip_longest
 from math import fsum, isqrt, lcm
 
 import numpy as np
 
 from .errors import IntegrityError
 from .galois import RAMIFIED_CODE, UNCLASSIFIED_CODE, GaloisContext
-from .sieve import FactorSieve, block_primes, factor_block
+from .sieve import FactorSieve, factor_block
 
 # the exact state at x = 10^4 already holds integers of 4298 digits (the
 # primorial of 10^4), just below the 4300 that int <-> str converts by
@@ -71,12 +72,6 @@ EXACT_X_CAP = 10_000
 DEFAULT_SEGMENT = 65_536
 # a bincount of at most 2^22 limbs below 2^30 stays below 2^52, so is exact
 MAX_SEGMENT = 1 << 22
-# the segments starting in one window of this many integers have their
-# primes above isqrt(x_max) classified in one batch: one batch on scans to
-# 10^6.  The window's prime sieve is also the largest buffer a scan frees,
-# after which glibc keeps the per-segment buffers in its heap: windows of
-# 2^18 cost cyclo-1e7 172,887 minor page faults and 0.4 s of system time
-_CODE_WINDOW = 1 << 22
 # seconds between state writes, besides the one at each checkpoint
 _STATE_INTERVAL_S = 10.0
 
@@ -211,8 +206,8 @@ def scan(
 
     labels = ctx.labels()
     # the primes up to isqrt(x_max) are the smallest prime factor of every
-    # composite n <= x_max and the strict P2 of every n; the scan classifies
-    # the primes above, one window of segments at a time
+    # composite n <= x_max and the strict P2 of every n; each segment's
+    # kernel classifies the segment's primes above
     codes = ctx.class_code_array(sieve, root)
     primes = sieve.prime_array(root)
     ram_primes = ctx.ramified_primes(codes, x_max)
@@ -224,26 +219,25 @@ def scan(
         "x_max": str(x_max),
         "checkpoints": ",".join(str(c) for c in cps),
     }
-    segments = _segments(2, x_max, segment_size, cps)
     if resume and state_path is not None and os.path.exists(state_path):
-        starts = {lo for lo, _ in segments} | {x_max + 1}
-        state, start_lo = _load_state(state_path, header, starts, layout)
+        is_start = partial(_is_segment_start, lo=2, hi=x_max, size=segment_size, checkpoints=cps)
+        state, start_lo = _load_state(state_path, header, is_start, layout)
     else:
         state, start_lo = layout(2), 2
 
     snapshots = {x: _snapshot(state, x, labels, ram_primes) for x in cps if x < start_lo}
     result = SeriesScan(ctx, x_max, mode, cps, snapshots)
-    todo = [(lo, hi) for lo, hi in segments if lo >= start_lo]
+    # the segments from a segment start are those of the whole scan
+    todo = _segments(start_lo, x_max, segment_size, cps)
     saved = time.monotonic()
 
-    def run(seg, big_codes):
+    def run(seg):
         lo, hi = seg
         xs = [x for x in cps if x >= hi]
-        return _segment_partials(labels, primes, codes, big_codes, ram_primes, lo, hi, mode, xs)
+        return hi, _segment_partials(labels, primes, codes, ctx._class_codes, ram_primes, lo, hi, mode, xs)
 
-    def consume(seg, delta):
+    def consume(hi, delta):
         nonlocal state, saved
-        hi = seg[1]
         for key, v in delta.items():
             state[key] += v
         if hi in cps:
@@ -253,32 +247,45 @@ def scan(
             _save_state(state_path, header, hi + 1, state)
             saved = time.monotonic()
 
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        each = pool.map if pool else map
-        for _, window in groupby(todo, key=lambda seg: seg[0] // _CODE_WINDOW):
-            window = list(window)
-            big = block_primes(primes, max(window[0][0], root + 1), window[-1][1] + 1)
-            big_codes = np.split(ctx._class_codes(big), np.searchsorted(big, [lo for lo, _ in window[1:]]))
-            for seg, delta in zip(window, each(run, window, big_codes)):
-                consume(seg, delta)
+        for hi, delta in _in_order(pool, run, todo, 2 * threads) if pool else map(run, todo):
+            consume(hi, delta)
     return result
 
 
-def _segments(lo: int, hi: int, size: int, checkpoints) -> list[tuple[int, int]]:
-    cuts = {k * size for k in range(1, hi // size + 1)}
-    cuts.update(c for c in checkpoints if lo <= c <= hi)
-    cuts.add(hi)
-    out = []
+def _in_order(pool, fn, items, ahead):
+    """fn over items on `pool`, the results in order, with at most `ahead`
+    calls submitted and not yet consumed: Executor.map would submit every
+    segment of the scan at once."""
+    futures = deque()
+    for item in items:
+        futures.append(pool.submit(fn, item))
+        if len(futures) >= ahead:
+            yield futures.popleft().result()
+    while futures:
+        yield futures.popleft().result()
+
+
+def _segments(lo: int, hi: int, size: int, checkpoints):
+    """The segments (start, end) of [lo, hi], in order and one at a time:
+    [lo, hi] cut after every multiple of size and every checkpoint."""
     start = lo
-    for c in sorted(cuts):
-        if c < start:
-            continue
-        out.append((start, c))
-        start = c + 1
-    return out
+    for cut in sorted({c for c in checkpoints if lo <= c <= hi} | {hi}):
+        while start <= cut:
+            end = min(-(-start // size) * size, cut)
+            yield start, end
+            start = end + 1
 
 
-def _segment_partials(labels, primes, codes, big_codes, ram_primes, lo, hi, mode, xs=()):
+def _is_segment_start(n: int, lo: int, hi: int, size: int, checkpoints) -> bool:
+    """Whether n starts a segment of ``_segments(lo, hi, size,
+    checkpoints)``, or is hi + 1, where the last one ends."""
+    return n == lo or lo < n <= hi + 1 and ((n - 1) % size == 0 or n - 1 in checkpoints or n == hi + 1)
+
+
+def _segment_partials(labels, primes, codes, classify, ram_primes, lo, hi, mode, xs=()):
     """All that the block lo <= n <= hi adds to a scan, in one pass, keyed
     as the cells of ``_layout``: the per-bucket sums of the per-n kinds
     ("acc." cells); the per-bucket sums of the checkpoint kinds at each x
@@ -286,11 +293,11 @@ def _segment_partials(labels, primes, codes, big_codes, ram_primes, lo, hi, mode
     by the class of the strict P2 and of repeated P1 ("count." cells).
 
     `primes` holds the primes up to r = isqrt(x_max), whose class codes
-    are `codes`, over [0, r]; `big_codes` are those of the block's primes
-    above r, increasing.  The one place where terms are formed and routed
-    to buckets; class i of `labels` is code i.  Terms are formed for
-    squarefree n only: every other term is 0, and the sums are exact sums
-    of the terms."""
+    are `codes`, over [0, r]; `classify` maps an array of the block's
+    primes above r to their codes.  The one place where terms are formed
+    and routed to buckets; class i of `labels` is code i.  Terms are
+    formed for squarefree n only: every other term is 0, and the sums are
+    exact sums of the terms."""
     block = factor_block(primes, lo, hi + 1)
     mu = block["mu"]
     sf = np.flatnonzero(mu)
@@ -298,10 +305,12 @@ def _segment_partials(labels, primes, codes, big_codes, ram_primes, lo, hi, mode
     om = block["omega"][sf]
     n = sf + lo
     muom = mu * om
-    # a squarefree n is composite with spf <= r, or a prime
+    # a squarefree n is composite with spf <= r, or a prime: an spf above
+    # r is the prime n itself
     sp = block["spf"][sf]
     c = codes.take(sp, mode="clip")
-    c[sp >= len(codes)] = big_codes
+    big = sp >= len(codes)
+    c[big] = classify(sp[big])
     ids = _route(c, ram_primes, sp, len(labels))
     size = len(labels) + len(ram_primes)
 
@@ -586,6 +595,8 @@ def _fmt_value(v) -> str:
 def _save_state(path, header, next_lo, state):
     """Write the state to a temporary file beside `path`, then rename it
     over `path`, so an interrupted write leaves the previous state whole."""
+    import hashlib  # imported here: its OpenSSL costs every command 3.6 MB
+
     lines = [
         _STATE_HEADER,
         *(f"{k} = {v}" for k, v in header.items()),
@@ -613,11 +624,13 @@ def _parse_value(text, zero):
     return float.fromhex(rest) if tag == "float" else int(rest)
 
 
-def _load_state(path, header, starts, layout):
+def _load_state(path, header, is_start, layout):
     """(state, next segment start) from a state file.  The file must hold
-    `header`, a next_lo among `starts`, then exactly the cells of
+    `header`, a next_lo for which `is_start` holds, then exactly the cells of
     layout(next_lo), in order, each a value of its zero's type; anything
     else raises IntegrityError."""
+    import hashlib
+
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -639,7 +652,7 @@ def _load_state(path, header, starts, layout):
         next_lo = int(kv["next_lo"])
     except (KeyError, ValueError):
         raise IntegrityError(f"{path}: state lacks a valid next_lo") from None
-    if next_lo not in starts:
+    if not is_start(next_lo):
         raise IntegrityError(f"{path}: next_lo = {next_lo} is not a segment start")
     state = layout(next_lo)
     want = [*header, "next_lo", *state]

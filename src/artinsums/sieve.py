@@ -119,8 +119,9 @@ class FactorSieve:
 
     def save(self, path) -> None:
         """Write the cache to ``<path>.tmp``, then rename it over path, so
-        an interrupted save leaves the previous file in place."""
-        body = self.spf[2:].astype("<u4")
+        an interrupted save leaves the previous file in place.  On a
+        little-endian machine the body is the table itself, not a copy."""
+        body = self.spf[2:].astype("<u4", copy=False)
         tmp = f"{path}.tmp"
         with open(tmp, "wb") as fh:
             fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, self.limit, zlib.crc32(body)))

@@ -3,8 +3,9 @@ the multiplicative functions of n read off ``factorize``, the bulk tables
 from the recurrence n = p*m over a full spf table, the Fraction forms
 of the four duality identities by enumeration of the squarefree divisors
 (not the coefficient tables of artinsums.duality), the exact bucket sums
-as one Fraction per term added in pairs, and the inversion's Dirichlet
-convolution as one slice per squarefree m."""
+as one Fraction per term added in pairs, the inversion's Dirichlet
+convolution as one slice per squarefree m, and a scan's segments from the
+sorted set of every cut."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -160,3 +161,19 @@ def inversion_rhs(mu: np.ndarray, G: np.ndarray) -> np.ndarray:
     for m in np.flatnonzero(mu).tolist():
         rhs[m::m] += int(mu[m]) * G[1 : nmax // m + 1]
     return rhs
+
+
+def segment_list(lo: int, hi: int, size: int, checkpoints) -> list[tuple[int, int]]:
+    """The segments of [lo, hi] cut after every multiple of size and every
+    checkpoint, from the set of all the cuts."""
+    cuts = {k * size for k in range(1, hi // size + 1)}
+    cuts.update(c for c in checkpoints if lo <= c <= hi)
+    cuts.add(hi)
+    out = []
+    start = lo
+    for c in sorted(cuts):
+        if c < start:
+            continue
+        out.append((start, c))
+        start = c + 1
+    return out

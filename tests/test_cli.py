@@ -731,6 +731,18 @@ def test_classify_large_discriminant_answers_quickly():
     assert proc.stdout.splitlines() == ["prime,class", f"1000003,{shape_label(shape)}"]
 
 
+def test_cli_import_leaves_out_what_few_commands_use():
+    # hashlib (its OpenSSL alone is 3.6 MB of RSS), the thread pool, json
+    # and the duality suites are imported by the commands that use them
+    lazy = ("hashlib", "concurrent.futures", "json", "artinsums.duality")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, artinsums.cli; print(*(m for m in {lazy!r} if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_scan_ramified_rows_beyond_int64_discriminant(capsys):
     # x^2 + x + (2^63 + 1): disc = -(2^65 + 3) = -5 * 7 * ...
     disc = -(2**65 + 3)

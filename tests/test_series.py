@@ -7,6 +7,7 @@ import hashlib
 import math
 import re
 import shutil
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,8 +26,8 @@ from artinsums.galois import (
     new_cyclotomic,
     new_splitting_field,
 )
-from artinsums.sieve import FactorSieve, block_primes
-from oracles import factored, fraction_bucket_sums
+from artinsums.sieve import FactorSieve
+from oracles import factored, fraction_bucket_sums, segment_list
 
 
 # -- enumeration oracles ----------------------------------------------------
@@ -472,12 +473,30 @@ def test_scan_counts_match_oracles(sieve_small, ctx_c4, ctx_cubic):
 
 
 def test_segments_partition_range():
-    segs = series._segments(2, 1000, 256, (300, 700))
+    segs = list(series._segments(2, 1000, 256, (300, 700)))
     assert segs[0][0] == 2
     assert segs[-1][1] == 1000
     for (lo1, hi1), (lo2, hi2) in zip(segs, segs[1:]):
         assert lo2 == hi1 + 1
     assert {300, 700} <= {hi for _, hi in segs}
+
+
+@given(
+    lo=st.integers(2, 300),
+    span=st.integers(0, 700),
+    size=st.integers(1, 300),
+    checkpoints=st.lists(st.integers(0, 1100), max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_segments_match_the_cut_set(lo, span, size, checkpoints):
+    # segments are yielded one at a time, without the set of every cut;
+    # a resume accepts exactly their starts and the end of the last
+    hi = lo + span
+    want = segment_list(lo, hi, size, checkpoints)
+    assert list(series._segments(lo, hi, size, checkpoints)) == want
+    starts = {s for s, _ in want} | {hi + 1}
+    for n in range(hi + 3):
+        assert series._is_segment_start(n, lo, hi, size, checkpoints) == (n in starts), n
 
 
 def test_state_roundtrip(tmp_path, sieve_small, ctx_cubic):
@@ -593,7 +612,7 @@ def test_resume_after_every_segment(tmp_path, sieve_small, ctx_cubic, monkeypatc
     kwargs = dict(checkpoints=(100, 256, 700, 1024, 2000), sieve=sieve_small, segment_size=256, mode=mode)
     whole = tmp_path / "whole.state"
     reference = series.scan(ctx_cubic, 3000, state_path=whole, **kwargs)
-    segments = series._segments(2, 3000, 256, reference.checkpoints)
+    segments = list(series._segments(2, 3000, 256, reference.checkpoints))
     assert len(segments) == 15
     for k in range(1, len(segments)):
         state = tmp_path / f"stopped-{k}.state"
@@ -764,9 +783,12 @@ def fixed_prime_slice(p, x, sieve, mode="auto"):
     codes = np.full(root + 1, UNCLASSIFIED_CODE, dtype=np.int16)
     total = Fraction(0)
     primes = sieve.prime_array(root)
+
+    def unclassified(big):
+        return np.full(len(big), UNCLASSIFIED_CODE, dtype=np.int16)
+
     for lo, hi in series._segments(2, x, series.DEFAULT_SEGMENT, ()):
-        big_codes = np.full(len(block_primes(primes, max(lo, root + 1), hi + 1)), UNCLASSIFIED_CODE, dtype=np.int16)
-        delta = series._segment_partials((), primes, codes, big_codes, [p], lo, hi, mode)
+        delta = series._segment_partials((), primes, codes, unclassified, [p], lo, hi, mode)
         total += delta[f"acc.ram:{p}.mu_omega_over_n"]
     return total if mode == "exact" else float(total)
 
@@ -819,11 +841,13 @@ def test_scan_classifies_primes_only_up_to_x(sieve_small, monkeypatch):
     assert sum(lanes) == 168
 
 
-@pytest.mark.parametrize("window", [1, 3000])
-def test_classification_windows_leave_results_unchanged(sieve_small, ctx_cubic, monkeypatch, window):
-    # windows of one segment each, and of a few, against the one window of
-    # a scan to 30000; every prime is still classified exactly once
-    kwargs = dict(checkpoints=(2, 1000, 5000), sieve=sieve_small, segment_size=1024)
+@pytest.mark.parametrize("segment_size", [1024, 3000, 65_536])
+def test_segments_classify_each_prime_once(sieve_small, ctx_cubic, monkeypatch, segment_size):
+    # each segment's kernel classifies the segment's primes above
+    # isqrt(x_max): segments of a few primes each, segments that cross the
+    # checkpoints, and one segment per checkpoint interval give one result,
+    # on one thread and on two, and every prime is classified exactly once
+    kwargs = dict(checkpoints=(2, 1000, 5000), sieve=sieve_small)
     whole = series.scan(ctx_cubic, 30_000, **kwargs).snapshots
     lanes = []
     kernel = GaloisContext._class_codes
@@ -833,11 +857,42 @@ def test_classification_windows_leave_results_unchanged(sieve_small, ctx_cubic, 
         return kernel(self, primes)
 
     monkeypatch.setattr(GaloisContext, "_class_codes", counting)
-    monkeypatch.setattr(series, "_CODE_WINDOW", window)
     for threads in (1, 2):
         lanes.clear()
-        assert series.scan(new_splitting_field([1, 1, 0, 1]), 30_000, threads=threads, **kwargs).snapshots == whole
+        ctx = new_splitting_field([1, 1, 0, 1])
+        assert series.scan(ctx, 30_000, threads=threads, segment_size=segment_size, **kwargs).snapshots == whole
         assert sorted(lanes) == sieve_small.prime_array(30_000).tolist()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_memory_does_not_grow_with_x(threads):
+    # a scan holds O(sqrt(x) + segment) memory: at a fixed segment size,
+    # going from x = 2^18 to 2^20 may add only what grows with sqrt(x),
+    # the code array (2 bytes an integer) and the kernel's uint32 copy of
+    # the sieving primes (4 bytes a prime), under 8 bytes an integer up to
+    # sqrt(x), and 8 KiB for the interpreter's own noise.  On threads,
+    # the results of up to 2 * threads segments wait to be added in order,
+    # each a dict of 28 cells under 16 KiB, and how many wait at the peak
+    # depends on timing.  Anything held per segment or per integer grows
+    # with x itself: a list of the 256 segments' bounds takes about 30 KiB,
+    # a prime sieve over a window of 2^20 integers 1 MiB
+    small, big = 1 << 18, 1 << 20
+    sieve = FactorSieve(math.isqrt(big))
+    sieve.prime_array()
+
+    def peak(x):
+        ctx = new_cyclotomic(4)
+        tracemalloc.start()
+        try:
+            series.scan(ctx, x, sieve=sieve, segment_size=4096, threads=threads)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1 << 14)  # a first scan imports, starts and caches what the scans share
+    grown = peak(big) - peak(small)
+    waiting = 2 * threads if threads > 1 else 0
+    assert grown <= 8 * (math.isqrt(big) - math.isqrt(small)) + (8 << 10) + waiting * (16 << 10), grown
 
 
 def test_sum_mu_in_class(sieve_small, ctx_c4):
