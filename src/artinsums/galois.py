@@ -15,7 +15,8 @@ Two families are supported:
 A prime is ramified when it divides k or the *polynomial* discriminant
 disc(f), which is tested, never factored; the class codes (RAMIFIED_CODE)
 record it.  ``ramified_primes`` lists those up to x from the codes up to
-isqrt(x) and the cofactor of disc(f) (or k) they leave.  A prime dividing
+isqrt(x) and the cofactor of disc(f) (or k) they leave, read off
+``sieve.block_spf`` in (isqrt(x), x] when it is composite.  A prime dividing
 disc(f) but unramified in the field goes to the ramified bucket: finitely
 many primes, whose fixed-prime slices of the main sums vanish in the
 limit, so no density is affected.
@@ -55,7 +56,7 @@ import numpy as np
 from . import fieldpoly
 from .errors import IntegrityError
 from .fieldpoly import shape_label
-from .sieve import MR_PROVEN_BELOW, FactorSieve, block_primes, is_prime
+from .sieve import MR_PROVEN_BELOW, FactorSieve, block_spf, is_prime
 
 RAMIFIED_CODE = -1
 UNCLASSIFIED_CODE = -2
@@ -65,7 +66,8 @@ UNCLASSIFIED_CODE = -2
 # but its (n, n, primes) matrix powers raised the x^5-x-1 scan's peak RSS
 # by 1 MB, where 2^12 adds 0.1 MB to that of 2^11
 _CHUNK = 1 << 12
-# integers per block of the search for ramified primes above isqrt(x)
+# integers per block of the search for ramified primes above isqrt(x); at
+# 2^16 its loop over the sieving primes would run 16 times as often
 _SEARCH_BLOCK = 1 << 20
 
 
@@ -94,8 +96,7 @@ RAMIFIED = ClassOutcome(None)
 
 
 class GaloisContext:
-    """Immutable after construction, apart from the largest class-code
-    array built, which is kept for later requests."""
+    """Immutable after construction."""
 
     def __init__(self, kind, classes, group_order, *, k=None, poly=None, disc=None):
         self.kind = kind  # "cyclotomic" | "splitting"
@@ -105,7 +106,6 @@ class GaloisContext:
         self.classes: tuple[ConjugacyClassSpec, ...] = tuple(classes)
         self.group_order = group_order
         self._code = {c.label: i for i, c in enumerate(self.classes)}
-        self._codes = np.empty(0, dtype=np.int16)
         if kind == "cyclotomic":
             # class code of each residue p mod k; residues sharing a factor
             # with k occur only for the ramified primes p | k
@@ -149,19 +149,12 @@ class GaloisContext:
 
     def class_code_array(self, sieve: FactorSieve, limit: int | None = None) -> np.ndarray:
         """int16 array over [0, limit]: class index for primes, -1 for
-        ramified primes, -2 elsewhere.  The largest array built is kept: a
-        request at or below its limit gets a slice of it, and a larger one
-        copies it and classifies only the primes above its limit."""
+        ramified primes, -2 elsewhere; each call classifies every prime up
+        to limit."""
         limit = sieve.limit if limit is None else min(limit, sieve.limit)
-        kept = self._codes
-        if len(kept) > limit:
-            return kept[: limit + 1]
         arr = np.full(limit + 1, UNCLASSIFIED_CODE, dtype=np.int16)
-        arr[: len(kept)] = kept
         primes = sieve.prime_array(limit)
-        primes = primes[np.searchsorted(primes, len(kept)) :]
         arr[primes] = self._class_codes(primes)
-        self._codes = arr
         return arr
 
     def ramified_primes(self, codes: np.ndarray, x: int) -> list[int]:
@@ -185,7 +178,9 @@ class GaloisContext:
         dtype = np.int64 if cof < 2**63 else object
         found = []
         for lo in range(len(codes), x + 1, _SEARCH_BLOCK):
-            primes = block_primes(sieving, lo, min(lo + _SEARCH_BLOCK, x + 1))
+            hi = min(lo + _SEARCH_BLOCK, x + 1)
+            # uint32 on both sides: the comparison makes no wider temporary
+            primes = np.flatnonzero(block_spf(sieving, lo, hi) == np.arange(lo, hi, dtype=np.uint32)) + lo
             found += primes[np.array(cof, dtype=dtype) % primes.astype(dtype) == 0].tolist()
         return small + found
 

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .galois import RAMIFIED_CODE, UNCLASSIFIED_CODE, GaloisContext
-from .sieve import FactorSieve, factor_block
+from .sieve import X_MAX, FactorSieve, factor_block
 
 # the exact state at x = 10^4 already holds integers of 4298 digits (the
 # primorial of 10^4), just below the 4300 that int <-> str converts by
@@ -87,7 +87,6 @@ _INT_KINDS = {"mu_omega_raw", "floor_weighted"}
 # an integer multiple of 2^-84, and t 2^86 splits exactly into three signed
 # limbs below 2^30.
 _LIMB_SHIFTS = (26, 30, 30)
-X_MAX = 2**32 - 1
 
 
 def check_x_max(x_max: int) -> None:

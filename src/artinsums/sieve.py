@@ -5,16 +5,18 @@ largest one repeats, from the primes up to the square root of the block's
 end alone.
 
 The sieve stores one uint32 per integer (4 bytes/entry), so a limit of
-10^7 costs ~40 MB.  ``factor_block`` is the segmented factor sieve of Bays
-and Hudson (BIT 17, 1977): a block lo <= n < hi takes O(hi - lo) memory,
-so a scan to x needs only a sieve of the primes up to isqrt(x);
-``block_primes`` lists a block's primes from the same primes.  The bulk
-tables of a sieve (mu, omega, P1, P2s, rep) are its blocks joined; the
-first accessor builds them.  Nothing is mutated after construction, so a
-sieve may be shared freely across threads.  Cache format v2: a 13-byte
-header (b"AFS1", version, uint32 limit, uint32 zlib.crc32 of the body),
-then spf[2..limit] as little-endian uint32, written to a temporary file
-and renamed in place.
+10^7 costs ~40 MB, and 2 <= limit <= X_MAX = 2^32 - 1.  One loop sieves:
+``block_spf``, the segmented sieve of Bays and Hudson (BIT 17, 1977),
+gives the spf of a block lo <= n < hi in O(hi - lo) memory from the
+primes up to isqrt(hi - 1), so a scan to x needs only a sieve of the
+primes up to isqrt(x).  FactorSieve(limit) joins its blocks of [2, limit]
+with the primes of FactorSieve(isqrt(limit)), and ``factor_block`` takes
+its spf from it.  The bulk tables of a sieve (mu, omega, P1, P2s, rep)
+are its factor_block blocks joined; the first accessor builds them.
+Nothing is mutated after construction, so a sieve may be shared freely
+across threads.  Cache format v2: a 13-byte header (b"AFS1", version,
+uint32 limit, uint32 zlib.crc32 of the body), then spf[2..limit] as
+little-endian uint32, written to a temporary file and renamed in place.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from math import isqrt
 import numpy as np
 
 DEFAULT_LIMIT = 10_000_000
+X_MAX = 2**32 - 1  # the largest sieve limit and scan bound: n fits a uint32
 
 _CACHE_MAGIC = b"AFS1"
 _CACHE_VERSION = 2
 _CACHE_HEADER = struct.Struct("<4sBII")  # magic, version, limit, crc32 of the body
 
-# values of n per factor_block call when the tables are built
+# values of n per block_spf and factor_block call when the tables are built
 _TABLE_BLOCK = 1 << 16
 # is_prime is proven correct below this bound
 MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
@@ -77,11 +80,10 @@ class FactorSieve:
     """
 
     def __init__(self, limit: int, _spf: np.ndarray | None = None):
-        if limit < 2:
-            raise ValueError(f"sieve limit must be >= 2, got {limit}")
+        if not 2 <= limit <= X_MAX:
+            raise ValueError(f"sieve limit = {limit} outside [2, {X_MAX}]")
         self.limit = int(limit)
         self.spf = _build_spf(self.limit) if _spf is None else _spf
-        self._primes: np.ndarray | None = None
         self._tables: dict[str, np.ndarray] | None = None
         self._tables_lock = threading.Lock()
 
@@ -147,12 +149,9 @@ class FactorSieve:
     # -- bulk tables (built lazily, cached) ----------------------------
 
     def prime_array(self, x: int | None = None) -> np.ndarray:
-        if self._primes is None:
-            idx = np.arange(self.limit + 1, dtype=np.uint32)
-            self._primes = np.nonzero(self.spf == idx)[0][1:]  # drop n=0 match
-        if x is None or x >= self.limit:
-            return self._primes
-        return self._primes[: np.searchsorted(self._primes, x, side="right")]
+        """The primes up to x (default: the limit), increasing, as int64."""
+        x = self.limit if x is None else min(x, self.limit)
+        return np.flatnonzero(self.spf[: x + 1] == np.arange(x + 1, dtype=np.uint32))[1:]  # drop n=0 match
 
     def mu_table(self) -> np.ndarray:
         """int8 array, mu_table()[n] = mu(n) for 1 <= n <= limit."""
@@ -213,7 +212,7 @@ def factor_block(primes: np.ndarray, lo: int, hi: int, P1: bool = False) -> dict
     into b2(n); the largest p whose square divides n is kept too.  What is
     left of n, n / prod(n), is 1 or the one prime factor of n above
     isqrt(hi - 1), so prod(n) != n says whether it exists.  spf comes from
-    writing the primes in descending order, the smallest last."""
+    block_spf."""
     size = hi - lo
     primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")].astype(np.uint32)
     prod = np.ones(size, dtype=np.uint32)
@@ -242,9 +241,7 @@ def factor_block(primes: np.ndarray, lo: int, hi: int, P1: bool = False) -> dict
                 view *= P
                 q *= p
                 s = -lo % q
-    spf = np.zeros(size, dtype=np.uint32)
-    for p, P in zip(primes[::-1].tolist(), primes[::-1]):
-        spf[-lo % p :: p] = P
+    spf = block_spf(primes, lo, hi)
     n = np.arange(lo, hi, dtype=np.uint32)
     big = prod != n
     omega += big
@@ -252,7 +249,6 @@ def factor_block(primes: np.ndarray, lo: int, hi: int, P1: bool = False) -> dict
     mu += mu
     np.subtract(_ONE, mu, out=mu)  # (-1)^omega
     mu *= sq == 0
-    np.copyto(spf, n, where=spf == 0)
     out = {"mu": mu, "omega": omega, "spf": spf, "rep": ~big & (sq == b1)}
     if P1:
         out["P1"] = np.where(big, n // prod, b1)
@@ -264,21 +260,23 @@ def factor_block(primes: np.ndarray, lo: int, hi: int, P1: bool = False) -> dict
     return out
 
 
-def block_primes(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The primes in [lo, hi), 2 <= lo, as int64; `primes` must hold, in
-    increasing order, every prime up to isqrt(hi - 1)."""
-    keep = np.ones(max(hi - lo, 0), dtype=bool)
-    for p in primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")].tolist():
-        keep[max(p * p, -(-lo // p) * p) - lo :: p] = False
-    return np.flatnonzero(keep) + lo
+def block_spf(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """spf of each n in [lo, hi), 2 <= lo < hi <= 2^32, as uint32: each
+    prime up to isqrt(hi - 1) writes its multiples into arange(lo, hi),
+    the largest first.  `primes` must hold, in increasing order, every
+    prime up to isqrt(hi - 1), the only ones read."""
+    primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")].astype(np.uint32)[::-1]
+    spf = np.arange(lo, hi, dtype=np.uint32)
+    for p, P in zip(primes.tolist(), primes):
+        spf[-lo % p :: p] = P
+    return spf
 
 
 def _build_spf(limit: int) -> np.ndarray:
+    """spf[0..limit], spf[0] = spf[1] = 0, joined from block_spf blocks."""
+    primes = FactorSieve(isqrt(limit)).prime_array() if limit >= 4 else np.empty(0, dtype=np.int64)
     spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    left = np.nonzero(spf[2:] == 0)[0] + 2
-    spf[left] = left
+    for lo in range(2, limit + 1, _TABLE_BLOCK):
+        hi = min(lo + _TABLE_BLOCK, limit + 1)
+        spf[lo:hi] = block_spf(primes, lo, hi)
     return spf

@@ -1,5 +1,6 @@
 """Oracles shared by the tests, independent of the bulk paths they check:
-the multiplicative functions of n read off ``factorize``, the bulk tables
+the spf table by a masked sieve over the whole table, the multiplicative
+functions of n read off ``factorize``, the bulk tables
 from the recurrence n = p*m over a full spf table, the Fraction forms
 of the four duality identities by enumeration of the squarefree divisors
 (not the coefficient tables of artinsums.duality), the exact bucket sums
@@ -9,7 +10,7 @@ sorted set of every cut."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +27,20 @@ class Factored(NamedTuple):
     P1: int  # largest prime factor
     P2s: int  # largest prime factor strictly below P1
     repeats: bool  # P1^2 divides n
+
+
+def spf_table(limit: int) -> np.ndarray:
+    """spf[0..limit] as uint32, spf[0] = spf[1] = 0: each p <= isqrt(limit)
+    not yet marked writes itself into the unmarked entries from p^2 on,
+    and the entries left unmarked are primes."""
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == 0:
+            sl = spf[p * p :: p]
+            sl[sl == 0] = p
+    left = np.nonzero(spf[2:] == 0)[0] + 2
+    spf[left] = left
+    return spf
 
 
 def factored(sieve, n: int) -> Factored:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinsums import cli, duality, series
+from artinsums import sieve as sieve_mod
 from artinsums.fieldpoly import distinct_degree_factorization, reduce_poly, shape_label
 from artinsums.sieve import FactorSieve, is_prime
 from oracles import identity_rhs
@@ -339,6 +340,17 @@ def test_sieve_build_and_reuse(tmp_path, capsys):
     header, rows = parse_csv(out)
     assert header == ["x", "y", "alpha", "psi", "envelope_ratio"]
     assert int(rows[1][3]) == 1000  # Psi(x, x) = x
+
+
+def test_sieve_build_rejects_limit_above_x_max(tmp_path, capsys, monkeypatch):
+    # 2^32 fails with exit 2 before the 16 GiB table is built or the cache
+    # header's uint32 limit is packed
+    monkeypatch.setattr(sieve_mod, "_build_spf", lambda limit: pytest.fail(f"built a table for {limit}"))
+    cache = tmp_path / "spf.sieve"
+    code, out, err = run(["sieve-build", "--limit", str(2**32), "--out", str(cache)], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: sieve limit = {2**32} outside [2, {2**32 - 1}]\n"
+    assert not cache.exists()
 
 
 @pytest.fixture(scope="session")

@@ -322,15 +322,6 @@ def test_fixed_points_match_ddf_shape(poly, sieve_small):
     assert _frobenius_fixed_points(poly, np.array(primes)).tolist() == expected
 
 
-def test_class_code_array_grown_in_steps(sieve_small):
-    grown = new_splitting_field([1, 1, 0, 1])
-    for limit in (1_000, 10_000, 20_000):
-        codes = grown.class_code_array(sieve_small, limit)
-    fresh = new_splitting_field([1, 1, 0, 1]).class_code_array(sieve_small, 20_000)
-    assert np.array_equal(codes, fresh)
-    assert np.array_equal(grown.class_code_array(sieve_small, 5_000), fresh[:5_001])
-
-
 def test_class_code_array_across_chunk_edge(sieve_small):
     primes = sieve_small.prime_array()[: _CHUNK + 1].tolist()
     ctx = new_splitting_field([1, 1, 0, 1])

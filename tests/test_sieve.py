@@ -1,6 +1,7 @@
 """Sieve correctness against independent trial-division oracles, the n=1
 conventions, bulk-table consistency, and the cache file format."""
 
+import hashlib
 import math
 import os
 import struct
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinsums import sieve as sieve_mod
-from artinsums.sieve import _TABLE_BLOCK, DEFAULT_LIMIT, FactorSieve, block_primes, factor_block, is_prime
-from oracles import factored, recurrence_tables
+from artinsums.sieve import _TABLE_BLOCK, DEFAULT_LIMIT, X_MAX, FactorSieve, block_spf, factor_block, is_prime
+from oracles import factored, recurrence_tables, spf_table
 
 
 def trial_spf(n):
@@ -58,6 +59,32 @@ def test_spf_table_of_ten():
 
 def test_smallest_valid_sieve():
     assert int(FactorSieve(2).spf[2]) == 2
+
+
+# the table joins block_spf blocks [2 + k 2^16, 2 + (k+1) 2^16) sieved with
+# the primes of FactorSieve(isqrt(limit)): tiny limits with no sieving
+# primes, limits at and next to the block edges, and squares of primes,
+# where isqrt(limit) is the largest sieving prime
+SPF_LIMITS = sorted(
+    {*range(2, 11), *(e + d for e in (1 << 16, 2 << 16) for d in (-1, 0, 1, 2, 3))}
+    | {q * q + d for q in (3, 5, 7, 251, 257) for d in (-1, 0)}
+    | {10**6}
+)
+
+
+@pytest.mark.parametrize("limit", SPF_LIMITS)
+def test_spf_table_matches_masked_sieve(limit):
+    spf = FactorSieve(limit).spf
+    assert spf.dtype == np.uint32
+    assert np.array_equal(spf, spf_table(limit))
+
+
+def test_cache_bytes_pinned(tmp_path):
+    # the sha256 of the 10^6 cache written before the table came from
+    # block_spf: the file format and every entry are unchanged
+    path = tmp_path / "spf.sieve"
+    FactorSieve(10**6).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "bf135ffe10e81ed2b5dfc1fdb3fdb65cf4633d6f8610f66ca3584318abca87a8"
 
 
 def test_spf_against_trial_division(sieve_small):
@@ -257,11 +284,20 @@ def test_factor_block_matches_recurrence_tables(sieve_big):
         assert spf.dtype == sieve_big.spf.dtype and np.array_equal(spf, sieve_big.spf[lo:hi])
 
 
-def test_block_primes(sieve_small):
-    primes = sieve_small.prime_array()
-    for lo, hi in ((2, 3), (2, 100), (97, 98), (1000, 1009), (90_000, 100_001)):
-        want = primes[(primes >= lo) & (primes < hi)]
-        assert block_primes(sieve_small.prime_array(math.isqrt(hi - 1)), lo, hi).tolist() == want.tolist()
+def test_block_spf():
+    # against the masked sieve, with its primes as input; the last block
+    # below 2^32 against trial division by every prime below 2^16
+    want = spf_table(100_000)
+    primes = np.flatnonzero(want == np.arange(len(want)))[1:]
+    for lo, hi in ((2, 3), (2, 100), (97, 98), (1000, 1009), (90_000, 100_001), (313**2 - 5, 313**2 + 5)):
+        spf = block_spf(primes, lo, hi)
+        assert spf.dtype == np.uint32 and np.array_equal(spf, want[lo:hi]), (lo, hi)
+    top = spf_table((1 << 16) - 1)
+    primes = np.flatnonzero(top == np.arange(len(top)))[1:]
+    lo, hi = (1 << 32) - 300, 1 << 32
+    got, plist = block_spf(primes, lo, hi).tolist(), primes.tolist()
+    for n, spf in zip(range(lo, hi), got):
+        assert spf == next((p for p in plist if n % p == 0), n), n
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4])
@@ -379,9 +415,13 @@ def test_factorize_matches_trial_division(sieve_small, n):
     assert sieve_small.factorize(n) == trial_factorize(n)
 
 
-def test_limit_validation():
-    with pytest.raises(ValueError):
-        FactorSieve(1)
+def test_limit_validation(monkeypatch):
+    # a limit outside [2, X_MAX] fails before any table is built: 2^32
+    # would take 16 GiB and not fit the cache header's uint32
+    monkeypatch.setattr(sieve_mod, "_build_spf", lambda limit: pytest.fail(f"built a table for {limit}"))
+    for limit in (1, X_MAX + 1):
+        with pytest.raises(ValueError, match="outside"):
+            FactorSieve(limit)
 
 
 def test_query_range_validation(sieve_small):
