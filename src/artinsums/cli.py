@@ -360,20 +360,13 @@ def _cmd_scan(args) -> int:
         state_path=args.state,
         resume=args.resume,
     )
-    rows = []
-    for x in result.checkpoints:
-        snap = result.snapshots[x]
-        for lab in sorted(snap.classes):
-            if args.class_label is not None and lab != args.class_label:
-                continue
-            for kind in series.ALL_KINDS:
-                rows.append((x, lab, kind, snap.classes[lab][kind]))
-        if args.class_label is None:
-            for p in sorted(snap.ramified):
-                for kind in series.ALL_KINDS:
-                    rows.append((x, f"ramified:{p}", kind, snap.ramified[p][kind]))
-            for kind in series.ALL_KINDS:
-                rows.append((x, "total", kind, snap.total[kind]))
+    rows = [
+        (x, name, kind, vals[kind])
+        for x, snap in result.snapshots.items()
+        for name, vals in snap.buckets()
+        if args.class_label in (None, name)
+        for kind in series.ALL_KINDS
+    ]
     _emit(rows, ("x", "class", "sum_kind", "value"), args)
     return EXIT_OK
 
@@ -549,7 +542,7 @@ def _cmd_verify(args) -> int:
                 f"floor/frac split for {ctx.describe()}",
                 {"x": bad[0], "bucket": bad[1], "lhs": str(bad[2]), "rhs": str(bad[3])},
             )
-        ok, rows = series.partition_audit(result, raise_on_failure=False)
+        ok, rows = series.partition_audit(result)
         if not ok:
             bad = next(r for r in rows if not r[5])
             return _fail(

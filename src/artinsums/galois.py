@@ -15,8 +15,8 @@ Two families are supported:
 A prime is ramified when it divides k or the *polynomial* discriminant
 disc(f), which is tested, never factored; the class codes (RAMIFIED_CODE)
 record it.  ``ramified_primes`` lists those up to x from the codes up to
-isqrt(x) and the cofactor of disc(f) (or k) they leave, read off
-``sieve.block_spf`` in (isqrt(x), x] when it is composite.  A prime dividing
+isqrt(x) and the cofactor of disc(f) (or k) they leave, whose primes up
+to its square root are read off ``sieve.block_spf``.  A prime dividing
 disc(f) but unramified in the field goes to the ramified bucket: finitely
 many primes, whose fixed-prime slices of the main sums vanish in the
 limit, so no density is affected.
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 
 import numpy as np
 
@@ -147,11 +147,11 @@ class GaloisContext:
         codes = self._class_codes(np.array(primes, dtype=object)).tolist()
         return [RAMIFIED if c == RAMIFIED_CODE else ClassOutcome(self.classes[c].label) for c in codes]
 
-    def class_code_array(self, sieve: FactorSieve, limit: int | None = None) -> np.ndarray:
-        """int16 array over [0, limit]: class index for primes, -1 for
-        ramified primes, -2 elsewhere; each call classifies every prime up
-        to limit."""
-        limit = sieve.limit if limit is None else min(limit, sieve.limit)
+    def class_code_array(self, sieve: FactorSieve, limit: int) -> np.ndarray:
+        """int16 array over [0, min(limit, sieve.limit)]: class index for
+        primes, -1 for ramified primes, -2 elsewhere; each call classifies
+        every prime up to there."""
+        limit = min(limit, sieve.limit)
         arr = np.full(limit + 1, UNCLASSIFIED_CODE, dtype=np.int16)
         primes = sieve.prime_array(limit)
         arr[primes] = self._class_codes(primes)
@@ -160,29 +160,31 @@ class GaloisContext:
     def ramified_primes(self, codes: np.ndarray, x: int) -> list[int]:
         """The ramified primes up to x, increasing, where `codes` is the
         class-code array over [0, isqrt(x)]: the ones up to isqrt(x) are
-        read off it.  What is left of disc(f), or of k, once they are
-        divided out has only prime factors above isqrt(x): a cofactor up to
-        x is one prime, a prime cofactor above x names none, and only a
-        composite one above x is tested against the primes in
-        (isqrt(x), x]."""
+        read off it and divided out of disc(f), or of k.  Unless what is
+        left is a prime above x, the primes above isqrt(x) that divide it
+        are divided out block by block until a block would start above its
+        square root; what remains is then 1 or a prime, kept if <= x."""
         small = np.flatnonzero(codes == RAMIFIED_CODE).tolist()
         cof = self.k if self.kind == "cyclotomic" else abs(self.disc)
         for p in small:
             while cof % p == 0:
                 cof //= p
-        if cof <= x:
-            return small + [cof] * (cof > 1)
-        if cof < MR_PROVEN_BELOW and is_prime(cof):
+        if x < cof < MR_PROVEN_BELOW and is_prime(cof):
             return small
         sieving = np.flatnonzero(codes != UNCLASSIFIED_CODE)
         dtype = np.int64 if cof < 2**63 else object
         found = []
-        for lo in range(len(codes), x + 1, _SEARCH_BLOCK):
-            hi = min(lo + _SEARCH_BLOCK, x + 1)
+        lo = len(codes)
+        while lo <= min(x, isqrt(cof)):
+            hi = min(lo + _SEARCH_BLOCK - 1, x, isqrt(cof)) + 1
             # uint32 on both sides: the comparison makes no wider temporary
             primes = np.flatnonzero(block_spf(sieving, lo, hi) == np.arange(lo, hi, dtype=np.uint32)) + lo
-            found += primes[np.array(cof, dtype=dtype) % primes.astype(dtype) == 0].tolist()
-        return small + found
+            for p in primes[np.array(cof, dtype=dtype) % primes.astype(dtype) == 0].tolist():
+                found.append(p)
+                while cof % p == 0:
+                    cof //= p
+            lo = hi
+        return small + found + [cof] * (1 < cof <= x)
 
     def _class_codes(self, primes: np.ndarray) -> np.ndarray:
         """int16 class codes of an array of primes, RAMIFIED_CODE for the

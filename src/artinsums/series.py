@@ -5,7 +5,9 @@ alongside an unconditional aggregate, so the decomposition
 
     sum over class buckets + sum over ramified slices = unconditional sum
 
-can be audited at every checkpoint.
+can be audited at every checkpoint.  Each checkpoint's Snapshot lists
+its buckets in output order (``Snapshot.buckets``); the CLI's rows and
+both audits walk that list, and the audits return (ok, rows).
 
 A scan streams: it holds no table of length x.  Each segment gets its
 mu, omega, spf, P2s and "P1 repeats" from ``sieve.factor_block``, which
@@ -53,7 +55,7 @@ import os
 import time
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import zip_longest
@@ -151,7 +153,6 @@ def _exact_sums(ids, size, n, nums) -> dict:
 
 @dataclass
 class Snapshot:
-    x: int
     classes: dict  # label -> {kind: value}
     ramified: dict  # prime -> {kind: value}
     total: dict  # kind -> value
@@ -159,14 +160,19 @@ class Snapshot:
     n2_ramified: int
     repeat_count: int
 
+    def buckets(self):
+        """(name, {kind: value}) of every bucket, in output order: the
+        classes by label, "ramified:<p>" with p increasing, then "total"."""
+        yield from sorted(self.classes.items())
+        for p, vals in sorted(self.ramified.items()):
+            yield f"ramified:{p}", vals
+        yield "total", self.total
+
 
 @dataclass
 class SeriesScan:
-    ctx: GaloisContext
-    x_max: int
     mode: str
-    checkpoints: tuple[int, ...]
-    snapshots: dict[int, Snapshot] = field(default_factory=dict)
+    snapshots: dict[int, Snapshot]  # checkpoint -> snapshot, x increasing
 
 
 def scan(
@@ -225,7 +231,7 @@ def scan(
         state, start_lo = layout(2), 2
 
     snapshots = {x: _snapshot(state, x, labels, ram_primes) for x in cps if x < start_lo}
-    result = SeriesScan(ctx, x_max, mode, cps, snapshots)
+    result = SeriesScan(mode, snapshots)
     # the segments from a segment start are those of the whole scan
     todo = _segments(start_lo, x_max, segment_size, cps)
     saved = time.monotonic()
@@ -284,7 +290,7 @@ def _is_segment_start(n: int, lo: int, hi: int, size: int, checkpoints) -> bool:
     return n == lo or lo < n <= hi + 1 and ((n - 1) % size == 0 or n - 1 in checkpoints or n == hi + 1)
 
 
-def _segment_partials(labels, primes, codes, classify, ram_primes, lo, hi, mode, xs=()):
+def _segment_partials(labels, primes, codes, classify, ram_primes, lo, hi, mode, xs):
     """All that the block lo <= n <= hi adds to a scan, in one pass, keyed
     as the cells of ``_layout``: the per-bucket sums of the per-n kinds
     ("acc." cells); the per-bucket sums of the checkpoint kinds at each x
@@ -419,7 +425,6 @@ def _snapshot(state, x, labels, ram_primes) -> Snapshot:
         return {kind: state[f"snap.{x}.{name}.{kind}"] for kind in ALL_KINDS}
 
     return Snapshot(
-        x=x,
         classes={lab: cell(f"class:{lab}") for lab in labels},
         ramified={p: cell(f"ram:{p}") for p in ram_primes},
         total=cell("total"),
@@ -432,19 +437,20 @@ def _snapshot(state, x, labels, ram_primes) -> Snapshot:
 # ---------------------------------------------------------------------------
 # partition audit
 
+_PARTITION_RTOL = 1e-12
+_SPLIT_RTOL = 1e-9
 
-def partition_audit(scan_result: SeriesScan, tol: float = 1e-12, raise_on_failure: bool = True):
-    """Check, at every checkpoint and for every sum kind, that the class
-    buckets plus the ramified slices reproduce the unconditional sum.
-    Exact equality in exact mode (and for the integer-valued kinds in any
-    mode); relative tolerance `tol` otherwise."""
+
+def partition_audit(scan_result: SeriesScan):
+    """(ok, rows), a row (x, kind, total, recombined, diff, good) per
+    checkpoint and sum kind: whether the class buckets plus the ramified
+    slices reproduce the unconditional sum.  Exact in exact mode and for
+    the integer kinds; relative tolerance _PARTITION_RTOL otherwise."""
     rows = []
-    ok = True
-    for x, snap in sorted(scan_result.snapshots.items()):
+    for x, snap in scan_result.snapshots.items():
+        buckets = [vals for _, vals in snap.buckets()]
         for kind in ALL_KINDS:
-            parts = [snap.classes[lab][kind] for lab in sorted(snap.classes)]
-            parts += [snap.ramified[p][kind] for p in sorted(snap.ramified)]
-            total = snap.total[kind]
+            *parts, total = (vals[kind] for vals in buckets)
             if scan_result.mode == "exact" or kind in _INT_KINDS:
                 recombined = sum(parts)
                 good = recombined == total
@@ -452,37 +458,26 @@ def partition_audit(scan_result: SeriesScan, tol: float = 1e-12, raise_on_failur
             else:
                 recombined = fsum(parts)
                 diff = recombined - float(total)
-                good = abs(diff) <= tol * max(1.0, abs(float(total)))
+                good = abs(diff) <= _PARTITION_RTOL * max(1.0, abs(float(total)))
             rows.append((x, kind, total, recombined, diff, good))
-            ok = ok and good
-    if not ok and raise_on_failure:
-        bad = [r for r in rows if not r[5]]
-        raise IntegrityError(f"partition audit failed: {bad[0]}", bad)
-    return ok, rows
+    return all(row[5] for row in rows), rows
 
 
-def splitting_check(scan_result: SeriesScan, tol: float = 1e-9, raise_on_failure: bool = False):
-    """Check floor_weighted + frac_weighted = x * mu_omega_over_n for every
-    bucket at every checkpoint.  Exact equality in exact mode."""
+def splitting_check(scan_result: SeriesScan):
+    """(ok, rows), a row (x, bucket, lhs, rhs, good) per checkpoint and
+    bucket: whether floor_weighted + frac_weighted = x * mu_omega_over_n.
+    Exact in exact mode; relative tolerance _SPLIT_RTOL otherwise."""
     rows = []
-    ok = True
-    for x, snap in sorted(scan_result.snapshots.items()):
-        cells = [(lab, snap.classes[lab]) for lab in sorted(snap.classes)]
-        cells += [(f"ramified:{p}", snap.ramified[p]) for p in sorted(snap.ramified)]
-        cells.append(("total", snap.total))
-        for name, vals in cells:
+    for x, snap in scan_result.snapshots.items():
+        for name, vals in snap.buckets():
             lhs = vals["floor_weighted"] + vals["frac_weighted"]
             rhs = x * vals["mu_omega_over_n"]
             if scan_result.mode == "exact":
                 good = lhs == rhs
             else:
-                good = abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
+                good = abs(lhs - rhs) <= _SPLIT_RTOL * max(1.0, abs(rhs))
             rows.append((x, name, lhs, rhs, good))
-            ok = ok and good
-    if not ok and raise_on_failure:
-        bad = [r for r in rows if not r[4]]
-        raise IntegrityError(f"floor/frac splitting check failed: {bad[0]}", bad)
-    return ok, rows
+    return all(row[4] for row in rows), rows
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +497,8 @@ def count_P2_ramified(ctx: GaloisContext, x: int, sieve: FactorSieve) -> int:
 
 
 def _count_P2_with_code(ctx: GaloisContext, code: int, x: int, sieve: FactorSieve) -> int:
-    codes = ctx.class_code_array(sieve, x)
+    # a strict P2 has P2^2 < n <= x, so codes over [0, isqrt(x)] cover it
+    codes = ctx.class_code_array(sieve, isqrt(x))
     sl = slice(2, x + 1)
     P2 = sieve.P2_strict_table()[sl]
     rep = sieve.repeated_P1_table()[sl]

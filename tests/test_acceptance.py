@@ -176,13 +176,13 @@ def test_criterion_03_partition_audit(sieve_big, ctx_cubic, ctx_c4):
         exact = series.scan(
             ctx, 10_000, checkpoints=(100, 1000), mode="exact", sieve=sieve_big
         )
-        good, _ = series.partition_audit(exact, raise_on_failure=False)
+        good, _ = series.partition_audit(exact)
         ok = ok and good
         comp = series.scan(
             ctx, 1_000_000, checkpoints=(10_000, 100_000), mode="compensated",
             sieve=sieve_big, threads=4,
         )
-        good, rows = series.partition_audit(comp, tol=1e-12, raise_on_failure=False)
+        good, rows = series.partition_audit(comp)
         ok = ok and good
         for _, kind, total, _, diff, _ in rows:
             worst = max(worst, abs(diff) / max(1.0, abs(float(total))))
@@ -240,7 +240,7 @@ def test_criterion_06_prime_level_chebotarev(sieve_big, ctx_cubic, ctx_c4):
     primes = sieve_big.prime_array()
     worst = 0.0
     for ctx in (ctx_cubic, ctx_c4):
-        codes = ctx.class_code_array(sieve_big)
+        codes = ctx.class_code_array(sieve_big, sieve_big.limit)
         sel = codes[primes]
         for i, cls in enumerate(ctx.classes):
             freq = np.count_nonzero(sel == i) / len(primes)

@@ -191,6 +191,30 @@ def test_scan_class_filter(tmp_path, capsys):
     assert rows and all(r[1] == "1 mod 4" for r in rows)
 
 
+def test_scan_rows_follow_snapshot_buckets(capsys):
+    # Q(zeta_12) ramifies at 2 and 3; the rows run through each checkpoint's
+    # Snapshot.buckets(), and --class L prints exactly the rows of L
+    argv = ["scan", "--cyclotomic", "12", "--xmax", "2000", "--checkpoints", "500"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    ctx = cli.new_cyclotomic(12)
+    result = series.scan(ctx, 2000, checkpoints=(500,), sieve=FactorSieve(2000))
+    names = [name for name, _ in result.snapshots[500].buckets()]
+    assert names == ["1 mod 12", "11 mod 12", "5 mod 12", "7 mod 12", "ramified:2", "ramified:3", "total"]
+    want = [
+        [str(x), name, kind, str(vals[kind])]
+        for x, snap in result.snapshots.items()
+        for name, vals in snap.buckets()
+        for kind in series.ALL_KINDS
+    ]
+    assert rows == want
+    for label in ctx.labels():
+        code, out, _ = run([*argv, "--class", label], capsys)
+        assert code == 0
+        assert parse_csv(out)[1] == [r for r in rows if r[1] == label]
+
+
 def test_scan_unknown_class(capsys):
     code, _, err = run(
         ["scan", "--cyclotomic", "4", "--xmax", "100", "--class", "2 mod 4"],

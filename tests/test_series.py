@@ -17,7 +17,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinsums import series
+from artinsums import galois, series
 from artinsums.errors import IntegrityError
 from artinsums.galois import (
     RAMIFIED_CODE,
@@ -229,6 +229,9 @@ def trial_prime_divisors(n, x):
         (2_524_266, [1009]),  # disc -1009 * 10007: composite cofactor > x
         (2502, []),  # disc -10007: prime cofactor > x
         (1, [3]),  # disc -3
+        # disc -103 * 9973: 103 <= sqrt(cofactor) is found in a block and
+        # divided out, and 9973 <= x is what is left
+        (256_805, [103, 9973]),
     ],
 )
 def test_ramified_primes_above_isqrt_x(c, ramified):
@@ -239,12 +242,31 @@ def test_ramified_primes_above_isqrt_x(c, ramified):
     r = series.scan(ctx, x, checkpoints=(1008, 1009), sieve=FactorSieve(100))
     # every checkpoint has a bucket for each ramified prime <= x_max
     assert all(sorted(snap.ramified) == ramified for snap in r.snapshots.values())
-    series.partition_audit(r)
+    assert series.partition_audit(r)[0]
     if 1009 in ramified:
         # the prime itself is the only squarefree n <= x with spf 1009
         assert r.snapshots[1008].ramified[1009]["mu_omega_raw"] == 0
         assert r.snapshots[1009].ramified[1009]["mu_omega_raw"] == -1
         assert r.snapshots[x].ramified[1009]["mu_omega_raw"] == -1
+
+
+def test_ramified_search_stops_at_isqrt_of_cofactor(monkeypatch):
+    # x^2 + x + c, disc -1000003 * 1000033: the blocks above isqrt(x) are
+    # sieved only up to isqrt(cofactor), and 1000033 is what is left
+    x = 10**8
+    cof = 1_000_003 * 1_000_033
+    ctx = new_splitting_field([(1 + cof) // 4, 1, 1])
+    codes = ctx.class_code_array(FactorSieve(10**4), 10**4)
+    starts = []
+    real = galois.block_spf
+
+    def recording(primes, lo, hi):
+        starts.append(lo)
+        return real(primes, lo, hi)
+
+    monkeypatch.setattr(galois, "block_spf", recording)
+    assert ctx.ramified_primes(codes, x) == [1_000_003, 1_000_033]
+    assert starts and max(starts) <= math.isqrt(cof)
 
 
 # -- audits -----------------------------------------------------------------
@@ -260,17 +282,16 @@ def test_partition_audit_exact(sieve_small, ctx_c4, ctx_cubic):
 
 def test_partition_audit_compensated(sieve_small, ctx_cubic):
     r = series.scan(ctx_cubic, 50_000, mode="compensated", sieve=sieve_small)
-    ok, _ = series.partition_audit(r, tol=1e-12)
+    ok, _ = series.partition_audit(r)
     assert ok
 
 
 def test_partition_audit_detects_corruption(sieve_small, ctx_c4):
     r = series.scan(ctx_c4, 100, mode="exact", sieve=sieve_small)
     r.snapshots[100].classes["1 mod 4"]["mu_omega_over_n"] += Fraction(1, 7)
-    with pytest.raises(IntegrityError):
-        series.partition_audit(r)
-    ok, rows = series.partition_audit(r, raise_on_failure=False)
+    ok, rows = series.partition_audit(r)
     assert not ok
+    assert [row[:2] for row in rows if not row[5]] == [(100, "mu_omega_over_n")]
 
 
 def test_partition_audit_detects_unrouted_terms(sieve_small, monkeypatch):
@@ -278,7 +299,7 @@ def test_partition_audit_detects_unrouted_terms(sieve_small, monkeypatch):
     # is summed on its own, so the audit must see the gap in both modes
     real = GaloisContext.class_code_array
 
-    def lose_7(self, sieve, limit=None):
+    def lose_7(self, sieve, limit):
         codes = real(self, sieve, limit)
         codes[7] = UNCLASSIFIED_CODE
         return codes
@@ -287,8 +308,10 @@ def test_partition_audit_detects_unrouted_terms(sieve_small, monkeypatch):
     ctx = new_cyclotomic(4)
     for mode in ("exact", "compensated"):
         r = series.scan(ctx, 2000, mode=mode, sieve=sieve_small)
-        with pytest.raises(IntegrityError):
-            series.partition_audit(r)
+        ok, rows = series.partition_audit(r)
+        assert not ok
+        # the terms of spf 7 are in every kind
+        assert [row[1] for row in rows if not row[5]] == list(series.ALL_KINDS)
 
 
 def test_splitting_check_exact(sieve_small, ctx_c4, ctx_cubic):
@@ -619,7 +642,7 @@ def test_resume_after_every_segment(tmp_path, sieve_small, ctx_cubic, monkeypatc
     kwargs = dict(checkpoints=(100, 256, 700, 1024, 2000), sieve=sieve_small, segment_size=256, mode=mode)
     whole = tmp_path / "whole.state"
     reference = series.scan(ctx_cubic, 3000, state_path=whole, **kwargs)
-    segments = list(series._segments(2, 3000, 256, reference.checkpoints))
+    segments = list(series._segments(2, 3000, 256, tuple(reference.snapshots)))
     assert len(segments) == 15
     for k in range(1, len(segments)):
         state = tmp_path / f"stopped-{k}.state"
@@ -795,7 +818,7 @@ def fixed_prime_slice(p, x, sieve, mode="auto"):
         return np.full(len(big), UNCLASSIFIED_CODE, dtype=np.int16)
 
     for lo, hi in series._segments(2, x, series.DEFAULT_SEGMENT, ()):
-        delta = series._segment_partials((), primes, codes, unclassified, [p], lo, hi, mode)
+        delta = series._segment_partials((), primes, codes, unclassified, [p], lo, hi, mode, ())
         total += delta[f"acc.ram:{p}.mu_omega_over_n"]
     return total if mode == "exact" else float(total)
 
@@ -838,6 +861,20 @@ def test_scan_classifies_primes_only_up_to_x(sieve_small, monkeypatch):
     ctx = new_splitting_field([1, 1, 0, 1])
     series.scan(ctx, 1000, checkpoints=(500,), sieve=sieve_small)
     assert sum(lanes) == 168  # the primes <= 1000, each once
+
+
+def test_count_P2_classifies_primes_only_up_to_isqrt_x(sieve_small, monkeypatch):
+    lanes = []
+    kernel = GaloisContext._class_codes
+
+    def counting(self, primes):
+        lanes.append(len(primes))
+        return kernel(self, primes)
+
+    monkeypatch.setattr(GaloisContext, "_class_codes", counting)
+    ctx = new_splitting_field([1, 1, 0, 1])
+    series.count_P2_in_class(ctx, "1+2", 10**4, sieve_small)
+    assert sum(lanes) == 25  # the primes <= 100: a strict P2 of n <= 10^4
 
 
 @pytest.mark.parametrize("segment_size", [1024, 3000, 65_536])
