@@ -150,7 +150,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--checkpoints", help="comma-separated checkpoint x values")
     p.add_argument("--mode", choices=("exact", "compensated"), default="compensated")
     p.add_argument("--class", dest="class_label", help="restrict output to one class label")
-    p.add_argument("--segment-size", type=int, default=series.DEFAULT_SEGMENT)
+    p.add_argument(
+        "--segment-size",
+        type=int,
+        help="integers per segment (default: 65536, doubled for each of 10^6, 10^7 and 10^8 "
+        "that --xmax exceeds; a resume takes the size in its state file)",
+    )
     p.add_argument("--state", help="checkpoint state file for resume")
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=_cmd_scan)

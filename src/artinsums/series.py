@@ -21,17 +21,45 @@ there are several), so no table of them is ever held.
 
 A scan makes one pass per segment, in one kernel (``_segment_partials``).
 It gathers the squarefree n of the segment (every other term is 0), gives
-each a bucket id once, and forms from them the per-n kinds and, for every
-checkpoint x not yet reached, the checkpoint kinds (floor_weighted,
-frac_weighted) at x, which wait in pending cells until the scan reaches x.
-The same pass counts n by the class of their strict second-largest prime
-factor, and the n whose largest prime factor repeats.  It returns keyed
-cells, which the scan adds to its running state: one dict, laid out by
-``_layout`` alone, whose cells are the entries of the state file (format
-v3) in file order.  The state file is written at every checkpoint, and
-between checkpoints at most once per _STATE_INTERVAL_S seconds; it records
-the next segment start, so a resume from any write is exact.  Two reducers
-sum the buckets:
+each a bucket key once (uint8 up to 255 buckets, uint16 past), puts them
+in key order with one stable argsort, and forms from them, grouped by
+bucket, the per-n kinds and, for every checkpoint x not yet reached, the
+checkpoint kinds (floor_weighted, frac_weighted) at x, which wait in
+pending cells until the scan reaches x.  Each kind's sum per bucket is one
+``np.add.reduceat`` over the bucket bounds, which one ``np.bincount`` of
+the keys gives.  The same pass counts n by the class of their strict
+second-largest prime factor, and the n whose largest prime factor repeats.
+It returns keyed cells, which the scan adds to its running state: one
+dict, laid out by ``_layout`` alone, whose cells are the entries of the
+state file (format v3) in file order.  The state file is written at every
+checkpoint, and between checkpoints at most once per _STATE_INTERVAL_S
+seconds; it records the next segment start, so a resume from any write is
+exact.
+
+A segment's fixed cost is factor_block's loop over the sieving primes up
+to isqrt(x), which grows with x; its cost per integer grows with the
+segment once the block's arrays leave the cache.  So the default segment
+(``default_segment_size``) grows with x: 2^16 up to x = 10^6, doubled at
+each of 10^6, 10^7 and 10^8 that x passes.  Kernel CPU per integer, in ns,
+medians over 24 segments spread across [2, x] (2-core VM under load,
+Python 3.11, numpy 2.4; the chosen size starred):
+
+    x         2^16   2^17   2^18   2^19   2^20
+    3 10^6    110    106*   117    121    136
+    10^7      130    112*   126    131    138
+    10^8      207    149    138*   141    149
+    10^9      338    218    181    169*   170
+    4 10^9           355    251    203*   191
+
+An earlier run on a quieter VM, about 30 % faster throughout, picked the
+same sizes and had 2^19 and 2^20 level at 4 10^9.  Above 10^9 the size
+stays at 2^19: 2^20 gained at most 6 % there and doubles factor_block's
+arrays.  End to end, scan --cyclotomic 4 --xmax 10^9 took 107 s at 49 MB of peak
+RSS (2^19); the earlier kernel, one bincount per bucketed sum, took 251 s
+at 2^16 and 183 s at 2^20.  Only factor_block's arrays, 26 bytes an
+integer, grow with the segment (3.4 MB at 2^17, 13.6 MB at 2^19): the rest
+is summed in passes of at most 2^16 integers.  Two reducers sum the
+buckets:
 
 * ``exact``       -- rational sums: each segment's sums of a kind are
                      integers over one common denominator L, the lcm of
@@ -43,7 +71,8 @@ sum the buckets:
 * ``compensated`` -- the exact sum of the float terms via integer limbs,
                      rounded once per checkpoint: each term is rounded to
                      a float once, split exactly into three 30-bit limbs,
-                     and each limb is summed per bucket by ``np.bincount``.
+                     and each limb is summed per bucket in float64, exact
+                     below 2^53; integer kinds are summed in int64.
                      Segment sums are merged as Fractions, so the result
                      does not depend on the segment order, the thread
                      count or the resume point.
@@ -58,7 +87,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from math import fsum, isqrt, lcm
 
 import numpy as np
@@ -71,9 +100,11 @@ from .sieve import X_MAX, FactorSieve, factor_block
 # primorial of 10^4), just below the 4300 that int <-> str converts by
 # default; a larger cap needs the state and output formats to change
 EXACT_X_CAP = 10_000
-DEFAULT_SEGMENT = 65_536
-# a bincount of at most 2^22 limbs below 2^30 stays below 2^52, so is exact
+# a reduceat of at most 2^22 limbs below 2^30 stays below 2^52, so is exact
 MAX_SEGMENT = 1 << 22
+# integers per pass of the accumulation: a larger segment is summed in passes
+# of this many, so only factor_block's arrays grow with the segment
+_PASS = 1 << 16
 # seconds between state writes, besides the one at each checkpoint
 _STATE_INTERVAL_S = 10.0
 
@@ -96,24 +127,44 @@ def check_x_max(x_max: int) -> None:
         raise ValueError(f"x_max = {x_max} outside [2, {X_MAX}]")
 
 
-def _binned(ids, w, size):
-    """Integer sums of the integer weights w per bucket id below `size`,
-    then over all of w (the discarded bucket `size` too); exact while the
-    sum of |w| stays below 2^53."""
-    bins = [int(v) for v in np.bincount(ids, weights=w, minlength=size + 1).tolist()]
-    return [*bins[:size], sum(bins)]
+def default_segment_size(x_max: int) -> int:
+    """The segment size of a scan to x_max that names none: 2^16, doubled
+    for each of 10^6, 10^7 and 10^8 that x_max exceeds (see the module
+    docstring for the measurements behind it)."""
+    return 1 << (16 + sum(x_max > 10**e for e in (6, 7, 8)))
 
 
-def _limb_sums(ids, size, r):
-    """The exact sums of the float terms r per bucket id below `size`,
-    then over all of r, as Fractions; r is used up.  Each term is split
-    exactly into three 30-bit limbs, each limb summed by ``_binned``."""
+def _bounds(counts):
+    """The bounds of terms in bucket order, counts[b] of them in bucket b:
+    the buckets that hold terms, where each starts, and the number of
+    buckets, the last one thrown away."""
+    live = np.flatnonzero(counts)
+    return live, (np.cumsum(counts) - counts)[live], len(counts)
+
+
+def _reduced(a, bounds, dtype) -> list[int]:
+    """The sums of the terms a, in bucket order, per bucket of `bounds` but
+    the last, then over all of a, as ints: one np.add.reduceat in dtype,
+    which must hold each sum exactly, over the starts of the buckets that
+    hold terms."""
+    live, starts, size = bounds
+    cells = np.zeros(size, dtype=dtype)
+    if len(a):
+        cells[live] = np.add.reduceat(a, starts, dtype=dtype)
+    cells = [int(v) for v in cells.tolist()]
+    return [*cells[:-1], sum(cells)]
+
+
+def _limb_sums(r, bounds) -> list[Fraction]:
+    """As ``_reduced``, the exact sums of the float terms r as Fractions; r
+    is used up.  Each term is split exactly into three 30-bit limbs, each
+    formed in one buffer and summed in float64."""
     limb = np.empty_like(r)
-    sums = [0] * (size + 1)
+    sums = [0] * bounds[2]
     for shift in _LIMB_SHIFTS:
         r *= 2.0**shift
         np.trunc(r, out=limb)
-        sums = [(s << shift) + v for s, v in zip(sums, _binned(ids, limb, size))]
+        sums = [(s << shift) + v for s, v in zip(sums, _reduced(limb, bounds, np.float64))]
         r -= limb
     if np.any(r):
         raise IntegrityError("a float term is not a multiple of 2^-84")
@@ -128,21 +179,24 @@ def _lcm_tree(ns: list[int]) -> int:
     return ns[0] if ns else 1
 
 
-def _exact_sums(ids, size, n, nums) -> dict:
-    """{key: the sums of nums[key]/n per bucket id below `size`, then over
-    all terms, as Fractions}, exact.  Every cell is one integer sum over
+def _exact_sums(counts, n, nums) -> dict:
+    """{key: the sums of nums[key]/n, n and nums in bucket order with
+    counts[b] terms in bucket b, per bucket but the last, then over all
+    terms, as Fractions}, exact.  Every cell is one integer sum over
     L = lcm(n), which Fraction brings to lowest terms; each L // n is
     formed once, for all the keys, and not kept."""
     L = _lcm_tree(n.tolist())
     cols = [v.tolist() for v in nums.values()]
-    sums = [[0] * (size + 1) for _ in cols]
-    for b, m, *row in zip(ids.tolist(), n.tolist(), *cols):
-        q = L // m
-        for a, cells in zip(row, sums):
-            if a:
-                cells[b] += a * q
+    sums = [[0] * len(counts) for _ in cols]
+    rows = zip(n.tolist(), *cols)
+    for b, count in enumerate(counts.tolist()):
+        for m, *row in islice(rows, count):
+            q = L // m
+            for a, cells in zip(row, sums):
+                if a:
+                    cells[b] += a * q
     return {
-        key: [*(Fraction(v, L) for v in cells[:size]), Fraction(sum(cells), L)]
+        key: [*(Fraction(v, L) for v in cells[:-1]), Fraction(sum(cells), L)]
         for key, cells in zip(nums, sums)
     }
 
@@ -182,12 +236,14 @@ def scan(
     mode: str = "compensated",
     sieve: FactorSieve | None = None,
     threads: int = 1,
-    segment_size: int = DEFAULT_SEGMENT,
+    segment_size: int | None = None,
     state_path=None,
     resume: bool = False,
 ) -> SeriesScan:
     """Scan [2, x_max]; `sieve` needs a limit of at least isqrt(x_max):
-    only its primes up to there are read."""
+    only its primes up to there are read.  With no segment_size, a resume
+    takes the size its state file records, and any other scan
+    default_segment_size(x_max)."""
     if sieve is None:
         raise ValueError("a FactorSieve is required")
     check_x_max(x_max)
@@ -198,6 +254,9 @@ def scan(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact" and x_max > EXACT_X_CAP:
         raise ValueError(f"exact mode is capped at x = {EXACT_X_CAP}")
+    resuming = resume and state_path is not None and os.path.exists(state_path)
+    if segment_size is None:
+        segment_size = (resuming and _recorded_segment_size(state_path)) or default_segment_size(x_max)
     if not 1 <= segment_size <= MAX_SEGMENT:
         raise ValueError(f"segment_size = {segment_size} outside [1, {MAX_SEGMENT}]")
     if threads < 1:
@@ -224,7 +283,7 @@ def scan(
         "x_max": str(x_max),
         "checkpoints": ",".join(str(c) for c in cps),
     }
-    if resume and state_path is not None and os.path.exists(state_path):
+    if resuming:
         is_start = partial(_is_segment_start, lo=2, hi=x_max, size=segment_size, checkpoints=cps)
         state, start_lo = _load_state(state_path, header, is_start, layout)
     else:
@@ -300,78 +359,103 @@ def _segment_partials(labels, primes, codes, classify, ram_primes, lo, hi, mode,
     `primes` holds the primes up to r = isqrt(x_max), whose class codes
     are `codes`, over [0, r]; `classify` maps an array of the block's
     primes above r to their codes.  The one place where terms are formed
-    and routed to buckets; class i of `labels` is code i.  Terms are
-    formed for squarefree n only: every other term is 0, and the sums are
-    exact sums of the terms."""
+    and routed to buckets; class i of `labels` is code i.  The block is
+    factored at once and summed in passes of at most _PASS integers
+    (``_pass_sums``)."""
     block = factor_block(primes, lo, hi + 1)
-    mu = block["mu"]
-    sf = np.flatnonzero(mu)
-    mu = mu[sf]
-    om = block["omega"][sf]
-    n = sf + lo
-    muom = mu * om
+    rep = block.pop("rep")
+    # P2s(n)^2 < n, so codes covers it; an n with P2s = 1 or a repeated P1
+    # counts at 1 or 0, whose code is UNCLASSIFIED_CODE (-2), and the codes
+    # run from there through RAMIFIED_CODE (-1) to len(labels) - 1
+    by_p2 = np.bincount(block.pop("P2s") * ~rep, minlength=len(codes))
+    by_code = np.bincount(codes - UNCLASSIFIED_CODE, weights=by_p2, minlength=len(labels) - UNCLASSIFIED_CODE)
+    by_code = by_code.astype(np.int64).tolist()
+    delta = {f"count.n2:{lab}": by_code[i - UNCLASSIFIED_CODE] for i, lab in enumerate(labels)}
+    delta["count.n2_ramified"] = by_code[RAMIFIED_CODE - UNCLASSIFIED_CODE]
+    delta["count.repeat_count"] = int(np.count_nonzero(rep))
+    # the bucket of a term by its smallest prime factor, for those up to r
+    keymap = _bucket_key(codes, np.arange(len(codes)), ram_primes, len(labels))
+    names = _bucket_names(labels, ram_primes)
+    for a in range(0, hi + 1 - lo, _PASS):
+        for key, vals in _pass_sums(block, a, lo, keymap, classify, ram_primes, len(labels), mode, xs).items():
+            prefix, kind = key.rsplit(".", 1)
+            for name, v in zip(names, vals):
+                cell = f"{prefix}.{name}.{kind}"
+                delta[cell] = delta.get(cell, 0) + v
+    return delta
+
+
+def _pass_sums(block, a, lo, keymap, classify, ram_primes, n_classes, mode, xs) -> dict:
+    """{cell prefix.kind: its sums per bucket, then over all terms} of the
+    integers lo + a <= n < lo + a + _PASS of `block`, their factor data
+    from lo on; keymap[p] is the bucket key of a term with smallest prime
+    factor p up to r.  Terms are formed for squarefree n only: every other
+    term is 0, and the sums are exact sums of the terms.  Each n gets its
+    bucket key once; mu, omega and n are gathered in bucket order, so every
+    kind is formed grouped by bucket and summed by ``_reduced``."""
+    part = slice(a, a + _PASS)
+    mu = block["mu"][part]
+    sf = np.flatnonzero(mu != 0)  # 3x faster than on int8
+    sp = block["spf"][part].take(sf)
+    key = keymap.take(sp, mode="clip")
     # a squarefree n is composite with spf <= r, or a prime: an spf above
-    # r is the prime n itself
-    sp = block["spf"][sf]
-    c = codes.take(sp, mode="clip")
-    big = sp >= len(codes)
-    c[big] = classify(sp[big])
-    ids = _route(c, ram_primes, sp, len(labels))
-    size = len(labels) + len(ram_primes)
+    # r is the prime n itself, classified here
+    big = np.flatnonzero(sp >= len(keymap))
+    sp = sp.take(big)
+    key[big] = _bucket_key(classify(sp), sp, ram_primes, n_classes)
+    counts = np.bincount(key, minlength=n_classes + len(ram_primes) + 1)
+    bounds = _bounds(counts)
+    sf = sf[np.argsort(key, kind="stable")]
+    mu = mu[sf]
+    om = block["omega"][part][sf]
+    n = sf.astype(np.uint32)
+    n += lo + a
+    del sf
+    nf = n.astype(np.float64)
+    muom = mu * om
 
     def kinds():
         """(cell prefix.kind, numerator, whether over n) of every kind,
-        one x at a time; |floor_weighted| <= 9 x/n, x < 2^32: a segment's
-        sum of it is at most 9 x (1/2 + ln 2^31) < 2^40, exact in _binned."""
+        one x at a time; |floor_weighted| <= 9 x/n, x < 2^32: a pass's sum
+        of it is at most 9 x (1/2 + ln 2^31) < 2^40, exact in int64."""
         yield "acc.mu_omega_over_n", muom, True
         yield "acc.mu_over_n", mu, True
         yield "acc.mu_omega_minus1_over_n", mu * (om - 1), True
         yield "acc.mu_omega_raw", muom, False
         for x in xs:
-            q, r = np.divmod(x, n)
+            q, rem = np.divmod(np.uint32(x), n)
             yield f"pending.{x}.floor_weighted", muom * q, False
-            yield f"pending.{x}.frac_weighted", muom * r, True
+            yield f"pending.{x}.frac_weighted", muom * rem, True
 
     sums, exact = {}, {}
-    for key, num, over_n in kinds():
+    for cell, num, over_n in kinds():
         if not over_n:
-            sums[key] = _binned(ids, num, size)
+            sums[cell] = _reduced(num, bounds, np.int64)
         elif mode == "exact":
-            exact[key] = num  # summed below, over one common denominator
+            exact[cell] = num  # summed below, over one common denominator
         else:
-            sums[key] = _limb_sums(ids, size, num / n)
+            sums[cell] = _limb_sums(num / nf, bounds)
     if exact:
-        sums.update(_exact_sums(ids, size, n, exact))
-    names = _bucket_names(labels, ram_primes)
-    delta = {}
-    for key, vals in sums.items():
-        prefix, kind = key.rsplit(".", 1)
-        for name, v in zip(names, vals):
-            delta[f"{prefix}.{name}.{kind}"] = v
-    rep = block["rep"]
-    # P2s(n)^2 < n, so codes covers it; an n with P2s = 1 or a repeated P1
-    # reads codes[1] or codes[0], UNCLASSIFIED_CODE (-2), and the codes run
-    # from there through RAMIFIED_CODE (-1) to len(labels) - 1
-    by_code = np.bincount(
-        codes.take(block["P2s"] * ~rep) - UNCLASSIFIED_CODE, minlength=len(labels) - UNCLASSIFIED_CODE
-    ).tolist()
-    for i, lab in enumerate(labels):
-        delta[f"count.n2:{lab}"] = by_code[i - UNCLASSIFIED_CODE]
-    delta["count.n2_ramified"] = by_code[RAMIFIED_CODE - UNCLASSIFIED_CODE]
-    delta["count.repeat_count"] = int(np.count_nonzero(rep))
-    return delta
+        sums.update(_exact_sums(counts, n, exact))
+    return sums
 
 
-def _route(c, ram_primes, sp, n_classes):
-    """Bucket id of every term with smallest prime factor sp and class
-    code c of sp: the code, n_classes + j for the ramified prime
-    ram_primes[j], and a last bucket, thrown away, for UNCLASSIFIED_CODE
-    (never a negative id, which would wrap around).  The ids are intp:
-    each of the many bincounts of them would first convert narrower ids."""
-    ids = np.where(c >= 0, c, np.intp(n_classes + len(ram_primes)))
-    for j, p in enumerate(ram_primes):
-        np.copyto(ids, n_classes + j, where=sp == p)
-    return ids
+def _bucket_key(c, sp, ram_primes, n_classes):
+    """The bucket of every term whose smallest prime factor sp has class
+    code c, in the narrowest unsigned type that holds them: the code when
+    it is a class; n_classes + j for the other terms with sp the ramified
+    prime ram_primes[j]; and n_classes + len(ram_primes), the bucket
+    thrown away, for the rest (UNCLASSIFIED_CODE)."""
+    size = n_classes + len(ram_primes)
+    key = c.astype(np.min_scalar_type(size))
+    neg = np.flatnonzero(c < 0)
+    key[neg] = size
+    if ram_primes:
+        ram, spn = np.array(ram_primes), sp[neg]
+        j = np.searchsorted(ram, spn)
+        hit = ram.take(j, mode="clip") == spn
+        key[neg[hit]] = n_classes + j[hit]
+    return key
 
 
 def _bucket_names(labels, ram_primes) -> list[str]:
@@ -587,11 +671,22 @@ def _fmt_value(v) -> str:
     return f"int {v}"
 
 
+def _sha256(text: str) -> str:
+    """The hex SHA-256 of text in UTF-8, from the interpreter's built-in
+    module where there is one: hashlib's loads OpenSSL, 3.6 MB of RSS."""
+    try:
+        from _sha2 import sha256  # Python 3.12 on
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
+
+
 def _save_state(path, header, next_lo, state):
     """Write the state to a temporary file beside `path`, then rename it
     over `path`, so an interrupted write leaves the previous state whole."""
-    import hashlib  # imported here: its OpenSSL costs every command 3.6 MB
-
     lines = [
         _STATE_HEADER,
         *(f"{k} = {v}" for k, v in header.items()),
@@ -599,7 +694,7 @@ def _save_state(path, header, next_lo, state):
         *(f"{k} = {_fmt_value(v)}" for k, v in state.items()),
     ]
     body = "\n".join(lines) + "\n"
-    digest = hashlib.sha256(body.encode()).hexdigest()
+    digest = _sha256(body)
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         fh.write(body)
@@ -619,13 +714,20 @@ def _parse_value(text, zero):
     return float.fromhex(rest) if tag == "float" else int(rest)
 
 
+def _recorded_segment_size(path) -> int | None:
+    """The segment size in the header of a state file, if it records one
+    in [1, MAX_SEGMENT]; ``_load_state`` checks the file."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        header = dict(line.rstrip("\n").partition(" = ")[::2] for line in islice(fh, 8))
+    size = header.get("segment_size", "")
+    return int(size) if size.isdecimal() and 1 <= int(size) <= MAX_SEGMENT else None
+
+
 def _load_state(path, header, is_start, layout):
     """(state, next segment start) from a state file.  The file must hold
     `header`, a next_lo for which `is_start` holds, then exactly the cells of
     layout(next_lo), in order, each a value of its zero's type; anything
     else raises IntegrityError."""
-    import hashlib
-
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -633,7 +735,7 @@ def _load_state(path, header, is_start, layout):
         raise IntegrityError(f"{path}: state file is not UTF-8 text") from None
     body, _, tail = text.rpartition("sha256 = ")
     digest = tail.strip()
-    if hashlib.sha256(body.encode()).hexdigest() != digest:
+    if _sha256(body) != digest:
         raise IntegrityError(f"{path}: state hash mismatch")
     lines = body.splitlines()
     if not lines or lines[0] != _STATE_HEADER:

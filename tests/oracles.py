@@ -4,7 +4,9 @@ functions of n read off ``factorize``, the bulk tables
 from the recurrence n = p*m over a full spf table, the Fraction forms
 of the four duality identities by enumeration of the squarefree divisors
 (not the coefficient tables of artinsums.duality), the exact bucket sums
-as one Fraction per term added in pairs, the inversion's Dirichlet
+as one Fraction per term added in pairs, the float bucket sums of the
+segment kernel before it put terms in bucket order (intp bucket ids from
+``route``, one ``np.bincount`` per limb), the inversion's Dirichlet
 convolution as one slice per squarefree m, and a scan's segments from the
 sorted set of every cut."""
 
@@ -14,6 +16,8 @@ from math import comb, isqrt
 from typing import NamedTuple
 
 import numpy as np
+
+from artinsums.errors import IntegrityError
 
 
 class Factored(NamedTuple):
@@ -166,6 +170,42 @@ def fraction_bucket_sums(ids, size, num, den) -> list[Fraction]:
     for b, t in zip(ids[live].tolist(), terms):
         groups[b].append(t)
     return [pairwise_sum(g) for g in groups[:size]] + [pairwise_sum(terms)]
+
+
+def route(c, ram_primes, sp, n_classes):
+    """Bucket id of every term with smallest prime factor sp and class
+    code c of sp: the code, n_classes + j for the ramified prime
+    ram_primes[j], and a last bucket, thrown away, for UNCLASSIFIED_CODE
+    (never a negative id, which would wrap around)."""
+    ids = np.where(c >= 0, c, np.intp(n_classes + len(ram_primes)))
+    for j, p in enumerate(ram_primes):
+        np.copyto(ids, n_classes + j, where=sp == p)
+    return ids
+
+
+def binned(ids, w, size):
+    """Integer sums of the integer weights w per bucket id below `size`,
+    then over all of w (the discarded bucket `size` too); exact while the
+    sum of |w| stays below 2^53."""
+    bins = [int(v) for v in np.bincount(ids, weights=w, minlength=size + 1).tolist()]
+    return [*bins[:size], sum(bins)]
+
+
+def limb_sums(ids, size, r):
+    """The exact sums of the float terms r per bucket id below `size`,
+    then over all of r, as Fractions; r is used up.  Each term is split
+    exactly into three 30-bit limbs (26, 30 and 30 bits below the point
+    2^-84), each limb summed by ``binned``."""
+    limb = np.empty_like(r)
+    sums = [0] * (size + 1)
+    for shift in (26, 30, 30):
+        r *= 2.0**shift
+        np.trunc(r, out=limb)
+        sums = [(s << shift) + v for s, v in zip(sums, binned(ids, limb, size))]
+        r -= limb
+    if np.any(r):
+        raise IntegrityError("a float term is not a multiple of 2^-84")
+    return [Fraction(s, 1 << 86) for s in sums]
 
 
 def inversion_rhs(mu: np.ndarray, G: np.ndarray) -> np.ndarray:

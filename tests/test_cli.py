@@ -779,6 +779,52 @@ def test_cli_import_leaves_out_what_few_commands_use():
     assert proc.stdout.split() == []
 
 
+def test_scan_with_state_never_loads_openssl(tmp_path):
+    # a state file's sha256 comes from the interpreter's own module, not
+    # from hashlib's OpenSSL (_hashlib, 3.6 MB of RSS), on write and resume
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["scan", "--cyclotomic", "4", "--xmax", "3000", "--state", str(tmp_path / "s.state")]
+    argv += ["--out", os.devnull]
+    code = "import sys; from artinsums import cli; "
+    code += f"print(cli.main({argv!r}), cli.main({argv + ['--resume']!r}), '_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "False"]
+
+
+def test_resume_keeps_the_segment_size_of_its_state(tmp_path, capsys, monkeypatch):
+    # a state written at 2^16, the default before it grew with x, resumes
+    # with no --segment-size at 2^16, to the stdout and the final state of
+    # the whole scan at 2^16; an explicit size other than the state's exits 3
+    x = 4_500_000
+    assert series.default_segment_size(x) == 1 << 17
+    argv = ["scan", "--cyclotomic", "4", "--xmax", str(x), "--checkpoints", "1000000"]
+    whole, state = tmp_path / "whole.state", tmp_path / "scan.state"
+    code, out, _ = run([*argv, "--segment-size", "65536", "--state", str(whole)], capsys)
+    assert code == 0
+    assert run(argv, capsys)[:2] == (0, out)
+    monkeypatch.setattr(series, "_STATE_INTERVAL_S", 0)  # a state write after every segment
+    real, calls = series._segment_partials, []
+
+    def stop_after_twenty(*args):
+        calls.append(args)
+        if len(calls) > 20:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(series, "_segment_partials", stop_after_twenty)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main([*argv, "--segment-size", "65536", "--state", str(state)])
+    assert "segment_size = 65536\n" in state.read_text()
+    assert "snap.1000000.total" in state.read_text()
+    assert run([*argv, "--state", str(state), "--resume"], capsys)[:2] == (0, out)
+    assert state.read_bytes() == whole.read_bytes()
+    code, _, err = run([*argv, "--segment-size", "131072", "--state", str(state), "--resume"], capsys)
+    assert code == cli.EXIT_INTEGRITY and "segment_size" in err
+
+
 def test_scan_ramified_rows_beyond_int64_discriminant(capsys):
     # x^2 + x + (2^63 + 1): disc = -(2^65 + 3) = -5 * 7 * ...
     disc = -(2**65 + 3)

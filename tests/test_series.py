@@ -27,7 +27,7 @@ from artinsums.galois import (
     new_splitting_field,
 )
 from artinsums.sieve import FactorSieve
-from oracles import factored, fraction_bucket_sums, segment_list
+from oracles import binned, factored, fraction_bucket_sums, limb_sums, route, segment_list
 
 
 # -- enumeration oracles ----------------------------------------------------
@@ -353,8 +353,21 @@ def test_compensated_is_fsum_of_float_terms(sieve_small, ctx_cubic, ctx_c4):
                 assert vals[kind] == math.fsum(direct.get(name, {}).get(kind, [])), (name, kind)
 
 
+def bucket_order(ids, size):
+    """The stable order that sorts terms by bucket id, and the number of
+    terms in each bucket: what the kernel forms from its bucket keys."""
+    ids = np.asarray(ids)
+    return np.argsort(ids, kind="stable"), np.bincount(ids, minlength=size + 1)
+
+
 def limb_reducer_sums(ids, terms, size):
-    return series._limb_sums(ids, size, np.array(terms, dtype=float))
+    """The sums of the bucket-ordered limb reducer over terms by bucket id,
+    each id <= size; the ids-based reducer gives the same."""
+    r = np.array(terms, dtype=float)
+    order, counts = bucket_order(ids, size)
+    got = series._limb_sums(r[order], series._bounds(counts))
+    assert got == limb_sums(np.asarray(ids, dtype=np.intp), size, r)
+    return got
 
 
 def term_strategy():
@@ -392,7 +405,7 @@ def test_limb_reducer_matches_fraction_oracle(rows):
     codes[2:] = [code for _, _, code, _ in rows]
     ram = [p for p in range(2, len(rows) + 2) if codes[p] == RAMIFIED_CODE]
     sp, mu = np.array(sp, dtype=np.uint32), np.array(mu, dtype=np.int8)
-    ids = series._route(codes[sp], ram, sp, 3)
+    ids = route(codes[sp], ram, sp, 3)
     size = 3 + len(ram)
     want = [Fraction(0)] * (size + 1)
     for t, p, m in zip(terms, sp.tolist(), mu.tolist()):
@@ -450,11 +463,48 @@ def test_exact_reducer_matches_fraction_oracle(case):
         "a": np.array([a for _, _, a, _ in rows], dtype=np.int64),
         "b": np.array([b for _, _, _, b in rows], dtype=np.int64),
     }
-    got = series._exact_sums(ids, size, n, nums)
+    order, counts = bucket_order(ids, size)
+    got = series._exact_sums(counts, n[order], {key: num[order] for key, num in nums.items()})
     assert list(got) == ["a", "b"]
     for key, num in nums.items():
         assert got[key] == fraction_bucket_sums(ids, size, num, n)
         assert all(type(v) is Fraction for v in got[key])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_bucket_ordered_reducers_match_ids_oracles(data):
+    # the kernel's bucket keys are the intp ids of `route`, and its sums in
+    # bucket order those of the ids-based reducers: up to 300 classes (the
+    # uint16 keys past 255 buckets), empty buckets, the discarded bucket,
+    # no terms and one term.  A term whose spf is ramified has a negative
+    # code, as in a scan
+    n_classes = data.draw(st.integers(0, 300))
+    ram = sorted(data.draw(st.sets(st.integers(2, 2**32 - 1), max_size=4)))
+    size = n_classes + len(ram)
+    rows = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(-1, len(ram) - 1),  # spf ram[j], or 1 for -1
+                st.integers(UNCLASSIFIED_CODE, n_classes - 1),
+                term_strategy(),
+                st.integers(-(2**40), 2**40),
+            ),
+            max_size=60,
+        )
+    )
+    sp = np.array([ram[j] if j >= 0 else 1 for j, *_ in rows], dtype=np.uint32)
+    c = np.array([min(code, RAMIFIED_CODE) if j >= 0 else code for j, code, *_ in rows], dtype=np.int16)
+    terms = np.array([t for *_, t, _ in rows], dtype=float)
+    w = np.array([v for *_, v in rows], dtype=np.int64)
+    key = series._bucket_key(c, sp, ram, n_classes)
+    ids = route(c, ram, sp, n_classes)
+    assert key.dtype == (np.uint8 if size <= 255 else np.uint16)
+    assert key.tolist() == ids.tolist()
+    order = np.argsort(key, kind="stable")
+    bounds = series._bounds(np.bincount(key, minlength=size + 1))
+    assert series._reduced(w[order], bounds, np.int64) == binned(ids, w, size)
+    assert series._limb_sums(terms[order], bounds) == limb_sums(ids, size, terms)
 
 
 # -- determinism and resume -------------------------------------------------
@@ -775,6 +825,14 @@ def test_malformed_state_is_integrity_error(tmp_path, sieve_small, ctx_cubic, mo
         series.scan(ctx_cubic, 2000, resume=True, **kwargs)
 
 
+def test_state_digest_is_hashlibs():
+    # state files take SHA-256 from the interpreter's built-in module, not
+    # hashlib's OpenSSL: the digest of a pinned file is hashlib's
+    text = (Path(__file__).parent / "data" / "cubic-3000-exact-final.state").read_text()
+    body, _, digest = text.rpartition("sha256 = ")
+    assert series._sha256(body) == hashlib.sha256(body.encode()).hexdigest() == digest.strip()
+
+
 def test_state_hash_mismatch(tmp_path, sieve_small, ctx_cubic):
     state = tmp_path / "scan.state"
     series.scan(ctx_cubic, 1000, sieve=sieve_small, state_path=state)
@@ -817,7 +875,7 @@ def fixed_prime_slice(p, x, sieve, mode="auto"):
     def unclassified(big):
         return np.full(len(big), UNCLASSIFIED_CODE, dtype=np.int16)
 
-    for lo, hi in series._segments(2, x, series.DEFAULT_SEGMENT, ()):
+    for lo, hi in series._segments(2, x, series.default_segment_size(x), ()):
         delta = series._segment_partials((), primes, codes, unclassified, [p], lo, hi, mode, ())
         total += delta[f"acc.ram:{p}.mu_omega_over_n"]
     return total if mode == "exact" else float(total)
@@ -929,6 +987,30 @@ def test_scan_memory_does_not_grow_with_x(threads):
     grown = peak(big) - peak(small)
     waiting = 2 * threads if threads > 1 else 0
     assert grown <= 8 * (math.isqrt(big) - math.isqrt(small)) + (8 << 10) + waiting * (16 << 10), grown
+
+
+def test_segment_kernel_memory_at_the_default_segment(sieve_small, ctx_c4):
+    # the default segment at x = 10^7 is 2^17, and one kernel call may hold
+    # no more than the 2^16 kernel did before the default grew: 56 bytes an
+    # integer (3.5 MB of tracemalloc) at 2^16, so 28 bytes an integer at
+    # 2^17; three checkpoints wait, as in the benchmark's scan
+    x = 10**7
+    seg = series.default_segment_size(x)
+    assert seg == 1 << 17
+    root = math.isqrt(x)
+    codes = ctx_c4.class_code_array(sieve_small, root)
+    lo = 38 * seg + 1
+    hi = lo + seg - 1
+    args = (ctx_c4.labels(), sieve_small.prime_array(root), codes, ctx_c4._class_codes)
+    args += (ctx_c4.ramified_primes(codes, x), lo, hi, "compensated", [hi, 8_436_436, x])
+    series._segment_partials(*args)  # imports and caches what every call shares
+    tracemalloc.start()
+    try:
+        series._segment_partials(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / seg <= 28, f"{peak / seg:.1f} bytes an integer"
 
 
 def test_sum_mu_in_class(sieve_small, ctx_c4):
