@@ -2,18 +2,28 @@
 of the smallest prime factor, plus exact checks of the underlying
 divisor-sum dualities."""
 
-from .errors import IntegrityError, NotSquarefreeError
-from .sieve import FactorSieve
-from .galois import GaloisContext, ClassOutcome, new_cyclotomic, new_splitting_field
+from importlib import import_module
 
-__all__ = [
-    "FactorSieve",
-    "GaloisContext",
-    "ClassOutcome",
-    "new_cyclotomic",
-    "new_splitting_field",
-    "IntegrityError",
-    "NotSquarefreeError",
-]
+# module of each public name, imported on first use (PEP 562): `import
+# artinsums` loads no numpy, so the CLI can still set OPENBLAS_NUM_THREADS
+# before numpy starts its BLAS threads
+_HOME = {
+    "FactorSieve": "sieve",
+    "GaloisContext": "galois",
+    "ClassOutcome": "galois",
+    "new_cyclotomic": "galois",
+    "new_splitting_field": "galois",
+    "IntegrityError": "errors",
+    "NotSquarefreeError": "errors",
+}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value

@@ -5,7 +5,11 @@ dickman, smooth, classify.  Global flags: --sieve-cache, --threads,
 --format, --out, --config.  A config file holds plain ``key = value``
 lines (keys are the long option names); command-line flags override it.
 The environment variable ARTINSUMS_CACHE_DIR supplies a default
-directory for sieve caches.
+directory for sieve caches.  Importing this module sets
+OPENBLAS_NUM_THREADS=1 unless it is already set: the program calls no
+BLAS routine, and numpy's OpenBLAS would otherwise start a thread per
+extra core that spins ~0.1 s of CPU before it sleeps.  `import
+artinsums` alone loads no numpy and sets nothing.
 
 Exit codes: 0 success, 1 a check failed (reproduce-table outside the
 reference tolerance; verify or duality-test finding a failed identity),
@@ -23,7 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from . import series
+# before the first numpy import (by series); see the module docstring
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import series  # noqa: E402
 from .errors import IntegrityError
 from .galois import GaloisContext, new_cyclotomic, new_splitting_field
 from .sieve import DEFAULT_LIMIT, FactorSieve

@@ -33,7 +33,6 @@ subsets of each group at once.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -62,12 +61,23 @@ class PrimeWeight:
         return v
 
 
+def _splitmix64(z: int) -> int:
+    """splitmix64's output at state z: a fixed 64-bit integer mix."""
+    z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    return z ^ (z >> 31)
+
+
 def random_weight(seed: int) -> PrimeWeight:
-    """Seeded pseudorandom rational weight, bounded in [-5, 5] with
-    denominators <= 6.  Deterministic in (seed, p)."""
+    """Seeded pseudorandom rational weight: numerator in [-5, 5] but never
+    0 (a zero weight would hide a wrong mu at the n it multiplies),
+    denominator in [1, 6].  Deterministic in (seed, p), from one
+    splitmix64 value of the pair."""
     def fn(p: int) -> Fraction:
-        rng = random.Random((seed << 32) ^ p)
-        return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        r = _splitmix64((seed << 32) ^ p) % 60
+        num = r % 10 - 5
+        return Fraction(num + (num >= 0), r // 10 + 1)
     return PrimeWeight(f"random[{seed}]", fn)
 
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import factorial, gcd, isqrt
 
 import numpy as np
@@ -60,6 +61,8 @@ from .sieve import MR_PROVEN_BELOW, FactorSieve, block_spf, is_prime
 
 RAMIFIED_CODE = -1
 UNCLASSIFIED_CODE = -2
+# class codes are int16, 0 .. MAX_CLASSES - 1
+MAX_CLASSES = 1 << 15
 
 # primes per call of the trace kernel.  Of 2^10..2^15 lanes, 2^13 ran
 # fastest on x^3+x+1 to 10^6 and x^5-x-1 to 2*10^5, about 10% ahead of 2^12,
@@ -233,10 +236,14 @@ class GaloisContext:
 
 
 def new_cyclotomic(k: int) -> GaloisContext:
-    """Context for the k-th cyclotomic field; Galois group (Z/k)^*."""
+    """Context for the k-th cyclotomic field; Galois group (Z/k)^*, of
+    order phi(k) <= MAX_CLASSES."""
     if k < 3:
         raise ValueError(f"cyclotomic modulus must be >= 3, got {k}")
-    residues = [r for r in range(1, k) if gcd(r, k) == 1]
+    # stops at the first residue too many, so a huge k fails at once
+    residues = list(islice((r for r in range(1, k) if gcd(r, k) == 1), MAX_CLASSES + 1))
+    if len(residues) > MAX_CLASSES:
+        raise ValueError(f"cyclotomic modulus {k} has more than {MAX_CLASSES} classes")
     order = len(residues)
     classes = [
         ConjugacyClassSpec(f"{r} mod {k}", 1, Fraction(1, order)) for r in residues

@@ -54,10 +54,10 @@ Python 3.11, numpy 2.4; the chosen size starred):
 An earlier run on a quieter VM, about 30 % faster throughout, picked the
 same sizes and had 2^19 and 2^20 level at 4 10^9.  Above 10^9 the size
 stays at 2^19: 2^20 gained at most 6 % there and doubles factor_block's
-arrays.  End to end, scan --cyclotomic 4 --xmax 10^9 took 107 s at 49 MB of peak
+arrays.  End to end, scan --cyclotomic 4 --xmax 10^9 took 99 s at 45 MB of peak
 RSS (2^19); the earlier kernel, one bincount per bucketed sum, took 251 s
-at 2^16 and 183 s at 2^20.  Only factor_block's arrays, 26 bytes an
-integer, grow with the segment (3.4 MB at 2^17, 13.6 MB at 2^19): the rest
+at 2^16 and 183 s at 2^20.  Only factor_block's arrays, 16 bytes an
+integer, grow with the segment (2.1 MB at 2^17, 8.4 MB at 2^19): the rest
 is summed in passes of at most 2^16 integers.  Two reducers sum the
 buckets:
 

@@ -241,22 +241,29 @@ def factor_block(primes: np.ndarray, lo: int, hi: int, P1: bool = False) -> dict
                 view *= P
                 q *= p
                 s = -lo % q
-    spf = block_spf(primes, lo, hi)
+    # each temporary is dropped once read, so the peak is the loop's 11
+    # bytes an integer plus n and big
     n = np.arange(lo, hi, dtype=np.uint32)
     big = prod != n
+    P1s = np.where(big, np.floor_divide(n, prod, out=n), b1) if P1 else None
+    del prod, n
     omega += big
     mu = omega & _ONE
     mu += mu
     np.subtract(_ONE, mu, out=mu)  # (-1)^omega
     mu *= sq == 0
-    out = {"mu": mu, "omega": omega, "spf": spf, "rep": ~big & (sq == b1)}
-    if P1:
-        out["P1"] = np.where(big, n // prod, b1)
+    rep = ~big & (sq == b1)
+    del sq
     # P2s = b1 where n has a prime factor above isqrt(hi - 1), b2 elsewhere
     b1 -= b2
     b1 *= big
     b2 += b1
-    out["P2s"] = b2.astype(np.uint32)
+    P2s = b2.astype(np.uint32)
+    del b1, b2, big
+    out = {"mu": mu, "omega": omega, "spf": block_spf(primes, lo, hi), "rep": rep}
+    if P1:
+        out["P1"] = P1s
+    out["P2s"] = P2s
     return out
 
 

@@ -1,6 +1,7 @@
 """CLI surface: argument handling, output round-trips, exit codes, config
 file, cache directory, and the negative path of the verify command."""
 
+import ast
 import contextlib
 import csv
 import hashlib
@@ -80,6 +81,16 @@ def test_classify_requires_one_context(capsys):
         ["classify", "--cyclotomic", "4", "--poly", "1,1,0,1", "5"], capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("k", ["65537", str(10**18)])
+def test_cyclotomic_beyond_int16_class_codes_is_usage_error(k, capsys):
+    # phi(65537) = 65536 classes do not fit int16 codes; 10^18 is rejected
+    # at its 32769th residue, with no pass over all of them
+    code, out, err = run(["scan", "--cyclotomic", k, "--xmax", "100"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "more than 32768 classes" in err
+    assert "Traceback" not in err
 
 
 def test_classify_several_primes(capsys):
@@ -769,14 +780,41 @@ def test_classify_large_discriminant_answers_quickly():
 
 def test_cli_import_leaves_out_what_few_commands_use():
     # hashlib (its OpenSSL alone is 3.6 MB of RSS), the thread pool, json
-    # and the duality suites are imported by the commands that use them
+    # and the duality suites are imported by the commands that use them.
+    # `import artinsums` loads no numpy and sets nothing, so importing cli
+    # sets OPENBLAS_NUM_THREADS=1 before numpy starts OpenBLAS's threads:
+    # the process runs one thread; a value already set is kept.  The
+    # children start without the variable, which this process has once it
+    # has imported cli.
     lazy = ("hashlib", "concurrent.futures", "json", "artinsums.duality")
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"import sys, artinsums.cli; print(*(m for m in {lazy!r} if m in sys.modules))"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"""if True:
+        import os, sys, artinsums
+        out = {{"bare": ("numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"))}}
+        import artinsums.cli
+        out["lazy"] = [m for m in {lazy!r} if m in sys.modules]
+        out["blas"] = os.environ.get("OPENBLAS_NUM_THREADS")
+        if os.path.exists("/proc/self/status"):
+            out["threads"] = open("/proc/self/status").read().split("Threads:")[1].split()[0]
+        from artinsums import *
+        out["missing"] = [name for name in artinsums.__all__ if name not in globals()]
+        print(repr(out))"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    out = ast.literal_eval(proc.stdout)
+    assert out["bare"] == (False, None)
+    assert out["lazy"] == [] and out["missing"] == []
+    assert out["blas"] == "1"
+    code = "import os, artinsums.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env={**env, "OPENBLAS_NUM_THREADS": "2"}
+    )
+    assert (proc.returncode, proc.stdout) == (0, "2\n"), proc.stderr
+    if "threads" not in out:
+        pytest.skip("no /proc/self/status to count threads")
+    assert out["threads"] == "1"
 
 
 def test_scan_with_state_never_loads_openssl(tmp_path):

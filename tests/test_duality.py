@@ -57,6 +57,16 @@ def test_random_weight_deterministic():
     assert any(random_weight(1)(p) != random_weight(2)(p) for p in (2, 3, 5, 7, 11))
 
 
+def test_random_weight_bounds():
+    # numerator a nonzero integer in [-5, 5], denominator in [1, 6], each value taken
+    values = {random_weight(seed)(p) for seed in (-1, 0, 1, 2**40) for p in range(2, 3000)}
+    assert {(v.numerator, v.denominator) for v in values if v.denominator == 1} == {
+        (a, 1) for a in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
+    }
+    assert 0 not in values and all(abs(v) <= 5 and v.denominator <= 6 for v in values)
+    assert {v.denominator for v in values} == {1, 2, 3, 4, 5, 6}
+
+
 def test_binom_convention():
     assert binom(-1, 0) == 1
     assert binom(-1, 1) == 0

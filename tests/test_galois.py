@@ -72,6 +72,12 @@ def test_cyclotomic_coprimality(sieve_small):
 def test_cyclotomic_validation():
     with pytest.raises(ValueError):
         new_cyclotomic(2)
+    # int16 class codes hold phi(k) <= 2^15 classes: phi(65536) = 2^15,
+    # phi(65537) = 2^16; a primorial and 10^18 fail without a pass over k
+    assert len(new_cyclotomic(65536).classes) == 1 << 15
+    for k in (65537, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19, 10**18):
+        with pytest.raises(ValueError, match="more than 32768 classes"):
+            new_cyclotomic(k)
 
 
 def test_cubic_class_table(ctx_cubic):

@@ -8,6 +8,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -282,6 +283,24 @@ def test_factor_block_matches_recurrence_tables(sieve_big):
     for lo, hi in ((2, 65_538), (900_000, 1_000_001)):
         spf = factor_block(primes, lo, hi)["spf"]
         assert spf.dtype == sieve_big.spf.dtype and np.array_equal(spf, sieve_big.spf[lo:hi])
+
+
+def test_factor_block_memory(sieve_small):
+    # each temporary is dropped once read, so a call holds the prime loop's
+    # 11 bytes an integer plus n and big (P1: the quotient in n, then P1
+    # itself), where all of them were alive together at 26 bytes (30 with P1)
+    size = 1 << 17
+    lo = 38 * size + 1
+    primes = sieve_small.prime_array(math.isqrt(lo + size))
+    for P1, bound in ((False, 17), (True, 21)):
+        factor_block(primes, lo, lo + size, P1)
+        tracemalloc.start()
+        try:
+            factor_block(primes, lo, lo + size, P1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / size <= bound, f"P1={P1}: {peak / size:.1f} bytes an integer"
 
 
 def test_block_spf():
