@@ -4,8 +4,8 @@ Commands: sieve-build, scan, reproduce-table, verify, duality-test,
 dickman, smooth, classify.  Global flags: --sieve-cache, --threads,
 --format, --out, --config.  A config file holds plain ``key = value``
 lines (keys are the long option names); command-line flags override it.
-The environment variable ARTINSUMS_CACHE_DIR supplies a default
-directory for sieve caches.  Importing this module sets
+The environment variable ARTINSUMS_CACHE_DIR is sieve-build's default
+output directory; no other command reads it.  Importing this module sets
 OPENBLAS_NUM_THREADS=1 unless it is already set: the program calls no
 BLAS routine, and numpy's OpenBLAS would otherwise start a thread per
 extra core that spins ~0.1 s of CPU before it sleeps.  `import
@@ -268,45 +268,26 @@ def parse_poly(text: str) -> list[int]:
     return coeffs
 
 
-def _cache_path(explicit, limit: int):
-    """The sieve cache file: `explicit` if given, else spf-<limit>.sieve in
-    ARTINSUMS_CACHE_DIR when that is set, else None."""
-    if explicit:
-        return explicit
-    cache_dir = os.environ.get(CACHE_DIR_ENV)
-    return os.path.join(cache_dir, f"spf-{limit}.sieve") if cache_dir else None
-
-
 def _build_sieve(limit: int, path) -> FactorSieve:
-    """A fresh sieve, saved to `path` (its directory made) when given."""
+    """A fresh sieve, saved to `path`, its directory made."""
     sieve = FactorSieve(limit)
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        sieve.save(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    sieve.save(path)
     return sieve
 
 
 def _get_sieve(args, needed: int) -> FactorSieve:
-    """Load the sieve cache named by --sieve-cache or kept in
-    ARTINSUMS_CACHE_DIR, or build and save it.  An unreadable file in the
-    cache directory (older version, truncated, bad checksum) is rebuilt;
-    an explicit --sieve-cache file that fails to load is an error."""
-    explicit = getattr(args, "sieve_cache", None)
-    path = _cache_path(explicit, needed)
-    if path and os.path.exists(path):
-        try:
-            sieve = FactorSieve.load(path)
-        except OSError as exc:
-            if explicit:
-                raise
-            print(f"note: rebuilding sieve cache ({exc})", file=sys.stderr)
-        else:
-            if sieve.limit < needed:
-                raise ValueError(
-                    f"sieve cache {path} has limit {sieve.limit}, need {needed}"
-                )
-            return sieve
-    return _build_sieve(needed, path)
+    """A sieve of limit `needed`, or the --sieve-cache file: loaded if it
+    exists (an error if unreadable or below `needed`), else built there."""
+    path = args.sieve_cache
+    if not path:
+        return FactorSieve(needed)
+    if not os.path.exists(path):
+        return _build_sieve(needed, path)
+    sieve = FactorSieve.load(path)
+    if sieve.limit < needed:
+        raise ValueError(f"sieve cache {path} has limit {sieve.limit}, need {needed}")
+    return sieve
 
 
 def _cell(v):
@@ -343,9 +324,12 @@ def _emit(rows, header, args) -> None:
 
 
 def _cmd_sieve_build(args) -> int:
-    path = _cache_path(args.sieve_cache or args.out_path, args.limit)
+    path = args.sieve_cache or args.out_path
     if not path:
-        raise ValueError("sieve-build needs --sieve-cache, --out, or " + CACHE_DIR_ENV)
+        cache_dir = os.environ.get(CACHE_DIR_ENV)
+        if not cache_dir:
+            raise ValueError("sieve-build needs --sieve-cache, --out, or " + CACHE_DIR_ENV)
+        path = os.path.join(cache_dir, f"spf-{args.limit}.sieve")
     sieve = _build_sieve(args.limit, path)
     print(f"wrote sieve with limit {sieve.limit} to {path}")
     return EXIT_OK
@@ -590,15 +574,19 @@ def _cmd_dickman(args) -> int:
     if args.grid:
         alphas = [float(a) for a in args.grid.split(",")]
     else:
-        n = int(round(args.alpha_max / args.step))
-        alphas = [i * args.step for i in range(n + 1)]
+        ratio = args.alpha_max / args.step  # round(ratio) + 1 points; may be inf
+        steps = series.RHO_MAX * series._RHO_STEPS_PER_UNIT  # the rho table has steps + 1 points
+        if ratio > steps + 0.5:
+            raise ValueError(f"--max / --step gives more grid points than the rho table's {steps + 1}")
+        alphas = [i * args.step for i in range(round(ratio) + 1)]
     rows = [(a, series.dickman_rho(a)) for a in alphas]
     _emit(rows, ("alpha", "rho"), args)
     return EXIT_OK
 
 
 def _cmd_smooth(args) -> int:
-    sieve = _get_sieve(args, args.x)
+    series.check_x_max(args.x)
+    sieve = _get_sieve(args, max(2, isqrt(args.x)))
     if args.y:
         ys = [int(y) for y in args.y.split(",")]
     elif args.alpha:
@@ -609,8 +597,7 @@ def _cmd_smooth(args) -> int:
     else:
         raise ValueError("smooth needs --y or --alpha")
     rows = []
-    for y in ys:
-        count = series.psi_smooth(args.x, y, sieve)
+    for y, count in zip(ys, series.psi_smooth(args.x, ys, sieve)):
         alpha = math.log(args.x) / math.log(y) if y > 1 else float("inf")
         ratio = count * math.exp(alpha / 2) / args.x
         rows.append((args.x, y, alpha, count, ratio))

@@ -26,8 +26,8 @@ coefficients of the subset enumeration to the F columns.  The
 Mobius-inverted form is the Dirichlet convolution mu * (F o P2), formed
 for all n at once in two loops split at s = isqrt(nmax): one slice per
 m <= s, then one per d <= nmax/(s+1), at most 2 sqrt(nmax) slices.
-``hyperbola_check`` is its own exact check; its left side groups the n
-by omega(n) from the same strips of spf and sums over the 2^omega
+``hyperbola_check`` is its own exact check; its left side takes the
+same omega(n) groups (``_omega_groups``) and sums over the 2^omega
 subsets of each group at once.
 """
 
@@ -215,7 +215,10 @@ def identity_sides(
     return L, _identity_groups(sieve.spf, nmax, kmax, F)
 
 
-def _identity_groups(spf: np.ndarray, nmax: int, kmax: int, F: np.ndarray):
+def _omega_groups(spf: np.ndarray, nmax: int):
+    """(ns, primes) per block of [2, nmax] and omega(n) = w: the n with w
+    distinct primes, and those primes as a (w, len(ns)) array, increasing
+    down each column."""
     for lo in range(2, nmax + 1, BLOCK):
         hi = min(lo + BLOCK, nmax + 1)
         rows = distinct_prime_rows(spf, lo, hi)
@@ -223,9 +226,14 @@ def _identity_groups(spf: np.ndarray, nmax: int, kmax: int, F: np.ndarray):
         for w in range(1, rows.shape[0] + 1):
             cols = np.flatnonzero(omega == w)
             if cols.size:
-                Fc = F[rows[:w, cols]]
-                C, R = _coefficients(w, min(kmax, w))
-                yield cols + lo, C @ Fc, R @ Fc
+                yield cols + lo, rows[:w, cols]
+
+
+def _identity_groups(spf: np.ndarray, nmax: int, kmax: int, F: np.ndarray):
+    for ns, primes in _omega_groups(spf, nmax):
+        Fc = F[primes]
+        C, R = _coefficients(len(primes), min(kmax, len(primes)))
+        yield ns, C @ Fc, R @ Fc
 
 
 def check_all_identities(
@@ -292,25 +300,20 @@ def hyperbola_check(sieve: FactorSieve, x: int, weight: PrimeWeight) -> tuple[Fr
     sides take mu from different sources: the left from the distinct
     primes of n (mu(n/d) = (-1)^r for n/d a product of r of them), the
     right from mu_table().  A wrong mu entry then shows.  The left side
-    takes the distinct primes from strips of spf (distinct_prime_rows),
-    groups the n by omega(n) = w and sums G = F o P2 over each of the 2^w
-    subsets at once; n = 1 adds G[1] = 0."""
+    takes the n grouped by omega(n) = w with their distinct primes
+    (_omega_groups) and sums G = F o P2 over each of the 2^w subsets at
+    once; n = 1 adds G[1] = 0."""
     if x > sieve.limit:
         raise ValueError(f"x = {x} exceeds sieve limit {sieve.limit}")
     # a group or prefix sum adds at most x values of |F|
     F, L = _scaled_table(weight, sieve, x, x)
     G = F[sieve.P2_strict_table()[: x + 1]]
     lhs = 0
-    for lo in range(2, x + 1, BLOCK):
-        hi = min(lo + BLOCK, x + 1)
-        rows = distinct_prime_rows(sieve.spf, lo, hi)
-        omega = np.count_nonzero(rows > 1, axis=0)
-        for w in range(1, rows.shape[0] + 1):
-            cols = np.flatnonzero(omega == w)
-            terms = [(1, cols + lo)]
-            for p in rows[:w, cols]:
-                terms += [(-s, d // p) for s, d in terms]
-            lhs += sum(s * int(G[d].sum()) for s, d in terms)
+    for ns, primes in _omega_groups(sieve.spf, x):
+        terms = [(1, ns)]
+        for p in primes:
+            terms += [(-s, d // p) for s, d in terms]
+        lhs += sum(s * int(G[d].sum()) for s, d in terms)
     prefix = np.cumsum(G).tolist()
     mu = sieve.mu_table()[: x + 1].tolist()
     rhs = sum(mu[m] * prefix[x // m] for m in range(1, x + 1))

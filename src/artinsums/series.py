@@ -594,13 +594,22 @@ def count_repeated_P1(x: int, sieve: FactorSieve) -> int:
     return int(np.count_nonzero(sieve.repeated_P1_table()[2 : x + 1]))
 
 
-def psi_smooth(x: int, y: int, sieve: FactorSieve) -> int:
-    """#{n <= x : largest prime factor <= y}; n = 1 counts."""
-    if not 1 <= y <= x:
-        raise ValueError(f"need 1 <= y <= x, got y={y}, x={x}")
-    if x > sieve.limit:
-        raise ValueError(f"x = {x} exceeds sieve limit {sieve.limit}")
-    return int(np.count_nonzero(sieve.P1_table()[1 : x + 1] <= y))
+def psi_smooth(x: int, ys, sieve: FactorSieve) -> list[int]:
+    """#{n <= x : largest prime factor <= y} for each y of the sequence
+    ys, in order; n = 1 counts.  One walk over factor_block blocks counts
+    them all from the primes up to isqrt(x), with no table of length x."""
+    check_x_max(x)
+    if not all(1 <= y <= x for y in ys):
+        raise ValueError(f"need 1 <= y <= x = {x} for every y, got {ys}")
+    if sieve.limit < isqrt(x):
+        raise ValueError(f"sieve limit {sieve.limit} is below isqrt(x) = {isqrt(x)}")
+    primes = sieve.prime_array(isqrt(x))
+    counts = [1] * len(ys)
+    step = default_segment_size(x)
+    for lo in range(2, x + 1, step):
+        P1 = factor_block(primes, lo, min(lo + step, x + 1), P1=True)["P1"]
+        counts = [c + int(np.count_nonzero(P1 <= y)) for c, y in zip(counts, ys)]
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import json
 import math
 import os
 import re
-import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -415,44 +414,42 @@ def test_sieve_cache_byte_edit_is_rejected(tmp_path_factory, saved_cache, data):
 
 
 def test_sieve_cache_too_small(tmp_path, capsys):
+    # smooth --x 1000 reads the primes up to isqrt(1000) = 31
     cache = tmp_path / "spf.sieve"
-    FactorSieve(100).save(cache)
+    FactorSieve(30).save(cache)
     code, _, err = run(
         ["smooth", "--x", "1000", "--y", "10", "--sieve-cache", str(cache)],
         capsys,
     )
     assert code == 2
-    assert "limit" in err
+    assert "limit 30, need 31" in err
 
 
 def test_cache_dir_env(tmp_path, capsys, monkeypatch):
+    # the cache directory is sieve-build's default output; the other
+    # commands build the small sieve they need and leave it alone
     monkeypatch.setenv(cli.CACHE_DIR_ENV, str(tmp_path))
-    code, _, _ = run(["smooth", "--x", "500", "--y", "5"], capsys)
+    for argv in (
+        ["scan", "--cyclotomic", "4", "--xmax", "10000"],
+        ["smooth", "--x", "500", "--y", "5"],
+        ["verify", "--nmax", "300"],
+    ):
+        assert run(argv, capsys)[0] == 0
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run(["sieve-build", "--limit", "500"], capsys)
     assert code == 0
-    assert (tmp_path / "spf-500.sieve").exists()
-    # second run reuses the cache file
-    code, _, _ = run(["smooth", "--x", "500", "--y", "5"], capsys)
-    assert code == 0
+    assert out == f"wrote sieve with limit 500 to {tmp_path / 'spf-500.sieve'}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["spf-500.sieve"]
+    assert FactorSieve.load(tmp_path / "spf-500.sieve").limit == 500
 
 
-def test_cache_dir_rebuilds_unreadable_cache(tmp_path, capsys, monkeypatch):
-    argv = ["smooth", "--x", "500", "--y", "5"]
-    code, cold, _ = run(argv, capsys)
+def test_missing_sieve_cache_is_built_at_the_limit_needed(tmp_path, capsys):
+    cache = tmp_path / "new" / "spf.sieve"
+    argv = ["smooth", "--x", "1000", "--y", "10", "--sieve-cache", str(cache)]
+    code, out, _ = run(argv, capsys)
     assert code == 0
-    # a v1 cache (magic, version 1, uint64 limit, no checksum) in the cache dir
-    path = tmp_path / "spf-500.sieve"
-    body = FactorSieve(500).spf[2:].astype("<u4").tobytes()
-    path.write_bytes(b"AFS1" + bytes([1]) + struct.pack("<Q", 500) + body)
-    monkeypatch.setenv(cli.CACHE_DIR_ENV, str(tmp_path))
-    code, out, err = run(argv, capsys)
-    assert code == 0
-    assert out == cold
-    assert err.count("note:") == 1 and "unsupported cache version 1" in err
-    assert FactorSieve.load(path).limit == 500  # replaced by a v2 file
-    assert path.read_bytes()[4] == 2
-    assert not (tmp_path / "spf-500.sieve.tmp").exists()
-    code, out, err = run(argv, capsys)
-    assert (code, out, err) == (0, cold, "")
+    assert FactorSieve.load(cache).limit == 31
+    assert run(argv, capsys)[:2] == (0, out)
 
 
 def test_dickman_command(capsys):
@@ -493,6 +490,25 @@ def test_dickman_rejects_bad_step_or_max(argv, capsys):
     code, out, err = run(["dickman", *argv], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--step", "1e-310"], ["--max", "20", "--step", "0.00005"]])
+def test_dickman_grid_beyond_the_rho_table_exits_2(argv, capsys, monkeypatch):
+    # 1e-310 overflowed int(round(inf)); 0.00005 printed 400,001 rows, more
+    # than the 200,001 points of the rho table; both are refused before a row
+    monkeypatch.setattr(series, "dickman_rho", lambda a: pytest.fail("built a row"))
+    code, out, err = run(["dickman", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "200001" in err
+
+
+def test_dickman_grid_of_the_whole_rho_table(monkeypatch):
+    # the grid is under test, not rho or its output
+    rows = []
+    monkeypatch.setattr(series, "dickman_rho", lambda a: 1.0)
+    monkeypatch.setattr(cli, "_emit", lambda got, header, args: rows.extend(got))
+    assert cli.main(["dickman", "--max", "20", "--step", "0.0001"]) == 0
+    assert len(rows) == 200_001 and rows[-1][0] == pytest.approx(20)
 
 
 def test_dickman_max_edges(capsys):
@@ -894,13 +910,10 @@ def test_scan_xmax_beyond_limb_bound_exits_2(xmax, capsys):
     assert "outside [2, 4294967295]" in err
 
 
-def test_scan_sieve_cache_holds_the_sieving_primes(tmp_path, capsys, monkeypatch):
-    # scan reads a cache of the primes up to isqrt(xmax), and builds one of
-    # that limit where none is found
-    monkeypatch.setenv(cli.CACHE_DIR_ENV, str(tmp_path))
+def test_scan_sieve_cache_holds_the_sieving_primes(tmp_path, capsys):
+    # scan reads a cache of the primes up to isqrt(xmax)
     code, out, _ = run(["scan", "--cyclotomic", "4", "--xmax", "10000"], capsys)
     assert code == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["spf-100.sieve"]
     cache = tmp_path / "small.sieve"
     FactorSieve(99).save(cache)
     code, _, err = run(["scan", "--cyclotomic", "4", "--xmax", "10000", "--sieve-cache", str(cache)], capsys)

@@ -324,6 +324,57 @@ def test_splitting_check_exact(sieve_small, ctx_c4, ctx_cubic):
                 assert lhs == rhs
 
 
+def duality_floor_weighted(ctx, sieve, codes, x) -> dict:
+    """floor_weighted of every bucket at x from Alladi duality alone:
+    identities 2 (k = 1) and 4 (k = 2) with f = [p in C], added and summed
+    over N <= x, give sum_{n <= x} mu(n) omega(n) [p1(n) in C] floor(x/n)
+    = #{2 <= N <= x : P2s(N) in C} - #{2 <= N <= x : P1(N) in C}, for a
+    class C or one ramified prime; over all primes, the total is minus the
+    number of prime powers (P2s = 1).  `codes` are class codes over
+    [0, x]; only sieve tables are read."""
+    P1 = sieve.P1_table()[2 : x + 1]
+    P2 = sieve.P2_strict_table()[2 : x + 1]
+    c1, c2 = codes[P1], codes[P2]
+    out = {
+        lab: int(np.count_nonzero(c2 == k)) - int(np.count_nonzero(c1 == k))
+        for k, lab in enumerate(ctx.labels())
+    }
+    for p in np.flatnonzero(codes == RAMIFIED_CODE).tolist():
+        out[f"ramified:{p}"] = int(np.count_nonzero(P2 == p)) - int(np.count_nonzero(P1 == p))
+    out["total"] = -int(np.count_nonzero(P2 == 1))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, checkpoints",
+    [
+        ("c4", (10_000, 300_000, 1_000_000)),
+        ("c12", (30_000, 100_000, 300_000)),
+        ("1,1,0,1", (10_000, 300_000, 1_000_000)),
+        ("-1,-1,0,0,0,1", (10_000, 70_000, 200_000)),
+    ],
+    ids=["Q(i)", "Q(zeta_12)", "x^3+x+1", "x^5-x-1"],
+)
+def test_floor_weighted_matches_duality_counts(sieve_big, spec, checkpoints):
+    # every bucket of floor_weighted, at 1 and 2 threads, against counts of
+    # the largest and second-largest prime factors; in exact mode at 10^4,
+    # where floor + frac = x mu_omega_over_n then pins frac_weighted too
+    if spec.startswith("c"):
+        ctx = new_cyclotomic(int(spec[1:]))
+    else:
+        ctx = new_splitting_field([int(c) for c in spec.split(",")])
+    codes = ctx.class_code_array(sieve_big, checkpoints[-1])
+    runs = [(checkpoints, "compensated", threads) for threads in (1, 2)]
+    runs.append(((2_000, 5_000, 10_000), "exact", 1))
+    for cps, mode, threads in runs:
+        r = series.scan(ctx, cps[-1], checkpoints=cps, mode=mode, sieve=sieve_big, threads=threads)
+        for x in cps:
+            got = {name: vals["floor_weighted"] for name, vals in r.snapshots[x].buckets()}
+            assert got == duality_floor_weighted(ctx, sieve_big, codes[: x + 1], x), (mode, threads, x)
+        if mode == "exact":
+            assert series.splitting_check(r)[0]
+
+
 def test_compensated_matches_exact(sieve_small, ctx_cubic):
     for x in (1000, 10_000):
         ex = series.scan(ctx_cubic, x, mode="exact", sieve=sieve_small).snapshots[x]
@@ -1065,13 +1116,21 @@ def test_count_repeated_P1(sieve_small):
 
 def test_psi_smooth_oracles(sieve_small):
     # 2-smooth n <= 10: 1, 2, 4, 8
-    assert series.psi_smooth(10, 2, sieve_small) == 4
-    assert series.psi_smooth(30, 5, sieve_small) == 18
-    assert series.psi_smooth(50, 50, sieve_small) == 50
-    with pytest.raises(ValueError):
-        series.psi_smooth(10, 11, sieve_small)
-    with pytest.raises(ValueError):
-        series.psi_smooth(10, 0, sieve_small)
+    assert series.psi_smooth(10, [2], sieve_small) == [4]
+    assert series.psi_smooth(30, [5], sieve_small) == [18]
+    assert series.psi_smooth(50, [50], sieve_small) == [50]
+    assert series.psi_smooth(30, [5, 2, 5, 30], sieve_small) == [18, 5, 18, 30]
+    assert series.psi_smooth(30, [], sieve_small) == []
+    for ys in ([11], [0], [2, 11]):
+        with pytest.raises(ValueError):
+            series.psi_smooth(10, ys, sieve_small)
+    # the walk needs the primes up to isqrt(x), and x within [2, X_MAX]
+    with pytest.raises(ValueError, match="below isqrt"):
+        series.psi_smooth(10_000, [5], FactorSieve(99))
+    assert series.psi_smooth(10_000, [5], FactorSieve(100)) == series.psi_smooth(10_000, [5], sieve_small)
+    for x in (1, 2**32):
+        with pytest.raises(ValueError, match="outside"):
+            series.psi_smooth(x, [1], sieve_small)
 
 
 @given(st.integers(2, 2000), st.integers(1, 2000))
@@ -1082,13 +1141,40 @@ def test_psi_smooth_matches_enumeration(sieve_small, x, y):
     brute = 1 + sum(
         1 for n in range(2, x + 1) if sieve_small.factorize(n)[-1][0] <= y
     )
-    assert series.psi_smooth(x, y, sieve_small) == brute
+    assert series.psi_smooth(x, [y], sieve_small) == [brute]
 
 
 def test_psi_monotone_in_y(sieve_small):
-    vals = [series.psi_smooth(5000, y, sieve_small) for y in (1, 2, 10, 100, 5000)]
+    vals = series.psi_smooth(5000, [1, 2, 10, 100, 5000], sieve_small)
     assert vals == sorted(vals)
     assert vals[0] == 1 and vals[-1] == 5000
+
+
+def test_psi_smooth_spans_several_blocks(sieve_small):
+    # 10^5 is two default blocks of 2^16, the second one partial
+    x, ys = 100_000, [1, 2, 97, 316, 317, 10_007, 65_537, 100_000]
+    P1 = sieve_small.P1_table()[1 : x + 1]
+    assert series.psi_smooth(x, ys, sieve_small) == [int(np.count_nonzero(P1 <= y)) for y in ys]
+
+
+def test_psi_smooth_memory_is_one_block(sieve_small):
+    # the walk holds one factor_block block, 24.3 bytes an integer at the
+    # default 2^17 of both x, and nothing that grows with x
+    seg = series.default_segment_size(2 * 10**6)
+    assert seg == series.default_segment_size(4 * 10**6) == 1 << 17
+
+    def peak(x):
+        tracemalloc.start()
+        try:
+            series.psi_smooth(x, [10, 1000, 10**5], sieve_small)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10**5)  # imports and caches what every call shares
+    small, big = peak(2 * 10**6), peak(4 * 10**6)
+    assert abs(big - small) <= 8 << 10, (small, big)
+    assert max(small, big) / seg < 26, f"{max(small, big) / seg:.1f} bytes an integer"
 
 
 def test_count_P2_below(sieve_small):
