@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Commands: sieve-build, scan, reproduce-table, verify, duality-test,
-dickman, smooth, classify.  Global flags: --sieve-cache, --threads,
---format, --out, --config.  A config file holds plain ``key = value``
-lines (keys are the long option names); command-line flags override it.
+dickman, smooth, classify.  Global flags: --sieve-cache, --format, --out,
+--config; only scan and reproduce-table take --threads.  A config file
+holds plain ``key = value`` lines (keys are the long option names), and
+command-line flags override it.
 The environment variable ARTINSUMS_CACHE_DIR is sieve-build's default
 output directory; no other command reads it.  Importing this module sets
 OPENBLAS_NUM_THREADS=1 unless it is already set: the program calls no
@@ -135,7 +136,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def common(p, context=True):
         p.add_argument("--sieve-cache", help="sieve cache file (built if missing)")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", dest="out_path", help="output file (default stdout)")
         if context:
@@ -153,6 +153,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("scan", help="accumulate all class-keyed sums up to x")
     common(p)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--xmax", type=int, required=True)
     p.add_argument("--checkpoints", help="comma-separated checkpoint x values")
     p.add_argument("--mode", choices=("exact", "compensated"), default="compensated")
@@ -169,6 +170,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("reproduce-table", help="compare the x^3+x+1 class-sum table with its reference values")
     common(p, context=False)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_reproduce_table)
 
     p = sub.add_parser("verify", help="run the exact duality/identity suites")

@@ -23,26 +23,39 @@ limit, so no density is affected.
 
 Cycle types come from one numpy routine over an array of primes, one lane
 per prime (Cohen, *A Course in Computational Algebraic Number Theory*,
-3.4).  Each lane reduces f mod its own p, computes h = x^p mod f by
-left-to-right square-and-multiply over the bits of p, and builds the
-Berlekamp matrix Q, whose row i is x^(ip) mod f.  Q is the Frobenius of
+3.4).  Each lane computes h = x^p mod (f, p) and builds the Berlekamp
+matrix Q, whose row i is x^(ip) mod f.  Q is the Frobenius of
 F_p[x]/(f), a product of fields F_(p^e), one per irreducible factor, and
 Frobenius^d has trace e on F_(p^e) when e | d and 0 otherwise.  So
 tr(Q^d) mod p is fix(sigma^d), the number of roots of f fixed by the d-th
 power of the Frobenius permutation sigma, and Moebius inversion gives the
-number of e-cycles, c_e = (1/e) sum_{d | e} mu(e/d) fix(sigma^d).  This
-is exact only while fix <= deg f < p: the few primes p <= deg f (2, 3, 5)
-go through ``fieldpoly.distinct_degree_factorization`` instead.
+number of e-cycles, c_e = (1/e) sum_{d | e} mu(e/d) fix(sigma^d).  Only
+d <= m = n // 2 is needed: the c_e for e <= m leave a rest of n that is 0
+or a single cycle longer than m, as two such cycles would not fit.  So
+n = 2, 3 take tr(Q), n = 4, 5 also tr(Q^2) = sum of Q_ij Q_ji, and n = 6
+forms Q^2 for tr(Q^3).  This is exact only while fix <= deg f < p: the
+few primes p <= deg f (2, 3, 5) go through
+``fieldpoly.distinct_degree_factorization`` instead.
+
+h comes from left-to-right square-and-multiply over the bits of p,
+started from a table of x^e mod f over Z that the context keeps: e runs to
+the last power whose coefficients stay below 2^62 (227 for x^3+x+1, 288
+for x^5-x-1), or to _TABLE_CAP when they stay bounded (x^2+1).  A lane
+starts from column p >> s reduced mod p, s the smallest shift that puts
+the largest p in the table, and takes the last s bits of p: 13 of 20
+steps for the primes to 10^6.  Each step squares h and, in the lanes whose bit
+of p is set, multiplies by x before one top-down reduction mod f and p
+that skips the zero coefficients of f, adds or subtracts for those of -1
+or 1 and multiplies only for the others.
 
 The lanes run coefficient-major: row i of an (n, L) array holds the
 coefficient of x^i for all L primes, so every numpy call runs over L
-contiguous lanes.  Each bit step squares h and, in the lanes whose bit of
-p is set, multiplies the square by x before one top-down reduction mod f
-and p.  A row of the product starts as at most n products of residues and
-takes at most n more while the rows above it are reduced, so int64 lanes
-are used only while 2n (p - 1)^2 < 2^63 (p below about 8.8e8 for n = 6)
-and the coefficients of f fit; larger primes run the same code on
-Python-int (``dtype=object``) lanes.
+contiguous lanes.  A row of the product starts as at most n products of
+residues and takes at most n more, of either sign, while the rows above
+it are reduced, so int64 lanes are used only while 2n (p - 1)^2 < 2^63
+(p below about 8.8e8 for n = 6) and the coefficients of f stay below
+2^62; larger primes run the same code on Python-int (``dtype=object``)
+lanes.
 """
 
 from __future__ import annotations
@@ -64,11 +77,14 @@ UNCLASSIFIED_CODE = -2
 # class codes are int16, 0 .. MAX_CLASSES - 1
 MAX_CLASSES = 1 << 15
 
-# primes per call of the trace kernel.  Of 2^10..2^15 lanes, 2^13 ran
-# fastest on x^3+x+1 to 10^6 and x^5-x-1 to 2*10^5, about 10% ahead of 2^12,
-# but its (n, n, primes) matrix powers raised the x^5-x-1 scan's peak RSS
-# by 1 MB, where 2^12 adds 0.1 MB to that of 2^11
+# primes per call of the trace kernel.  Of 2^11..2^13 lanes, 2^13 ran
+# x^3+x+1 to 10^6 about 5% faster than 2^12 and x^5-x-1 to 2*10^5 no
+# faster, but raised the x^5-x-1 scan's peak RSS by 0.8 MB; 2^11 ran both
+# 4-10% slower for 0.2 MB less
 _CHUNK = 1 << 12
+# the most columns of the table of x^e mod f that starts the lanes' ladder:
+# x^e mod x^2 + 1 or x^4 + 1 cycles, so its coefficients never reach 2^62
+_TABLE_CAP = 1 << 10
 # integers per block of the search for ramified primes above isqrt(x); at
 # 2^16 its loop over the sieving primes would run 16 times as often
 _SEARCH_BLOCK = 1 << 20
@@ -118,6 +134,7 @@ class GaloisContext:
             # class code by cycle type, the counts c_1..c_n of e-cycles read
             # as the digits of a base-(n + 1) key
             n = len(self.poly) - 1
+            self._powers = _power_table(self.poly)
             self._cycle_codes = np.full((n + 1) ** n, UNCLASSIFIED_CODE, dtype=np.int16)
             for c in self.classes:
                 key = sum((n + 1) ** (int(e) - 1) for e in c.label.split("+"))
@@ -214,19 +231,11 @@ class GaloisContext:
             codes[i] = self._code[shape_label(shape)]
         lanes = unramified & ~small
         if lanes.any():
-            fix = _frobenius_fixed_points(self.poly, primes[lanes])
-            # Moebius inversion of fix(sigma^e) = sum of d c_d over d | e
-            counts = np.zeros_like(fix)
-            ok = np.ones(len(fix), dtype=bool)
-            for e in range(1, n + 1):
-                ec = fix[:, e - 1] - sum(d * counts[:, d - 1] for d in range(1, e) if e % d == 0)
-                counts[:, e - 1] = ec // e
-                ok &= (ec >= 0) & (ec % e == 0)
-            ok &= counts @ np.arange(1, n + 1) == n
-            if not ok.all():
-                p = primes[lanes][np.flatnonzero(~ok)[0]]
+            keys = _cycle_type_keys(_frobenius_fixed_points(self.poly, self._powers, primes[lanes]), n)
+            if (keys < 0).any():
+                p = primes[lanes][np.flatnonzero(keys < 0)[0]]
                 raise IntegrityError(f"Frobenius traces of {list(self.poly)} mod {p} give no cycle type")
-            codes[lanes] = self._cycle_codes[counts @ (n + 1) ** np.arange(n)]
+            codes[lanes] = self._cycle_codes[keys]
         return codes
 
     def code_of(self, label: str) -> int:
@@ -273,38 +282,81 @@ def new_splitting_field(int_coeffs) -> GaloisContext:
     return GaloisContext("splitting", classes, order, poly=coeffs, disc=disc)
 
 
-def _frobenius_fixed_points(poly, primes: np.ndarray) -> np.ndarray:
-    """(L, n) int64 array of fix(sigma^d) = tr(Q^d) mod p, d = 1..n, for
-    primes p > n = deg f not dividing disc(f), one lane per prime."""
+def _frobenius_fixed_points(poly, powers: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """(L, n // 2) int64 array of fix(sigma^d) = tr(Q^d) mod p, d = 1..n // 2,
+    for primes p > n = deg f not dividing disc(f), one lane per prime;
+    powers is f's _power_table."""
     n = len(poly) - 1
     pmax = int(primes.max())
     # _mulmod keeps every intermediate at most 2n (p - 1)^2
     fits = 2 * n * (pmax - 1) ** 2 < 2**63 and max(map(abs, poly)) < 2**62
     dtype = np.int64 if fits else object
     p = primes.astype(dtype)
-    red = (-np.array(poly[:n], dtype=dtype)[:, None]) % p  # x^n = sum red_j x^j mod f
-    h = np.zeros((n, len(p)), dtype=dtype)
-    h[0] = 1
-    for b in reversed(range(pmax.bit_length())):
+    # x^n = sum of -f_j x^j mod f: add the top row where -f_j = 1, subtract
+    # it where -f_j = -1, and multiply it by (-f_j) mod p elsewhere
+    red = (
+        [j for j in range(n) if poly[j] == -1],
+        [j for j in range(n) if poly[j] == 1],
+        [(j, np.array(-poly[j], dtype=dtype) % p) for j in range(n) if abs(poly[j]) > 1],
+    )
+    # h = x^(p >> s) from the table, then s square-and-multiply steps
+    s = (pmax // powers.shape[1]).bit_length()
+    h = powers[:, (p >> s).astype(np.intp)].astype(dtype) % p
+    for b in reversed(range(s)):
         h = _mulmod(h, h, red, p, ((p >> b) & 1).astype(bool))
     Q = np.zeros((n, n, len(p)), dtype=dtype)
     Q[0, 0] = 1
-    for i in range(1, n):
+    Q[1] = h
+    for i in range(2, n):
         Q[i] = _mulmod(Q[i - 1], h, red, p)
-    fix = np.empty((len(p), n), dtype=np.int64)
+    fix = np.empty((len(p), n // 2), dtype=np.int64)
+    fix[:, 0] = np.trace(Q) % p
     Qd = Q
-    for d in range(n):
-        if d:
-            Qd = np.einsum("ijl,jkl->ikl", Qd, Q)
-            Qd %= p
-        fix[:, d] = (np.trace(Qd) % p).astype(np.int64)
+    for d in range(2, n // 2 + 1):
+        if d > 2:
+            Qd = np.einsum("ijl,jkl->ikl", Qd, Q) % p
+        # tr(Q^(d-1) Q), a row of n products at a time
+        fix[:, d - 1] = (np.einsum("ijl,jil->il", Qd, Q) % p).sum(axis=0) % p
     return fix
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray, times_x=False) -> np.ndarray:
+def _cycle_type_keys(fix: np.ndarray, n: int) -> np.ndarray:
+    """The cycle-type key, sum of c_e (n + 1)^(e - 1), of each row of
+    fix(sigma^d), d = 1..n // 2, or -1 where no cycle type has those
+    traces.  Moebius inversion of fix(sigma^d) = sum of e c_e over e | d
+    gives c_e for e <= m = n // 2; the rest of n, R, is 0 or one cycle
+    longer than m, as two such cycles would not fit."""
+    m = n // 2
+    counts = np.zeros_like(fix)
+    ok = np.ones(len(fix), dtype=bool)
+    for e in range(1, m + 1):
+        ec = fix[:, e - 1] - sum(d * counts[:, d - 1] for d in range(1, e) if e % d == 0)
+        counts[:, e - 1] = ec // e
+        ok &= (ec >= 0) & (ec % e == 0)
+    rest = n - counts @ np.arange(1, m + 1)
+    ok &= (rest == 0) | (rest > m)
+    keys = counts @ (n + 1) ** np.arange(m) + (rest > 0) * (n + 1) ** np.clip(rest - 1, 0, n - 1)
+    return np.where(ok, keys, -1)
+
+
+def _power_table(poly) -> np.ndarray:
+    """(n, E + 1) int64 array, column e the coefficients of x^e mod f over
+    Z: E is the last e before a coefficient reaches 2^62, the bound on
+    those of f, or _TABLE_CAP - 1 if none does."""
+    h = (1,) + (0,) * (len(poly) - 2)
+    powers = []
+    while len(powers) < _TABLE_CAP and max(map(abs, h)) < 2**62:
+        powers.append(h)
+        # x h = x^n h_(n-1) + ..., and x^n = -sum f_j x^j
+        h = tuple(c - h[-1] * f for c, f in zip((0,) + h[:-1], poly))
+    return np.array(powers, dtype=np.int64).T.copy()
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, red, p: np.ndarray, times_x=False) -> np.ndarray:
     """Lane-wise a * b mod (f, p), times x in the lanes where times_x is
     set, for (n, L) coefficient arrays, row i the coefficient of x^i; red
-    holds x^n mod f."""
+    holds the j where -f_j, the x^j coefficient of x^n mod f, is 1, those
+    where it is -1, and the other nonzero ones with (-f_j) mod p."""
     n = len(a)
     # row k + 1 holds the x^k coefficient of a * b, so row k holds that of
     # x * a * b: both products are views of one buffer
@@ -313,10 +365,17 @@ def _mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray, times_
         prod[i + 1 : i + n + 1] += a[i] * b
     prod = np.where(times_x, prod[:-1], prod[1:])
     # a row starts as at most n products of residues and takes at most n
-    # more while the rows above it are reduced, so it stays at most
-    # 2n (p - 1)^2 until its own reduction
+    # more, each of either sign, while the rows above it are reduced, so
+    # it stays within 2n (p - 1)^2 until its own reduction
+    ones, minus_ones, others = red
     for k in range(2 * n - 1, n - 1, -1):
-        prod[k - n : k] += prod[k] % p * red
+        top = prod[k] % p
+        for j in ones:
+            prod[k - n + j] += top
+        for j in minus_ones:
+            prod[k - n + j] -= top
+        for j, c in others:
+            prod[k - n + j] += top * c
     return prod[:n] % p
 
 

@@ -10,9 +10,9 @@ its buckets in output order (``Snapshot.buckets``); the CLI's rows and
 both audits walk that list, and the audits return (ok, rows).
 
 A scan streams: it holds no table of length x.  Each segment gets its
-mu, omega, spf, P2s and "P1 repeats" from ``sieve.factor_block``, which
-reads only the primes up to isqrt(x), so a scan takes O(sqrt(x) + segment)
-memory and x may reach X_MAX = 2^32 - 1.  Class codes come from the
+mu, omega, P2s and "P1 repeats" from ``sieve.factor_block`` and its spf
+from ``sieve.block_spf``, which read only the primes up to isqrt(x), so
+a scan takes O(sqrt(x) + segment) memory and x may reach X_MAX = 2^32 - 1.  Class codes come from the
 context's code array over [0, isqrt(x)], which holds the spf of every
 composite n and the strict P2 of every n; the primes above isqrt(x) are
 the squarefree n of a segment whose spf lies above it, and the kernel
@@ -94,7 +94,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .galois import RAMIFIED_CODE, UNCLASSIFIED_CODE, GaloisContext
-from .sieve import X_MAX, FactorSieve, factor_block
+from .sieve import X_MAX, FactorSieve, block_spf, factor_block
 
 # the exact state at x = 10^4 already holds integers of 4298 digits (the
 # primorial of 10^4), just below the 4300 that int <-> str converts by
@@ -376,6 +376,7 @@ def _segment_partials(labels, primes, codes, classify, ram_primes, lo, hi, mode,
     # the bucket of a term by its smallest prime factor, for those up to r
     keymap = _bucket_key(codes, np.arange(len(codes)), ram_primes, len(labels))
     names = _bucket_names(labels, ram_primes)
+    block["spf"] = block_spf(primes, lo, hi + 1)
     for a in range(0, hi + 1 - lo, _PASS):
         for key, vals in _pass_sums(block, a, lo, keymap, classify, ram_primes, len(labels), mode, xs).items():
             prefix, kind = key.rsplit(".", 1)

@@ -10,9 +10,9 @@ The sieve stores one uint32 per integer (4 bytes/entry), so a limit of
 gives the spf of a block lo <= n < hi in O(hi - lo) memory from the
 primes up to isqrt(hi - 1), so a scan to x needs only a sieve of the
 primes up to isqrt(x).  FactorSieve(limit) joins its blocks of [2, limit]
-with the primes of FactorSieve(isqrt(limit)), and ``factor_block`` takes
-its spf from it.  The bulk tables of a sieve (mu, omega, P1, P2s, rep)
-are its factor_block blocks joined; the first accessor builds them.
+with the primes of FactorSieve(isqrt(limit)), and a scan takes each
+segment's spf from it.  The bulk tables of a sieve (mu, omega, P1, P2s,
+rep) are its factor_block blocks joined; the first accessor builds them.
 Nothing is mutated after construction, so a sieve may be shared freely
 across threads.  Cache format v2: a 13-byte header (b"AFS1", version,
 uint32 limit, uint32 zlib.crc32 of the body), then spf[2..limit] as
@@ -201,7 +201,7 @@ def _joined_tables(primes: np.ndarray, limit: int) -> dict[str, np.ndarray]:
 
 
 def factor_block(primes: np.ndarray, lo: int, hi: int, P1: bool = False) -> dict[str, np.ndarray]:
-    """mu (int8), omega (int8), spf, P2s (uint32) and rep (bool), and P1
+    """mu (int8), omega (int8), P2s (uint32) and rep (bool), and P1
     (uint32) when asked, for 2 <= lo <= n < hi <= 2^32, keyed as the
     tables of FactorSieve, with P2s = 1 when omega(n) < 2.  `primes` must
     hold, in increasing order, every prime up to isqrt(hi - 1), the only
@@ -211,8 +211,7 @@ def factor_block(primes: np.ndarray, lo: int, hi: int, P1: bool = False) -> dict
     n, adds 1 to omega(n), and moves the largest of them so far, b1(n),
     into b2(n); the largest p whose square divides n is kept too.  What is
     left of n, n / prod(n), is 1 or the one prime factor of n above
-    isqrt(hi - 1), so prod(n) != n says whether it exists.  spf comes from
-    block_spf."""
+    isqrt(hi - 1), so prod(n) != n says whether it exists."""
     size = hi - lo
     primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")].astype(np.uint32)
     prod = np.ones(size, dtype=np.uint32)
@@ -260,7 +259,7 @@ def factor_block(primes: np.ndarray, lo: int, hi: int, P1: bool = False) -> dict
     b2 += b1
     P2s = b2.astype(np.uint32)
     del b1, b2, big
-    out = {"mu": mu, "omega": omega, "spf": block_spf(primes, lo, hi), "rep": rep}
+    out = {"mu": mu, "omega": omega, "rep": rep}
     if P1:
         out["P1"] = P1s
     out["P2s"] = P2s

@@ -704,6 +704,30 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert out_b.read_text().startswith("x,class,sum_kind,value")
 
 
+THREADLESS_COMMANDS = [
+    ["sieve-build", "--limit", "100"],
+    ["verify", "--nmax", "60", "--weights", "1"],
+    ["duality-test", "--nmax", "60"],
+    ["dickman", "--grid", "1"],
+    ["smooth", "--x", "100", "--y", "10"],
+    ["classify", "--cyclotomic", "4", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", THREADLESS_COMMANDS, ids=lambda a: a[0])
+def test_threads_only_on_scan_and_reproduce_table(argv, tmp_path, capsys, monkeypatch):
+    # a command that runs on one thread rejects --threads as a usage error;
+    # a config key names no option of it, so a config file's is ignored
+    monkeypatch.setenv(cli.CACHE_DIR_ENV, str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    cfg = tmp_path / "artinsums.cfg"
+    cfg.write_text("threads = 2\n")
+    assert run(["--config", str(cfg), *argv], capsys)[0] == 0
+
+
 def test_config_file_malformed(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("threads 4\n")

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from artinsums.errors import NotSquarefreeError
+from artinsums import galois
+from artinsums.errors import IntegrityError, NotSquarefreeError
 from artinsums.fieldpoly import (
     discriminant,
     distinct_degree_factorization,
@@ -19,10 +20,14 @@ from artinsums.fieldpoly import (
 )
 from artinsums.galois import (
     _CHUNK,
+    _TABLE_CAP,
     RAMIFIED_CODE,
     UNCLASSIFIED_CODE,
     ClassOutcome,
+    _cycle_type_keys,
     _frobenius_fixed_points,
+    _partitions,
+    _power_table,
     new_cyclotomic,
     new_splitting_field,
 )
@@ -316,16 +321,107 @@ def test_class_codes_mixed_bit_lengths(poly):
     "poly", [ORACLE_POLYS[i] for i in (0, 1, 4, 5, 7)], ids=lambda c: ",".join(map(str, c))
 )
 def test_fixed_points_match_ddf_shape(poly, sieve_small):
-    # fix(sigma^d) = sum of e * c_e over e | d, c_e the number of degree-e
-    # factors of f mod p, on every unramified prime in (deg f, 10^4]
+    # fix(sigma^d) = sum of e * c_e over e | d, d = 1..deg f // 2, c_e the
+    # number of degree-e factors of f mod p, on every unramified prime in
+    # (deg f, 10^4]
     n = len(poly) - 1
     disc = discriminant(poly)
     primes = [p for p in sieve_small.prime_array(10_000).tolist() if p > n and disc % p]
     expected = []
     for p in primes:
         shape = distinct_degree_factorization(reduce_poly(poly, p))
-        expected.append([sum(e * c for e, c in shape if d % e == 0) for d in range(1, n + 1)])
-    assert _frobenius_fixed_points(poly, np.array(primes)).tolist() == expected
+        expected.append([sum(e * c for e, c in shape if d % e == 0) for d in range(1, n // 2 + 1)])
+    assert _frobenius_fixed_points(poly, _power_table(poly), np.array(primes)).tolist() == expected
+
+
+def full_inversion_key(fix, n):
+    """The cycle-type key, sum of c_e (n + 1)^(e - 1), by Moebius inversion
+    of all n traces fix(sigma^d), d = 1..n."""
+    counts = [0] * (n + 1)
+    for e in range(1, n + 1):
+        ec = fix[e - 1] - sum(d * counts[d] for d in range(1, e) if e % d == 0)
+        assert ec >= 0 and ec % e == 0
+        counts[e] = ec // e
+    assert sum(e * c for e, c in enumerate(counts)) == n
+    return sum(c * (n + 1) ** (e - 1) for e, c in enumerate(counts) if e)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cycle_type_keys_from_half_the_traces(n):
+    # every cycle type of S_n, from its traces for d <= n // 2 only
+    shapes = list(_partitions(n))
+    traces = [[sum(e for e in shape if d % e == 0) for d in range(1, n + 1)] for shape in shapes]
+    keys = _cycle_type_keys(np.array([t[: n // 2] for t in traces], dtype=np.int64), n)
+    assert keys.tolist() == [full_inversion_key(t, n) for t in traces]
+    ctx = new_splitting_field([1] * n + [1])
+    labels = [ctx.classes[c].label for c in ctx._cycle_codes[keys]]
+    assert labels == ["+".join(map(str, shape)) for shape in shapes]
+
+
+# rows of fix(sigma^d), d <= n // 2, that no cycle type has: a negative
+# 2 c_2, one not a multiple of 2 (or 3 c_3 of 3), counts past n, and a rest
+# of n that is a short cycle
+INCONSISTENT_TRACES = [
+    (2, [1]),
+    (3, [2]),
+    (3, [4]),
+    (4, [1, 2]),
+    (4, [3, 3]),
+    (5, [5, 3]),
+    (5, [0, 6]),
+    (5, [3, 3]),
+    (6, [0, 0, 2]),
+    (6, [0, 0, 3]),
+    (6, [4, 4, 4]),
+]
+
+
+@pytest.mark.parametrize("n,fix", INCONSISTENT_TRACES)
+def test_inconsistent_traces_raise(n, fix, monkeypatch):
+    assert _cycle_type_keys(np.array([fix], dtype=np.int64), n).tolist() == [-1]
+    ctx = new_splitting_field([1] * n + [1])
+    monkeypatch.setattr(galois, "_frobenius_fixed_points", lambda poly, powers, primes: np.array([fix] * len(primes)))
+    with pytest.raises(IntegrityError, match="give no cycle type"):
+        ctx.classify_primes([101])
+
+
+def reduce_poly_over_z(a, f):
+    """a mod the monic f over Z, as deg f coefficients."""
+    a, n = list(a), len(f) - 1
+    for k in range(len(a) - 1, n - 1, -1):
+        a[k - n : k + 1] = [c - a[k] * fj for c, fj in zip(a[k - n : k + 1], f)]
+    return (a + [0] * n)[:n]
+
+
+def test_power_table_lengths():
+    # x^e mod f over Z until a coefficient reaches 2^62; bounded powers stop
+    # at the cap
+    for poly, last in (([1, 1, 0, 1], 227), ([-1, -1, 0, 0, 0, 1], 288), ([1, 1, 0, 0, 0, 0, 1], 372), ([2524266, 1, 1], 5)):
+        assert _power_table(poly).shape == (len(poly) - 1, last + 1)
+    assert _power_table([1, 0, 1]).shape == (2, _TABLE_CAP)
+    assert _power_table([1, 0, 0, 0, 1]).shape == (4, _TABLE_CAP)
+    table = _power_table([1, 1, 0, 1])
+    for e in (0, 1, 2, 3, 4, 100, 227):
+        assert table[:, e].tolist() == reduce_poly_over_z([0] * e + [1], [1, 1, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [[1, 0, 1], [1, 0, 0, 0, 1], [2524266, 1, 1], [-2, 0, 0, 0, 1], [1, -3, 0, 1], [1, 1, 0, 1], [-1, -1, 0, 0, 0, 1]],
+    ids=lambda c: ",".join(map(str, c)),
+)
+def test_ladder_start_and_sparse_reduction_match_ddf_oracle(poly):
+    # tables cut at their cap (x^2 + 1, x^4 + 1) and after 5 columns
+    # (x^2 + x + 2524266); coefficients other than 0 and +-1 (x^4 - 2,
+    # x^3 - 3x + 1); primes below 2^s, which start from x^0, in one batch
+    # with the largest; then Python-int lanes
+    ctx = new_splitting_field(poly)
+    s = (999983 // ctx._powers.shape[1]).bit_length()
+    small = [p for p in (7, 11, 13, 101, 2**s - 1, 2**s + 1) if is_prime(p)]
+    batch = small + [next_prime(2**s + 2), next_prime(3 * 2**s), 65537, 999983]
+    for primes in (batch, batch + [2**31 - 1, 2**61 - 1]):
+        codes = ctx._class_codes(np.array(primes, dtype=np.int64))
+        assert codes.tolist() == [oracle_code(ctx, p) for p in primes]
 
 
 def test_class_code_array_across_chunk_edge(sieve_small):

@@ -202,14 +202,16 @@ def test_tables_across_peel_block_edges():
 # -- block factor kernel ------------------------------------------------------
 
 
-BLOCK_DTYPES = {"mu": np.int8, "omega": np.int8, "spf": np.uint32, "P1": np.uint32, "P2s": np.uint32, "rep": np.bool_}
+BLOCK_DTYPES = {"mu": np.int8, "omega": np.int8, "P1": np.uint32, "P2s": np.uint32, "rep": np.bool_}
 
 
 def assert_block_matches_factored(s, lo, hi):
-    """factor_block over [lo, hi), from the primes up to isqrt(hi - 1)
-    alone, against the factorize oracle at every n."""
-    block = factor_block(s.prime_array(math.isqrt(hi - 1)), lo, hi, P1=True)
+    """factor_block and block_spf over [lo, hi), from the primes up to
+    isqrt(hi - 1) alone, against the factorize oracle at every n."""
+    primes = s.prime_array(math.isqrt(hi - 1))
+    block = factor_block(primes, lo, hi, P1=True)
     assert {k: (v.dtype, len(v)) for k, v in block.items()} == {k: (np.dtype(t), hi - lo) for k, t in BLOCK_DTYPES.items()}
+    block["spf"] = block_spf(primes, lo, hi)
     got = zip(*(block[k].tolist() for k in ("mu", "omega", "spf", "P1", "P2s", "rep")))
     for n, row in zip(range(lo, hi), got):
         f = factored(s, n)
@@ -248,6 +250,7 @@ def test_factor_block_at_the_top_of_the_range():
     primes = FactorSieve((1 << 16) - 1).prime_array()
     lo, hi = (1 << 32) - 300, 1 << 32
     block = factor_block(primes, lo, hi, P1=True)
+    block["spf"] = block_spf(primes, lo, hi)
     got = zip(*(block[k].tolist() for k in ("mu", "omega", "spf", "P1", "P2s", "rep")))
     for n, row in zip(range(lo, hi), got):
         m, fac = n, []
@@ -267,7 +270,8 @@ def test_factor_block_at_the_top_of_the_range():
 
 
 def test_factor_block_matches_recurrence_tables(sieve_big):
-    # the tables joined from blocks against the bulk oracle, dtypes too
+    # the tables joined from blocks against the bulk oracle, dtypes too, and
+    # block_spf against the sieve's spf
     want = recurrence_tables(sieve_big.spf)
     got = {
         "mu": sieve_big.mu_table(),
@@ -281,7 +285,7 @@ def test_factor_block_matches_recurrence_tables(sieve_big):
         assert np.array_equal(got[name], want[name]), name
     primes = sieve_big.prime_array(1000)
     for lo, hi in ((2, 65_538), (900_000, 1_000_001)):
-        spf = factor_block(primes, lo, hi)["spf"]
+        spf = block_spf(primes, lo, hi)
         assert spf.dtype == sieve_big.spf.dtype and np.array_equal(spf, sieve_big.spf[lo:hi])
 
 
