@@ -2,7 +2,9 @@
 
 Commands: sieve-build, scan, reproduce-table, verify, duality-test,
 dickman, smooth, classify.  Global flags: --sieve-cache, --format, --out,
---config; only scan and reproduce-table take --threads.  A config file
+--config; only scan and reproduce-table take --threads, the most
+processes that scan the segments (default: the usable CPUs; a scan forks
+at most one process per two segments).  A config file
 holds plain ``key = value`` lines (keys are the long option names), and
 command-line flags override it.
 The environment variable ARTINSUMS_CACHE_DIR is sieve-build's default
@@ -114,6 +116,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    except ChildProcessError as exc:  # a scan's child was killed, say for memory
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -134,6 +139,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser.add_argument("--config", help="config file with 'key = value' lines")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def threads(p):
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=series.usable_cpus(),
+            help="most processes that scan the segments (default: the usable CPUs; at most one per two segments)",
+        )
+
     def common(p, context=True):
         p.add_argument("--sieve-cache", help="sieve cache file (built if missing)")
         p.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
@@ -153,7 +166,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("scan", help="accumulate all class-keyed sums up to x")
     common(p)
-    p.add_argument("--threads", type=int, default=1)
+    threads(p)
     p.add_argument("--xmax", type=int, required=True)
     p.add_argument("--checkpoints", help="comma-separated checkpoint x values")
     p.add_argument("--mode", choices=("exact", "compensated"), default="compensated")
@@ -170,7 +183,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("reproduce-table", help="compare the x^3+x+1 class-sum table with its reference values")
     common(p, context=False)
-    p.add_argument("--threads", type=int, default=1)
+    threads(p)
     p.set_defaults(func=_cmd_reproduce_table)
 
     p = sub.add_parser("verify", help="run the exact duality/identity suites")

@@ -352,18 +352,19 @@ def _power_table(poly) -> np.ndarray:
     return np.array(powers, dtype=np.int64).T.copy()
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, red, p: np.ndarray, times_x=False) -> np.ndarray:
-    """Lane-wise a * b mod (f, p), times x in the lanes where times_x is
-    set, for (n, L) coefficient arrays, row i the coefficient of x^i; red
-    holds the j where -f_j, the x^j coefficient of x^n mod f, is 1, those
-    where it is -1, and the other nonzero ones with (-f_j) mod p."""
+def _mulmod(a: np.ndarray, b: np.ndarray, red, p: np.ndarray, times_x=None) -> np.ndarray:
+    """Lane-wise a * b mod (f, p), times x in the lanes where the boolean
+    array times_x, if given, is set, for (n, L) coefficient arrays, row i
+    the coefficient of x^i; red holds the j where -f_j, the x^j
+    coefficient of x^n mod f, is 1, those where it is -1, and the other
+    nonzero ones with (-f_j) mod p."""
     n = len(a)
     # row k + 1 holds the x^k coefficient of a * b, so row k holds that of
     # x * a * b: both products are views of one buffer
     prod = np.zeros((2 * n + 1, a.shape[1]), dtype=a.dtype)
     for i in range(n):
         prod[i + 1 : i + n + 1] += a[i] * b
-    prod = np.where(times_x, prod[:-1], prod[1:])
+    prod = prod[1:] if times_x is None else np.where(times_x, prod[:-1], prod[1:])
     # a row starts as at most n products of residues and takes at most n
     # more, each of either sign, while the rows above it are reduced, so
     # it stays within 2n (p - 1)^2 until its own reduction

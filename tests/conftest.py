@@ -1,7 +1,13 @@
+import os
+
 import pytest
 
-from artinsums.galois import new_cyclotomic, new_splitting_field
-from artinsums.sieve import FactorSieve
+# before numpy starts OpenBLAS, as the CLI does: the tests fork scans in
+# this process, and Python 3.12 warns when a process forks with threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from artinsums.galois import new_cyclotomic, new_splitting_field  # noqa: E402
+from artinsums.sieve import FactorSieve  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +31,21 @@ def ctx_c4():
 def ctx_cubic():
     """Splitting field of x^3 + x + 1 (disc -31, Galois group S_3)."""
     return new_splitting_field([1, 1, 0, 1])
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each process that calls os.fork from here on, one entry
+    a call; a fork past the 8th fails before it starts a process, so no
+    test can start many."""
+    real, calls = os.fork, []
+
+    def fork():
+        calls.append(os.getpid())
+        if len(calls) > 8:
+            raise AssertionError("more than 8 forks")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+

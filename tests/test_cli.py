@@ -10,6 +10,8 @@ import json
 import math
 import os
 import re
+import shutil
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from artinsums import cli, duality, series
 from artinsums import sieve as sieve_mod
+from artinsums.errors import IntegrityError
 from artinsums.fieldpoly import distinct_degree_factorization, reduce_poly, shape_label
 from artinsums.sieve import FactorSieve, is_prime
 from oracles import identity_rhs
@@ -256,6 +259,130 @@ def test_scan_thread_determinism_bitwise(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+PROCESS_SCANS = {
+    # 6 segments; the 4th state write is mid-run, at next_lo = 131073
+    "compensated": ["scan", "--poly", "1,1,0,1", "--xmax", "200000", "--checkpoints", "10000,123457"],
+    # 12 segments; the 4th state write is mid-run, at next_lo = 3073
+    "exact": ["scan", "--cyclotomic", "4", "--xmax", "9000", "--checkpoints", "1000,5000"]
+    + ["--mode", "exact", "--segment-size", "1024"],
+}
+
+
+@pytest.mark.parametrize("mode", PROCESS_SCANS)
+def test_scan_bytes_do_not_depend_on_the_process_count(tmp_path, capsys, monkeypatch, forks, mode):
+    # stdout and the final state file are the same bytes on one process,
+    # on two and at the default (the usable CPUs, two here), and so are
+    # those of a resume, on one process or two, from a state file that a
+    # 2-process scan wrote mid-run
+    argv = PROCESS_SCANS[mode]
+    monkeypatch.setattr(series, "usable_cpus", lambda: 2)
+    runs = []
+    for threads in (["--threads", "1"], ["--threads", "2"], []):
+        state = tmp_path / f"run-{len(runs)}.state"
+        code, out, _ = run([*argv, *threads, "--state", str(state)], capsys)
+        assert code == 0
+        runs.append((out, state.read_bytes()))
+    assert runs[0] == runs[1] == runs[2]
+    assert len(forks) == 2
+    out, final = runs[0]
+
+    monkeypatch.setattr(series, "_STATE_INTERVAL_S", 0)  # a state write after every segment
+    real, writes = series._save_state, []
+
+    def stop_after_four(path, header, next_lo, state):
+        real(path, header, next_lo, state)
+        writes.append(next_lo)
+        if len(writes) == 4:
+            raise KeyboardInterrupt
+
+    stopped = tmp_path / "stopped.state"
+    with monkeypatch.context() as m:
+        m.setattr(series, "_save_state", stop_after_four)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main([*argv, "--threads", "2", "--state", str(stopped), "--out", os.devnull])
+    assert len(forks) == 3
+    assert f"next_lo = {writes[-1]}\n" in stopped.read_text()
+    assert str(writes[-1] - 1) not in argv[argv.index("--checkpoints") + 1].split(",")
+    for threads in ("1", "2"):
+        state = tmp_path / f"resumed-{threads}.state"
+        shutil.copy(stopped, state)
+        assert run([*argv, "--threads", threads, "--state", str(state), "--resume"], capsys)[:2] == (0, out)
+        assert state.read_bytes() == final
+    with pytest.raises(ChildProcessError):  # every child has been reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_integrity_error_in_a_child_exits_3(capsys, monkeypatch, forks):
+    # an IntegrityError raised in a child's segment (say by the classifier)
+    # prints the line and exits 3 as on one process
+    monkeypatch.setattr(series, "usable_cpus", lambda: 2)
+    scanner, real = os.getpid(), series._segment_partials
+    raised_in = []
+
+    def corrupt(*args):
+        if args[5] == 65537:  # the second segment, a child's on two processes
+            raised_in.append(os.getpid() == scanner)
+            raise IntegrityError("Frobenius traces of [1, 1, 0, 1] mod 65539 give no cycle type")
+        return real(*args)
+
+    monkeypatch.setattr(series, "_segment_partials", corrupt)
+    argv = ["scan", "--poly", "1,1,0,1", "--xmax", "300000"]
+    expected = (3, "", "integrity error: Frobenius traces of [1, 1, 0, 1] mod 65539 give no cycle type\n")
+    assert run([*argv, "--threads", "1"], capsys) == expected
+    assert run([*argv, "--threads", "2"], capsys) == expected
+    assert raised_in == [True] and len(forks) == 1  # the child's flag stayed in the child
+    with pytest.raises(ChildProcessError):  # every child has been reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_killed_mid_scan_exits_4(capsys, monkeypatch):
+    # a child that dies without its results (say killed for memory) is a
+    # resource error
+    monkeypatch.setattr(series, "usable_cpus", lambda: 2)
+    scanner, real = os.getpid(), series._segment_partials
+
+    def killed(*args):
+        if os.getpid() != scanner:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(series, "_segment_partials", killed)
+    code, out, err = run(["scan", "--cyclotomic", "4", "--xmax", "300000", "--threads", "2"], capsys)
+    assert (code, out, err) == (4, "", "error: a scan process ended before its last segment\n")
+    with pytest.raises(ChildProcessError):  # every child has been reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_scan_warns_nothing():
+    # under -W error any warning is an exception, such as the
+    # DeprecationWarning Python 3.12 gives for a fork while threads run:
+    # a 2-process scan writes nothing to stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"""if True:
+        import os, sys
+        from artinsums import cli, series
+        series.usable_cpus = lambda: 2
+        real, forks = os.fork, []
+        os.fork = lambda: forks.append(1) or real()
+        code = cli.main(["scan", "--cyclotomic", "4", "--xmax", "300000", "--threads", "2", "--out", {os.devnull!r}])
+        print(code, len(forks))"""
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1\n", "")
+
+
+def test_threads_beyond_the_cpus_fork_one_process_a_cpu(capsys, monkeypatch, forks):
+    # --threads 1000000 plans no more processes than usable CPUs; the
+    # forks fixture fails a 9th fork before it starts a process
+    monkeypatch.setattr(series, "usable_cpus", lambda: 3)
+    argv = ["scan", "--cyclotomic", "4", "--xmax", "1000000"]
+    code, out, _ = run([*argv, "--threads", "1000000"], capsys)
+    assert code == 0 and len(forks) == 2
+    assert run([*argv, "--threads", "1"], capsys)[:2] == (0, out)
+    with pytest.raises(ChildProcessError):  # every child has been reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_scan_resume_integrity_exit_code(tmp_path, capsys):
     state = tmp_path / "scan.state"
     argv = [
@@ -294,9 +421,9 @@ FUZZ_ARGV = ["scan", "--cyclotomic", "4", "--xmax", "3000", "--checkpoints", "10
 
 @pytest.fixture(scope="session")
 def stopped_state(tmp_path_factory):
-    """Lines of the state body a scan leaves when stopped in its fourth
-    segment: a checkpoint snapshot, a pending checkpoint cell, partial
-    sums, next_lo = 1025."""
+    """Lines of the state body a scan on one process leaves when stopped in
+    its fourth segment: a checkpoint snapshot, a pending checkpoint cell,
+    partial sums, next_lo = 1025."""
     path = tmp_path_factory.mktemp("stopped") / "scan.state"
     real, interval = series._segment_partials, series._STATE_INTERVAL_S
     series._STATE_INTERVAL_S = 0  # a state write after every segment
@@ -311,7 +438,7 @@ def stopped_state(tmp_path_factory):
     series._segment_partials = stop_after_three
     try:
         with pytest.raises(KeyboardInterrupt):
-            cli.main(FUZZ_ARGV + ["--state", str(path), "--out", os.devnull])
+            cli.main(FUZZ_ARGV + ["--threads", "1", "--state", str(path), "--out", os.devnull])
     finally:
         series._segment_partials, series._STATE_INTERVAL_S = real, interval
     body = path.read_text().rpartition("sha256 = ")[0]
@@ -819,8 +946,9 @@ def test_classify_large_discriminant_answers_quickly():
 
 
 def test_cli_import_leaves_out_what_few_commands_use():
-    # hashlib (its OpenSSL alone is 3.6 MB of RSS), the thread pool, json
-    # and the duality suites are imported by the commands that use them.
+    # hashlib (its OpenSSL alone is 3.6 MB of RSS), json and the duality
+    # suites are imported by the commands that use them, and nothing
+    # imports concurrent.futures, as scans fork processes.
     # `import artinsums` loads no numpy and sets nothing, so importing cli
     # sets OPENBLAS_NUM_THREADS=1 before numpy starts OpenBLAS's threads:
     # the process runs one thread; a value already set is kept.  The

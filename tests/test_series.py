@@ -5,8 +5,11 @@ against quadrature."""
 import functools
 import hashlib
 import math
+import os
 import re
 import shutil
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -587,6 +590,65 @@ def test_threads_give_equal_snapshots(sieve_small, ctx_c4, mode):
     assert one.snapshots == two.snapshots
 
 
+def test_process_count_is_capped(monkeypatch):
+    # at most `threads`, one per usable CPU and one per two segments left;
+    # one where os.fork is missing or another thread runs
+    monkeypatch.setattr(series, "usable_cpus", lambda: 4)
+
+    def plan(threads, segments):
+        return series._processes(threads, iter([(1, 1)] * segments))
+
+    assert [plan(1, 100), plan(3, 100), plan(10**6, 100)] == [1, 3, 4]
+    assert [plan(8, 1), plan(8, 3), plan(8, 5), plan(8, 8)] == [1, 1, 2, 4]
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert plan(8, 100) == 1
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert plan(8, 100) == 1
+
+
+@pytest.mark.parametrize("fails", [None, "child", "parent"])
+def test_scan_processes_are_reaped(sieve_small, ctx_cubic, monkeypatch, forks, fails):
+    # a 3-process scan: on success, on an IntegrityError in a child's
+    # segment (raised here as it was raised there) and on a Ctrl-C in this
+    # process, every child is reaped before scan returns or raises; after
+    # the Ctrl-C the children, asleep in a later segment, are killed
+    kwargs = dict(checkpoints=(1000, 5000), sieve=sieve_small, segment_size=512)
+    reference = series.scan(ctx_cubic, 9000, **kwargs)
+    monkeypatch.setattr(series, "usable_cpus", lambda: 3)
+    scanner, real = os.getpid(), series._segment_partials
+
+    def failing(*args):
+        lo = args[5]
+        if fails == "child" and os.getpid() != scanner and lo > 4000:
+            raise IntegrityError(f"bad segment at {lo}")
+        if fails == "parent" and lo > 4000:
+            if os.getpid() == scanner:
+                raise KeyboardInterrupt
+            if lo > 6000:
+                time.sleep(60)
+        return real(*args)
+
+    monkeypatch.setattr(series, "_segment_partials", failing)
+    if fails is None:
+        assert series.scan(ctx_cubic, 9000, threads=3, **kwargs).snapshots == reference.snapshots
+    else:
+        error = IntegrityError if fails == "child" else KeyboardInterrupt
+        start = time.monotonic()
+        with pytest.raises(error, match="bad segment at" if fails == "child" else None):
+            series.scan(ctx_cubic, 9000, threads=3, **kwargs)
+        assert time.monotonic() - start < 30
+    assert forks == [scanner] * 2
+    with pytest.raises(ChildProcessError):  # every child has been reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_scan_counts_match_oracles(sieve_small, ctx_c4, ctx_cubic):
     # the counts the segment pass forms, against full passes over [2, x]
     for ctx in (ctx_c4, ctx_cubic):
@@ -987,43 +1049,53 @@ def test_count_P2_classifies_primes_only_up_to_isqrt_x(sieve_small, monkeypatch)
 
 
 @pytest.mark.parametrize("segment_size", [1024, 3000, 65_536])
-def test_segments_classify_each_prime_once(sieve_small, ctx_cubic, monkeypatch, segment_size):
+def test_segments_classify_each_prime_once(tmp_path, sieve_small, ctx_cubic, monkeypatch, segment_size):
     # each segment's kernel classifies the segment's primes above
     # isqrt(x_max): segments of a few primes each, segments that cross the
     # checkpoints, and one segment per checkpoint interval give one result,
-    # on one thread and on two, and every prime is classified exactly once
+    # on one process and on two, and every prime is classified exactly
+    # once.  A forked child classifies out of this process's sight, so each
+    # process appends the primes it classifies to a file of its own
     kwargs = dict(checkpoints=(2, 1000, 5000), sieve=sieve_small)
     whole = series.scan(ctx_cubic, 30_000, **kwargs).snapshots
-    lanes = []
     kernel = GaloisContext._class_codes
 
     def counting(self, primes):
-        lanes.extend(primes.tolist())
+        with open(tmp_path / f"lanes-{os.getpid()}", "a") as fh:
+            fh.write("".join(f"{p}\n" for p in primes.tolist()))
         return kernel(self, primes)
 
     monkeypatch.setattr(GaloisContext, "_class_codes", counting)
+    monkeypatch.setattr(series, "usable_cpus", lambda: 2)
     for threads in (1, 2):
-        lanes.clear()
+        for f in tmp_path.glob("lanes-*"):
+            f.unlink()
         ctx = new_splitting_field([1, 1, 0, 1])
         assert series.scan(ctx, 30_000, threads=threads, segment_size=segment_size, **kwargs).snapshots == whole
+        files = list(tmp_path.glob("lanes-*"))
+        assert len(files) == threads
+        lanes = [int(p) for f in files for p in f.read_text().split()]
         assert sorted(lanes) == sieve_small.prime_array(30_000).tolist()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_scan_memory_does_not_grow_with_x(threads):
+def test_scan_memory_does_not_grow_with_x(monkeypatch, threads):
     # a scan holds O(sqrt(x) + segment) memory: at a fixed segment size,
     # going from x = 2^18 to 2^20 may add only what grows with sqrt(x),
     # the code array (2 bytes an integer) and the kernel's uint32 copy of
     # the sieving primes (4 bytes a prime), under 8 bytes an integer up to
-    # sqrt(x), and 8 KiB for the interpreter's own noise.  On threads,
-    # the results of up to 2 * threads segments wait to be added in order,
-    # each a dict of 28 cells under 16 KiB, and how many wait at the peak
-    # depends on timing.  Anything held per segment or per integer grows
-    # with x itself: a list of the 256 segments' bounds takes about 30 KiB,
-    # a prime sieve over a window of 2^20 integers 1 MiB
+    # sqrt(x), and 8 KiB for the interpreter's own noise: blocks its free
+    # lists keep, which a first scan at 2^20 fills before any is traced.
+    # On two processes a child's results wait in its pipe, outside this
+    # process's heap, and this process unpickles one at a time; unpickling
+    # leaves up to 8 KiB more on the free lists.  Anything held per segment
+    # or per integer grows with x itself: a list of the 256 segments'
+    # bounds takes about 30 KiB, a prime sieve over a window of 2^20
+    # integers 1 MiB
     small, big = 1 << 18, 1 << 20
     sieve = FactorSieve(math.isqrt(big))
     sieve.prime_array()
+    monkeypatch.setattr(series, "usable_cpus", lambda: 2)
 
     def peak(x):
         ctx = new_cyclotomic(4)
@@ -1034,10 +1106,10 @@ def test_scan_memory_does_not_grow_with_x(threads):
         finally:
             tracemalloc.stop()
 
-    peak(1 << 14)  # a first scan imports, starts and caches what the scans share
+    peak(big)  # a first scan imports, starts and caches what the scans share
     grown = peak(big) - peak(small)
-    waiting = 2 * threads if threads > 1 else 0
-    assert grown <= 8 * (math.isqrt(big) - math.isqrt(small)) + (8 << 10) + waiting * (16 << 10), grown
+    noise = (8 << 10) * threads
+    assert grown <= 8 * (math.isqrt(big) - math.isqrt(small)) + noise, grown
 
 
 def test_segment_kernel_memory_at_the_default_segment(sieve_small, ctx_c4):
