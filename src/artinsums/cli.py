@@ -3,8 +3,9 @@
 Commands: sieve-build, scan, reproduce-table, verify, duality-test,
 dickman, smooth, classify.  Global flags: --sieve-cache, --format, --out,
 --config; only scan and reproduce-table take --threads, the most
-processes that scan the segments (default: the usable CPUs; a scan forks
-at most one process per two segments).  A config file
+processes that scan the segments (default: the usable CPUs; a scan plans
+at most one process per segment and per 200,000 integers, so one of
+fewer than 400,000 integers never forks).  A config file
 holds plain ``key = value`` lines (keys are the long option names), and
 command-line flags override it.
 The environment variable ARTINSUMS_CACHE_DIR is sieve-build's default
@@ -16,7 +17,8 @@ artinsums` alone loads no numpy and sets nothing.
 
 Exit codes: 0 success, 1 a check failed (reproduce-table outside the
 reference tolerance; verify or duality-test finding a failed identity),
-2 usage error, 3 integrity error, 4 resource error.
+2 usage error (scan --resume without --state among them), 3 integrity
+error, 4 resource error.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             "--threads",
             type=int,
             default=series.usable_cpus(),
-            help="most processes that scan the segments (default: the usable CPUs; at most one per two segments)",
+            help="most processes that scan the segments (default: the usable CPUs; "
+            "at most one per segment and per 200,000 integers)",
         )
 
     def common(p, context=True):
@@ -351,6 +354,8 @@ def _cmd_sieve_build(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.resume and not args.state:
+        raise ValueError("--resume needs --state")
     ctx = _context_from(args)
     checkpoints = (
         [int(c) for c in args.checkpoints.split(",")] if args.checkpoints else None
@@ -440,25 +445,6 @@ def _cmd_reproduce_table(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-class _CorruptedMuSieve(FactorSieve):
-    """Test hook: negates mu at one chosen n (or sets it to 1 where mu is
-    0) in a private copy of mu_table(), which the identity, inversion and
-    hyperbola checks read (the exact scans take mu from the block kernel),
-    to prove the verify command actually detects broken inputs."""
-
-    def __init__(self, base: FactorSieve, bad_n: int):
-        super().__init__(base.limit, _spf=base.spf)
-        self._bad_n = bad_n
-        self._bad_mu = None
-
-    def mu_table(self):
-        if self._bad_mu is None:
-            mu = super().mu_table().copy()
-            mu[self._bad_n] = -mu[self._bad_n] if mu[self._bad_n] else 1
-            self._bad_mu = mu
-        return self._bad_mu
-
-
 def _fail(summary: str, detail: dict) -> int:
     import json
 
@@ -512,8 +498,13 @@ def _cmd_verify(args) -> int:
     if args.corrupt_mu is not None and not 2 <= args.corrupt_mu <= nmax:
         raise ValueError(f"--corrupt-mu must lie in [2, {nmax}], got {args.corrupt_mu}")
     sieve = _get_sieve(args, max(nmax, 100))
+    # mu, omega and P2s of the inversion and hyperbola checks; the test
+    # hook --corrupt-mu n negates mu(n), or sets it to 1 where mu(n) = 0,
+    # to prove the checks detect a broken input
+    arrays = duality.factor_arrays(sieve, nmax)
     if args.corrupt_mu is not None:
-        sieve = _CorruptedMuSieve(sieve, args.corrupt_mu)
+        mu, n = arrays["mu"], args.corrupt_mu
+        mu[n] = -mu[n] if mu[n] else 1
     weights = [duality.random_weight(args.seed + i) for i in range(args.weights)]
 
     if _identity_suite(sieve, nmax, args.kmax, weights) is None:
@@ -522,7 +513,7 @@ def _cmd_verify(args) -> int:
 
     # Mobius-inverted second-order identity, exact
     for w in weights:
-        failures = duality.check_inversion(sieve, nmax, w).failures
+        failures = duality.check_inversion(sieve, nmax, w, arrays).failures
         if failures:
             rep = failures[0]
             return _fail(
@@ -534,7 +525,7 @@ def _cmd_verify(args) -> int:
     # divisor-sum rearrangement (hyperbola split)
     x_hyp = min(nmax, 2000)
     for w in weights:
-        lhs, rhs = duality.hyperbola_check(sieve, x_hyp, w)
+        lhs, rhs = duality.hyperbola_check(sieve, x_hyp, w, arrays)
         if lhs != rhs:
             return _fail(
                 f"hyperbola rearrangement at x={x_hyp}",

@@ -28,7 +28,8 @@ for all n at once in two loops split at s = isqrt(nmax): one slice per
 m <= s, then one per d <= nmax/(s+1), at most 2 sqrt(nmax) slices.
 ``hyperbola_check`` is its own exact check; its left side takes the
 same omega(n) groups (``_omega_groups``) and sums over the 2^omega
-subsets of each group at once.
+subsets of each group at once.  Both read mu, omega and P2s from arrays
+their caller hands them, by default those of ``factor_arrays``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .sieve import FactorSieve
+from .sieve import FactorSieve, factor_block
 
 
 @dataclass(frozen=True)
@@ -251,8 +252,17 @@ def check_all_identities(
     return BatchCheck(L, 4 * kmax * (nmax - 1), sorted(failures))
 
 
+def factor_arrays(sieve: FactorSieve, nmax: int) -> dict[str, np.ndarray]:
+    """mu, omega and P2s for 0 <= n <= nmax, nmax >= 1, from one
+    factor_block call over [2, nmax]: what the inversion and hyperbola
+    checks read.  Entries 0 and 1 are those of FactorSieve's tables."""
+    block = factor_block(sieve.prime_array(isqrt(nmax)), 2, nmax + 1)
+    heads = {"mu": (0, 1), "omega": (0, 0), "P2s": (1, 1)}
+    return {k: np.concatenate((np.array(head, dtype=block[k].dtype), block[k])) for k, head in heads.items()}
+
+
 def inversion_sides(
-    sieve: FactorSieve, nmax: int, weight: PrimeWeight
+    sieve: FactorSieve, nmax: int, weight: PrimeWeight, arrays: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(lhs, rhs, L) of the Mobius-inverted second-order duality
     mu(n)(omega(n)-1) f(p1(n)) = sum_{d|n} mu(n/d) f(P2(d)),
@@ -261,15 +271,17 @@ def inversion_sides(
     G = F o P2, its pairs m d <= nmax split at s = isqrt(nmax): for every
     m <= s with mu(m) != 0, mu(m) G[1..nmax/m] is added into rhs[m::m];
     for every d <= nmax/(s+1) with G[d] != 0, mu[s+1..nmax/d] G[d] into
-    rhs[(s+1)d::d].  At most 2 sqrt(nmax) slices; mu comes from
-    mu_table()."""
+    rhs[(s+1)d::d].  At most 2 sqrt(nmax) slices; mu, omega and P2s come
+    from `arrays` over at least [0, nmax], default factor_arrays."""
     _check_nmax(sieve, nmax)
+    if arrays is None:
+        arrays = factor_arrays(sieve, nmax)
     # a side sums at most d(n) <= nmax values of |F|
     F, L = _scaled_table(weight, sieve, nmax, nmax)
-    mu = sieve.mu_table()[: nmax + 1].astype(np.int64)
-    omega = sieve.omega_table()[: nmax + 1].astype(np.int64)
+    mu = arrays["mu"][: nmax + 1].astype(np.int64)
+    omega = arrays["omega"][: nmax + 1].astype(np.int64)
     lhs = mu * (omega - 1) * F[sieve.spf[: nmax + 1]]
-    G = F[sieve.P2_strict_table()[: nmax + 1]]
+    G = F[arrays["P2s"][: nmax + 1]]
     rhs = np.zeros(nmax + 1, dtype=F.dtype)
     s = isqrt(nmax)
     for m in np.flatnonzero(mu[: s + 1]).tolist():
@@ -281,16 +293,20 @@ def inversion_sides(
     return lhs, rhs, L
 
 
-def check_inversion(sieve: FactorSieve, nmax: int, weight: PrimeWeight) -> BatchCheck:
+def check_inversion(
+    sieve: FactorSieve, nmax: int, weight: PrimeWeight, arrays: dict | None = None
+) -> BatchCheck:
     """The Mobius-inverted form (inversion_sides) for every 2 <= n <= nmax;
     reports carry identity 0, k 2."""
-    lhs, rhs, L = inversion_sides(sieve, nmax, weight)
+    lhs, rhs, L = inversion_sides(sieve, nmax, weight, arrays)
     bad = np.flatnonzero(lhs[2:] != rhs[2:]) + 2
     failures = [IdentityReport(n, 0, 2, int(lhs[n]), int(rhs[n]), L) for n in bad.tolist()]
     return BatchCheck(L, nmax - 1, failures)
 
 
-def hyperbola_check(sieve: FactorSieve, x: int, weight: PrimeWeight) -> tuple[Fraction, Fraction]:
+def hyperbola_check(
+    sieve: FactorSieve, x: int, weight: PrimeWeight, arrays: dict | None = None
+) -> tuple[Fraction, Fraction]:
     """Both sides of the divisor-sum rearrangement
     sum_{n<=x} sum_{d|n} mu(n/d) f(P2(d))
       = sum_{m<=x} mu(m) sum_{d<=x/m} f(P2(d)).
@@ -299,15 +315,18 @@ def hyperbola_check(sieve: FactorSieve, x: int, weight: PrimeWeight) -> tuple[Fr
     The rearrangement holds for any function in place of mu, so the two
     sides take mu from different sources: the left from the distinct
     primes of n (mu(n/d) = (-1)^r for n/d a product of r of them), the
-    right from mu_table().  A wrong mu entry then shows.  The left side
-    takes the n grouped by omega(n) = w with their distinct primes
-    (_omega_groups) and sums G = F o P2 over each of the 2^w subsets at
-    once; n = 1 adds G[1] = 0."""
+    right from `arrays`, which give P2s too over at least [0, x], default
+    factor_arrays.  A wrong mu entry then shows.  The left side takes the
+    n grouped by omega(n) = w with their distinct primes (_omega_groups)
+    and sums G = F o P2 over each of the 2^w subsets at once; n = 1 adds
+    G[1] = 0."""
     if x > sieve.limit:
         raise ValueError(f"x = {x} exceeds sieve limit {sieve.limit}")
+    if arrays is None:
+        arrays = factor_arrays(sieve, x)
     # a group or prefix sum adds at most x values of |F|
     F, L = _scaled_table(weight, sieve, x, x)
-    G = F[sieve.P2_strict_table()[: x + 1]]
+    G = F[arrays["P2s"][: x + 1]]
     lhs = 0
     for ns, primes in _omega_groups(sieve.spf, x):
         terms = [(1, ns)]
@@ -315,6 +334,6 @@ def hyperbola_check(sieve: FactorSieve, x: int, weight: PrimeWeight) -> tuple[Fr
             terms += [(-s, d // p) for s, d in terms]
         lhs += sum(s * int(G[d].sum()) for s, d in terms)
     prefix = np.cumsum(G).tolist()
-    mu = sieve.mu_table()[: x + 1].tolist()
+    mu = arrays["mu"][: x + 1].tolist()
     rhs = sum(mu[m] * prefix[x // m] for m in range(1, x + 1))
     return Fraction(lhs, L), Fraction(rhs, L)

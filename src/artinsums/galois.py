@@ -103,10 +103,6 @@ class ClassOutcome:
 
     label: str | None
 
-    @property
-    def is_ramified(self) -> bool:
-        return self.label is None
-
     def __str__(self) -> str:
         return "ramified" if self.label is None else self.label
 

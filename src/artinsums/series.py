@@ -19,9 +19,10 @@ the squarefree n of a segment whose spf lies above it, and the kernel
 classifies them there, one batch per segment, so no table of them is
 ever held.
 
-A scan runs on up to `threads` processes (``_run_segments``): the scan
-process and children forked once the codes and primes exist, each taking
-every threads-th segment of the same walk.  A child sends each segment's
+A scan runs on up to `threads` processes (``_run_segments``), and on
+at most one per 200,000 integers left (``_processes``): the scan process
+and children forked once the codes and primes exist, each taking every
+threads-th segment of the same walk.  A child sends each segment's
 cells, pickled and in order, through its own pipe and leaves through
 os._exit; the scan process adds every segment's cells in order, so the
 checkpoints, state writes and memory bound are those of one process.
@@ -268,7 +269,9 @@ def scan(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact" and x_max > EXACT_X_CAP:
         raise ValueError(f"exact mode is capped at x = {EXACT_X_CAP}")
-    resuming = resume and state_path is not None and os.path.exists(state_path)
+    if resume and state_path is None:
+        raise ValueError("resume needs a state_path")
+    resuming = resume and os.path.exists(state_path)
     if segment_size is None:
         segment_size = (resuming and _recorded_segment_size(state_path)) or default_segment_size(x_max)
     if not 1 <= segment_size <= MAX_SEGMENT:
@@ -325,7 +328,7 @@ def scan(
             _save_state(state_path, header, hi + 1, state)
             saved = time.monotonic()
 
-    processes = _processes(threads, _segments(start_lo, x_max, segment_size, cps))
+    processes = _processes(threads, x_max + 1 - start_lo, _segments(start_lo, x_max, segment_size, cps))
     _run_segments(run, consume, todo, processes)
     return result
 
@@ -338,15 +341,25 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _processes(threads: int, segments) -> int:
-    """How many processes scan `segments`: at most `threads`, one per
-    usable CPU, and few enough that each gets two segments; one where
-    os.fork is missing or other threads run, which a fork would leave
-    stopped mid-work in the child."""
+# the fewest integers a scan process is planned for, the measured
+# break-even of a second one: it costs 15-35 ms of CPU (a fork, pipe and
+# reap of 3.2-3.9 ms, about 5k more minor faults at 3.6-3.8 us each).
+# series.scan alone, medians of 9 alternating pairs on a 2-core VM, in ms
+# of wall / CPU on 1 -> 2 processes: at 2 10^5 integers 32/32 -> 35/48
+# for Q(i) and 65/65 -> 59/87 for x^5-x-1, at 4 10^5 65/65 -> 51/77 and
+# 140/140 -> 116/162, at 10^6 117/116 -> 79/136 and 336/323 -> 256/375
+_PROCESS_INTEGERS = 200_000
+
+
+def _processes(threads: int, integers: int, segments) -> int:
+    """How many processes scan `segments` of `integers` integers: at most
+    `threads`, one per usable CPU, segment and _PROCESS_INTEGERS integers;
+    one where os.fork is missing or other threads run, which a fork would
+    leave stopped mid-work in the child."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    most = min(threads, usable_cpus())
-    return max(1, min(most, sum(1 for _ in islice(segments, 2 * most)) // 2))
+    most = min(threads, usable_cpus(), integers // _PROCESS_INTEGERS)
+    return max(1, min(most, sum(1 for _ in islice(segments, most))))
 
 
 def _run_segments(run, consume, segments, processes):

@@ -1,8 +1,7 @@
-"""Smallest-prime-factor sieve, the factorization of any n it covers, and
-the block factor kernel: mu, omega, the smallest, the largest and the
-strict second-largest prime factor of every n of a block, and whether the
-largest one repeats, from the primes up to the square root of the block's
-end alone.
+"""Smallest-prime-factor sieve and the block factor kernel: mu, omega,
+the smallest, the largest and the strict second-largest prime factor of
+every n of a block, and whether the largest one repeats, from the primes
+up to the square root of the block's end alone.
 
 The sieve stores one uint32 per integer (4 bytes/entry), so a limit of
 10^7 costs ~40 MB, and 2 <= limit <= X_MAX = 2^32 - 1.  One loop sieves:
@@ -12,11 +11,11 @@ primes up to isqrt(hi - 1), so a scan to x needs only a sieve of the
 primes up to isqrt(x).  FactorSieve(limit) joins its blocks of [2, limit]
 with the primes of FactorSieve(isqrt(limit)), and a scan takes each
 segment's spf from it.  The bulk tables of a sieve (mu, omega, P1, P2s,
-rep) are its factor_block blocks joined; the first accessor builds them.
-Nothing is mutated after construction, so a sieve may be shared freely
-across threads.  Cache format v2: a 13-byte header (b"AFS1", version,
-uint32 limit, uint32 zlib.crc32 of the body), then spf[2..limit] as
-little-endian uint32, written to a temporary file and renamed in place.
+rep) are its factor_block blocks joined; the first accessor builds all
+five and keeps them, and no command calls one.  Cache format v2: a
+13-byte header (b"AFS1", version, uint32 limit, uint32 zlib.crc32 of the
+body), then spf[2..limit] as little-endian uint32, written to a
+temporary file and renamed in place.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import os
 import struct
 import sys
-import threading
 import zlib
 from math import isqrt
 
@@ -85,7 +83,6 @@ class FactorSieve:
         self.limit = int(limit)
         self.spf = _build_spf(self.limit) if _spf is None else _spf
         self._tables: dict[str, np.ndarray] | None = None
-        self._tables_lock = threading.Lock()
 
     # -- construction / persistence ------------------------------------
 
@@ -130,22 +127,6 @@ class FactorSieve:
             body.tofile(fh)
         os.replace(tmp, path)
 
-    # -- scalar queries ------------------------------------------------
-
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """(prime, exponent) pairs, primes increasing; empty for n = 1."""
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n = {n} outside [1, {self.limit}]")
-        out: list[tuple[int, int]] = []
-        while n > 1:
-            p = int(self.spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-
     # -- bulk tables (built lazily, cached) ----------------------------
 
     def prime_array(self, x: int | None = None) -> np.ndarray:
@@ -172,11 +153,8 @@ class FactorSieve:
         return self._table("rep")
 
     def _table(self, name: str) -> np.ndarray:
-        # the lock is taken only while the tables may still be unbuilt
         if self._tables is None:
-            with self._tables_lock:
-                if self._tables is None:
-                    self._tables = _joined_tables(self.prime_array(isqrt(self.limit)), self.limit)
+            self._tables = _joined_tables(self.prime_array(isqrt(self.limit)), self.limit)
         return self._tables[name]
 
 

@@ -49,3 +49,12 @@ def forks(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     return calls
 
+
+@pytest.fixture
+def fork_small_scans(monkeypatch):
+    """Plan a scan process for every integer, so that the small scans of
+    the tests run on as many processes as they ask for (a scan plans one
+    per series._PROCESS_INTEGERS integers)."""
+    from artinsums import series
+
+    monkeypatch.setattr(series, "_PROCESS_INTEGERS", 1)

@@ -1,6 +1,7 @@
 """Oracles shared by the tests, independent of the bulk paths they check:
-the spf table by a masked sieve over the whole table, the multiplicative
-functions of n read off ``factorize``, the bulk tables
+the spf table by a masked sieve over the whole table, the factorization
+of n by a walk down a sieve's spf table (``factorize``), the
+multiplicative functions of n read off it, the bulk tables
 from the recurrence n = p*m over a full spf table, the Fraction forms
 of the four duality identities by enumeration of the squarefree divisors
 (not the coefficient tables of artinsums.duality), the exact bucket sums
@@ -47,8 +48,24 @@ def spf_table(limit: int) -> np.ndarray:
     return spf
 
 
+def factorize(sieve, n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of 1 <= n <= sieve.limit, primes
+    increasing, each the spf of what is left of n; empty for n = 1."""
+    if not 1 <= n <= sieve.limit:
+        raise ValueError(f"n = {n} outside [1, {sieve.limit}]")
+    out: list[tuple[int, int]] = []
+    while n > 1:
+        p = int(sieve.spf[n])
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
+
+
 def factored(sieve, n: int) -> Factored:
-    fac = sieve.factorize(n)
+    fac = factorize(sieve, n)
     primes = [p for p, _ in fac]
     return Factored(
         mu=0 if any(e > 1 for _, e in fac) else (-1) ** len(fac),
@@ -117,7 +134,7 @@ def divisor_sum(sieve, n: int, k: int, identity: int, weight) -> Fraction:
     over subsets of the distinct primes of n; d = 1 contributes 0 because
     f(1) = 0.
     """
-    primes = [p for p, _ in sieve.factorize(n)]
+    primes = [p for p, _ in factorize(sieve, n)]
     total = Fraction(0)
     for r in range(1, len(primes) + 1):
         mu_d = -1 if r % 2 else 1
@@ -136,7 +153,7 @@ def divisor_sum(sieve, n: int, k: int, identity: int, weight) -> Fraction:
 
 def identity_rhs(sieve, n: int, k: int, identity: int, weight) -> Fraction:
     """Right-hand side of duality identity 1..4, in closed form."""
-    primes = [p for p, _ in sieve.factorize(n)]
+    primes = [p for p, _ in factorize(sieve, n)]
     sign = (-1) ** k
     if identity == 1:
         return sign * binom(len(primes) - 1, k - 1) * weight(primes[0])

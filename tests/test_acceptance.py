@@ -316,7 +316,7 @@ def test_criterion_09_repeated_P1_decay(sieve_big):
     assert ok, line
 
 
-def test_criterion_10_thread_determinism(tmp_path, capsys):
+def test_criterion_10_thread_determinism(tmp_path, capsys, fork_small_scans):
     outputs = []
     for t in (1, 2, 8):
         out_file = tmp_path / f"report-{t}.csv"

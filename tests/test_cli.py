@@ -236,7 +236,7 @@ def test_scan_unknown_class(capsys):
     assert code == 2
 
 
-def test_scan_thread_determinism_bitwise(tmp_path, capsys):
+def test_scan_thread_determinism_bitwise(tmp_path, capsys, fork_small_scans):
     outputs = []
     for t in ("1", "2", "8"):
         out_file = tmp_path / f"scan-{t}.csv"
@@ -269,7 +269,7 @@ PROCESS_SCANS = {
 
 
 @pytest.mark.parametrize("mode", PROCESS_SCANS)
-def test_scan_bytes_do_not_depend_on_the_process_count(tmp_path, capsys, monkeypatch, forks, mode):
+def test_scan_bytes_do_not_depend_on_the_process_count(tmp_path, capsys, monkeypatch, forks, fork_small_scans, mode):
     # stdout and the final state file are the same bytes on one process,
     # on two and at the default (the usable CPUs, two here), and so are
     # those of a resume, on one process or two, from a state file that a
@@ -312,7 +312,7 @@ def test_scan_bytes_do_not_depend_on_the_process_count(tmp_path, capsys, monkeyp
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_integrity_error_in_a_child_exits_3(capsys, monkeypatch, forks):
+def test_integrity_error_in_a_child_exits_3(capsys, monkeypatch, forks, fork_small_scans):
     # an IntegrityError raised in a child's segment (say by the classifier)
     # prints the line and exits 3 as on one process
     monkeypatch.setattr(series, "usable_cpus", lambda: 2)
@@ -335,7 +335,7 @@ def test_integrity_error_in_a_child_exits_3(capsys, monkeypatch, forks):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_child_killed_mid_scan_exits_4(capsys, monkeypatch):
+def test_child_killed_mid_scan_exits_4(capsys, monkeypatch, fork_small_scans):
     # a child that dies without its results (say killed for memory) is a
     # resource error
     monkeypatch.setattr(series, "usable_cpus", lambda: 2)
@@ -363,6 +363,7 @@ def test_forked_scan_warns_nothing():
         import os, sys
         from artinsums import cli, series
         series.usable_cpus = lambda: 2
+        series._PROCESS_INTEGERS = 1
         real, forks = os.fork, []
         os.fork = lambda: forks.append(1) or real()
         code = cli.main(["scan", "--cyclotomic", "4", "--xmax", "300000", "--threads", "2", "--out", {os.devnull!r}])
@@ -748,22 +749,78 @@ def test_verify_detects_corrupt_mu(capsys):
     assert "lhs" in detail and "rhs" in detail
 
 
-def test_corrupted_mu_reaches_table_checks():
-    base = FactorSieve(1000)
-    mu_before = base.mu_table().copy()
-    bad = cli._CorruptedMuSieve(base, 42)
-    assert bad.mu_table()[42] == -mu_before[42]
+def _record_arrays(monkeypatch, name):
+    """Wrap duality.<name> so that each call records its (sieve, arrays)."""
+    handed, real = [], getattr(duality, name)
+
+    def check(sieve, n, w, arrays):
+        handed.append((sieve, arrays))
+        return real(sieve, n, w, arrays)
+
+    monkeypatch.setattr(duality, name, check)
+    return handed
+
+
+def test_corrupted_mu_reaches_table_checks(monkeypatch, capsys):
+    # verify --corrupt-mu 42 flips mu(42) in the arrays it hands the
+    # inversion and hyperbola checks, and nothing else
+    handed = _record_arrays(monkeypatch, "check_inversion")
+    code, out, _ = run(["verify", "--nmax", "1000", "--weights", "1", "--corrupt-mu", "42"], capsys)
+    assert code == 1 and out.splitlines()[1] == "FAIL inversion identity at n=42"
+    ((sieve, bad),) = handed
+    clean = duality.factor_arrays(sieve, 1000)
+    assert bad["mu"][42] == -clean["mu"][42] != 0
+    assert np.flatnonzero(bad["mu"] != clean["mu"]).tolist() == [42]
+    # the unflipped arrays are untouched
+    assert all(np.array_equal(bad[k], clean[k]) for k in ("omega", "P2s"))
     w = duality.random_weight(1)
     # the flip shows at 42 and at multiples 42 m with f(P2(m)) != 0
-    failed = [rep.n for rep in duality.check_inversion(bad, 1000, w).failures]
+    failed = [rep.n for rep in duality.check_inversion(sieve, 1000, w, bad).failures]
     assert failed[0] == 42 and all(n % 42 == 0 for n in failed)
-    assert duality.check_inversion(base, 1000, w).passed
-    lhs, rhs = duality.hyperbola_check(bad, 300, w)
-    assert lhs != rhs
-    lhs, rhs = duality.hyperbola_check(base, 300, w)
-    assert lhs == rhs
-    # the flip lives in a copy; the base sieve's tables are untouched
-    assert np.array_equal(base.mu_table(), mu_before)
+    assert duality.check_inversion(sieve, 1000, w, clean).passed
+    # only the hyperbola check's right side moves
+    lhs, rhs = duality.hyperbola_check(sieve, 300, w, clean)
+    bad_lhs, bad_rhs = duality.hyperbola_check(sieve, 300, w, bad)
+    assert bad_lhs == lhs == rhs != bad_rhs
+
+
+# 65537 is the last n of the first block the sieve's tables join
+@pytest.mark.parametrize("nmax", [2, 3, 4, 100, 65537])
+def test_verify_hands_the_checks_the_table_values(monkeypatch, capsys, nmax):
+    # the mu, omega and P2s that verify builds from one factor_block call
+    # equal the sieve's joined tables on [0, nmax]; the identity suite,
+    # which reads neither, is skipped
+    inversion = _record_arrays(monkeypatch, "check_inversion")
+    hyperbola = _record_arrays(monkeypatch, "hyperbola_check")
+    monkeypatch.setattr(cli, "_identity_suite", lambda *args: 0)
+    code, out, _ = run(["verify", "--nmax", str(nmax), "--weights", "1"], capsys)
+    assert code == 0 and out.endswith("all verification suites passed\n")
+    ((sieve, arrays),) = inversion
+    assert [a is arrays for _, a in hyperbola] == [True]
+    tables = {"mu": sieve.mu_table(), "omega": sieve.omega_table(), "P2s": sieve.P2_strict_table()}
+    assert sorted(arrays) == sorted(tables)
+    for name, table in tables.items():
+        assert arrays[name].dtype == table.dtype and np.array_equal(arrays[name], table[: nmax + 1]), name
+
+
+def test_resume_without_state_is_a_usage_error(tmp_path, capsys):
+    # before any output, and also from a config file
+    argv = ["scan", "--cyclotomic", "4", "--xmax", "1000", "--resume"]
+    assert run(argv, capsys) == (2, "", "error: --resume needs --state\n")
+    cfg = tmp_path / "artinsums.cfg"
+    cfg.write_text("resume = true\n")
+    assert run(["--config", str(cfg), *argv[:-1]], capsys) == (2, "", "error: --resume needs --state\n")
+
+
+def test_small_scans_do_not_fork(capsys, monkeypatch, forks):
+    # at 2 usable CPUs the quintic-2e5 benchmark scan (2 10^5 integers)
+    # runs on one process, and a scan of 10^6 integers forks one child
+    monkeypatch.setattr(series, "usable_cpus", lambda: 2)
+    quintic = ["scan", "--poly=-1,-1,0,0,0,1", "--xmax", "200000", "--checkpoints", "10000,37611,162389,200000"]
+    assert run(quintic, capsys)[0] == 0
+    assert forks == []
+    assert run(["scan", "--cyclotomic", "4", "--xmax", "1000000"], capsys)[0] == 0
+    assert forks == [os.getpid()]
 
 
 @pytest.mark.parametrize(
@@ -1074,7 +1131,7 @@ def test_scan_sieve_cache_holds_the_sieving_primes(tmp_path, capsys):
     assert run(["scan", "--cyclotomic", "4", "--xmax", "10000", "--sieve-cache", str(cache)], capsys)[:2] == (0, out)
 
 
-def test_reproduce_table_runs(tmp_path, capsys, sieve_big):
+def test_reproduce_table_runs(tmp_path, capsys, sieve_big, fork_small_scans):
     # exercised through the library entry point; the command path is
     # covered by test_reproduce_table_command below
     report = cli.reproduce_table(sieve_big, threads=2)

@@ -16,14 +16,14 @@ from artinsums.duality import (
     check_all_identities,
     check_inversion,
     distinct_prime_rows,
+    factor_arrays,
     hyperbola_check,
     identity_sides,
     inversion_sides,
     random_weight,
 )
-from artinsums.cli import _CorruptedMuSieve
 from artinsums.sieve import FactorSieve
-from oracles import binom, divisor_sum, factored, identity_rhs, inversion_rhs
+from oracles import binom, divisor_sum, factored, factorize, identity_rhs, inversion_rhs
 
 ONE_ON_PRIMES = PrimeWeight("1 on primes", lambda p: Fraction(1))
 MOD4 = PrimeWeight("p = 3 mod 4", lambda p: Fraction(int(p % 4 == 3)))
@@ -35,7 +35,7 @@ def class_weight(ctx, label):
     primes get 0)."""
     def fn(p):
         out = ctx.classify(p)
-        return Fraction(int(not out.is_ramified and out.label == label))
+        return Fraction(int(out.label == label))
     return PrimeWeight(f"class {label} in {ctx.spec_string()}", fn)
 
 
@@ -214,7 +214,7 @@ def scalar_inversion(sieve, n, weight):
 
 def scalar_divisors(sieve, n):
     divs = [1]
-    for p, e in sieve.factorize(n):
+    for p, e in factorize(sieve, n):
         divs = [d * p**j for d in divs for j in range(e + 1)]
     return sorted(divs)
 
@@ -282,7 +282,7 @@ def test_distinct_prime_rows_match_factorize(sieve_small):
     assert rows.shape == (6, 99_999)  # 2*3*5*7*11*13 = 30030 <= 10^5
     for n in range(2, 100_001):
         col = [int(p) for p in rows[:, n - 2] if p > 1]
-        assert col == [p for p, _ in sieve_small.factorize(n)], n
+        assert col == [p for p, _ in factorize(sieve_small, n)], n
     for lo, hi in ((2, 3), (30029, 30031), (99_990, 100_001)):
         part = distinct_prime_rows(sieve_small.spf, lo, hi)
         assert np.array_equal(part, rows[: part.shape[0], lo - 2 : hi - 2])
@@ -296,7 +296,7 @@ def test_identity_blocks_cover_each_n_once(sieve_big):
     _, groups = identity_sides(sieve_big, nmax, 3, w)
     seen = []
     for ns, lhs, rhs in groups:
-        omegas = {len(sieve_big.factorize(n)) for n in ns.tolist()}
+        omegas = {len(factorize(sieve_big, n)) for n in ns.tolist()}
         assert len(omegas) == 1 and lhs.shape == rhs.shape == (4, min(3, *omegas), len(ns))
         seen += ns.tolist()
     assert sorted(seen) == list(range(2, nmax + 1))
@@ -362,28 +362,20 @@ def test_hyperbola_matches_scalar_oracle(sieve_small, x, weight):
     assert lhs == rhs
 
 
-class MuCountingSieve(FactorSieve):
-    """A sieve that counts its mu_table() calls."""
-
-    def __init__(self, base: FactorSieve):
-        super().__init__(base.limit, _spf=base.spf)
-        self.calls = 0
-
-    def mu_table(self):
-        self.calls += 1
-        return super().mu_table()
-
-
-def test_hyperbola_reads_mu_table_only_on_the_right(sieve_small):
+def test_hyperbola_reads_the_handed_mu_only_on_the_right(sieve_small, monkeypatch):
+    # the left side takes mu from the distinct primes of n, the right one
+    # from the handed array alone: never from the sieve's table, and a
+    # flipped mu(42) moves the right side only
     w = random_weight(1)
-    counting = MuCountingSieve(sieve_small)
-    for calls, x in enumerate((1, 300, 2310), start=1):
-        hyperbola_check(counting, x, w)
-        assert counting.calls == calls
-    # a wrong mu(42) moves the right side only
-    lhs, rhs = hyperbola_check(sieve_small, 300, w)
-    bad_lhs, bad_rhs = hyperbola_check(_CorruptedMuSieve(sieve_small, 42), 300, w)
+    monkeypatch.setattr(FactorSieve, "mu_table", lambda self: pytest.fail("read mu_table()"))
+    arrays = factor_arrays(sieve_small, 300)
+    lhs, rhs = hyperbola_check(sieve_small, 300, w, arrays)
+    bad = dict(arrays, mu=arrays["mu"].copy())
+    bad["mu"][42] = -bad["mu"][42]
+    bad_lhs, bad_rhs = hyperbola_check(sieve_small, 300, w, bad)
     assert bad_lhs == lhs == rhs != bad_rhs
+    # with no arrays handed, the check builds those of factor_arrays
+    assert hyperbola_check(sieve_small, 300, w) == (lhs, rhs)
 
 
 def test_weight_memoized():

@@ -37,7 +37,7 @@ from artinsums.sieve import is_prime
 def ramified_up_to(ctx, bound=1000):
     """The primes <= bound that classify as ramified."""
     primes = [p for p in range(2, bound + 1) if is_prime(p)]
-    return {p for p, out in zip(primes, ctx.classify_primes(primes)) if out.is_ramified}
+    return {p for p, out in zip(primes, ctx.classify_primes(primes)) if out.label is None}
 
 
 def test_cyclotomic_class_table():
@@ -60,7 +60,7 @@ def test_cyclotomic_classify():
     ctx = new_cyclotomic(4)
     assert ctx.classify(5) == ClassOutcome("1 mod 4")
     assert ctx.classify(7) == ClassOutcome("3 mod 4")
-    assert ctx.classify(2).is_ramified
+    assert ctx.classify(2).label is None
 
 
 def test_cyclotomic_coprimality(sieve_small):
@@ -69,7 +69,7 @@ def test_cyclotomic_coprimality(sieve_small):
         ctx = new_cyclotomic(k)
         for p in sieve_small.prime_array(2000).tolist():
             out = ctx.classify(p)
-            if not out.is_ramified:
+            if out.label is not None:
                 r = int(out.label.split()[0])
                 assert gcd(r, k) == 1
 
@@ -114,7 +114,7 @@ def test_quartic_partitions():
 
 def test_cubic_classify_examples(ctx_cubic, ctx_c4):
     assert ctx_c4.classify(5) == ClassOutcome("1 mod 4")
-    assert ctx_cubic.classify(31).is_ramified
+    assert ctx_cubic.classify(31).label is None
     assert ctx_cubic.classify(2) == ClassOutcome("3")  # no roots mod 2
     assert ctx_cubic.classify(3) == ClassOutcome("1+2")  # exactly one root
 
@@ -145,7 +145,7 @@ def test_cubic_fast_path_matches_generic_ddf(ctx_cubic, sieve_small):
     for p in sieve_small.prime_array(10_000).tolist():
         out = ctx_cubic.classify(p)
         if ctx_cubic.disc % p == 0:
-            assert out.is_ramified
+            assert out.label is None
             continue
         shape = distinct_degree_factorization(reduce_poly(poly, p))
         assert out.label == shape_label(shape), p
@@ -158,7 +158,7 @@ def test_classify_matches_generic_shape_quintic(sieve_small):
     for p in sieve_small.prime_array(500).tolist():
         out = ctx.classify(p)
         if ctx.disc % p == 0:
-            assert out.is_ramified
+            assert out.label is None
         else:
             shape = distinct_degree_factorization(reduce_poly(list(ctx.poly), p))
             assert out.label == shape_label(shape)
@@ -170,7 +170,7 @@ def test_class_code_array(ctx_cubic, ctx_c4, sieve_small):
         for p in sieve_small.prime_array(10_000).tolist():
             out = ctx.classify(p)
             code = int(codes[p])
-            if out.is_ramified:
+            if out.label is None:
                 assert code == RAMIFIED_CODE
             else:
                 assert code == ctx.code_of(out.label)
@@ -185,7 +185,7 @@ def test_ramified_partition(ctx_cubic, ctx_c4, sieve_small):
     # the class-code array, and those are the primes dividing disc(f) or k
     for ctx, expected in ((ctx_cubic, {31}), (ctx_c4, {2})):
         primes = sieve_small.prime_array(10_000)
-        seen = {p for p in primes.tolist() if ctx.classify(p).is_ramified}
+        seen = {p for p in primes.tolist() if ctx.classify(p).label is None}
         codes = ctx.class_code_array(sieve_small, 10_000)
         assert seen == set(primes[codes[primes] == RAMIFIED_CODE].tolist()) == expected
 
@@ -208,7 +208,7 @@ def test_cyclotomic_classify_is_residue(k, idx):
         p += 1
     out = ctx.classify(p)
     if k % p == 0:
-        assert out.is_ramified
+        assert out.label is None
     else:
         assert out.label == f"{p % k} mod {k}"
 
@@ -245,7 +245,7 @@ def test_class_codes_match_ddf_oracle(poly, sieve_small):
     # the one-lane route gives the same outcome
     for p in primes[:8] + primes[::97]:
         out = ctx.classify(p)
-        assert (RAMIFIED_CODE if out.is_ramified else ctx.code_of(out.label)) == codes[p]
+        assert (RAMIFIED_CODE if out.label is None else ctx.code_of(out.label)) == codes[p]
 
 
 def trial_prime_divisors(d, bound):
@@ -278,7 +278,7 @@ def test_ramified_beyond_int64_discriminant(sieve_small):
     # divisible by 7 and too large for int64 lanes
     ctx = new_splitting_field([2**63 + 1, 1, 1])
     assert abs(ctx.disc) >= 2**63 and ctx.disc % 7 == 0
-    assert ctx.classify(7).is_ramified
+    assert ctx.classify(7).label is None
     codes = ctx.class_code_array(sieve_small, 2_000)
     primes = sieve_small.prime_array(2_000).tolist()
     assert [int(codes[p]) for p in primes] == [oracle_code(ctx, p) for p in primes]
@@ -459,4 +459,4 @@ def test_classify_across_integer_width_bound(poly):
     ctx = new_splitting_field(poly)
     for p in width_primes(len(poly) - 1):
         out = ctx.classify(p)
-        assert (RAMIFIED_CODE if out.is_ramified else ctx.code_of(out.label)) == oracle_code(ctx, p), p
+        assert (RAMIFIED_CODE if out.label is None else ctx.code_of(out.label)) == oracle_code(ctx, p), p

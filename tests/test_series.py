@@ -30,7 +30,7 @@ from artinsums.galois import (
     new_splitting_field,
 )
 from artinsums.sieve import FactorSieve
-from oracles import binned, factored, fraction_bucket_sums, limb_sums, route, segment_list
+from oracles import binned, factored, factorize, fraction_bucket_sums, limb_sums, route, segment_list
 
 
 # -- enumeration oracles ----------------------------------------------------
@@ -52,11 +52,11 @@ def enum_bucket_sum(sieve, ctx, x, label=None, ramified_p=None):
             continue
         out = classify(ctx, p1)
         if ramified_p is not None:
-            if out.is_ramified and p1 == ramified_p:
+            if out.label is None and p1 == ramified_p:
                 total += Fraction(mu * om, n)
         elif label is None:
             total += Fraction(mu * om, n)
-        elif not out.is_ramified and out.label == label:
+        elif out.label == label:
             total += Fraction(mu * om, n)
     return total
 
@@ -68,7 +68,7 @@ def enum_n2(sieve, ctx, x, label):
         if f.P2s == 1 or f.repeats:
             continue
         out = classify(ctx, f.P2s)
-        if not out.is_ramified and out.label == label:
+        if out.label == label:
             count += 1
     return count
 
@@ -103,7 +103,7 @@ def direct_float_terms(sieve, ctx, x):
         if mu == 0:
             continue
         out_p = classify(ctx, p1)
-        bucket = f"ramified:{p1}" if out_p.is_ramified else out_p.label
+        bucket = f"ramified:{p1}" if out_p.label is None else out_p.label
         terms = {
             "mu_omega_over_n": mu * om / n,
             "mu_over_n": mu / n,
@@ -134,7 +134,7 @@ def test_exact_scan_x2_single_bucket(sieve_small, ctx_c4, ctx_cubic):
     for ctx in (ctx_c4, ctx_cubic):
         snap = series.scan(ctx, 2, mode="exact", sieve=sieve_small).snapshots[2]
         out = ctx.classify(2)
-        if out.is_ramified:
+        if out.label is None:
             assert snap.ramified[2]["mu_omega_over_n"] == Fraction(-1, 2)
         else:
             assert snap.classes[out.label]["mu_omega_over_n"] == Fraction(-1, 2)
@@ -358,7 +358,7 @@ def duality_floor_weighted(ctx, sieve, codes, x) -> dict:
     ],
     ids=["Q(i)", "Q(zeta_12)", "x^3+x+1", "x^5-x-1"],
 )
-def test_floor_weighted_matches_duality_counts(sieve_big, spec, checkpoints):
+def test_floor_weighted_matches_duality_counts(sieve_big, fork_small_scans, spec, checkpoints):
     # every bucket of floor_weighted, at 1 and 2 threads, against counts of
     # the largest and second-largest prime factors; in exact mode at 10^4,
     # where floor + frac = x mu_omega_over_n then pins frac_weighted too
@@ -564,7 +564,7 @@ def test_bucket_ordered_reducers_match_ids_oracles(data):
 # -- determinism and resume -------------------------------------------------
 
 
-def test_thread_determinism(sieve_small, ctx_cubic):
+def test_thread_determinism(sieve_small, ctx_cubic, fork_small_scans):
     runs = [
         series.scan(ctx_cubic, 30_000, checkpoints=(10_000,), sieve=sieve_small, threads=t)
         for t in (1, 2, 8)
@@ -583,7 +583,7 @@ def test_thread_determinism(sieve_small, ctx_cubic):
 
 
 @pytest.mark.parametrize("mode", ["compensated", "exact"])
-def test_threads_give_equal_snapshots(sieve_small, ctx_c4, mode):
+def test_threads_give_equal_snapshots(sieve_small, ctx_c4, fork_small_scans, mode):
     kwargs = dict(checkpoints=(100, 2048, 5000), sieve=sieve_small, segment_size=512, mode=mode)
     one = series.scan(ctx_c4, 9000, threads=1, **kwargs)
     two = series.scan(ctx_c4, 9000, threads=2, **kwargs)
@@ -591,15 +591,18 @@ def test_threads_give_equal_snapshots(sieve_small, ctx_c4, mode):
 
 
 def test_process_count_is_capped(monkeypatch):
-    # at most `threads`, one per usable CPU and one per two segments left;
-    # one where os.fork is missing or another thread runs
+    # at most `threads`, one per usable CPU, one per _PROCESS_INTEGERS
+    # integers left and one per segment; one where os.fork is missing or
+    # another thread runs
     monkeypatch.setattr(series, "usable_cpus", lambda: 4)
+    per = series._PROCESS_INTEGERS
 
-    def plan(threads, segments):
-        return series._processes(threads, iter([(1, 1)] * segments))
+    def plan(threads, segments, integers=100 * per):
+        return series._processes(threads, integers, iter([(1, integers // segments)] * segments))
 
     assert [plan(1, 100), plan(3, 100), plan(10**6, 100)] == [1, 3, 4]
-    assert [plan(8, 1), plan(8, 3), plan(8, 5), plan(8, 8)] == [1, 1, 2, 4]
+    assert [plan(8, 1), plan(8, 3), plan(8, 5)] == [1, 3, 4]
+    assert [plan(8, 100, n) for n in (0, per - 1, 2 * per - 1, 2 * per, 3 * per, 10 * per)] == [1, 1, 1, 2, 3, 4]
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
@@ -613,8 +616,23 @@ def test_process_count_is_capped(monkeypatch):
     assert plan(8, 100) == 1
 
 
+def test_process_plan_at_two_cpus(monkeypatch):
+    # a scan of 2 10^5 integers stays on one process, where a fork costs
+    # more CPU than it saves wall time; one of 10^6 or more takes both CPUs
+    monkeypatch.setattr(series, "usable_cpus", lambda: 2)
+    for x, processes in ((200_000, 1), (10**6, 2), (10**7, 2), (2**32 - 1, 2)):
+        cps = (10_000, x // 3, x)
+        segments = series._segments(2, x, series.default_segment_size(x), cps)
+        assert series._processes(2, x - 1, segments) == processes, x
+
+
+def test_resume_needs_a_state_path(sieve_small, ctx_c4):
+    with pytest.raises(ValueError, match="resume needs a state_path"):
+        series.scan(ctx_c4, 1000, sieve=sieve_small, resume=True)
+
+
 @pytest.mark.parametrize("fails", [None, "child", "parent"])
-def test_scan_processes_are_reaped(sieve_small, ctx_cubic, monkeypatch, forks, fails):
+def test_scan_processes_are_reaped(sieve_small, ctx_cubic, monkeypatch, forks, fork_small_scans, fails):
     # a 3-process scan: on success, on an IntegrityError in a child's
     # segment (raised here as it was raised there) and on a Ctrl-C in this
     # process, every child is reaped before scan returns or raises; after
@@ -1049,7 +1067,7 @@ def test_count_P2_classifies_primes_only_up_to_isqrt_x(sieve_small, monkeypatch)
 
 
 @pytest.mark.parametrize("segment_size", [1024, 3000, 65_536])
-def test_segments_classify_each_prime_once(tmp_path, sieve_small, ctx_cubic, monkeypatch, segment_size):
+def test_segments_classify_each_prime_once(tmp_path, sieve_small, ctx_cubic, monkeypatch, fork_small_scans, segment_size):
     # each segment's kernel classifies the segment's primes above
     # isqrt(x_max): segments of a few primes each, segments that cross the
     # checkpoints, and one segment per checkpoint interval give one result,
@@ -1079,7 +1097,7 @@ def test_segments_classify_each_prime_once(tmp_path, sieve_small, ctx_cubic, mon
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_scan_memory_does_not_grow_with_x(monkeypatch, threads):
+def test_scan_memory_does_not_grow_with_x(monkeypatch, fork_small_scans, threads):
     # a scan holds O(sqrt(x) + segment) memory: at a fixed segment size,
     # going from x = 2^18 to 2^20 may add only what grows with sqrt(x),
     # the code array (2 bytes an integer) and the kernel's uint32 copy of
@@ -1181,7 +1199,7 @@ def test_count_repeated_P1(sieve_small):
     # n <= 10 with repeated largest prime factor: 4, 8, 9
     assert series.count_repeated_P1(10, sieve_small) == 3
     brute = sum(
-        1 for n in range(2, 1001) if sieve_small.factorize(n)[-1][1] >= 2
+        1 for n in range(2, 1001) if factorize(sieve_small, n)[-1][1] >= 2
     )
     assert series.count_repeated_P1(1000, sieve_small) == brute
 
@@ -1211,7 +1229,7 @@ def test_psi_smooth_matches_enumeration(sieve_small, x, y):
     if y > x:
         x, y = y, max(x, 1)
     brute = 1 + sum(
-        1 for n in range(2, x + 1) if sieve_small.factorize(n)[-1][0] <= y
+        1 for n in range(2, x + 1) if factorize(sieve_small, n)[-1][0] <= y
     )
     assert series.psi_smooth(x, [y], sieve_small) == [brute]
 

@@ -5,9 +5,6 @@ import hashlib
 import math
 import os
 import struct
-import sys
-import threading
-import time
 import tracemalloc
 import zlib
 
@@ -18,7 +15,7 @@ from hypothesis import strategies as st
 
 from artinsums import sieve as sieve_mod
 from artinsums.sieve import _TABLE_BLOCK, DEFAULT_LIMIT, X_MAX, FactorSieve, block_spf, factor_block, is_prime
-from oracles import factored, recurrence_tables, spf_table
+from oracles import factored, factorize, recurrence_tables, spf_table
 
 
 def trial_spf(n):
@@ -96,14 +93,14 @@ def test_spf_against_trial_division(sieve_small):
 def test_factorize_reconstructs(sieve_small):
     for n in range(1, 100_001):
         prod = 1
-        for p, e in sieve_small.factorize(n):
+        for p, e in factorize(sieve_small, n):
             prod *= p**e
         assert prod == n
 
 
 def test_factorize_primes_increasing_exponents_positive(sieve_small):
     for n in (2, 360, 2310, 99991, 65536, 97 * 89):
-        fac = sieve_small.factorize(n)
+        fac = factorize(sieve_small, n)
         assert all(e >= 1 for _, e in fac)
         assert all(a < b for (a, _), (b, _) in zip(fac, fac[1:]))
 
@@ -339,9 +336,9 @@ def test_tables_at_tiny_limits(limit):
     assert_tables_match_trial_division(s, range(2, limit + 1))
 
 
-def test_tables_built_once_under_concurrent_access(monkeypatch):
-    # every accessor builds all five tables; racing first calls must share
-    # one build, or a threaded scan would hold several copies at once
+def test_tables_built_once(monkeypatch):
+    # every accessor builds all five tables; later calls of any accessor
+    # return the same arrays, built once
     calls = []
     real = sieve_mod._joined_tables
 
@@ -351,64 +348,10 @@ def test_tables_built_once_under_concurrent_access(monkeypatch):
 
     monkeypatch.setattr(sieve_mod, "_joined_tables", counted)
     s = FactorSieve(50_000)
-    getters = [s.mu_table, s.omega_table, s.P1_table, s.P2_strict_table, s.repeated_P1_table] * 2
-    barrier = threading.Barrier(len(getters))
-    got = [None] * len(getters)
-
-    def call(i):
-        barrier.wait()
-        got[i] = getters[i]()
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=call, args=(i,)) for i in range(len(getters))]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(w.is_alive() for w in workers)
-    assert len(calls) == 1
-    assert all(a is b for a, b in zip(got[:5], got[5:]))
-
-
-def test_table_reads_take_the_lock_only_to_build(monkeypatch):
-    # 8 threads race on a fresh sieve while the build is slow; one build,
-    # and once built an accessor returns even while the lock is held
-    calls = []
-    real = sieve_mod._joined_tables
-
-    def slow(primes, limit):
-        calls.append(1)
-        time.sleep(0.05)
-        return real(primes, limit)
-
-    monkeypatch.setattr(sieve_mod, "_joined_tables", slow)
-    s = FactorSieve(20_000)
     getters = [s.mu_table, s.omega_table, s.P1_table, s.P2_strict_table, s.repeated_P1_table]
-    barrier = threading.Barrier(8)
-    got = [None] * 8
-
-    def call(i):
-        barrier.wait()
-        got[i] = [getters[(i + k) % 5]() for k in range(5)]
-
-    workers = [threading.Thread(target=call, args=(i,)) for i in range(8)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join(timeout=60)
-    assert not any(w.is_alive() for w in workers)
+    got = [get() for get in getters]
+    assert all(get() is table for get, table in zip(getters, got))
     assert len(calls) == 1
-    for i, tables in enumerate(got):
-        assert all(t is getters[(i + k) % 5]() for k, t in enumerate(tables))
-    with s._tables_lock:
-        reader = threading.Thread(target=s.mu_table)
-        reader.start()
-        reader.join(timeout=10)
-        assert not reader.is_alive()
 
 
 def test_prime_array_and_iterator(sieve_small):
@@ -435,7 +378,7 @@ def test_is_prime_large():
 @given(st.integers(min_value=2, max_value=100_000))
 @settings(max_examples=200, deadline=None)
 def test_factorize_matches_trial_division(sieve_small, n):
-    assert sieve_small.factorize(n) == trial_factorize(n)
+    assert factorize(sieve_small, n) == trial_factorize(n)
 
 
 def test_limit_validation(monkeypatch):
@@ -449,9 +392,9 @@ def test_limit_validation(monkeypatch):
 
 def test_query_range_validation(sieve_small):
     with pytest.raises(ValueError):
-        sieve_small.factorize(0)
+        factorize(sieve_small, 0)
     with pytest.raises(ValueError):
-        sieve_small.factorize(100_001)
+        factorize(sieve_small, 100_001)
 
 
 def test_default_limit_documented():
