@@ -1,13 +1,14 @@
 """Command-line surface.
 
 Commands: sieve-build, scan, reproduce-table, verify, duality-test,
-dickman, smooth, classify.  Global flags: --sieve-cache, --format, --out,
---config; only scan and reproduce-table take --threads, the most
-processes that scan the segments (default: the usable CPUs; a scan plans
-at most one process per segment and per 200,000 integers, so one of
-fewer than 400,000 integers never forks).  A config file
-holds plain ``key = value`` lines (keys are the long option names), and
-command-line flags override it.
+dickman, smooth, classify.  --config is the one global flag; each
+command takes only the options it reads (README's CLI section tabulates
+them).  Only scan takes --threads, the most processes that scan the
+segments (default: the usable CPUs; a scan plans at most one process
+per segment and per 200,000 integers, so one of fewer than 400,000
+integers never forks).  A config file holds plain ``key = value`` lines
+(keys are the long option names); keys that name no option of the
+command are ignored, and command-line flags override the rest.
 The environment variable ARTINSUMS_CACHE_DIR is sieve-build's default
 output directory; no other command reads it.  Importing this module sets
 OPENBLAS_NUM_THREADS=1 unless it is already set: the program calls no
@@ -141,35 +142,37 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser.add_argument("--config", help="config file with 'key = value' lines")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def threads(p):
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=series.usable_cpus(),
-            help="most processes that scan the segments (default: the usable CPUs; "
-            "at most one per segment and per 200,000 integers)",
-        )
-
-    def common(p, context=True):
+    def sieve_cache(p):
         p.add_argument("--sieve-cache", help="sieve cache file (built if missing)")
+
+    def output(p):
         p.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", dest="out_path", help="output file (default stdout)")
-        if context:
-            p.add_argument("--cyclotomic", type=int, metavar="K", help="cyclotomic context Q(zeta_K)")
-            p.add_argument(
-                "--poly",
-                metavar="C0,C1,...,1",
-                help="splitting-field context, integer coefficients lowest degree first",
-            )
+
+    def context(p):
+        p.add_argument("--cyclotomic", type=int, metavar="K", help="cyclotomic context Q(zeta_K)")
+        p.add_argument(
+            "--poly",
+            metavar="C0,C1,...,1",
+            help="splitting-field context, integer coefficients lowest degree first",
+        )
 
     p = sub.add_parser("sieve-build", help="build a smallest-prime-factor sieve cache")
-    common(p, context=False)
+    p.add_argument("--sieve-cache", help=f"file to write (default: ${CACHE_DIR_ENV}/spf-<limit>.sieve)")
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
     p.set_defaults(func=_cmd_sieve_build)
 
     p = sub.add_parser("scan", help="accumulate all class-keyed sums up to x")
-    common(p)
-    threads(p)
+    sieve_cache(p)
+    output(p)
+    context(p)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=series.usable_cpus(),
+        help="most processes the scan runs on (default: the usable CPUs; "
+        "at most one per segment and per 200,000 integers)",
+    )
     p.add_argument("--xmax", type=int, required=True)
     p.add_argument("--checkpoints", help="comma-separated checkpoint x values")
     p.add_argument("--mode", choices=("exact", "compensated"), default="compensated")
@@ -185,12 +188,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("reproduce-table", help="compare the x^3+x+1 class-sum table with its reference values")
-    common(p, context=False)
-    threads(p)
+    sieve_cache(p)
+    output(p)
     p.set_defaults(func=_cmd_reproduce_table)
 
     p = sub.add_parser("verify", help="run the exact duality/identity suites")
-    common(p, context=False)
+    sieve_cache(p)
     p.add_argument("--nmax", type=int, default=5000)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--seed", type=int, default=1)
@@ -199,30 +202,31 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("duality-test", help="exact check of the four duality identities")
-    common(p, context=False)
+    sieve_cache(p)
     p.add_argument("--nmax", type=int, default=5000)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_duality_test)
 
     p = sub.add_parser("dickman", help="tabulate the smooth-density function rho")
-    common(p, context=False)
+    output(p)
     p.add_argument("--grid", help="comma-separated alpha values")
     p.add_argument("--max", dest="alpha_max", type=float, default=10.0)
     p.add_argument("--step", type=float, default=0.5)
     p.set_defaults(func=_cmd_dickman)
 
     p = sub.add_parser("smooth", help="tabulate Psi(x, y) and its decay envelope")
-    common(p, context=False)
+    sieve_cache(p)
+    output(p)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", help="comma-separated y values")
     p.add_argument("--alpha", help="comma-separated alpha values (y = x^(1/alpha))")
     p.set_defaults(func=_cmd_smooth)
 
-    p = sub.add_parser("classify", help="Frobenius class of given primes")
-    common(p)
+    p = sub.add_parser("classify", help="Frobenius class of given primes, or the classes with none")
+    output(p)
+    context(p)
     p.add_argument("primes", nargs="*", type=int)
-    p.add_argument("--list", action="store_true", help="list classes with densities")
     p.set_defaults(func=_cmd_classify)
 
     return parser, sub.choices
@@ -267,13 +271,11 @@ def _config_defaults(path, command: argparse.ArgumentParser) -> dict:
 
 
 def _context_from(args) -> GaloisContext:
-    cyc = getattr(args, "cyclotomic", None)
-    poly = getattr(args, "poly", None)
-    if (cyc is None) == (poly is None):
+    if (args.cyclotomic is None) == (args.poly is None):
         raise ValueError("exactly one of --cyclotomic K or --poly COEFFS is required")
-    if cyc is not None:
-        return new_cyclotomic(cyc)
-    return new_splitting_field(parse_poly(poly))
+    if args.cyclotomic is not None:
+        return new_cyclotomic(args.cyclotomic)
+    return new_splitting_field(parse_poly(args.poly))
 
 
 def parse_poly(text: str) -> list[int]:
@@ -309,23 +311,26 @@ def _get_sieve(args, needed: int) -> FactorSieve:
 
 
 def _cell(v):
-    """An output value: a Fraction as "num/den", anything else as is (CSV
-    writes it as str(v), which for a float is its shortest round-trip
-    form)."""
-    return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
+    """An output value: a Fraction as "num/den", a float that is not
+    finite as str(v) ("inf", "-inf", "nan"), which JSON has no number
+    for, anything else as is (CSV writes it as str(v), which for a float
+    is its shortest round-trip form)."""
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    return str(v) if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def _emit(rows, header, args) -> None:
     """Write rows as CSV or a JSON list of objects; floats keep full
     precision so re-parsing is bit-exact."""
-    out_path = getattr(args, "out_path", None)
+    out_path = args.out_path
     fh = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
         if args.out_format == "json":
             import json
 
             payload = [dict(zip(header, (_cell(v) for v in row))) for row in rows]
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
         else:
             writer = csv.writer(fh, lineterminator="\n")
@@ -342,11 +347,11 @@ def _emit(rows, header, args) -> None:
 
 
 def _cmd_sieve_build(args) -> int:
-    path = args.sieve_cache or args.out_path
+    path = args.sieve_cache
     if not path:
         cache_dir = os.environ.get(CACHE_DIR_ENV)
         if not cache_dir:
-            raise ValueError("sieve-build needs --sieve-cache, --out, or " + CACHE_DIR_ENV)
+            raise ValueError("sieve-build needs --sieve-cache or " + CACHE_DIR_ENV)
         path = os.path.join(cache_dir, f"spf-{args.limit}.sieve")
     sieve = _build_sieve(args.limit, path)
     print(f"wrote sieve with limit {sieve.limit} to {path}")
@@ -387,7 +392,7 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def reproduce_table(sieve: FactorSieve, threads: int = 1) -> TableReport:
+def reproduce_table(sieve: FactorSieve) -> TableReport:
     ctx = new_splitting_field([1, 1, 0, 1])
     result = series.scan(
         ctx,
@@ -395,7 +400,6 @@ def reproduce_table(sieve: FactorSieve, threads: int = 1) -> TableReport:
         checkpoints=TABLE_CHECKPOINTS,
         mode="compensated",
         sieve=sieve,
-        threads=threads,
     )
     rows = {}
     for label, (name, ref) in TABLE_REFERENCE.items():
@@ -417,7 +421,7 @@ def reproduce_table(sieve: FactorSieve, threads: int = 1) -> TableReport:
 
 def _cmd_reproduce_table(args) -> int:
     sieve = _get_sieve(args, isqrt(TABLE_CHECKPOINTS[-1]))
-    report = reproduce_table(sieve, threads=args.threads)
+    report = reproduce_table(sieve)
     width = max(len(r["name"]) for r in report.rows.values())
     head = " | ".join(f"x<={x}" for x in report.checkpoints)
     print(f"{'class':<{width}} | {head}")
@@ -613,7 +617,7 @@ def _cmd_smooth(args) -> int:
 
 def _cmd_classify(args) -> int:
     ctx = _context_from(args)
-    if args.list or not args.primes:
+    if not args.primes:
         rows = [
             (c.label, c.size, f"{c.density.numerator}/{c.density.denominator}")
             for c in ctx.classes

@@ -103,6 +103,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice, zip_longest
 from math import fsum, isqrt, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -292,6 +293,7 @@ def scan(
     codes = ctx.class_code_array(sieve, root)
     primes = sieve.prime_array(root)
     ram_primes = ctx.ramified_primes(codes, x_max)
+    buckets = _buckets(labels, codes, ctx._class_codes, ram_primes)
     layout = partial(_layout, labels, ram_primes, cps, mode=mode)
     header = {
         "context": ctx.spec_string(),
@@ -315,7 +317,7 @@ def scan(
     def run(seg):
         lo, hi = seg
         xs = [x for x in cps if x >= hi]
-        return hi, _segment_partials(labels, primes, codes, ctx._class_codes, ram_primes, lo, hi, mode, xs)
+        return hi, _segment_partials(buckets, primes, lo, hi, mode, xs)
 
     def consume(hi, delta):
         nonlocal state, saved
@@ -438,19 +440,39 @@ def _is_segment_start(n: int, lo: int, hi: int, size: int, checkpoints) -> bool:
     return n == lo or lo < n <= hi + 1 and ((n - 1) % size == 0 or n - 1 in checkpoints or n == hi + 1)
 
 
-def _segment_partials(labels, primes, codes, classify, ram_primes, lo, hi, mode, xs):
+class _Buckets(NamedTuple):
+    """What routes a scan's terms to buckets; class i of `labels` is code
+    i.  `codes` are the class codes over [0, r], r = isqrt(x_max);
+    `classify` maps an array of primes above r to their codes; keymap[p]
+    is the bucket key of a term with smallest prime factor p up to r, and
+    names[key] the name of bucket key."""
+
+    labels: list
+    codes: np.ndarray
+    classify: object
+    ram_primes: list
+    keymap: np.ndarray
+    names: list
+
+
+def _buckets(labels, codes, classify, ram_primes) -> _Buckets:
+    """The _Buckets of a scan, built once for all its segments."""
+    keymap = _bucket_key(codes, np.arange(len(codes)), ram_primes, len(labels))
+    return _Buckets(labels, codes, classify, ram_primes, keymap, _bucket_names(labels, ram_primes))
+
+
+def _segment_partials(buckets, primes, lo, hi, mode, xs):
     """All that the block lo <= n <= hi adds to a scan, in one pass, keyed
     as the cells of ``_layout``: the per-bucket sums of the per-n kinds
     ("acc." cells); the per-bucket sums of the checkpoint kinds at each x
     of `xs`, every x >= hi ("pending.<x>." cells); and the block's counts
     by the class of the strict P2 and of repeated P1 ("count." cells).
 
-    `primes` holds the primes up to r = isqrt(x_max), whose class codes
-    are `codes`, over [0, r]; `classify` maps an array of the block's
-    primes above r to their codes.  The one place where terms are formed
-    and routed to buckets; class i of `labels` is code i.  The block is
-    factored at once and summed in passes of at most _PASS integers
-    (``_pass_sums``)."""
+    `primes` holds the primes up to r = isqrt(x_max); `buckets` routes
+    the terms (``_Buckets``).  The one place where terms are formed and
+    routed to buckets.  The block is factored at once and summed in
+    passes of at most _PASS integers (``_pass_sums``)."""
+    labels, codes = buckets.labels, buckets.codes
     block = factor_block(primes, lo, hi + 1)
     rep = block.pop("rep")
     # P2s(n)^2 < n, so codes covers it; an n with P2s = 1 or a repeated P1
@@ -462,24 +484,20 @@ def _segment_partials(labels, primes, codes, classify, ram_primes, lo, hi, mode,
     delta = {f"count.n2:{lab}": by_code[i - UNCLASSIFIED_CODE] for i, lab in enumerate(labels)}
     delta["count.n2_ramified"] = by_code[RAMIFIED_CODE - UNCLASSIFIED_CODE]
     delta["count.repeat_count"] = int(np.count_nonzero(rep))
-    # the bucket of a term by its smallest prime factor, for those up to r
-    keymap = _bucket_key(codes, np.arange(len(codes)), ram_primes, len(labels))
-    names = _bucket_names(labels, ram_primes)
     block["spf"] = block_spf(primes, lo, hi + 1)
     for a in range(0, hi + 1 - lo, _PASS):
-        for key, vals in _pass_sums(block, a, lo, keymap, classify, ram_primes, len(labels), mode, xs).items():
+        for key, vals in _pass_sums(block, a, lo, buckets, mode, xs).items():
             prefix, kind = key.rsplit(".", 1)
-            for name, v in zip(names, vals):
+            for name, v in zip(buckets.names, vals):
                 cell = f"{prefix}.{name}.{kind}"
                 delta[cell] = delta.get(cell, 0) + v
     return delta
 
 
-def _pass_sums(block, a, lo, keymap, classify, ram_primes, n_classes, mode, xs) -> dict:
+def _pass_sums(block, a, lo, buckets, mode, xs) -> dict:
     """{cell prefix.kind: its sums per bucket, then over all terms} of the
     integers lo + a <= n < lo + a + _PASS of `block`, their factor data
-    from lo on; keymap[p] is the bucket key of a term with smallest prime
-    factor p up to r.  Terms are formed for squarefree n only: every other
+    from lo on, routed by `buckets`.  Terms are formed for squarefree n only: every other
     term is 0, and the sums are exact sums of the terms.  Each n gets its
     bucket key once; mu, omega and n are gathered in bucket order, so every
     kind is formed grouped by bucket and summed by ``_reduced``."""
@@ -487,13 +505,15 @@ def _pass_sums(block, a, lo, keymap, classify, ram_primes, n_classes, mode, xs) 
     mu = block["mu"][part]
     sf = np.flatnonzero(mu != 0)  # 3x faster than on int8
     sp = block["spf"][part].take(sf)
-    key = keymap.take(sp, mode="clip")
+    key = buckets.keymap.take(sp, mode="clip")
     # a squarefree n is composite with spf <= r, or a prime: an spf above
     # r is the prime n itself, classified here
-    big = np.flatnonzero(sp >= len(keymap))
+    big = np.flatnonzero(sp >= len(buckets.keymap))
     sp = sp.take(big)
-    key[big] = _bucket_key(classify(sp), sp, ram_primes, n_classes)
-    counts = np.bincount(key, minlength=n_classes + len(ram_primes) + 1)
+    key[big] = _bucket_key(buckets.classify(sp), sp, buckets.ram_primes, len(buckets.labels))
+    # one count per key; the last key's bucket is thrown away, and its
+    # name's place holds the total
+    counts = np.bincount(key, minlength=len(buckets.names))
     bounds = _bounds(counts)
     sf = sf[np.argsort(key, kind="stable")]
     mu = mu[sf]

@@ -122,7 +122,7 @@ def _brute_force_table(checkpoints):
 def test_criterion_01_table_reproduction(sieve_big):
     oracle = _brute_force_table(cli.TABLE_CHECKPOINTS)
     t0 = time.time()
-    rep = cli.reproduce_table(sieve_big, threads=4)
+    rep = cli.reproduce_table(sieve_big)
     elapsed = time.time() - t0
     engine_err = max(
         abs(v - o) / abs(o)

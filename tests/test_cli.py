@@ -49,9 +49,8 @@ def test_parse_poly():
 
 
 def test_classify_list(capsys):
-    code, out, _ = run(
-        ["classify", "--poly", "1,1,0,1", "--list"], capsys
-    )
+    # with no primes, classify lists the classes
+    code, out, _ = run(["classify", "--poly", "1,1,0,1"], capsys)
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["class", "size", "density"]
@@ -320,7 +319,7 @@ def test_integrity_error_in_a_child_exits_3(capsys, monkeypatch, forks, fork_sma
     raised_in = []
 
     def corrupt(*args):
-        if args[5] == 65537:  # the second segment, a child's on two processes
+        if args[2] == 65537:  # the second segment, a child's on two processes
             raised_in.append(os.getpid() == scanner)
             raise IntegrityError("Frobenius traces of [1, 1, 0, 1] mod 65539 give no cycle type")
         return real(*args)
@@ -509,7 +508,7 @@ def test_sieve_build_rejects_limit_above_x_max(tmp_path, capsys, monkeypatch):
     # header's uint32 limit is packed
     monkeypatch.setattr(sieve_mod, "_build_spf", lambda limit: pytest.fail(f"built a table for {limit}"))
     cache = tmp_path / "spf.sieve"
-    code, out, err = run(["sieve-build", "--limit", str(2**32), "--out", str(cache)], capsys)
+    code, out, err = run(["sieve-build", "--limit", str(2**32), "--sieve-cache", str(cache)], capsys)
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == f"error: sieve limit = {2**32} outside [2, {2**32 - 1}]\n"
     assert not cache.exists()
@@ -644,6 +643,25 @@ def test_dickman_max_edges(capsys):
     assert code == 0 and parse_csv(out)[1][-1][0] == "20.0"
     code, out, _ = run(["dickman", "--max", "0"], capsys)
     assert code == 0 and parse_csv(out)[1] == [["0.0", "1.0"]]
+
+
+def test_smooth_json_is_strict_json(capsys):
+    # y = 1 gives alpha = log x / log 1 = inf; JSON has no number for it,
+    # so the cell carries the text CSV prints, and the finite row is as
+    # before
+    code, out, _ = run(["smooth", "--x", "1000", "--y", "1,10", "--format", "json"], capsys)
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    inf_row, row = json.loads(out, parse_constant=reject)
+    assert inf_row == {"x": 1000, "y": 1, "alpha": "inf", "psi": 1, "envelope_ratio": "inf"}
+    alpha = math.log(1000) / math.log(10)
+    assert row == {"x": 1000, "y": 10, "alpha": alpha, "psi": 141, "envelope_ratio": 141 * math.exp(alpha / 2) / 1000}
+    assert '"alpha": 2.9999999999999996,' in out
+    csv_rows = parse_csv(run(["smooth", "--x", "1000", "--y", "1,10"], capsys)[1])[1]
+    assert csv_rows[0] == ["1000", "1", "inf", "1", "inf"]
 
 
 @pytest.mark.parametrize("alpha", ["0", "-2", "2,0", "nan"])
@@ -890,6 +908,7 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
 
 THREADLESS_COMMANDS = [
     ["sieve-build", "--limit", "100"],
+    ["reproduce-table"],
     ["verify", "--nmax", "60", "--weights", "1"],
     ["duality-test", "--nmax", "60"],
     ["dickman", "--grid", "1"],
@@ -899,8 +918,8 @@ THREADLESS_COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", THREADLESS_COMMANDS, ids=lambda a: a[0])
-def test_threads_only_on_scan_and_reproduce_table(argv, tmp_path, capsys, monkeypatch):
-    # a command that runs on one thread rejects --threads as a usage error;
+def test_threads_only_on_scan(argv, tmp_path, capsys, monkeypatch):
+    # a command that runs on one process rejects --threads as a usage error;
     # a config key names no option of it, so a config file's is ignored
     monkeypatch.setenv(cli.CACHE_DIR_ENV, str(tmp_path))
     with pytest.raises(SystemExit) as exc:
@@ -910,6 +929,43 @@ def test_threads_only_on_scan_and_reproduce_table(argv, tmp_path, capsys, monkey
     cfg = tmp_path / "artinsums.cfg"
     cfg.write_text("threads = 2\n")
     assert run(["--config", str(cfg), *argv], capsys)[0] == 0
+
+
+# each command takes only the options it reads; these it read nowhere, or
+# read as a second name of another option
+REMOVED_SETTINGS = [
+    (["sieve-build", "--limit", "100"], ["--format", "json"]),
+    (["sieve-build", "--limit", "100"], ["--out", "FILE"]),
+    (["reproduce-table"], ["--threads", "2"]),
+    (["verify", "--nmax", "60", "--weights", "1"], ["--format", "json"]),
+    (["verify", "--nmax", "60", "--weights", "1"], ["--out", "FILE"]),
+    (["duality-test", "--nmax", "60"], ["--format", "json"]),
+    (["duality-test", "--nmax", "60"], ["--out", "FILE"]),
+    (["dickman", "--grid", "1"], ["--sieve-cache", "FILE"]),
+    (["classify", "--cyclotomic", "4", "5"], ["--sieve-cache", "FILE"]),
+    (["classify", "--cyclotomic", "4"], ["--list"]),
+]
+
+
+@pytest.mark.parametrize("argv, setting", REMOVED_SETTINGS, ids=[f"{a[0]} {s[0]}" for a, s in REMOVED_SETTINGS])
+def test_removed_settings_are_usage_errors(argv, setting, tmp_path, capsys, monkeypatch):
+    # on the command line the option is a usage error that writes nothing;
+    # in a config file its key names no option of the command and is
+    # ignored, so the command runs as without it
+    monkeypatch.setenv(cli.CACHE_DIR_ENV, str(tmp_path / "cache"))
+    path = tmp_path / "out"
+    setting = [str(path) if v == "FILE" else v for v in setting]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, *setting])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(setting)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    cfg = tmp_path / "artinsums.cfg"
+    cfg.write_text(f"{setting[0][2:]} = {setting[1] if len(setting) > 1 else 'true'}\n")
+    expected = run(argv, capsys)
+    assert expected[0] == 0
+    assert run(["--config", str(cfg), *argv], capsys) == expected
+    assert not path.exists()
 
 
 def test_config_file_malformed(tmp_path, capsys):
@@ -941,8 +997,9 @@ def test_config_values_are_typed_and_explicit_flags_win(tmp_path, capsys, monkey
 def test_config_value_the_option_rejects_is_usage_error(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
+    command = {"nmax": "verify", "format": "dickman"}[line.split()[0]]
     with pytest.raises(SystemExit) as exc:
-        cli.main(["--config", str(cfg), "verify"])
+        cli.main(["--config", str(cfg), command])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -952,11 +1009,12 @@ def test_config_flag_false_does_not_resume(tmp_path, capsys):
     state = tmp_path / "F"
     cfg = tmp_path / "artinsums.cfg"
     argv = ["scan", "--cyclotomic", "4", "--xmax", "200", "--state", str(state)]
-    assert run(["scan", "--cyclotomic", "4", "--xmax", "100", "--state", str(state)], capsys)[0] == 0
-    cfg.write_text("resume = FALSE\n")
-    code, out, _ = run(["--config", str(cfg), *argv], capsys)
-    assert code == 0
-    assert out == run(argv, capsys)[1]
+    for value in ("FALSE", "no", "off", "0"):
+        assert run(["scan", "--cyclotomic", "4", "--xmax", "100", "--state", str(state)], capsys)[0] == 0
+        cfg.write_text(f"resume = {value}\n")
+        code, out, _ = run(["--config", str(cfg), *argv], capsys)
+        assert code == 0, value
+        assert out == run(argv, capsys)[1], value
 
 
 def test_config_flag_true_resumes(tmp_path, capsys):
@@ -967,14 +1025,6 @@ def test_config_flag_true_resumes(tmp_path, capsys):
     # the state was written for x_max = 100, so resuming to 200 is refused
     code, _, err = run(["--config", str(cfg), "scan", "--cyclotomic", "4", "--xmax", "200", "--state", str(state)], capsys)
     assert code == 3 and "x_max mismatch" in err
-
-
-def test_config_flag_no_classifies(tmp_path, capsys):
-    cfg = tmp_path / "artinsums.cfg"
-    cfg.write_text("list = no\n")
-    code, out, _ = run(["--config", str(cfg), "classify", "--cyclotomic", "4", "5", "7"], capsys)
-    assert code == 0
-    assert parse_csv(out) == (["prime", "class"], [["5", "1 mod 4"], ["7", "3 mod 4"]])
 
 
 def test_config_flag_other_value_is_usage_error(tmp_path, capsys):
@@ -1131,10 +1181,10 @@ def test_scan_sieve_cache_holds_the_sieving_primes(tmp_path, capsys):
     assert run(["scan", "--cyclotomic", "4", "--xmax", "10000", "--sieve-cache", str(cache)], capsys)[:2] == (0, out)
 
 
-def test_reproduce_table_runs(tmp_path, capsys, sieve_big, fork_small_scans):
+def test_reproduce_table_runs(tmp_path, capsys, sieve_big):
     # exercised through the library entry point; the command path is
     # covered by test_reproduce_table_command below
-    report = cli.reproduce_table(sieve_big, threads=2)
+    report = cli.reproduce_table(sieve_big)
     assert report.checkpoints == (20_000, 40_000, 80_000)
     assert set(report.rows) == {"3", "1+2", "1+1+1"}
     for row in report.rows.values():

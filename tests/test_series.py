@@ -643,7 +643,7 @@ def test_scan_processes_are_reaped(sieve_small, ctx_cubic, monkeypatch, forks, f
     scanner, real = os.getpid(), series._segment_partials
 
     def failing(*args):
-        lo = args[5]
+        lo = args[2]
         if fails == "child" and os.getpid() != scanner and lo > 4000:
             raise IntegrityError(f"bad segment at {lo}")
         if fails == "parent" and lo > 4000:
@@ -1006,8 +1006,9 @@ def fixed_prime_slice(p, x, sieve, mode="auto"):
     def unclassified(big):
         return np.full(len(big), UNCLASSIFIED_CODE, dtype=np.int16)
 
+    buckets = series._buckets((), codes, unclassified, [p])
     for lo, hi in series._segments(2, x, series.default_segment_size(x), ()):
-        delta = series._segment_partials((), primes, codes, unclassified, [p], lo, hi, mode, ())
+        delta = series._segment_partials(buckets, primes, lo, hi, mode, ())
         total += delta[f"acc.ram:{p}.mu_omega_over_n"]
     return total if mode == "exact" else float(total)
 
@@ -1143,8 +1144,8 @@ def test_segment_kernel_memory_at_the_default_segment(sieve_small, ctx_c4):
     codes = ctx_c4.class_code_array(sieve_small, root)
     lo = 38 * seg + 1
     hi = lo + seg - 1
-    args = (ctx_c4.labels(), sieve_small.prime_array(root), codes, ctx_c4._class_codes)
-    args += (ctx_c4.ramified_primes(codes, x), lo, hi, "compensated", [hi, 8_436_436, x])
+    buckets = series._buckets(ctx_c4.labels(), codes, ctx_c4._class_codes, ctx_c4.ramified_primes(codes, x))
+    args = (buckets, sieve_small.prime_array(root), lo, hi, "compensated", [hi, 8_436_436, x])
     series._segment_partials(*args)  # imports and caches what every call shares
     tracemalloc.start()
     try:
