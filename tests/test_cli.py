@@ -1027,6 +1027,14 @@ def test_config_flag_true_resumes(tmp_path, capsys):
     assert code == 3 and "x_max mismatch" in err
 
 
+def test_config_flag_no_classifies(tmp_path, capsys):
+    cfg = tmp_path / "artinsums.cfg"
+    cfg.write_text("list = no\n")
+    code, out, _ = run(["--config", str(cfg), "classify", "--cyclotomic", "4", "5", "7"], capsys)
+    assert code == 0
+    assert parse_csv(out) == (["prime", "class"], [["5", "1 mod 4"], ["7", "3 mod 4"]])
+
+
 def test_config_flag_other_value_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "artinsums.cfg"
     cfg.write_text("resume = maybe\n")
