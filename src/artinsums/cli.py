@@ -9,8 +9,14 @@ per segment and per 200,000 integers, so one of fewer than 400,000
 integers never forks).  A config file holds plain ``key = value`` lines
 (keys are the long option names); keys that name no option of the
 command are ignored, and command-line flags override the rest.
-The environment variable ARTINSUMS_CACHE_DIR is sieve-build's default
-output directory; no other command reads it.  Importing this module sets
+Every command builds the sieve it reads: scan and smooth the primes up
+to isqrt(x), reproduce-table those up to isqrt(80000), verify and
+duality-test an spf table of limit max(--nmax, 100).  sieve-build writes
+a sieve cache that no command reads, kept for the benchmark's set-up, to
+its --sieve-cache file or, by default, into the directory named by the
+environment variable ARTINSUMS_CACHE_DIR.  A splitting-field context
+from --poly must be certified to have Galois group S_n
+(galois.missing_sn_shapes) before it is used.  Importing this module sets
 OPENBLAS_NUM_THREADS=1 unless it is already set: the program calls no
 BLAS routine, and numpy's OpenBLAS would otherwise start a thread per
 extra core that spins ~0.1 s of CPU before it sleeps.  `import
@@ -18,8 +24,9 @@ artinsums` alone loads no numpy and sets nothing.
 
 Exit codes: 0 success, 1 a check failed (reproduce-table outside the
 reference tolerance; verify or duality-test finding a failed identity),
-2 usage error (scan --resume without --state among them), 3 integrity
-error, 4 resource error.
+2 usage error (scan --resume without --state and a --poly whose Galois
+group is not certified S_n among them), 3 integrity error, 4 resource
+error.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import series  # noqa: E402
 from .errors import IntegrityError
-from .galois import GaloisContext, new_cyclotomic, new_splitting_field
-from .sieve import DEFAULT_LIMIT, FactorSieve
+from .galois import SN_CERTIFY_BOUND, GaloisContext, missing_sn_shapes, new_cyclotomic, new_splitting_field
+from .sieve import DEFAULT_LIMIT, FactorSieve, factor_tables
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -142,9 +149,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser.add_argument("--config", help="config file with 'key = value' lines")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def sieve_cache(p):
-        p.add_argument("--sieve-cache", help="sieve cache file (built if missing)")
-
     def output(p):
         p.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", dest="out_path", help="output file (default stdout)")
@@ -163,7 +167,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=_cmd_sieve_build)
 
     p = sub.add_parser("scan", help="accumulate all class-keyed sums up to x")
-    sieve_cache(p)
     output(p)
     context(p)
     p.add_argument(
@@ -188,12 +191,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("reproduce-table", help="compare the x^3+x+1 class-sum table with its reference values")
-    sieve_cache(p)
-    output(p)
     p.set_defaults(func=_cmd_reproduce_table)
 
     p = sub.add_parser("verify", help="run the exact duality/identity suites")
-    sieve_cache(p)
     p.add_argument("--nmax", type=int, default=5000)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--seed", type=int, default=1)
@@ -202,7 +202,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("duality-test", help="exact check of the four duality identities")
-    sieve_cache(p)
     p.add_argument("--nmax", type=int, default=5000)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--seed", type=int, default=1)
@@ -216,7 +215,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=_cmd_dickman)
 
     p = sub.add_parser("smooth", help="tabulate Psi(x, y) and its decay envelope")
-    sieve_cache(p)
     output(p)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", help="comma-separated y values")
@@ -275,7 +273,14 @@ def _context_from(args) -> GaloisContext:
         raise ValueError("exactly one of --cyclotomic K or --poly COEFFS is required")
     if args.cyclotomic is not None:
         return new_cyclotomic(args.cyclotomic)
-    return new_splitting_field(parse_poly(args.poly))
+    ctx = new_splitting_field(parse_poly(args.poly))
+    missing = missing_sn_shapes(ctx)
+    if missing:
+        raise ValueError(
+            f"Gal(f) = S_{len(ctx.poly) - 1} not certified: no prime up to "
+            f"{SN_CERTIFY_BOUND} has cycle type {', '.join(missing)}"
+        )
+    return ctx
 
 
 def parse_poly(text: str) -> list[int]:
@@ -286,28 +291,6 @@ def parse_poly(text: str) -> list[int]:
     if len(coeffs) < 2:
         raise ValueError("polynomial needs at least two coefficients")
     return coeffs
-
-
-def _build_sieve(limit: int, path) -> FactorSieve:
-    """A fresh sieve, saved to `path`, its directory made."""
-    sieve = FactorSieve(limit)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    sieve.save(path)
-    return sieve
-
-
-def _get_sieve(args, needed: int) -> FactorSieve:
-    """A sieve of limit `needed`, or the --sieve-cache file: loaded if it
-    exists (an error if unreadable or below `needed`), else built there."""
-    path = args.sieve_cache
-    if not path:
-        return FactorSieve(needed)
-    if not os.path.exists(path):
-        return _build_sieve(needed, path)
-    sieve = FactorSieve.load(path)
-    if sieve.limit < needed:
-        raise ValueError(f"sieve cache {path} has limit {sieve.limit}, need {needed}")
-    return sieve
 
 
 def _cell(v):
@@ -353,7 +336,9 @@ def _cmd_sieve_build(args) -> int:
         if not cache_dir:
             raise ValueError("sieve-build needs --sieve-cache or " + CACHE_DIR_ENV)
         path = os.path.join(cache_dir, f"spf-{args.limit}.sieve")
-    sieve = _build_sieve(args.limit, path)
+    sieve = FactorSieve(args.limit)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    sieve.save(path)
     print(f"wrote sieve with limit {sieve.limit} to {path}")
     return EXIT_OK
 
@@ -367,7 +352,7 @@ def _cmd_scan(args) -> int:
     )
     series.check_x_max(args.xmax)
     # the scan reads only the primes up to isqrt(xmax)
-    sieve = _get_sieve(args, max(2, isqrt(args.xmax)))
+    sieve = FactorSieve(max(2, isqrt(args.xmax)))
     if args.class_label is not None:
         ctx.code_of(args.class_label)  # raises on unknown label
     result = series.scan(
@@ -420,17 +405,16 @@ def reproduce_table(sieve: FactorSieve) -> TableReport:
 
 
 def _cmd_reproduce_table(args) -> int:
-    sieve = _get_sieve(args, isqrt(TABLE_CHECKPOINTS[-1]))
-    report = reproduce_table(sieve)
+    report = reproduce_table(FactorSieve(isqrt(TABLE_CHECKPOINTS[-1])))
     width = max(len(r["name"]) for r in report.rows.values())
     head = " | ".join(f"x<={x}" for x in report.checkpoints)
     print(f"{'class':<{width}} | {head}")
-    for label, row in report.rows.items():
+    for row in report.rows.values():
         cells = " | ".join(f"{v:>8.3f}" for v in row["rounded"])
         print(f"{row['name']:<{width}} | {cells}")
     print()
     ok = True
-    for label, row in report.rows.items():
+    for row in report.rows.values():
         dev = max(row["deviation"])
         good = dev <= TABLE_TOLERANCE
         ok = ok and good
@@ -438,14 +422,6 @@ def _cmd_reproduce_table(args) -> int:
             f"{row['name']:<{width}}  max deviation from reference "
             f"{dev:.5f}  [{'ok' if good else 'OUT OF TOLERANCE'}]"
         )
-    rows = []
-    for label, row in report.rows.items():
-        for x, value, rounded, ref, dev in zip(
-            report.checkpoints, row["values"], row["rounded"], row["reference"], row["deviation"]
-        ):
-            rows.append((x, label, value, rounded, ref, dev))
-    if args.out_path:
-        _emit(rows, ("x", "class", "value", "rounded", "reference", "deviation"), args)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -501,11 +477,11 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--weights must be >= 1, got {args.weights}")
     if args.corrupt_mu is not None and not 2 <= args.corrupt_mu <= nmax:
         raise ValueError(f"--corrupt-mu must lie in [2, {nmax}], got {args.corrupt_mu}")
-    sieve = _get_sieve(args, max(nmax, 100))
+    sieve = FactorSieve(max(nmax, 100))
     # mu, omega and P2s of the inversion and hyperbola checks; the test
     # hook --corrupt-mu n negates mu(n), or sets it to 1 where mu(n) = 0,
     # to prove the checks detect a broken input
-    arrays = duality.factor_arrays(sieve, nmax)
+    arrays = factor_tables(sieve, nmax)
     if args.corrupt_mu is not None:
         mu, n = arrays["mu"], args.corrupt_mu
         mu[n] = -mu[n] if mu[n] else 1
@@ -564,7 +540,7 @@ def _cmd_duality_test(args) -> int:
     from . import duality
 
     _check_suite_args(args)
-    sieve = _get_sieve(args, max(args.nmax, 100))
+    sieve = FactorSieve(max(args.nmax, 100))
     weight = duality.random_weight(args.seed)
     checked = _identity_suite(sieve, args.nmax, args.kmax, [weight])
     if checked is None:
@@ -596,7 +572,7 @@ def _cmd_dickman(args) -> int:
 
 def _cmd_smooth(args) -> int:
     series.check_x_max(args.x)
-    sieve = _get_sieve(args, max(2, isqrt(args.x)))
+    sieve = FactorSieve(max(2, isqrt(args.x)))
     if args.y:
         ys = [int(y) for y in args.y.split(",")]
     elif args.alpha:

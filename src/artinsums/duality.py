@@ -29,7 +29,7 @@ m <= s, then one per d <= nmax/(s+1), at most 2 sqrt(nmax) slices.
 ``hyperbola_check`` is its own exact check; its left side takes the
 same omega(n) groups (``_omega_groups``) and sums over the 2^omega
 subsets of each group at once.  Both read mu, omega and P2s from arrays
-their caller hands them, by default those of ``factor_arrays``.
+their caller hands them, by default those of ``sieve.factor_tables``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .sieve import FactorSieve, factor_block
+from .sieve import FactorSieve, factor_tables
 
 
 @dataclass(frozen=True)
@@ -252,15 +252,6 @@ def check_all_identities(
     return BatchCheck(L, 4 * kmax * (nmax - 1), sorted(failures))
 
 
-def factor_arrays(sieve: FactorSieve, nmax: int) -> dict[str, np.ndarray]:
-    """mu, omega and P2s for 0 <= n <= nmax, nmax >= 1, from one
-    factor_block call over [2, nmax]: what the inversion and hyperbola
-    checks read.  Entries 0 and 1 are those of FactorSieve's tables."""
-    block = factor_block(sieve.prime_array(isqrt(nmax)), 2, nmax + 1)
-    heads = {"mu": (0, 1), "omega": (0, 0), "P2s": (1, 1)}
-    return {k: np.concatenate((np.array(head, dtype=block[k].dtype), block[k])) for k, head in heads.items()}
-
-
 def inversion_sides(
     sieve: FactorSieve, nmax: int, weight: PrimeWeight, arrays: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -272,10 +263,10 @@ def inversion_sides(
     m <= s with mu(m) != 0, mu(m) G[1..nmax/m] is added into rhs[m::m];
     for every d <= nmax/(s+1) with G[d] != 0, mu[s+1..nmax/d] G[d] into
     rhs[(s+1)d::d].  At most 2 sqrt(nmax) slices; mu, omega and P2s come
-    from `arrays` over at least [0, nmax], default factor_arrays."""
+    from `arrays` over at least [0, nmax], default factor_tables."""
     _check_nmax(sieve, nmax)
     if arrays is None:
-        arrays = factor_arrays(sieve, nmax)
+        arrays = factor_tables(sieve, nmax)
     # a side sums at most d(n) <= nmax values of |F|
     F, L = _scaled_table(weight, sieve, nmax, nmax)
     mu = arrays["mu"][: nmax + 1].astype(np.int64)
@@ -316,14 +307,14 @@ def hyperbola_check(
     sides take mu from different sources: the left from the distinct
     primes of n (mu(n/d) = (-1)^r for n/d a product of r of them), the
     right from `arrays`, which give P2s too over at least [0, x], default
-    factor_arrays.  A wrong mu entry then shows.  The left side takes the
+    factor_tables.  A wrong mu entry then shows.  The left side takes the
     n grouped by omega(n) = w with their distinct primes (_omega_groups)
     and sums G = F o P2 over each of the 2^w subsets at once; n = 1 adds
     G[1] = 0."""
     if x > sieve.limit:
         raise ValueError(f"x = {x} exceeds sieve limit {sieve.limit}")
     if arrays is None:
-        arrays = factor_arrays(sieve, x)
+        arrays = factor_tables(sieve, x)
     # a group or prefix sum adds at most x values of |F|
     F, L = _scaled_table(weight, sieve, x, x)
     G = F[arrays["P2s"][: x + 1]]

@@ -8,8 +8,9 @@ Two families are supported:
   ramified exactly when p | k.
 
 * ``SplittingField(f)`` -- f a monic integer polynomial whose splitting
-  field has full symmetric Galois group S_deg(f) (a *declared*
-  precondition, not verified here).  Classes are cycle types; a prime is
+  field has full symmetric Galois group S_deg(f).  ``new_splitting_field``
+  assumes it; ``missing_sn_shapes`` certifies it, and the CLI does so for
+  every polynomial it is given.  Classes are cycle types; a prime is
   classified by the multiset of irreducible-factor degrees of f mod p.
 
 A prime is ramified when it divides k or the *polynomial* discriminant
@@ -88,6 +89,9 @@ _TABLE_CAP = 1 << 10
 # integers per block of the search for ramified primes above isqrt(x); at
 # 2^16 its loop over the sieving primes would run 16 times as often
 _SEARCH_BLOCK = 1 << 20
+# missing_sn_shapes reads the primes up to this bound (1,229 of them): a
+# true S_6 misses one of its shapes on all of them with probability ~6e-12
+SN_CERTIFY_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -276,6 +280,21 @@ def new_splitting_field(int_coeffs) -> GaloisContext:
         classes.append(ConjugacyClassSpec(label, size, Fraction(size, order)))
     classes.sort(key=lambda c: c.label)
     return GaloisContext("splitting", classes, order, poly=coeffs, disc=disc)
+
+
+def missing_sn_shapes(ctx: GaloisContext) -> list[str]:
+    """The cycle types, of the n-cycle, 1+(n-1) (n > 3) and the
+    transposition, that no unramified prime up to SN_CERTIFY_BOUND has as
+    its Frobenius in ctx, the splitting field of f of degree n.  None
+    missing proves Gal(f) = S_n: by Dedekind's theorem each is in Gal(f),
+    an n-cycle makes it transitive, a 1+(n-1) then 2-transitive, so
+    primitive, and a primitive group with a transposition is S_n (Jordan);
+    for n <= 3 a transitive group with a transposition is S_n."""
+    n = len(ctx.poly) - 1
+    wanted = [str(n)] + [f"1+{n - 1}"] * (n > 3) + ["1+" * (n - 2) + "2"] * (n > 2)
+    codes = ctx._class_codes(FactorSieve(SN_CERTIFY_BOUND).prime_array())
+    seen = {ctx.classes[c].label for c in codes[codes >= 0].tolist()}
+    return [label for label in wanted if label not in seen]
 
 
 def _frobenius_fixed_points(poly, powers: np.ndarray, primes: np.ndarray) -> np.ndarray:

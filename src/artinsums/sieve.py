@@ -10,9 +10,10 @@ gives the spf of a block lo <= n < hi in O(hi - lo) memory from the
 primes up to isqrt(hi - 1), so a scan to x needs only a sieve of the
 primes up to isqrt(x).  FactorSieve(limit) joins its blocks of [2, limit]
 with the primes of FactorSieve(isqrt(limit)), and a scan takes each
-segment's spf from it.  The bulk tables of a sieve (mu, omega, P1, P2s,
-rep) are its factor_block blocks joined; the first accessor builds all
-five and keeps them, and no command calls one.  Cache format v2: a
+segment's spf from it.  The bulk tables (mu, omega, P1, P2s, rep) over
+[0, limit] are factor_block's blocks joined by factor_tables, which
+verify calls; a sieve's first table accessor builds all five and keeps
+them, and no command calls one.  Cache format v2: a
 13-byte header (b"AFS1", version, uint32 limit, uint32 zlib.crc32 of the
 body), then spf[2..limit] as little-endian uint32, written to a
 temporary file and renamed in place.
@@ -154,14 +155,15 @@ class FactorSieve:
 
     def _table(self, name: str) -> np.ndarray:
         if self._tables is None:
-            self._tables = _joined_tables(self.prime_array(isqrt(self.limit)), self.limit)
+            self._tables = factor_tables(self, self.limit)
         return self._tables[name]
 
 
-def _joined_tables(primes: np.ndarray, limit: int) -> dict[str, np.ndarray]:
-    """mu, omega, P1, P2s and rep for 0 <= n <= limit, joined from the
-    factor_block blocks of [2, limit]; `primes` holds every prime up to
-    isqrt(limit)."""
+def factor_tables(sieve: FactorSieve, limit: int) -> dict[str, np.ndarray]:
+    """mu, omega, P1, P2s and rep for 0 <= n <= limit <= sieve.limit,
+    keyed as factor_block's, joined from its blocks of [2, limit]; entries
+    0 and 1 are mu 0, 1, omega 0, 0, P1 0, 1, P2s 1, 1 and rep False."""
+    primes = sieve.prime_array(isqrt(limit))
     tables = {
         "mu": np.zeros(limit + 1, dtype=np.int8),
         "omega": np.zeros(limit + 1, dtype=np.int8),

@@ -2,10 +2,8 @@
 file, cache directory, and the negative path of the verify command."""
 
 import ast
-import contextlib
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -46,6 +44,23 @@ def test_parse_poly():
         cli.parse_poly("1,a,1")
     with pytest.raises(ValueError):
         cli.parse_poly("1")
+
+
+@pytest.mark.parametrize(
+    "argv, degree, missing",
+    [
+        (["scan", "--poly", "1,-3,0,1", "--xmax", "1000"], 3, "1+2"),
+        (["classify", "--poly", "1,0,0,0,1", "3", "5", "7"], 4, "4, 1+3, 1+1+2"),
+        (["scan", "--poly", "1,1,0,0,0,1", "--xmax", "1000"], 5, "5, 1+4"),
+    ],
+    ids=["A3", "V4", "reducible"],
+)
+def test_poly_without_certified_sn_is_usage_error(argv, degree, missing, capsys):
+    # the class densities are those of S_n: a polynomial whose group the
+    # primes up to 10^4 do not certify as S_n is refused before any output
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: Gal(f) = S_{degree} not certified: no prime up to 10000 has cycle type {missing}\n"
 
 
 def test_classify_list(capsys):
@@ -484,23 +499,7 @@ def test_sieve_build_and_reuse(tmp_path, capsys):
     assert code == 0 and cache.exists()
     loaded = FactorSieve.load(cache)
     assert loaded.limit == 5000
-    # a command that needs a smaller sieve accepts the cache
-    code, out, _ = run(
-        [
-            "smooth",
-            "--x",
-            "1000",
-            "--y",
-            "10,1000",
-            "--sieve-cache",
-            str(cache),
-        ],
-        capsys,
-    )
-    assert code == 0
-    header, rows = parse_csv(out)
-    assert header == ["x", "y", "alpha", "psi", "envelope_ratio"]
-    assert int(rows[1][3]) == 1000  # Psi(x, x) = x
+    assert np.array_equal(loaded.spf, FactorSieve(5000).spf)
 
 
 def test_sieve_build_rejects_limit_above_x_max(tmp_path, capsys, monkeypatch):
@@ -533,23 +532,6 @@ def test_sieve_cache_byte_edit_is_rejected(tmp_path_factory, saved_cache, data):
     path.write_bytes(bytes(raw))
     with pytest.raises(IOError):
         FactorSieve.load(path)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli.main(["scan", "--cyclotomic", "4", "--xmax", "300", "--sieve-cache", str(path), "--out", os.devnull])
-    assert code == cli.EXIT_USAGE
-    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
-
-
-def test_sieve_cache_too_small(tmp_path, capsys):
-    # smooth --x 1000 reads the primes up to isqrt(1000) = 31
-    cache = tmp_path / "spf.sieve"
-    FactorSieve(30).save(cache)
-    code, _, err = run(
-        ["smooth", "--x", "1000", "--y", "10", "--sieve-cache", str(cache)],
-        capsys,
-    )
-    assert code == 2
-    assert "limit 30, need 31" in err
 
 
 def test_cache_dir_env(tmp_path, capsys, monkeypatch):
@@ -570,13 +552,26 @@ def test_cache_dir_env(tmp_path, capsys, monkeypatch):
     assert FactorSieve.load(tmp_path / "spf-500.sieve").limit == 500
 
 
-def test_missing_sieve_cache_is_built_at_the_limit_needed(tmp_path, capsys):
-    cache = tmp_path / "new" / "spf.sieve"
-    argv = ["smooth", "--x", "1000", "--y", "10", "--sieve-cache", str(cache)]
-    code, out, _ = run(argv, capsys)
-    assert code == 0
-    assert FactorSieve.load(cache).limit == 31
-    assert run(argv, capsys)[:2] == (0, out)
+def test_each_command_builds_the_sieve_it_reads(tmp_path, capsys, monkeypatch):
+    # no command reads a sieve cache: each builds one sieve, at the limit
+    # it reads (the primes up to isqrt(x), or an spf table to --nmax, at
+    # least 100), and writes no file
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.CACHE_DIR_ENV, str(tmp_path))
+    limits = []
+    monkeypatch.setattr(cli, "FactorSieve", lambda limit: limits.append(limit) or FactorSieve(limit))
+    for argv, limit in (
+        (["scan", "--cyclotomic", "4", "--xmax", "10000"], 100),
+        (["scan", "--cyclotomic", "4", "--xmax", "3"], 2),
+        (["smooth", "--x", "1000", "--y", "10"], 31),
+        (["reproduce-table"], 282),
+        (["verify", "--nmax", "60", "--weights", "1"], 100),
+        (["duality-test", "--nmax", "300"], 300),
+    ):
+        assert run(argv, capsys)[0] == 0, argv
+        assert limits == [limit], argv
+        limits.clear()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dickman_command(capsys):
@@ -786,7 +781,7 @@ def test_corrupted_mu_reaches_table_checks(monkeypatch, capsys):
     code, out, _ = run(["verify", "--nmax", "1000", "--weights", "1", "--corrupt-mu", "42"], capsys)
     assert code == 1 and out.splitlines()[1] == "FAIL inversion identity at n=42"
     ((sieve, bad),) = handed
-    clean = duality.factor_arrays(sieve, 1000)
+    clean = sieve_mod.factor_tables(sieve, 1000)
     assert bad["mu"][42] == -clean["mu"][42] != 0
     assert np.flatnonzero(bad["mu"] != clean["mu"]).tolist() == [42]
     # the unflipped arrays are untouched
@@ -805,9 +800,9 @@ def test_corrupted_mu_reaches_table_checks(monkeypatch, capsys):
 # 65537 is the last n of the first block the sieve's tables join
 @pytest.mark.parametrize("nmax", [2, 3, 4, 100, 65537])
 def test_verify_hands_the_checks_the_table_values(monkeypatch, capsys, nmax):
-    # the mu, omega and P2s that verify builds from one factor_block call
-    # equal the sieve's joined tables on [0, nmax]; the identity suite,
-    # which reads neither, is skipped
+    # the tables that verify builds to nmax with factor_tables equal the
+    # sieve's, built to its limit, on [0, nmax]; the identity suite, which
+    # reads neither, is skipped
     inversion = _record_arrays(monkeypatch, "check_inversion")
     hyperbola = _record_arrays(monkeypatch, "hyperbola_check")
     monkeypatch.setattr(cli, "_identity_suite", lambda *args: 0)
@@ -815,7 +810,13 @@ def test_verify_hands_the_checks_the_table_values(monkeypatch, capsys, nmax):
     assert code == 0 and out.endswith("all verification suites passed\n")
     ((sieve, arrays),) = inversion
     assert [a is arrays for _, a in hyperbola] == [True]
-    tables = {"mu": sieve.mu_table(), "omega": sieve.omega_table(), "P2s": sieve.P2_strict_table()}
+    tables = {
+        "mu": sieve.mu_table(),
+        "omega": sieve.omega_table(),
+        "P1": sieve.P1_table(),
+        "P2s": sieve.P2_strict_table(),
+        "rep": sieve.repeated_P1_table(),
+    }
     assert sorted(arrays) == sorted(tables)
     for name, table in tables.items():
         assert arrays[name].dtype == table.dtype and np.array_equal(arrays[name], table[: nmax + 1]), name
@@ -931,8 +932,10 @@ def test_threads_only_on_scan(argv, tmp_path, capsys, monkeypatch):
     assert run(["--config", str(cfg), *argv], capsys)[0] == 0
 
 
-# each command takes only the options it reads; these it read nowhere, or
-# read as a second name of another option
+# each command takes only the options it needs; these it read nowhere,
+# read as a second name of another option, read as a sieve cache (only
+# sieve-build, which writes one, takes --sieve-cache), or, for
+# reproduce-table, used to write rows its printed table already shows
 REMOVED_SETTINGS = [
     (["sieve-build", "--limit", "100"], ["--format", "json"]),
     (["sieve-build", "--limit", "100"], ["--out", "FILE"]),
@@ -944,6 +947,13 @@ REMOVED_SETTINGS = [
     (["dickman", "--grid", "1"], ["--sieve-cache", "FILE"]),
     (["classify", "--cyclotomic", "4", "5"], ["--sieve-cache", "FILE"]),
     (["classify", "--cyclotomic", "4"], ["--list"]),
+    (["scan", "--cyclotomic", "4", "--xmax", "1000"], ["--sieve-cache", "FILE"]),
+    (["reproduce-table"], ["--sieve-cache", "FILE"]),
+    (["reproduce-table"], ["--format", "json"]),
+    (["reproduce-table"], ["--out", "FILE"]),
+    (["verify", "--nmax", "60", "--weights", "1"], ["--sieve-cache", "FILE"]),
+    (["duality-test", "--nmax", "60"], ["--sieve-cache", "FILE"]),
+    (["smooth", "--x", "1000", "--y", "10"], ["--sieve-cache", "FILE"]),
 ]
 
 
@@ -1177,18 +1187,6 @@ def test_scan_xmax_beyond_limb_bound_exits_2(xmax, capsys):
     assert "outside [2, 4294967295]" in err
 
 
-def test_scan_sieve_cache_holds_the_sieving_primes(tmp_path, capsys):
-    # scan reads a cache of the primes up to isqrt(xmax)
-    code, out, _ = run(["scan", "--cyclotomic", "4", "--xmax", "10000"], capsys)
-    assert code == 0
-    cache = tmp_path / "small.sieve"
-    FactorSieve(99).save(cache)
-    code, _, err = run(["scan", "--cyclotomic", "4", "--xmax", "10000", "--sieve-cache", str(cache)], capsys)
-    assert code == 2 and "limit 99, need 100" in err
-    FactorSieve(5000).save(cache)
-    assert run(["scan", "--cyclotomic", "4", "--xmax", "10000", "--sieve-cache", str(cache)], capsys)[:2] == (0, out)
-
-
 def test_reproduce_table_runs(tmp_path, capsys, sieve_big):
     # exercised through the library entry point; the command path is
     # covered by test_reproduce_table_command below
@@ -1204,14 +1202,13 @@ def test_reproduce_table_runs(tmp_path, capsys, sieve_big):
         )
 
 
-def test_reproduce_table_command(tmp_path, capsys, monkeypatch):
-    cache = str(tmp_path / "spf.sieve")
-    code, out, _ = run(["reproduce-table", "--sieve-cache", cache], capsys)
+def test_reproduce_table_command(capsys, monkeypatch):
+    code, out, _ = run(["reproduce-table"], capsys)
     assert code == 0
     assert "OUT OF TOLERANCE" not in out
     assert out.count("[ok]") == len(cli.TABLE_REFERENCE)
     # a reference row the computed sums do not match fails the command
     monkeypatch.setitem(cli.TABLE_REFERENCE, "3", ("3-cycles", (0.250, 0.254, 0.265)))
-    code, out, _ = run(["reproduce-table", "--sieve-cache", cache], capsys)
+    code, out, _ = run(["reproduce-table"], capsys)
     assert code == cli.EXIT_CHECK_FAILED
     assert out.count("OUT OF TOLERANCE") == 1

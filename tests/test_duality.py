@@ -16,13 +16,12 @@ from artinsums.duality import (
     check_all_identities,
     check_inversion,
     distinct_prime_rows,
-    factor_arrays,
     hyperbola_check,
     identity_sides,
     inversion_sides,
     random_weight,
 )
-from artinsums.sieve import FactorSieve
+from artinsums.sieve import FactorSieve, factor_tables
 from oracles import binom, divisor_sum, factored, factorize, identity_rhs, inversion_rhs
 
 ONE_ON_PRIMES = PrimeWeight("1 on primes", lambda p: Fraction(1))
@@ -368,13 +367,13 @@ def test_hyperbola_reads_the_handed_mu_only_on_the_right(sieve_small, monkeypatc
     # flipped mu(42) moves the right side only
     w = random_weight(1)
     monkeypatch.setattr(FactorSieve, "mu_table", lambda self: pytest.fail("read mu_table()"))
-    arrays = factor_arrays(sieve_small, 300)
+    arrays = factor_tables(sieve_small, 300)
     lhs, rhs = hyperbola_check(sieve_small, 300, w, arrays)
     bad = dict(arrays, mu=arrays["mu"].copy())
     bad["mu"][42] = -bad["mu"][42]
     bad_lhs, bad_rhs = hyperbola_check(sieve_small, 300, w, bad)
     assert bad_lhs == lhs == rhs != bad_rhs
-    # with no arrays handed, the check builds those of factor_arrays
+    # with no arrays handed, the check builds those of factor_tables
     assert hyperbola_check(sieve_small, 300, w) == (lhs, rhs)
 
 

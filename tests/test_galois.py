@@ -235,6 +235,21 @@ ORACLE_POLYS = [
 ]
 
 
+# the cycle types of S_n that no prime up to 10^4 gives the ORACLE_POLYS
+# whose group is not S_n; the other four certify
+NOT_SN = {
+    (1, -3, 0, 1): ["1+2"],  # A_3
+    (1, 0, 0, 0, 1): ["4", "1+3", "1+1+2"],  # V_4
+    (-2, 0, 0, 0, 1): ["1+3"],  # D_4
+    (1, 1, 0, 0, 0, 1): ["5", "1+4"],  # (x^2 + x + 1)(x^3 - x^2 + 1)
+}
+
+
+@pytest.mark.parametrize("poly", ORACLE_POLYS, ids=lambda c: ",".join(map(str, c)))
+def test_missing_sn_shapes(poly):
+    assert galois.missing_sn_shapes(new_splitting_field(poly)) == NOT_SN.get(tuple(poly), [])
+
+
 @pytest.mark.parametrize("poly", ORACLE_POLYS, ids=lambda c: ",".join(map(str, c)))
 def test_class_codes_match_ddf_oracle(poly, sieve_small):
     # every prime <= 2*10^4, the primes p <= deg f included

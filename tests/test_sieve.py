@@ -340,13 +340,13 @@ def test_tables_built_once(monkeypatch):
     # every accessor builds all five tables; later calls of any accessor
     # return the same arrays, built once
     calls = []
-    real = sieve_mod._joined_tables
+    real = sieve_mod.factor_tables
 
-    def counted(primes, limit):
+    def counted(sieve, limit):
         calls.append(1)
-        return real(primes, limit)
+        return real(sieve, limit)
 
-    monkeypatch.setattr(sieve_mod, "_joined_tables", counted)
+    monkeypatch.setattr(sieve_mod, "factor_tables", counted)
     s = FactorSieve(50_000)
     getters = [s.mu_table, s.omega_table, s.P1_table, s.P2_strict_table, s.repeated_P1_table]
     got = [get() for get in getters]
