@@ -574,6 +574,51 @@ def test_each_command_builds_the_sieve_it_reads(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_missing_sieve_cache_is_built_at_the_limit_needed(tmp_path, capsys, monkeypatch):
+    # smooth reads no cache: each run builds the primes up to
+    # isqrt(1000) = 31, writes no file, and prints what a sieve-build
+    # cache of limit 31 gives
+    monkeypatch.chdir(tmp_path)
+    cache = tmp_path / "spf.sieve"
+    assert run(["sieve-build", "--limit", "31", "--sieve-cache", str(cache)], capsys)[0] == 0
+    built = []
+    monkeypatch.setattr(cli, "FactorSieve", lambda limit: built.append(limit) or FactorSieve(limit))
+    argv = ["smooth", "--x", "1000", "--y", "10"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and built == [31]
+    assert run(argv, capsys)[:2] == (0, out) and built == [31, 31]
+    assert [p.name for p in tmp_path.iterdir()] == ["spf.sieve"]
+    monkeypatch.setattr(cli, "FactorSieve", lambda limit: FactorSieve.load(cache))
+    assert run(argv, capsys)[:2] == (0, out)
+
+
+def test_sieve_cache_too_small(tmp_path, capsys, monkeypatch):
+    # smooth --x 1000 reads the primes up to isqrt(1000) = 31; a sieve of
+    # limit 30 is refused before any output
+    cache = tmp_path / "spf.sieve"
+    FactorSieve(30).save(cache)
+    monkeypatch.setattr(cli, "FactorSieve", lambda limit: FactorSieve.load(cache))
+    code, out, err = run(["smooth", "--x", "1000", "--y", "10"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: sieve limit 30 is below isqrt(x) = 31\n"
+
+
+def test_scan_sieve_cache_holds_the_sieving_primes(tmp_path, capsys, monkeypatch):
+    # scan reads only the primes up to isqrt(xmax): a sieve one short of
+    # them is refused, and a larger one prints what the built sieve does
+    argv = ["scan", "--cyclotomic", "4", "--xmax", "10000"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    cache = tmp_path / "small.sieve"
+    monkeypatch.setattr(cli, "FactorSieve", lambda limit: FactorSieve.load(cache))
+    FactorSieve(99).save(cache)
+    code, _, err = run(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: sieve limit 99 is below isqrt(x_max) = 100\n"
+    FactorSieve(5000).save(cache)
+    assert run(argv, capsys)[:2] == (0, out)
+
+
 def test_dickman_command(capsys):
     code, out, _ = run(
         ["dickman", "--grid", "0.5,1,2,3"], capsys
