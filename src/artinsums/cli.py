@@ -500,6 +500,11 @@ def _cmd_verify(args) -> int:
                 f"inversion identity at n={rep.n}",
                 {"n": rep.n, "weight": w.name, "lhs": str(rep.lhs), "rhs": str(rep.rhs)},
             )
+    # the inversion misses a wrong mu at a prime or prime power above nmax/6
+    bad = duality.mobius_sum_failures(arrays["mu"], nmax)
+    if bad:
+        n, total = bad[0]
+        return _fail(f"Mobius sum at n={n}", {"n": n, "sum": total})
     print(f"PASS Mobius-inverted identity, n<={nmax}")
 
     # divisor-sum rearrangement (hyperbola split)

@@ -74,13 +74,12 @@ integer, grow with the segment (2.1 MB at 2^17, 8.4 MB at 2^19): the rest
 is summed in passes of at most 2^16 integers.  Two reducers sum the
 buckets:
 
-* ``exact``       -- rational sums: each segment's sums of a kind are
-                     integers over one common denominator L, the lcm of
-                     its squarefree n, each made into one Fraction; one
-                     loop over the n forms L // n once for every kind.
-                     Capped at x <= EXACT_X_CAP = 10^4, where the state's
-                     integers reach the 4,300-digit limit of int <-> str
-                     conversion (see EXACT_X_CAP).  Serves as an oracle.
+* ``exact``       -- rational sums: a pass sums each bucket's terms as a
+                     pairwise tree of integer pairs (N, D), one D for
+                     every kind, on int64 lanes near the leaves; each
+                     bucket's sum is one Fraction, the total their sum.
+                     Capped at x <= EXACT_X_CAP = 10^4 (see there).
+                     Serves as an oracle.
 * ``compensated`` -- the exact sum of the float terms via integer limbs,
                      rounded once per checkpoint: each term is rounded to
                      a float once, split exactly into three 30-bit limbs,
@@ -102,7 +101,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice, zip_longest
-from math import fsum, isqrt, lcm
+from math import fsum, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -186,34 +185,38 @@ def _limb_sums(r, bounds) -> list[Fraction]:
     return [Fraction(s, 1 << sum(_LIMB_SHIFTS)) for s in sums]
 
 
-def _lcm_tree(ns: list[int]) -> int:
-    """lcm of ns (1 for none), pairwise: operands grow evenly, which is
-    3x faster than math.lcm(*ns) over a segment of squarefree n."""
-    while len(ns) > 1:
-        ns = [lcm(*ns[i : i + 2]) for i in range(0, len(ns), 2)]
-    return ns[0] if ns else 1
+def _pairwise(D, N, lens):
+    """Each run of lens[b] > 0 terms N[:, t]/D[t] summed as a pairwise tree
+    to one node (N[:, b], D[b]), D shared by every row of N: (N1, D1) +
+    (N2, D2) = (N1 D2/g + N2 D1/g, D1/g D2), g = gcd(D1, D2), an odd node
+    carried as it is; int64 lanes while every node stays below 2^62."""
+    while len(D) > len(lens):
+        rel = np.arange(len(D)) - np.repeat(np.cumsum(lens) - lens, lens)
+        i = np.flatnonzero(rel % 2 == 0)
+        carry = rel[i] + 1 == np.repeat(lens, (lens + 1) // 2)
+        j = np.minimum(i + 1, len(D) - 1)
+        # a, c <= max D, so a node stays below max(max D, 2 max |N|) max D
+        if D.dtype != object and max(top := int(D.max()), 2 * int(abs(N).max())) * top >= 2**62:
+            D, N = D.astype(object), N.astype(object)
+        g = np.gcd(D[i], D[j])
+        a, c = np.where(carry, 1, D[j] // g), np.where(carry, 0, D[i] // g)
+        N, Nj = N[:, i] * a, N[:, j]
+        Nj *= c
+        N += Nj
+        D, lens = D[i] * a, (lens + 1) // 2
+    return D, N
 
 
 def _exact_sums(counts, n, nums) -> dict:
     """{key: the sums of nums[key]/n, n and nums in bucket order with
     counts[b] terms in bucket b, per bucket but the last, then over all
-    terms, as Fractions}, exact.  Every cell is one integer sum over
-    L = lcm(n), which Fraction brings to lowest terms; each L // n is
-    formed once, for all the keys, and not kept."""
-    L = _lcm_tree(n.tolist())
-    cols = [v.tolist() for v in nums.values()]
-    sums = [[0] * len(counts) for _ in cols]
-    rows = zip(n.tolist(), *cols)
-    for b, count in enumerate(counts.tolist()):
-        for m, *row in islice(rows, count):
-            q = L // m
-            for a, cells in zip(row, sums):
-                if a:
-                    cells[b] += a * q
-    return {
-        key: [*(Fraction(v, L) for v in cells[:-1]), Fraction(sum(cells), L)]
-        for key, cells in zip(nums, sums)
-    }
+    buckets, as Fractions}, exact: each bucket's by ``_pairwise``, made
+    into one Fraction; the total is the sum of every bucket's."""
+    live = np.flatnonzero(counts)
+    D, N = _pairwise(n.astype(np.int64), np.array([*nums.values()], dtype=np.int64), counts[live])
+    cells = np.full((len(nums), len(counts)), Fraction(0), dtype=object)
+    cells[:, live] = [list(map(Fraction, row, D.tolist())) for row in N.tolist()]
+    return {key: [*row[:-1], sum(row)] for key, row in zip(nums, cells.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +282,9 @@ def scan(
         raise ValueError(f"segment_size = {segment_size} outside [1, {MAX_SEGMENT}]")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    cps = sorted(set(checkpoints)) if checkpoints else []
-    if cps and (cps[0] < 2 or cps[-1] > x_max):
+    cps = tuple(sorted({*(checkpoints or ()), x_max}))
+    if cps[0] < 2 or cps[-1] > x_max:
         raise ValueError("checkpoints must lie in [2, x_max]")
-    if x_max not in cps:
-        cps.append(x_max)
-    cps = tuple(cps)
 
     labels = ctx.labels()
     # the primes up to isqrt(x_max) are the smallest prime factor of every

@@ -4,8 +4,9 @@ of n by a walk down a sieve's spf table (``factorize``), the
 multiplicative functions of n read off it, the bulk tables
 from the recurrence n = p*m over a full spf table, the Fraction forms
 of the four duality identities by enumeration of the squarefree divisors
-(not the coefficient tables of artinsums.duality), the exact bucket sums
-as one Fraction per term added in pairs, the float bucket sums of the
+(not the coefficient tables of artinsums.duality), a weight's scaled
+table from one Fraction per prime, the exact bucket sums as one Fraction
+per term added in pairs, the float bucket sums of the
 segment kernel before it put terms in bucket order (intp bucket ids from
 ``route``, one ``np.bincount`` per limb), the inversion's Dirichlet
 convolution as one slice per squarefree m, and a scan's segments from the
@@ -13,7 +14,7 @@ sorted set of every cut."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -162,6 +163,20 @@ def identity_rhs(sieve, n: int, k: int, identity: int, weight) -> Fraction:
     if identity == 3:
         return sign * weight(kth(primes, k, largest=False))
     return sign * weight(kth(primes, k, largest=True))
+
+
+def scaled_table(weight, sieve, nmax: int, terms: int):
+    """(F, L) of duality._scaled_table from the weight's Fraction at each
+    prime p <= nmax: L the lcm of their denominators, F[p] = f(p) L, int64
+    when `terms` values of max |F| sum below 2^63, Python ints otherwise."""
+    primes = sieve.prime_array(nmax)
+    vals = [weight(p) for p in primes.tolist()]
+    L = lcm(*(v.denominator for v in vals))
+    F_of = [v.numerator * (L // v.denominator) for v in vals]
+    big = max(map(abs, F_of), default=0)
+    F = np.zeros(nmax + 1, dtype=np.int64 if big * terms < 2**63 else object)
+    F[primes] = F_of
+    return F, L
 
 
 def pairwise_sum(vals: list[Fraction]) -> Fraction:

@@ -807,6 +807,16 @@ def test_verify_detects_corrupt_mu(capsys):
     assert "lhs" in detail and "rhs" in detail
 
 
+# the inversion's left side is 0 wherever omega(n) = 1, and its right side
+# reads mu(p) only at the multiples of 6p: these flips pass it, and the
+# Mobius sum over the divisors of n catches them at n
+@pytest.mark.parametrize("nmax, n, total", [(5000, 4999, 2), (5000, 4096, 1), (300, 293, 2)])
+def test_verify_catches_mu_flip_at_prime_or_prime_power(capsys, nmax, n, total):
+    code, out, _ = run(["verify", "--nmax", str(nmax), "--weights", "1", "--corrupt-mu", str(n)], capsys)
+    assert code == 1
+    assert out.splitlines()[1:] == [f"FAIL Mobius sum at n={n}", json.dumps({"n": n, "sum": total})]
+
+
 def _record_arrays(monkeypatch, name):
     """Wrap duality.<name> so that each call records its (sieve, arrays)."""
     handed, real = [], getattr(duality, name)
@@ -1167,6 +1177,18 @@ def test_scan_with_state_never_loads_openssl(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0", "False"]
+
+
+def test_verify_never_loads_numpy_ma():
+    # np.unique imports numpy.ma, about 9 ms of start-up and 1.2 MB of
+    # RSS; the weight tables find their denominators without it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from artinsums import cli; "
+    code += "print(cli.main(['verify', '--nmax', '300']), 'numpy.ma' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0", "False"]
 
 
 def test_resume_keeps_the_segment_size_of_its_state(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@
 conventions, and property tests with seeded rational weights."""
 
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -19,10 +19,11 @@ from artinsums.duality import (
     hyperbola_check,
     identity_sides,
     inversion_sides,
+    mobius_sum_failures,
     random_weight,
 )
 from artinsums.sieve import FactorSieve, factor_tables
-from oracles import binom, divisor_sum, factored, factorize, identity_rhs, inversion_rhs
+from oracles import binom, divisor_sum, factored, factorize, identity_rhs, inversion_rhs, scaled_table
 
 ONE_ON_PRIMES = PrimeWeight("1 on primes", lambda p: Fraction(1))
 MOD4 = PrimeWeight("p = 3 mod 4", lambda p: Fraction(int(p % 4 == 3)))
@@ -264,6 +265,56 @@ def test_scaled_table_lanes(sieve_small):
     assert _scaled_table(HUGE, sieve_small, 5000, 3**5)[0].dtype == object
     assert _scaled_table(HUGE, sieve_small, 5000, 1)[0].dtype == np.int64
     assert F[4] == F[1] == 0 and F[7] == random_weight(1)(7) * L
+
+
+# negative seeds and seeds of 2^32 and more: the uint64 lanes take
+# (seed << 32) mod 2^64, as the Python-int splitmix64 does
+@pytest.mark.parametrize("seed", [-1, 0, 1, 2**32 - 1, 2**32, 2**40, 2**70, 12345678901])
+def test_weight_arrays_match_the_scalar_weight(sieve_small, seed):
+    primes = sieve_small.prime_array(10**4)
+    num, den = random_weight(seed).arrays(primes)
+    assert num.dtype == den.dtype == np.int64
+    assert list(map(Fraction, num.tolist(), den.tolist())) == [random_weight(seed)(p) for p in primes.tolist()]
+
+
+@pytest.mark.parametrize("nmax, terms", [(2, 1), (5000, 3**9), (5000, 1), (10**4, 10**4)])
+@pytest.mark.parametrize(
+    "weight",
+    [random_weight(1), random_weight(2**70), MOD3, OVER_P, HUGE],
+    ids=["r1", "r2^70", "mod3", "over_p", "huge"],
+)
+def test_scaled_table_matches_fraction_route(sieve_small, weight, nmax, terms):
+    # the arrays' route and the per-prime Fraction route give the same L,
+    # lanes and values; random weights' unreduced ratios (4/4 is 1/1) must
+    # not raise L past the lcm of the reduced denominators
+    F, L = _scaled_table(weight, sieve_small, nmax, terms)
+    want, want_L = scaled_table(weight, sieve_small, nmax, terms)
+    assert (L, F.dtype) == (want_L, want.dtype) and F.tolist() == want.tolist()
+
+
+def test_mobius_sum_catches_every_single_flip(sieve_small):
+    # the inversion misses a flip at a prime or prime power above nmax/6;
+    # the Mobius sum shows any flip at n itself, first
+    nmax = 300
+    mu = factor_tables(sieve_small, nmax)["mu"]
+    assert mobius_sum_failures(mu, nmax) == []
+    for n in range(2, nmax + 1):
+        bad = mu.copy()
+        bad[n] = -bad[n] if bad[n] else 1
+        assert mobius_sum_failures(bad, nmax)[0] == (n, -2 * int(mu[n]) if mu[n] else 1), n
+
+
+# nmax = s^2 - 1, s^2 and s^2 + 1 put the split s = isqrt(nmax) on each
+# side of a square
+@pytest.mark.parametrize("nmax", [2, 3, 4, 24, 25, 26, 99, 100, 101, 5000])
+def test_mobius_sums_match_full_m_loop(sieve_small, nmax):
+    mu = factor_tables(sieve_small, nmax)["mu"].copy()
+    for n in {2, nmax, nmax // 2 + 1, isqrt(nmax) + 1}:
+        mu[n] = 1 - mu[n]  # any change of mu(n) shows
+    sums = inversion_rhs(mu[: nmax + 1].astype(np.int64), np.ones(nmax + 1, dtype=np.int64))
+    sums[1] -= 1
+    want = [(n, int(sums[n])) for n in range(1, nmax + 1) if sums[n]]
+    assert want and mobius_sum_failures(mu, nmax) == want
 
 
 def test_check_all_scales_coprime_denominators(sieve_small):

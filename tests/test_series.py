@@ -525,6 +525,54 @@ def test_exact_reducer_matches_fraction_oracle(case):
         assert all(type(v) is Fraction for v in got[key])
 
 
+def exact_reducer_sums(counts, n, nums):
+    """series._exact_sums over terms already in bucket order, counts[b] in
+    bucket b, the last bucket thrown away; each key's sums must equal the
+    Fraction oracle's."""
+    counts = np.asarray(counts)
+    got = series._exact_sums(counts, n, nums)
+    ids = np.repeat(np.arange(len(counts)), counts)
+    for key, num in nums.items():
+        assert got[key] == fraction_bucket_sums(ids, len(counts) - 1, num, n), key
+    return got
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [3, 5, 7, 1],  # odd counts at every level of the tree
+        [0, 1, 0, 2, 3],  # 1-term and empty buckets
+        [6, 0, 9],  # terms in the thrown-away last bucket, counted in the total
+        [0, 0, 4],  # only the thrown-away bucket holds terms
+        [1],  # one term, thrown away
+        [0, 0, 0],  # no terms
+        [1000, 1, 999, 64, 65, 127],  # int64 lanes near the leaves, Python ints above
+    ],
+)
+def test_exact_reducer_bucket_shapes(sieve_small, counts):
+    # squarefree n in bucket order, kinds of every sign; two rows share
+    # each node's denominator
+    rng = np.random.default_rng(sum(counts))
+    sf = np.flatnonzero(sieve_small.mu_table()[: 10**4 + 1])
+    n = rng.choice(sf, size=sum(counts))
+    nums = {"a": rng.integers(-9, 10, size=len(n)), "b": rng.integers(-(9 * 10**4), 9 * 10**4, size=len(n))}
+    got = exact_reducer_sums(counts, n, nums)
+    assert all(len(v) == len(counts) for v in got.values())
+
+
+def test_exact_reducer_every_squarefree_n_to_10_4(sieve_small):
+    # one pass over all squarefree n <= 10^4, bucketed by n mod 5, with
+    # the numerators mu(n) omega(n) and mu(n) omega(n) (x mod n) of a scan
+    x = 10**4
+    mu = sieve_small.mu_table()[: x + 1].astype(np.int64)
+    n = np.flatnonzero(mu)
+    order, counts = bucket_order(n % 5, 4)
+    n = n[order]
+    muom = mu[n] * np.array([len(factorize(sieve_small, int(m))) for m in n.tolist()])
+    got = exact_reducer_sums(counts, n, {"mu": mu[n], "muom": muom, "frac": muom * (x % n)})
+    assert got["mu"][-1] == sum(Fraction(int(mu[m]), m) for m in range(1, x + 1))
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_bucket_ordered_reducers_match_ids_oracles(data):
