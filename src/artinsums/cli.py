@@ -441,31 +441,28 @@ def _check_suite_args(args) -> None:
 
 
 def _identity_suite(sieve: FactorSieve, nmax: int, kmax: int, weights) -> int | None:
-    """The four divisor-sum duality identities, exact, for each weight,
-    2 <= n <= nmax and k <= kmax, one batched pass per weight.  Returns
-    the number of instances checked, or None after printing the first
-    failure in (weight, n, identity, k) order."""
+    """The four divisor-sum duality identities, exact, for every weight,
+    2 <= n <= nmax and k <= kmax, in one shared pass.  Returns the number
+    of instances checked, or None after printing the first failure in
+    (weight, n, identity, k) order."""
     from . import duality
 
-    checked = 0
-    for w in weights:
-        result = duality.check_all_identities(sieve, nmax, kmax, w)
-        if result.failures:
-            rep = result.failures[0]
-            _fail(
-                f"duality identity {rep.identity} (k={rep.k}) at n={rep.n}",
-                {
-                    "n": rep.n,
-                    "identity": rep.identity,
-                    "k": rep.k,
-                    "weight": w.name,
-                    "lhs": str(rep.lhs),
-                    "rhs": str(rep.rhs),
-                },
-            )
-            return None
-        checked += result.instances
-    return checked
+    result = duality.check_all_identities(sieve, nmax, kmax, weights)
+    if result.failures:
+        rep = result.failures[0]
+        _fail(
+            f"duality identity {rep.identity} (k={rep.k}) at n={rep.n}",
+            {
+                "n": rep.n,
+                "identity": rep.identity,
+                "k": rep.k,
+                "weight": rep.weight,
+                "lhs": str(rep.lhs),
+                "rhs": str(rep.rhs),
+            },
+        )
+        return None
+    return result.instances
 
 
 def _cmd_verify(args) -> int:

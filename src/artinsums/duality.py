@@ -14,36 +14,33 @@ there are fewer than k.
 
 These are identities, not estimates, so there is no tolerance anywhere:
 exact integer sums over a common denominator; Fractions only in reports.
-Every identity is linear in the weight f, so a check takes one L per
-weight, the lcm of the denominators of f(p) over the primes p <= nmax,
-and sums F(p) = f(p) L: on int64 lanes where a stated bound rules out
-overflow, on Python-int (object) lanes otherwise.  A weight gives its
-values for a whole prime array as int64 (numerator, denominator) arrays
-(``PrimeWeight.arrays``); ``random_weight`` computes its splitmix64
-values on wrapping uint64 lanes, so no Fraction is made per prime.  That
-took verify --nmax 10^6 from 3.28 s and 148.5 MB of peak RSS to 2.18 s
-and 102.8 MB (medians of 3 alternating runs, 2-core VM); the per-prime
-Fraction route is kept in tests/oracles.py as its oracle.
+A weight is read one way only: ``PrimeWeight.ratios`` maps an array of
+primes to int64 (numerator, denominator) arrays; ``random_weight``
+computes them from splitmix64 on wrapping uint64 lanes.  Every identity
+is linear in f, so a check takes one L per weight, the lcm of the
+denominators of f(p) in lowest terms over the primes p <= nmax, and sums
+F(p) = f(p) L on int64 lanes; ``_scaled_table`` raises ValueError for a
+weight whose L or sums would not fit them.
 
-Each check covers every 2 <= n <= nmax in one batched pass per weight.
-The four identities take the distinct primes of each n from one strip of
-the spf table, group the n by omega(n) and apply, per omega, the
-coefficients of the subset enumeration to the F columns.  The
+The four identities cover every 2 <= n <= nmax and every weight in one
+shared pass: it takes the distinct primes of each n from one strip of
+the spf table and groups the n by omega(n); for each group, each weight
+in turn scales the group's primes through its ratios, and the
+coefficients of the subset enumeration for that omega apply.  The
 Mobius-inverted form is the Dirichlet convolution mu * (F o P2), formed
 for all n at once in two loops split at s = isqrt(nmax): one slice per
 m <= s, then one per d <= nmax/(s+1), at most 2 sqrt(nmax) slices.
 ``hyperbola_check`` is its own exact check; its left side takes the
 same omega(n) groups (``_omega_groups``) and sums over the 2^omega
-subsets of each group at once.  Both read mu, omega and P2s from arrays
-their caller hands them, by default those of ``sieve.factor_tables``.
-The inversion reads mu(p) of a prime p only at the multiples of 6p, so
-``mobius_sum_failures`` checks sum_{d|n} mu(d) = [n = 1] over the same
-mu array, split at isqrt(nmax) the same way: it reads every mu(n) at n.
+subsets of each group at once.  Both read mu, omega and P2s from the
+arrays their caller hands them.  The inversion reads mu(p) of a prime p
+only at the multiples of 6p, so ``mobius_sum_failures`` checks
+sum_{d|n} mu(d) = [n = 1] over the same mu array, split at isqrt(nmax)
+the same way: it reads every mu(n) at n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -52,52 +49,25 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .sieve import FactorSieve, factor_tables
+from .sieve import FactorSieve
 
 
-@dataclass(frozen=True)
-class PrimeWeight:
-    """Arithmetic function supported on the primes with f(1) = 0.  Values
-    are memoized per argument.  `ratios`, when given, maps an array of
-    primes to int64 (numerator, denominator > 0) arrays of the same
-    values, for the batched checks."""
+class PrimeWeight(NamedTuple):
+    """Arithmetic function supported on the primes with f(1) = 0:
+    `ratios` maps an int64 array of primes, of any shape, to int64
+    (numerator, denominator > 0) arrays of f at each, not necessarily in
+    lowest terms."""
 
     name: str
-    fn: Callable[[int], Fraction]
-    ratios: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __call__(self, m: int) -> Fraction:
-        v = self._memo.get(m)
-        if v is None:
-            v = self._memo[m] = Fraction(0) if m == 1 else self.fn(m)
-        return v
-
-    def arrays(self, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(num, den): f(p) = num/den for every p of `primes`, as int64
-        arrays; from `ratios`, or else one call a prime."""
-        if self.ratios is not None:
-            return self.ratios(primes)
-        vals = [self(p) for p in primes.tolist()]
-        return (
-            np.array([v.numerator for v in vals], dtype=np.int64),
-            np.array([v.denominator for v in vals], dtype=np.int64),
-        )
+    ratios: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _splitmix64(z: int) -> int:
-    """splitmix64's output at state z: a fixed 64-bit integer mix."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
-
-
 def _splitmix64_lanes(z: np.ndarray) -> np.ndarray:
-    """_splitmix64 of every uint64 lane of z, on wrapping uint64 lanes."""
+    """splitmix64's output at every uint64 state of z, on wrapping uint64
+    lanes."""
     z = z + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -107,27 +77,21 @@ def _splitmix64_lanes(z: np.ndarray) -> np.ndarray:
 def random_weight(seed: int) -> PrimeWeight:
     """Seeded pseudorandom rational weight: numerator in [-5, 5] but never
     0 (a zero weight would hide a wrong mu at the n it multiplies),
-    denominator in [1, 6].  Deterministic in (seed, p), from one
-    splitmix64 value of the pair.  Its arrays take that value for every
-    prime p < 2^32 at once: (seed << 32) ^ p mod 2^64 is
-    (seed << 32 mod 2^64) | p, for any integer seed."""
-    def fn(p: int) -> Fraction:
-        r = _splitmix64((seed << 32) ^ p) % 60
-        num = r % 10 - 5
-        return Fraction(num + (num >= 0), r // 10 + 1)
-
+    denominator in [1, 6].  Deterministic in (seed, p), from the
+    splitmix64 value of (seed << 32) ^ p mod 2^64, which is
+    (seed << 32 mod 2^64) | p for any integer seed and prime p < 2^32."""
     def ratios(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = primes.astype(np.uint64) | np.uint64((seed << 32) & _MASK64)
         r = _splitmix64_lanes(z) % np.uint64(60)
         num = (r % np.uint64(10)).astype(np.int64) - 5
         return num + (num >= 0), (r // np.uint64(10)).astype(np.int64) + 1
-    return PrimeWeight(f"random[{seed}]", fn, ratios)
+    return PrimeWeight(f"random[{seed}]", ratios)
 
 
 class IdentityReport(NamedTuple):
-    """Both sides of one identity instance as integers over the common
-    denominator `denom`.  The batched checks build one only for a
-    mismatch."""
+    """Both sides of one identity instance for the weight named `weight`,
+    as integers over its common denominator `denom`.  The batched checks
+    build one only for a mismatch."""
 
     n: int
     identity: int  # 1..4, or 0 for the inversion form
@@ -135,6 +99,7 @@ class IdentityReport(NamedTuple):
     lhs_num: int
     rhs_num: int
     denom: int
+    weight: str
 
     @property
     def lhs(self) -> Fraction:
@@ -156,11 +121,10 @@ _MAX_OMEGA = 9
 
 
 class BatchCheck(NamedTuple):
-    """Outcome of one batched check over 2 <= n <= nmax: the common
-    denominator L, how many instances were compared, and a report for each
-    mismatch, in (n, identity, k) order."""
+    """Outcome of one batched check over 2 <= n <= nmax: how many
+    instances were compared, and a report for each mismatch, in
+    (weight, n, identity, k) order."""
 
-    denom: int
     instances: int
     failures: list[IdentityReport]
 
@@ -174,28 +138,32 @@ def _check_nmax(sieve: FactorSieve, nmax: int) -> None:
         raise ValueError(f"nmax = {nmax} outside [2, {sieve.limit}]")
 
 
+def _lowest_terms(weight: PrimeWeight, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weight's (num, den) at `primes`, divided by their gcd."""
+    num, den = weight.ratios(primes)
+    g = np.gcd(num, den)
+    return num // g, den // g
+
+
 def _scaled_table(
     weight: PrimeWeight, sieve: FactorSieve, nmax: int, terms: int
 ) -> tuple[np.ndarray, int]:
-    """(F, L): L the lcm of the denominators of f(p) over the primes
-    p <= nmax, F[m] = f(m) L for 0 <= m <= nmax (0 off the primes), from
-    the weight's (num, den) arrays brought to lowest terms.  L is the lcm
-    of the distinct denominators: a set, as np.unique would load numpy.ma
-    and np.sort pages in 0.3 MB of sort kernels.  F is
-    int64 when L < 2^63 and a sum of `terms` values of |F| stays below
-    2^63, which the caller states as the bound of its sums; Python ints
-    otherwise."""
+    """(F, L): L the lcm of the denominators of f(p) in lowest terms over
+    the primes p <= nmax, F[m] = f(m) L for 0 <= m <= nmax (0 off the
+    primes), int64.  L is the lcm of the distinct denominators: a set, as
+    np.unique would load numpy.ma and np.sort pages in 0.3 MB of sort
+    kernels.  Raises ValueError when L >= 2^63 or when a sum of `terms`
+    values of |F|, which the caller states as the bound of its sums, could
+    reach 2^63."""
     primes = sieve.prime_array(nmax)
-    num, den = weight.arrays(primes)
-    g = np.gcd(num, den)
-    num, den = num // g, den // g
+    num, den = _lowest_terms(weight, primes)
     L = lcm(*set(den.tolist()))
-    fits = L < 2**63
-    if fits:
-        q = L // den
-        fits = bool(np.all(abs(num) <= (2**63 - 1) // terms // q))
-    F = np.zeros(nmax + 1, dtype=np.int64 if fits else object)
-    F[primes] = num * q if fits else num.astype(object) * (L // den.astype(object))
+    # never for random_weight: L | 60 and |F| <= 5 * 60 = 300, while terms
+    # <= max(3^9, 2^32) (the identities' coefficients, nmax < 2^32)
+    if L >= 2**63 or np.any(abs(num) > (2**63 - 1) // terms // (L // den)):
+        raise ValueError(f"weight {weight.name}: sums of {terms} values f(p) L overflow int64")
+    F = np.zeros(nmax + 1, dtype=np.int64)
+    F[primes] = num * (L // den)
     return F, L
 
 
@@ -249,21 +217,23 @@ def _coefficients(w: int, kw: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def identity_sides(
-    sieve: FactorSieve, nmax: int, kmax: int, weight: PrimeWeight
-) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """(L, groups): both sides of the four identities, scaled by L, for
-    every 2 <= n <= nmax and k <= min(kmax, omega(n)).  Each group is
-    (ns, lhs, rhs) for the n of one block of at most BLOCK values with
-    omega(n) = w; lhs and rhs have shape (4, min(kmax, w), len(ns)) and are
-    indexed [identity - 1, k - 1, row].  For k > omega(n) both sides are 0
-    (f(1) = 0 in identities 1, 2; C(r-1, k-1) = 0 in 3, 4), so nothing is
-    stored for them and memory does not grow with kmax."""
+    sieve: FactorSieve, nmax: int, kmax: int, weights: list[PrimeWeight]
+) -> tuple[list[int], Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
+    """(Ls, groups): both sides of the four identities for every weight
+    j, scaled by its L = Ls[j], for every 2 <= n <= nmax and
+    k <= min(kmax, omega(n)).  Each group is (j, ns, lhs, rhs) for weight
+    j and the n of one block of at most BLOCK values with omega(n) = w,
+    the weights in turn for each block and w; lhs and rhs have shape
+    (4, min(kmax, w), len(ns)) and are indexed [identity - 1, k - 1, row].
+    For k > omega(n) both sides are 0 (f(1) = 0 in identities 1, 2;
+    C(r-1, k-1) = 0 in 3, 4), so nothing is stored for them, and memory
+    grows with neither kmax nor the number of weights."""
     _check_nmax(sieve, nmax)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     # the |coefficients| of one side sum to less than 3^omega(n)
-    F, L = _scaled_table(weight, sieve, nmax, 3**_MAX_OMEGA)
-    return L, _identity_groups(sieve.spf, nmax, kmax, F)
+    Ls = [_scaled_table(w, sieve, nmax, 3**_MAX_OMEGA)[1] for w in weights]
+    return Ls, _identity_groups(sieve.spf, nmax, kmax, weights, Ls)
 
 
 def _omega_groups(spf: np.ndarray, nmax: int):
@@ -280,58 +250,59 @@ def _omega_groups(spf: np.ndarray, nmax: int):
                 yield cols + lo, rows[:w, cols]
 
 
-def _identity_groups(spf: np.ndarray, nmax: int, kmax: int, F: np.ndarray):
+def _identity_groups(
+    spf: np.ndarray, nmax: int, kmax: int, weights: list[PrimeWeight], Ls: list[int]
+):
     for ns, primes in _omega_groups(spf, nmax):
-        Fc = F[primes]
         C, R = _coefficients(len(primes), min(kmax, len(primes)))
-        yield ns, C @ Fc, R @ Fc
+        for j, (weight, L) in enumerate(zip(weights, Ls)):
+            num, den = _lowest_terms(weight, primes)
+            Fc = num * (L // den)
+            yield j, ns, C @ Fc, R @ Fc
 
 
 def check_all_identities(
-    sieve: FactorSieve, nmax: int, kmax: int, weight: PrimeWeight
+    sieve: FactorSieve, nmax: int, kmax: int, weights: list[PrimeWeight]
 ) -> BatchCheck:
-    """All four identities for every 2 <= n <= nmax and k = 1..kmax, in
-    one batched pass (identity_sides); 4 kmax (nmax - 1) instances, those
-    with k > omega(n) 0 on both sides."""
-    L, groups = identity_sides(sieve, nmax, kmax, weight)
-    failures = [
-        IdentityReport(int(ns[r]), i + 1, k + 1, int(lhs[i, k, r]), int(rhs[i, k, r]), L)
-        for ns, lhs, rhs in groups
+    """All four identities for every weight, 2 <= n <= nmax and
+    k = 1..kmax, in one shared pass (identity_sides); 4 kmax (nmax - 1)
+    instances per weight, those with k > omega(n) 0 on both sides."""
+    Ls, groups = identity_sides(sieve, nmax, kmax, weights)
+    found = sorted(
+        (j, int(ns[r]), i + 1, k + 1, int(lhs[i, k, r]), int(rhs[i, k, r]))
+        for j, ns, lhs, rhs in groups
         for i, k, r in np.argwhere(lhs != rhs).tolist()
-    ]
-    return BatchCheck(L, 4 * kmax * (nmax - 1), sorted(failures))
+    )
+    failures = [IdentityReport(n, i, k, a, b, Ls[j], weights[j].name) for j, n, i, k, a, b in found]
+    return BatchCheck(4 * kmax * (nmax - 1) * len(weights), failures)
 
 
 def _mu_convolution(mu: np.ndarray, G: np.ndarray, nmax: int) -> np.ndarray:
     """(mu * G)[n] = sum_{m d = n} mu(m) G[d] for n <= nmax, 0 at n = 0
-    (mu[0] = G[0] = 0), in the dtype of G, its pairs m d split at
+    (mu[0] = G[0] = 0), mu and G int64, its pairs m d split at
     s = isqrt(nmax): for every m <= s with mu(m) != 0, mu(m) G[1..nmax/m]
     is added into out[m::m]; for every d <= nmax/(s+1) with G[d] != 0,
     mu[s+1..nmax/d] G[d] into out[(s+1)d::d].  At most 2 sqrt(nmax)
     slices."""
-    out = np.zeros(nmax + 1, dtype=G.dtype)
+    out = np.zeros(nmax + 1, dtype=np.int64)
     s = isqrt(nmax)
     for m in np.flatnonzero(mu[: s + 1]).tolist():
         out[m::m] += int(mu[m]) * G[1 : nmax // m + 1]
-    # an int64 slice times a Python-int G[d] would overflow: cast mu first
-    mu = mu.astype(G.dtype)
     for d in np.flatnonzero(G[: nmax // (s + 1) + 1]).tolist():
         out[(s + 1) * d :: d] += mu[s + 1 : nmax // d + 1] * G[d]
     return out
 
 
 def inversion_sides(
-    sieve: FactorSieve, nmax: int, weight: PrimeWeight, arrays: dict | None = None
+    sieve: FactorSieve, nmax: int, weight: PrimeWeight, arrays: dict
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(lhs, rhs, L) of the Mobius-inverted second-order duality
     mu(n)(omega(n)-1) f(p1(n)) = sum_{d|n} mu(n/d) f(P2(d)),
     strict P2, scaled by L, as arrays indexed by n <= nmax (entries 0 and
     1 unused).  The right side is the Dirichlet convolution mu * G with
     G = F o P2 (``_mu_convolution``); mu, omega and P2s come from `arrays`
-    over at least [0, nmax], default factor_tables."""
+    over at least [0, nmax], as sieve.factor_tables gives them."""
     _check_nmax(sieve, nmax)
-    if arrays is None:
-        arrays = factor_tables(sieve, nmax)
     # a side sums at most d(n) <= nmax values of |F|
     F, L = _scaled_table(weight, sieve, nmax, nmax)
     mu = arrays["mu"][: nmax + 1].astype(np.int64)
@@ -355,18 +326,20 @@ def mobius_sum_failures(mu: np.ndarray, nmax: int) -> list[tuple[int, int]]:
 
 
 def check_inversion(
-    sieve: FactorSieve, nmax: int, weight: PrimeWeight, arrays: dict | None = None
+    sieve: FactorSieve, nmax: int, weight: PrimeWeight, arrays: dict
 ) -> BatchCheck:
     """The Mobius-inverted form (inversion_sides) for every 2 <= n <= nmax;
     reports carry identity 0, k 2."""
     lhs, rhs, L = inversion_sides(sieve, nmax, weight, arrays)
     bad = np.flatnonzero(lhs[2:] != rhs[2:]) + 2
-    failures = [IdentityReport(n, 0, 2, int(lhs[n]), int(rhs[n]), L) for n in bad.tolist()]
-    return BatchCheck(L, nmax - 1, failures)
+    failures = [
+        IdentityReport(n, 0, 2, int(lhs[n]), int(rhs[n]), L, weight.name) for n in bad.tolist()
+    ]
+    return BatchCheck(nmax - 1, failures)
 
 
 def hyperbola_check(
-    sieve: FactorSieve, x: int, weight: PrimeWeight, arrays: dict | None = None
+    sieve: FactorSieve, x: int, weight: PrimeWeight, arrays: dict
 ) -> tuple[Fraction, Fraction]:
     """Both sides of the divisor-sum rearrangement
     sum_{n<=x} sum_{d|n} mu(n/d) f(P2(d))
@@ -376,15 +349,13 @@ def hyperbola_check(
     The rearrangement holds for any function in place of mu, so the two
     sides take mu from different sources: the left from the distinct
     primes of n (mu(n/d) = (-1)^r for n/d a product of r of them), the
-    right from `arrays`, which give P2s too over at least [0, x], default
-    factor_tables.  A wrong mu entry then shows.  The left side takes the
-    n grouped by omega(n) = w with their distinct primes (_omega_groups)
-    and sums G = F o P2 over each of the 2^w subsets at once; n = 1 adds
-    G[1] = 0."""
+    right from `arrays`, which give P2s too over at least [0, x], as
+    sieve.factor_tables gives them.  A wrong mu entry then shows.  The
+    left side takes the n grouped by omega(n) = w with their distinct
+    primes (_omega_groups) and sums G = F o P2 over each of the 2^w
+    subsets at once; n = 1 adds G[1] = 0."""
     if x > sieve.limit:
         raise ValueError(f"x = {x} exceeds sieve limit {sieve.limit}")
-    if arrays is None:
-        arrays = factor_tables(sieve, x)
     # a group or prefix sum adds at most x values of |F|
     F, L = _scaled_table(weight, sieve, x, x)
     G = F[arrays["P2s"][: x + 1]]

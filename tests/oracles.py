@@ -4,8 +4,10 @@ of n by a walk down a sieve's spf table (``factorize``), the
 multiplicative functions of n read off it, the bulk tables
 from the recurrence n = p*m over a full spf table, the Fraction forms
 of the four duality identities by enumeration of the squarefree divisors
-(not the coefficient tables of artinsums.duality), a weight's scaled
-table from one Fraction per prime, the exact bucket sums as one Fraction
+(not the coefficient tables of artinsums.duality), a weight's value at
+one m as a Fraction (``weight_at``), random_weight's values from
+splitmix64 on Python ints (``random_value``), a weight's scaled table
+from one Fraction per prime, the exact bucket sums as one Fraction
 per term added in pairs, the float bucket sums of the
 segment kernel before it put terms in bucket order (intp bucket ids from
 ``route``, one ``np.bincount`` per limb), the inversion's Dirichlet
@@ -13,6 +15,7 @@ convolution as one slice per squarefree m, and a scan's segments from the
 sorted set of every cut."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, isqrt, lcm
 from typing import NamedTuple
@@ -122,6 +125,37 @@ def kth(primes_sorted: list[int], k: int, largest: bool) -> int:
     return primes_sorted[-k] if largest else primes_sorted[k - 1]
 
 
+@lru_cache(maxsize=None)
+def weight_at(weight, m: int) -> Fraction:
+    """f(m) as a Fraction, read from the weight's ratios at m alone; 0 at
+    m = 1, as f(1) = 0."""
+    if m == 1:
+        return Fraction(0)
+    num, den = weight.ratios(np.array([m], dtype=np.int64))
+    return Fraction(int(num[0]), int(den[0]))
+
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def splitmix64(z: int) -> int:
+    """splitmix64's output at state z: a fixed 64-bit integer mix, on
+    Python ints masked to 64 bits."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def random_value(seed: int, p: int) -> Fraction:
+    """random_weight(seed) at p: from r = splitmix64((seed << 32) ^ p) mod
+    60, the numerator r mod 10 - 5, moved up by one unless negative, over
+    r // 10 + 1."""
+    r = splitmix64((seed << 32) ^ p) % 60
+    num = r % 10 - 5
+    return Fraction(num + (num >= 0), r // 10 + 1)
+
+
 def divisor_sum(sieve, n: int, k: int, identity: int, weight) -> Fraction:
     """Left-hand side of duality identity 1..4 at n >= 2 and k >= 1, by
     full divisor enumeration.
@@ -141,13 +175,13 @@ def divisor_sum(sieve, n: int, k: int, identity: int, weight) -> Fraction:
         mu_d = -1 if r % 2 else 1
         for subset in combinations(primes, r):
             if identity == 1:
-                term = weight(kth(list(subset), k, largest=True))
+                term = weight_at(weight, kth(list(subset), k, largest=True))
             elif identity == 2:
-                term = weight(subset[k - 1] if k <= r else 1)
+                term = weight_at(weight, subset[k - 1] if k <= r else 1)
             elif identity == 3:
-                term = binom(r - 1, k - 1) * weight(subset[-1])
+                term = binom(r - 1, k - 1) * weight_at(weight, subset[-1])
             else:
-                term = binom(r - 1, k - 1) * weight(subset[0])
+                term = binom(r - 1, k - 1) * weight_at(weight, subset[0])
             total += mu_d * term
     return total
 
@@ -157,25 +191,24 @@ def identity_rhs(sieve, n: int, k: int, identity: int, weight) -> Fraction:
     primes = [p for p, _ in factorize(sieve, n)]
     sign = (-1) ** k
     if identity == 1:
-        return sign * binom(len(primes) - 1, k - 1) * weight(primes[0])
+        return sign * binom(len(primes) - 1, k - 1) * weight_at(weight, primes[0])
     if identity == 2:
-        return sign * binom(len(primes) - 1, k - 1) * weight(primes[-1])
+        return sign * binom(len(primes) - 1, k - 1) * weight_at(weight, primes[-1])
     if identity == 3:
-        return sign * weight(kth(primes, k, largest=False))
-    return sign * weight(kth(primes, k, largest=True))
+        return sign * weight_at(weight, kth(primes, k, largest=False))
+    return sign * weight_at(weight, kth(primes, k, largest=True))
 
 
-def scaled_table(weight, sieve, nmax: int, terms: int):
+def scaled_table(weight, sieve, nmax: int) -> tuple[list[int], int]:
     """(F, L) of duality._scaled_table from the weight's Fraction at each
-    prime p <= nmax: L the lcm of their denominators, F[p] = f(p) L, int64
-    when `terms` values of max |F| sum below 2^63, Python ints otherwise."""
-    primes = sieve.prime_array(nmax)
-    vals = [weight(p) for p in primes.tolist()]
+    prime p <= nmax: L the lcm of their denominators, F[m] = f(m) L for
+    m <= nmax as Python ints, 0 off the primes."""
+    primes = sieve.prime_array(nmax).tolist()
+    vals = [weight_at(weight, p) for p in primes]
     L = lcm(*(v.denominator for v in vals))
-    F_of = [v.numerator * (L // v.denominator) for v in vals]
-    big = max(map(abs, F_of), default=0)
-    F = np.zeros(nmax + 1, dtype=np.int64 if big * terms < 2**63 else object)
-    F[primes] = F_of
+    F = [0] * (nmax + 1)
+    for p, v in zip(primes, vals):
+        F[p] = v.numerator * (L // v.denominator)
     return F, L
 
 

@@ -24,7 +24,7 @@ import pytest
 import scipy.integrate
 
 from artinsums import cli, duality, series
-from artinsums.sieve import FactorSieve
+from artinsums.sieve import FactorSieve, factor_tables
 
 
 def report(num, ok, detail):
@@ -153,14 +153,14 @@ def test_criterion_02_duality_identity_suite(sieve_big):
     t0 = time.time()
     failures = 0
     checked = 0
-    for seed in range(5):
-        w = duality.random_weight(seed)
-        for result in (
-            duality.check_all_identities(sieve_big, 5000, 3, w),
-            duality.check_inversion(sieve_big, 5000, w),
-        ):
-            checked += result.instances
-            failures += len(result.failures)
+    weights = [duality.random_weight(seed) for seed in range(5)]
+    arrays = factor_tables(sieve_big, 5000)
+    for result in (
+        duality.check_all_identities(sieve_big, 5000, 3, weights),
+        *(duality.check_inversion(sieve_big, 5000, w, arrays) for w in weights),
+    ):
+        checked += result.instances
+        failures += len(result.failures)
     elapsed = time.time() - t0
     ok = failures == 0 and elapsed < 120
     line = report(

@@ -744,37 +744,60 @@ def _inject(monkeypatch, name, bump):
     monkeypatch.setattr(duality, name, wrapped)
 
 
+def _bump_identities(weight_index):
+    """bump for _inject("identity_sides"): lhs + 1 at n = 210 (identity 1,
+    k = 3) and n = 30 (identity 3, k = 2), for the weight of that index
+    only."""
+
+    def bump(Ls, groups):
+        def edited():
+            for j, ns, lhs, rhs in groups:
+                if j == weight_index:
+                    lhs = lhs.copy()
+                    for n, i, k in ((210, 1, 3), (30, 3, 2)):
+                        if n in ns:
+                            lhs[i - 1, k - 1, ns == n] += 1
+                yield j, ns, lhs, rhs
+
+        return Ls, edited()
+
+    return bump
+
+
+def _identity_failure_lines(seed):
+    """The two lines that report the bumped identity 3 (k = 2) at n = 30
+    for random_weight(seed)."""
+    w, sieve = duality.random_weight(seed), FactorSieve(300)
+    rhs = identity_rhs(sieve, 30, 2, 3, w)
+    lhs = rhs + Fraction(1, duality.identity_sides(sieve, 300, 3, [w])[0][0])
+    detail = {"n": 30, "identity": 3, "k": 2, "weight": w.name, "lhs": str(lhs), "rhs": str(rhs)}
+    return ["FAIL duality identity 3 (k=2) at n=30", json.dumps(detail)]
+
+
 @pytest.mark.parametrize("command", ["verify", "duality-test"])
 def test_first_identity_failure_reported(command, monkeypatch, capsys):
     # mismatches at n = 210 (identity 1, k = 3) and n = 30 (identity 3, k = 2):
     # the smaller n is reported, in the format of a single failure
-    w = duality.random_weight(1)
-
-    def bump(L, groups):
-        def edited():
-            for ns, lhs, rhs in groups:
-                lhs = lhs.copy()
-                for n, i, k in ((210, 1, 3), (30, 3, 2)):
-                    if n in ns:
-                        lhs[i - 1, k - 1, ns == n] += 1
-                yield ns, lhs, rhs
-
-        return L, edited()
-
-    _inject(monkeypatch, "identity_sides", bump)
+    _inject(monkeypatch, "identity_sides", _bump_identities(0))
     argv = [command, "--nmax", "300"] + (["--weights", "1"] if command == "verify" else [])
     code, out, _ = run(argv, capsys)
-    sieve = FactorSieve(300)
-    rhs = identity_rhs(sieve, 30, 2, 3, w)
-    lhs = rhs + Fraction(1, duality.identity_sides(sieve, 300, 3, w)[0])
-    detail = {"n": 30, "identity": 3, "k": 2, "weight": w.name, "lhs": str(lhs), "rhs": str(rhs)}
     assert code == 1
-    assert out.splitlines()[-2:] == ["FAIL duality identity 3 (k=2) at n=30", json.dumps(detail)]
+    assert out.splitlines()[-2:] == _identity_failure_lines(1)
+
+
+def test_identity_failure_names_its_weight(monkeypatch, capsys):
+    # two weights in one shared pass, only the second one's sides bumped:
+    # the report names random[5], not random[4]
+    _inject(monkeypatch, "identity_sides", _bump_identities(1))
+    code, out, _ = run(["verify", "--nmax", "300", "--weights", "2", "--seed", "4"], capsys)
+    assert code == 1
+    assert out.splitlines() == _identity_failure_lines(5)
 
 
 def test_first_inversion_failure_reported(monkeypatch, capsys):
     w = duality.random_weight(1)
-    lhs, rhs, L = duality.inversion_sides(FactorSieve(300), 300, w)
+    sieve = FactorSieve(300)
+    lhs, rhs, L = duality.inversion_sides(sieve, 300, w, sieve_mod.factor_tables(sieve, 300))
     detail = {"n": 77, "weight": w.name, "lhs": str(Fraction(int(lhs[77]), L)), "rhs": str(Fraction(int(rhs[77]) - 1, L))}
 
     def bump(lhs, rhs, L):

@@ -1,8 +1,10 @@
 """Exact duality identities: hand-enumerated cases, the k > omega(n)
 conventions, and property tests with seeded rational weights."""
 
+import re
 from fractions import Fraction
-from math import isqrt, prod
+from functools import cache
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from artinsums.duality import (
     BLOCK,
     PrimeWeight,
     _scaled_table,
+    _splitmix64_lanes,
     check_all_identities,
     check_inversion,
     distinct_prime_rows,
@@ -23,48 +26,66 @@ from artinsums.duality import (
     random_weight,
 )
 from artinsums.sieve import FactorSieve, factor_tables
-from oracles import binom, divisor_sum, factored, factorize, identity_rhs, inversion_rhs, scaled_table
+from oracles import (
+    binom,
+    divisor_sum,
+    factored,
+    factorize,
+    identity_rhs,
+    inversion_rhs,
+    random_value,
+    scaled_table,
+    splitmix64,
+    weight_at,
+)
 
-ONE_ON_PRIMES = PrimeWeight("1 on primes", lambda p: Fraction(1))
-MOD4 = PrimeWeight("p = 3 mod 4", lambda p: Fraction(int(p % 4 == 3)))
-MOD3 = PrimeWeight("p = 1 mod 3", lambda p: Fraction(int(p % 3 == 1)))
+
+def indicator(name, keep):
+    """Weight 1 on the primes p where keep(p), 0 on the others."""
+    return PrimeWeight(name, lambda p: (keep(p).astype(np.int64), np.ones_like(p)))
+
+
+ONE_ON_PRIMES = indicator("1 on primes", lambda p: p > 1)
+MOD4 = indicator("p = 3 mod 4", lambda p: p % 4 == 3)
+MOD3 = indicator("p = 1 mod 3", lambda p: p % 3 == 1)
 
 
 def class_weight(ctx, label):
     """Indicator of the primes whose Frobenius class is `label` (ramified
-    primes get 0)."""
-    def fn(p):
-        out = ctx.classify(p)
-        return Fraction(int(out.label == label))
-    return PrimeWeight(f"class {label} in {ctx.spec_string()}", fn)
+    primes get 0), one classify a prime."""
+    @cache
+    def one(p):
+        return int(ctx.classify(p).label == label)
+
+    return indicator(f"class {label} in {ctx.spec_string()}", np.vectorize(one, otypes=[bool]))
 
 
-def test_weight_vanishes_at_one():
-    assert ONE_ON_PRIMES(1) == 0
-    assert MOD4(1) == 0
-    assert random_weight(3)(1) == 0
+def test_weight_vanishes_at_one(sieve_small):
+    for w in (ONE_ON_PRIMES, MOD4, random_weight(3)):
+        assert weight_at(w, 1) == 0
+        assert _scaled_table(w, sieve_small, 100, 1)[0][1] == 0
 
 
 def test_residue_weight():
-    assert MOD4(3) == 1
-    assert MOD4(7) == 1
-    assert MOD4(5) == 0
+    assert weight_at(MOD4, 3) == 1
+    assert weight_at(MOD4, 7) == 1
+    assert weight_at(MOD4, 5) == 0
 
 
 def test_random_weight_deterministic():
-    w1, w2 = random_weight(9), random_weight(9)
-    assert [w1(p) for p in (2, 3, 5, 97)] == [w2(p) for p in (2, 3, 5, 97)]
-    assert any(random_weight(1)(p) != random_weight(2)(p) for p in (2, 3, 5, 7, 11))
+    primes = np.array([2, 3, 5, 7, 11, 97])
+    assert np.array_equal(random_weight(9).ratios(primes), random_weight(9).ratios(primes))
+    (n1, d1), (n2, d2) = random_weight(1).ratios(primes), random_weight(2).ratios(primes)
+    assert np.any(n1 * d2 != n2 * d1)
 
 
 def test_random_weight_bounds():
-    # numerator a nonzero integer in [-5, 5], denominator in [1, 6], each value taken
-    values = {random_weight(seed)(p) for seed in (-1, 0, 1, 2**40) for p in range(2, 3000)}
-    assert {(v.numerator, v.denominator) for v in values if v.denominator == 1} == {
-        (a, 1) for a in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
-    }
-    assert 0 not in values and all(abs(v) <= 5 and v.denominator <= 6 for v in values)
-    assert {v.denominator for v in values} == {1, 2, 3, 4, 5, 6}
+    # numerator a nonzero integer in [-5, 5], denominator in [1, 6], each pair taken
+    pairs = set()
+    for seed in (-1, 0, 1, 2**40):
+        num, den = random_weight(seed).ratios(np.arange(2, 3000))
+        pairs |= set(zip(num.tolist(), den.tolist()))
+    assert pairs == {(a, d) for a in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5) for d in range(1, 7)}
 
 
 def test_binom_convention():
@@ -87,7 +108,7 @@ def test_identity4_n12_k2(sieve_small):
 
 def test_identity2_n21_k1(sieve_small):
     # full divisor sum: -f(3) - f(7) + f(3) = -f(P1(21)) = -f(7)
-    assert divisor_sum(sieve_small, 21, 1, 2, MOD4) == -MOD4(7)
+    assert divisor_sum(sieve_small, 21, 1, 2, MOD4) == -weight_at(MOD4, 7)
 
 
 def test_identity1_prime(sieve_small):
@@ -109,25 +130,27 @@ def test_identity2_k_beyond_omega(sieve_small):
 
 
 def test_inversion_examples(sieve_small):
-    lhs, rhs, L = inversion_sides(sieve_small, 15, ONE_ON_PRIMES)
+    arrays = factor_tables(sieve_small, 15)
+    lhs, rhs, L = inversion_sides(sieve_small, 15, ONE_ON_PRIMES, arrays)
     # squarefree omega = 2; a prime: both sides zero; non-squarefree: mu(12) = 0 on the left
     for n, value in ((15, 1), (13, 0), (12, 0)):
         assert Fraction(int(lhs[n]), L) == Fraction(int(rhs[n]), L) == value
-    assert check_inversion(sieve_small, 15, ONE_ON_PRIMES).passed
+    assert check_inversion(sieve_small, 15, ONE_ON_PRIMES, arrays).passed
 
 
-def batched_sides(sieve, nmax, kmax, weight, wanted=None):
-    """{n: {(identity, k): (lhs, rhs)}} from identity_sides as Fractions,
-    with the k > omega(n) entries, which the batch does not store, as 0."""
-    L, groups = identity_sides(sieve, nmax, kmax, weight)
-    out = {}
-    for ns, lhs, rhs in groups:
+def batched_sides(sieve, nmax, kmax, weights, wanted=None):
+    """[{n: {(identity, k): (lhs, rhs)}} per weight] from identity_sides as
+    Fractions, with the k > omega(n) entries, which the pass does not
+    store, as 0."""
+    Ls, groups = identity_sides(sieve, nmax, kmax, weights)
+    out = [{} for _ in weights]
+    for j, ns, lhs, rhs in groups:
         for r, n in enumerate(ns.tolist()):
             if wanted is None or n in wanted:
-                out[n] = {
+                out[j][n] = {
                     (i, k): (
-                        Fraction(int(lhs[i - 1, k - 1, r]), L) if k <= lhs.shape[1] else 0,
-                        Fraction(int(rhs[i - 1, k - 1, r]), L) if k <= lhs.shape[1] else 0,
+                        Fraction(int(lhs[i - 1, k - 1, r]), Ls[j]) if k <= lhs.shape[1] else 0,
+                        Fraction(int(rhs[i - 1, k - 1, r]), Ls[j]) if k <= lhs.shape[1] else 0,
                     )
                     for i in (1, 2, 3, 4)
                     for k in range(1, kmax + 1)
@@ -138,15 +161,15 @@ def batched_sides(sieve, nmax, kmax, weight, wanted=None):
 def assert_matches_oracle(sieve, sides, weight):
     for n, by_ik in sides.items():
         for (i, k), (lhs, rhs) in by_ik.items():
-            assert lhs == divisor_sum(sieve, n, k, i, weight), (n, i, k)
-            assert rhs == identity_rhs(sieve, n, k, i, weight), (n, i, k)
+            assert lhs == divisor_sum(sieve, n, k, i, weight), (weight.name, n, i, k)
+            assert rhs == identity_rhs(sieve, n, k, i, weight), (weight.name, n, i, k)
             assert lhs == rhs
 
 
 def test_check_all_matches_single_path(sieve_small):
     w = random_weight(4)
     ns = (2, 12, 30, 210, 2310, 96577)  # 96577 = 13*17*19*23
-    sides = batched_sides(sieve_small, 96577, 3, w, set(ns))
+    (sides,) = batched_sides(sieve_small, 96577, 3, [w], set(ns))
     assert sorted(sides) == list(ns)
     assert_matches_oracle(sieve_small, sides, w)
 
@@ -162,17 +185,18 @@ def test_identities_hold_exactly(sieve_small, n, k, seed):
 
 
 def test_inversion_holds_exactly(sieve_small):
+    arrays = factor_tables(sieve_small, 5000)
     for seed in range(5):
-        result = check_inversion(sieve_small, 5000, random_weight(seed))
+        result = check_inversion(sieve_small, 5000, random_weight(seed), arrays)
         assert result.passed and result.instances == 4999, result.failures[:1]
 
 
 def test_class_weight_indicator(sieve_small, ctx_cubic):
     w = class_weight(ctx_cubic, "3")
-    assert w(2) == 1  # 2 is a 3-cycle prime
-    assert w(3) == 0
-    assert w(31) == 0  # ramified primes weigh nothing
-    assert w(1) == 0
+    assert weight_at(w, 2) == 1  # 2 is a 3-cycle prime
+    assert weight_at(w, 3) == 0
+    assert weight_at(w, 31) == 0  # ramified primes weigh nothing
+    assert weight_at(w, 1) == 0
 
 
 def test_identity4_k2_reproduces_second_order_form(sieve_small, ctx_cubic):
@@ -181,34 +205,50 @@ def test_identity4_k2_reproduces_second_order_form(sieve_small, ctx_cubic):
     w = class_weight(ctx_cubic, "1+2")
     for n in (15, 21, 105, 210, 1155):
         p2 = factored(sieve_small, n).P2s
-        assert divisor_sum(sieve_small, n, 2, 4, w) == identity_rhs(sieve_small, n, 2, 4, w) == w(p2)
+        assert divisor_sum(sieve_small, n, 2, 4, w) == identity_rhs(sieve_small, n, 2, 4, w) == weight_at(w, p2)
 
 
 def test_hyperbola_rearrangement(sieve_small):
+    arrays = factor_tables(sieve_small, 300)
     for seed in (0, 1):
-        lhs, rhs = hyperbola_check(sieve_small, 300, random_weight(seed))
+        lhs, rhs = hyperbola_check(sieve_small, 300, random_weight(seed), arrays)
         assert lhs == rhs
-    lhs, rhs = hyperbola_check(sieve_small, 100, MOD4)
+    lhs, rhs = hyperbola_check(sieve_small, 100, MOD4, arrays)
     assert lhs == rhs
 
 
 # --- the integer path against the Fraction oracles ---------------------------
 
-# denominators p: coprime across the primes of n, far past the lcm 60 of
-# random_weight's, so the common-denominator scaling is exercised
-OVER_P = PrimeWeight("(p mod 7 - 3)/p", lambda p: Fraction(p % 7 - 3, p))
+# denominators pairwise coprime and prime to the lcm 60 of random_weight's,
+# so the common-denominator scaling is exercised: L = 7*11*13*...*29 =
+# 215656441 once the primes reach every class mod 7, at p = 29
+_COPRIME_DENS = np.array([7, 11, 13, 17, 19, 23, 29])
+COPRIME = PrimeWeight(
+    "(p mod 11 - 5)/(7, 11, ..., 29)[p mod 7]", lambda p: (p % 11 - 5, _COPRIME_DENS[p % 7])
+)
+# denominators p: L is the product of the primes p <= nmax, p != 3 mod 7,
+# past 2^63 from nmax = 99 on
+OVER_P = PrimeWeight("(p mod 7 - 3)/p", lambda p: (p % 7 - 3, p))
+# integer weights of size 2^62: every |F| fits in int64, but sums over
+# the divisors of n do not
+HUGE = PrimeWeight("(p mod 3 - 1) 2^62", lambda p: ((p % 3 - 1) << 62, np.ones_like(p)))
+
+
+def overflows(F, L, terms):
+    """Whether int64 lanes cannot hold L or sums of `terms` values of F."""
+    return L >= 2**63 or terms * max(map(abs, F)) >= 2**63
 
 
 def scalar_inversion(sieve, n, weight):
     """Scalar Fraction form of the inversion at one n: the factorize
     oracle on every divisor."""
     f = factored(sieve, n)
-    lhs = f.mu * (f.omega - 1) * weight(f.p1)
+    lhs = f.mu * (f.omega - 1) * weight_at(weight, f.p1)
     rhs = Fraction(0)
     for d in scalar_divisors(sieve, n):
         mu_cof = factored(sieve, n // d).mu
         if mu_cof:
-            rhs += mu_cof * weight(factored(sieve, d).P2s)
+            rhs += mu_cof * weight_at(weight, factored(sieve, d).P2s)
     return Fraction(lhs), rhs
 
 
@@ -223,7 +263,7 @@ def scalar_hyperbola(sieve, x, weight):
     """Scalar Fraction form of hyperbola_check."""
     f_of_P2 = [Fraction(0)] * (x + 1)
     for d in range(1, x + 1):
-        f_of_P2[d] = weight(factored(sieve, d).P2s)
+        f_of_P2[d] = weight_at(weight, factored(sieve, d).P2s)
     lhs = Fraction(0)
     for n in range(1, x + 1):
         for d in scalar_divisors(sieve, n):
@@ -241,30 +281,27 @@ def scalar_hyperbola(sieve, x, weight):
     return lhs, rhs
 
 
-# integer weights of size 2^62: every |F| fits in int64, but sums over
-# the divisors of n do not, so the checks must take Python-int lanes
-HUGE = PrimeWeight("(p mod 3 - 1) 2^62", lambda p: Fraction((p % 3 - 1) << 62))
-
-
 def test_check_all_matches_oracle(sieve_small, ctx_cubic):
-    # every n <= nmax, every identity and k <= 4; OVER_P and HUGE take the
-    # Python-int lanes, the others int64
-    weights = (random_weight(4), MOD3, class_weight(ctx_cubic, "1+2"), OVER_P)
-    for w, nmax in [(w, 5000) for w in weights] + [(HUGE, 1000)]:
-        result = check_all_identities(sieve_small, nmax, 4, w)
-        assert result.passed and result.instances == 4 * 4 * (nmax - 1)
-        sides = batched_sides(sieve_small, nmax, 4, w)
-        assert sorted(sides) == list(range(2, nmax + 1))
+    # every n <= 5000, every identity and k <= 4, for four weights of
+    # common denominators 60, 1, 1 and 215656441 in one shared pass
+    weights = [random_weight(4), MOD3, class_weight(ctx_cubic, "1+2"), COPRIME]
+    result = check_all_identities(sieve_small, 5000, 4, weights)
+    assert result.passed and result.instances == 4 * 4 * 4999 * len(weights)
+    for w, sides in zip(weights, batched_sides(sieve_small, 5000, 4, weights)):
+        assert sorted(sides) == list(range(2, 5001))
         assert_matches_oracle(sieve_small, sides, w)
 
 
 def test_scaled_table_lanes(sieve_small):
+    # int64 lanes only: a weight whose L or sums do not fit them raises
     F, L = _scaled_table(random_weight(1), sieve_small, 5000, 3**5)
     assert F.dtype == np.int64 and 60 % L == 0
-    assert _scaled_table(OVER_P, sieve_small, 5000, 3**5)[0].dtype == object
-    assert _scaled_table(HUGE, sieve_small, 5000, 3**5)[0].dtype == object
+    assert F[4] == F[1] == 0 and F[7] == weight_at(random_weight(1), 7) * L
+    assert _scaled_table(COPRIME, sieve_small, 5000, 3**9)[1] == 215656441
     assert _scaled_table(HUGE, sieve_small, 5000, 1)[0].dtype == np.int64
-    assert F[4] == F[1] == 0 and F[7] == random_weight(1)(7) * L
+    for weight, terms in ((HUGE, 2), (OVER_P, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"weight {weight.name}:")):
+            _scaled_table(weight, sieve_small, 5000, terms)
 
 
 # negative seeds and seeds of 2^32 and more: the uint64 lanes take
@@ -272,9 +309,11 @@ def test_scaled_table_lanes(sieve_small):
 @pytest.mark.parametrize("seed", [-1, 0, 1, 2**32 - 1, 2**32, 2**40, 2**70, 12345678901])
 def test_weight_arrays_match_the_scalar_weight(sieve_small, seed):
     primes = sieve_small.prime_array(10**4)
-    num, den = random_weight(seed).arrays(primes)
+    z = [((seed << 32) ^ p) & (2**64 - 1) for p in primes.tolist()]
+    assert _splitmix64_lanes(np.array(z, dtype=np.uint64)).tolist() == list(map(splitmix64, z))
+    num, den = random_weight(seed).ratios(primes)
     assert num.dtype == den.dtype == np.int64
-    assert list(map(Fraction, num.tolist(), den.tolist())) == [random_weight(seed)(p) for p in primes.tolist()]
+    assert list(map(Fraction, num.tolist(), den.tolist())) == [random_value(seed, p) for p in primes.tolist()]
 
 
 @pytest.mark.parametrize("nmax, terms", [(2, 1), (5000, 3**9), (5000, 1), (10**4, 10**4)])
@@ -284,12 +323,28 @@ def test_weight_arrays_match_the_scalar_weight(sieve_small, seed):
     ids=["r1", "r2^70", "mod3", "over_p", "huge"],
 )
 def test_scaled_table_matches_fraction_route(sieve_small, weight, nmax, terms):
-    # the arrays' route and the per-prime Fraction route give the same L,
-    # lanes and values; random weights' unreduced ratios (4/4 is 1/1) must
-    # not raise L past the lcm of the reduced denominators
-    F, L = _scaled_table(weight, sieve_small, nmax, terms)
-    want, want_L = scaled_table(weight, sieve_small, nmax, terms)
-    assert (L, F.dtype) == (want_L, want.dtype) and F.tolist() == want.tolist()
+    # the ratio arrays and the per-prime Fractions give the same L and
+    # values, or both overflow int64 and the table raises; random weights'
+    # unreduced ratios (4/4 is 1/1) must not raise L past the lcm of the
+    # reduced denominators
+    want, want_L = scaled_table(weight, sieve_small, nmax)
+    if overflows(want, want_L, terms):
+        with pytest.raises(ValueError, match=re.escape(weight.name)):
+            _scaled_table(weight, sieve_small, nmax, terms)
+    else:
+        F, L = _scaled_table(weight, sieve_small, nmax, terms)
+        assert (L, F.dtype) == (want_L, np.int64) and F.tolist() == want
+
+
+def test_unreduced_ratios_scale_in_lowest_terms(sieve_small):
+    # 6a/4 is 3a/2 in lowest terms: L = 2, not 4, and every side scales
+    # by it
+    w = PrimeWeight("6 (p mod 5 + 1)/4", lambda p: (6 * (p % 5 + 1), np.full_like(p, 4)))
+    assert _scaled_table(w, sieve_small, 300, 1)[1] == 2
+    Ls, _ = identity_sides(sieve_small, 300, 3, [w])
+    assert Ls == [2]
+    (sides,) = batched_sides(sieve_small, 300, 3, [w])
+    assert_matches_oracle(sieve_small, sides, w)
 
 
 def test_mobius_sum_catches_every_single_flip(sieve_small):
@@ -318,13 +373,15 @@ def test_mobius_sums_match_full_m_loop(sieve_small, nmax):
 
 
 def test_check_all_scales_coprime_denominators(sieve_small):
-    # L = lcm of the denominators p of f(p) = (p mod 7 - 3)/p over p <= 2310,
-    # except p = 3 mod 7 where f(p) = 0
-    result = check_all_identities(sieve_small, 2310, 3, OVER_P)
-    assert result.denom == prod(p for p in sieve_small.prime_array(2310).tolist() if p % 7 != 3)
-    assert result.passed
-    # 2*3*5*7*11: each value comes out exact over the common L
-    assert_matches_oracle(sieve_small, batched_sides(sieve_small, 2310, 3, OVER_P, {2310}), OVER_P)
+    # one shared pass pairs each weight with its own L: 60 and
+    # 7*11*13*17*19*23*29 here
+    weights = [random_weight(4), COPRIME]
+    Ls, _ = identity_sides(sieve_small, 2310, 3, weights)
+    assert Ls == [60, 215656441]
+    assert check_all_identities(sieve_small, 2310, 3, weights).passed
+    # 2*3*5*7*11: each value comes out exact over its weight's L
+    for w, sides in zip(weights, batched_sides(sieve_small, 2310, 3, weights, {2310})):
+        assert_matches_oracle(sieve_small, sides, w)
 
 
 def test_distinct_prime_rows_match_factorize(sieve_small):
@@ -343,71 +400,89 @@ def test_identity_blocks_cover_each_n_once(sieve_big):
     # the values beside each edge match the oracle
     nmax = 2 + 2 * BLOCK + 3
     w = random_weight(2)
-    _, groups = identity_sides(sieve_big, nmax, 3, w)
+    _, groups = identity_sides(sieve_big, nmax, 3, [w])
     seen = []
-    for ns, lhs, rhs in groups:
+    for j, ns, lhs, rhs in groups:
         omegas = {len(factorize(sieve_big, n)) for n in ns.tolist()}
-        assert len(omegas) == 1 and lhs.shape == rhs.shape == (4, min(3, *omegas), len(ns))
+        assert j == 0 and len(omegas) == 1 and lhs.shape == rhs.shape == (4, min(3, *omegas), len(ns))
         seen += ns.tolist()
     assert sorted(seen) == list(range(2, nmax + 1))
     edges = {e + d for e in (2 + BLOCK, 2 + 2 * BLOCK) for d in range(-3, 4) if e + d <= nmax}
-    sides = batched_sides(sieve_big, nmax, 3, w, edges)
+    (sides,) = batched_sides(sieve_big, nmax, 3, [w], edges)
     assert sorted(sides) == sorted(edges)
     assert_matches_oracle(sieve_big, sides, w)
 
 
 def test_kmax_beyond_omega_stores_nothing(sieve_small):
-    result = check_all_identities(sieve_small, 50, 10**6, random_weight(1))
+    result = check_all_identities(sieve_small, 50, 10**6, [random_weight(1)])
     assert result.passed and result.instances == 4 * 10**6 * 49
-    _, groups = identity_sides(sieve_small, 50, 10**6, random_weight(1))
-    assert max(lhs.shape[1] for _, lhs, _ in groups) == 3  # omega(30) = omega(42) = 3
+    _, groups = identity_sides(sieve_small, 50, 10**6, [random_weight(1)])
+    assert max(lhs.shape[1] for _, _, lhs, _ in groups) == 3  # omega(30) = omega(42) = 3
 
 
 def test_batch_args_validated(sieve_small):
     for nmax, kmax in ((1, 3), (100_001, 3), (50, 0)):
         with pytest.raises(ValueError):
-            check_all_identities(sieve_small, nmax, kmax, ONE_ON_PRIMES)
+            check_all_identities(sieve_small, nmax, kmax, [ONE_ON_PRIMES])
+    arrays = factor_tables(sieve_small, sieve_small.limit)
     for nmax in (1, 100_001):
         with pytest.raises(ValueError):
-            check_inversion(sieve_small, nmax, ONE_ON_PRIMES)
+            check_inversion(sieve_small, nmax, ONE_ON_PRIMES, arrays)
 
 
-@pytest.mark.parametrize("weight", [random_weight(0), random_weight(7), OVER_P, MOD4])
+@pytest.mark.parametrize("weight", [random_weight(0), random_weight(7), COPRIME, MOD4])
 def test_inversion_matches_scalar_oracle(sieve_small, weight):
-    lhs, rhs, L = inversion_sides(sieve_small, 2000, weight)
+    arrays = factor_tables(sieve_small, 2000)
+    lhs, rhs, L = inversion_sides(sieve_small, 2000, weight, arrays)
     for n in range(2, 2001):
         assert (Fraction(int(lhs[n]), L), Fraction(int(rhs[n]), L)) == scalar_inversion(sieve_small, n, weight), n
-    result = check_inversion(sieve_small, 2000, weight)
+    result = check_inversion(sieve_small, 2000, weight, arrays)
     assert result.passed and result.instances == 1999
 
 
-def test_inversion_huge_weight_exact(sieve_small):
-    lhs, rhs, L = inversion_sides(sieve_small, 500, HUGE)
-    assert lhs.dtype == rhs.dtype == object
-    for n in range(2, 501):
-        assert (Fraction(lhs[n], L), Fraction(rhs[n], L)) == scalar_inversion(sieve_small, n, HUGE), n
+def test_weights_beyond_int64_raise(sieve_small):
+    # HUGE's values fit int64 but sums of them do not, and OVER_P's L is
+    # past 2^63 at nmax = 500: each of the three checks refuses them,
+    # naming the weight
+    arrays = factor_tables(sieve_small, 500)
+    for weight in (HUGE, OVER_P):
+        match = re.escape(f"weight {weight.name}:")
+        with pytest.raises(ValueError, match=match):
+            check_all_identities(sieve_small, 500, 3, [random_weight(0), weight])
+        with pytest.raises(ValueError, match=match):
+            check_inversion(sieve_small, 500, weight, arrays)
+        with pytest.raises(ValueError, match=match):
+            hyperbola_check(sieve_small, 500, weight, arrays)
 
 
 @pytest.mark.parametrize("nmax", [2, 3, 4, 8, 9, 10, 24, 25, 26, 99, 100, 101, 5000])
 @pytest.mark.parametrize(
-    "weight", [random_weight(3), HUGE, OVER_P], ids=["int64", "object", "object-beyond-int64"]
+    "weight",
+    [random_weight(3), HUGE, OVER_P, COPRIME],
+    ids=["int64", "object", "object-beyond-int64", "coprime"],
 )
 def test_inversion_matches_full_m_loop(sieve_small, nmax, weight):
     # nmax = s^2 - 1, s^2 and s^2 + 1 put the split s = isqrt(nmax) on
-    # each side of a square; OVER_P has values F(p) beyond int64 at
-    # nmax >= 99
-    lhs, rhs, L = inversion_sides(sieve_small, nmax, weight)
-    F, L_F = _scaled_table(weight, sieve_small, nmax, nmax)
-    want = inversion_rhs(sieve_small.mu_table()[: nmax + 1], F[sieve_small.P2_strict_table()[: nmax + 1]])
-    assert rhs.dtype == want.dtype == F.dtype
-    assert L == L_F and rhs.tolist() == want.tolist()
+    # each side of a square.  HUGE's sums, and OVER_P's L from nmax = 99
+    # on, would need Python-int (object) lanes: there the sides raise
+    arrays = factor_tables(sieve_small, nmax)
+    F, L = scaled_table(weight, sieve_small, nmax)
+    if overflows(F, L, nmax):
+        with pytest.raises(ValueError, match=re.escape(weight.name)):
+            inversion_sides(sieve_small, nmax, weight, arrays)
+        return
+    lhs, rhs, L_sides = inversion_sides(sieve_small, nmax, weight, arrays)
+    G = np.array(F, dtype=np.int64)[sieve_small.P2_strict_table()[: nmax + 1]]
+    want = inversion_rhs(sieve_small.mu_table()[: nmax + 1], G)
+    assert rhs.dtype == want.dtype == np.int64
+    assert L_sides == L and rhs.tolist() == want.tolist()
 
 
 # 210 = 2*3*5*7 and 2310 = 2*3*5*7*11: omega reaches 4 and 5
 @pytest.mark.parametrize("x", [1, 2, 300, 210, 2310, 2500])
-@pytest.mark.parametrize("weight", [random_weight(0), OVER_P, MOD4])
+@pytest.mark.parametrize("weight", [random_weight(0), COPRIME, MOD4])
 def test_hyperbola_matches_scalar_oracle(sieve_small, x, weight):
-    lhs, rhs = hyperbola_check(sieve_small, x, weight)
+    lhs, rhs = hyperbola_check(sieve_small, x, weight, factor_tables(sieve_small, x))
     assert (lhs, rhs) == scalar_hyperbola(sieve_small, x, weight)
     assert lhs == rhs
 
@@ -424,21 +499,3 @@ def test_hyperbola_reads_the_handed_mu_only_on_the_right(sieve_small, monkeypatc
     bad["mu"][42] = -bad["mu"][42]
     bad_lhs, bad_rhs = hyperbola_check(sieve_small, 300, w, bad)
     assert bad_lhs == lhs == rhs != bad_rhs
-    # with no arrays handed, the check builds those of factor_tables
-    assert hyperbola_check(sieve_small, 300, w) == (lhs, rhs)
-
-
-def test_weight_memoized():
-    calls = []
-
-    def fn(p):
-        calls.append(p)
-        return Fraction(p, 3)
-
-    w = PrimeWeight("counted", fn)
-    assert [w(5), w(5), w(7), w(5)] == [Fraction(5, 3)] * 2 + [Fraction(7, 3), Fraction(5, 3)]
-    assert calls == [5, 7]
-    w1, w2 = random_weight(11), random_weight(11)
-    first = [w1(p) for p in (2, 3, 5, 97, 4999)]
-    assert first == [w1(p) for p in (2, 3, 5, 97, 4999)]
-    assert first == [w2(p) for p in (2, 3, 5, 97, 4999)]
