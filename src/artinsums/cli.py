@@ -11,7 +11,7 @@ integers never forks).  A config file holds plain ``key = value`` lines
 command are ignored, and command-line flags override the rest.
 Every command builds the sieve it reads: scan and smooth the primes up
 to isqrt(x), reproduce-table those up to isqrt(80000), verify and
-duality-test an spf table of limit max(--nmax, 100).  sieve-build writes
+duality-test an spf table of limit --nmax.  sieve-build writes
 a sieve cache that no command reads, kept for the benchmark's set-up, to
 its --sieve-cache file or, by default, into the directory named by the
 environment variable ARTINSUMS_CACHE_DIR.  A splitting-field context
@@ -474,7 +474,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--weights must be >= 1, got {args.weights}")
     if args.corrupt_mu is not None and not 2 <= args.corrupt_mu <= nmax:
         raise ValueError(f"--corrupt-mu must lie in [2, {nmax}], got {args.corrupt_mu}")
-    sieve = FactorSieve(max(nmax, 100))
+    sieve = FactorSieve(nmax)
     # mu, omega and P2s of the inversion and hyperbola checks; the test
     # hook --corrupt-mu n negates mu(n), or sets it to 1 where mu(n) = 0,
     # to prove the checks detect a broken input
@@ -542,7 +542,7 @@ def _cmd_duality_test(args) -> int:
     from . import duality
 
     _check_suite_args(args)
-    sieve = FactorSieve(max(args.nmax, 100))
+    sieve = FactorSieve(args.nmax)
     weight = duality.random_weight(args.seed)
     checked = _identity_suite(sieve, args.nmax, args.kmax, [weight])
     if checked is None:
@@ -579,8 +579,10 @@ def _cmd_smooth(args) -> int:
         ys = [int(y) for y in args.y.split(",")]
     elif args.alpha:
         alphas = [float(a) for a in args.alpha.split(",")]
-        if not all(a > 0 for a in alphas):
-            raise ValueError(f"--alpha values must be > 0, got {args.alpha}")
+        # y = x^(1/alpha) must not pass x; checked before the power, which
+        # overflows for alpha near 0
+        if not all(a >= 1 for a in alphas):
+            raise ValueError(f"--alpha values must be >= 1, got {args.alpha}")
         ys = [max(2, int(round(args.x ** (1.0 / a)))) for a in alphas]
     else:
         raise ValueError("smooth needs --y or --alpha")

@@ -13,23 +13,22 @@ with p_k / P_k the k-th smallest / largest distinct prime factor, 1 when
 there are fewer than k.
 
 These are identities, not estimates, so there is no tolerance anywhere:
-exact integer sums over a common denominator; Fractions only in reports.
-A weight is read one way only: ``PrimeWeight.ratios`` maps an array of
-primes to int64 (numerator, denominator) arrays; ``random_weight``
-computes them from splitmix64 on wrapping uint64 lanes.  Every identity
-is linear in f, so a check takes one L per weight, the lcm of the
-denominators of f(p) in lowest terms over the primes p <= nmax, and sums
-F(p) = f(p) L on int64 lanes; ``_scaled_table`` raises ValueError for a
-weight whose L or sums would not fit them.
+exact sums of integers on int64 lanes.  A weight is read one way only:
+``PrimeWeight.values`` maps an array of primes to the int64 array of f
+at each; ``random_weight`` computes it from splitmix64 on wrapping
+uint64 lanes.  Every check is linear in f, so integer weights lose
+nothing: a rational weight passes or fails with any integer multiple of
+it.  Each check raises ValueError for a weight whose sums, at the most
+terms that check adds, could pass int64 (``_check_bound``).
 
 The four identities cover every 2 <= n <= nmax and every weight in one
 shared pass: it takes the distinct primes of each n from one strip of
 the spf table and groups the n by omega(n); for each group, each weight
-in turn scales the group's primes through its ratios, and the
-coefficients of the subset enumeration for that omega apply.  The
-Mobius-inverted form is the Dirichlet convolution mu * (F o P2), formed
-for all n at once in two loops split at s = isqrt(nmax): one slice per
-m <= s, then one per d <= nmax/(s+1), at most 2 sqrt(nmax) slices.
+in turn gives its values at the group's primes, and the coefficients of
+the subset enumeration for that omega apply.  The Mobius-inverted form
+is the Dirichlet convolution mu * (f o P2), formed for all n at once in
+two loops split at s = isqrt(nmax): one slice per m <= s, then one per
+d <= nmax/(s+1), at most 2 sqrt(nmax) slices.
 ``hyperbola_check`` is its own exact check; its left side takes the
 same omega(n) groups (``_omega_groups``) and sums over the 2^omega
 subsets of each group at once.  Both read mu, omega and P2s from the
@@ -41,10 +40,9 @@ the same way: it reads every mu(n) at n.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -53,13 +51,13 @@ from .sieve import FactorSieve
 
 
 class PrimeWeight(NamedTuple):
-    """Arithmetic function supported on the primes with f(1) = 0:
-    `ratios` maps an int64 array of primes, of any shape, to int64
-    (numerator, denominator > 0) arrays of f at each, not necessarily in
-    lowest terms."""
+    """Integer-valued arithmetic function supported on the primes with
+    f(1) = 0: `values` maps an int64 array of primes, of any shape, to the
+    int64 array of f at each.  Every check is linear in f, so a rational
+    weight is checked exactly by an integer multiple of it."""
 
     name: str
-    ratios: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    values: Callable[[np.ndarray], np.ndarray]
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -75,43 +73,35 @@ def _splitmix64_lanes(z: np.ndarray) -> np.ndarray:
 
 
 def random_weight(seed: int) -> PrimeWeight:
-    """Seeded pseudorandom rational weight: numerator in [-5, 5] but never
-    0 (a zero weight would hide a wrong mu at the n it multiplies),
-    denominator in [1, 6].  Deterministic in (seed, p), from the
-    splitmix64 value of (seed << 32) ^ p mod 2^64, which is
-    (seed << 32 mod 2^64) | p for any integer seed and prime p < 2^32."""
-    def ratios(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded pseudorandom weight a (60 // d), 60 times the rational a/d:
+    a in [-5, 5] but never 0 (a zero weight would hide a wrong mu at the n
+    it multiplies), d in [1, 6], so 0 < |f| <= 300.  Deterministic in
+    (seed, p), from r = the splitmix64 value of (seed << 32) ^ p mod 2^64
+    (which is (seed << 32 mod 2^64) | p for any integer seed and prime
+    p < 2^32) mod 60: a = r mod 10 - 5, moved up by one unless negative,
+    and d = r // 10 + 1."""
+    def values(primes: np.ndarray) -> np.ndarray:
         z = primes.astype(np.uint64) | np.uint64((seed << 32) & _MASK64)
-        r = _splitmix64_lanes(z) % np.uint64(60)
-        num = (r % np.uint64(10)).astype(np.int64) - 5
-        return num + (num >= 0), (r // np.uint64(10)).astype(np.int64) + 1
-    return PrimeWeight(f"random[{seed}]", ratios)
+        r = (_splitmix64_lanes(z) % np.uint64(60)).astype(np.int64)
+        num = r % 10 - 5
+        return (num + (num >= 0)) * (60 // (r // 10 + 1))
+    return PrimeWeight(f"random[{seed}]", values)
 
 
 class IdentityReport(NamedTuple):
-    """Both sides of one identity instance for the weight named `weight`,
-    as integers over its common denominator `denom`.  The batched checks
-    build one only for a mismatch."""
+    """Both sides of one identity instance for the weight named `weight`.
+    The batched checks build one only for a mismatch."""
 
     n: int
     identity: int  # 1..4, or 0 for the inversion form
     k: int
-    lhs_num: int
-    rhs_num: int
-    denom: int
+    lhs: int
+    rhs: int
     weight: str
 
     @property
-    def lhs(self) -> Fraction:
-        return Fraction(self.lhs_num, self.denom)
-
-    @property
-    def rhs(self) -> Fraction:
-        return Fraction(self.rhs_num, self.denom)
-
-    @property
     def passed(self) -> bool:
-        return self.lhs_num == self.rhs_num
+        return self.lhs == self.rhs
 
 
 # most values of n per block of the identity pass; bounds its temporaries
@@ -138,33 +128,25 @@ def _check_nmax(sieve: FactorSieve, nmax: int) -> None:
         raise ValueError(f"nmax = {nmax} outside [2, {sieve.limit}]")
 
 
-def _lowest_terms(weight: PrimeWeight, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weight's (num, den) at `primes`, divided by their gcd."""
-    num, den = weight.ratios(primes)
-    g = np.gcd(num, den)
-    return num // g, den // g
+def _check_bound(weight: PrimeWeight, f: np.ndarray, terms: int) -> None:
+    """Raises ValueError when a sum of `terms` values of |f|, which the
+    caller states as the bound of its sums, could reach 2^63."""
+    # never for random_weight: |f| <= 300, while terms <= max(3^9, 2^32)
+    # (the identities' coefficients, nmax < 2^32)
+    bound = (2**63 - 1) // terms
+    if np.any((f > bound) | (f < -bound)):
+        raise ValueError(f"weight {weight.name}: sums of {terms} values f(p) overflow int64")
 
 
-def _scaled_table(
-    weight: PrimeWeight, sieve: FactorSieve, nmax: int, terms: int
-) -> tuple[np.ndarray, int]:
-    """(F, L): L the lcm of the denominators of f(p) in lowest terms over
-    the primes p <= nmax, F[m] = f(m) L for 0 <= m <= nmax (0 off the
-    primes), int64.  L is the lcm of the distinct denominators: a set, as
-    np.unique would load numpy.ma and np.sort pages in 0.3 MB of sort
-    kernels.  Raises ValueError when L >= 2^63 or when a sum of `terms`
-    values of |F|, which the caller states as the bound of its sums, could
-    reach 2^63."""
+def _weight_table(weight: PrimeWeight, sieve: FactorSieve, nmax: int, terms: int) -> np.ndarray:
+    """F[m] = f(m) for 0 <= m <= nmax, 0 off the primes, int64, after
+    _check_bound of the values at the primes p <= nmax."""
     primes = sieve.prime_array(nmax)
-    num, den = _lowest_terms(weight, primes)
-    L = lcm(*set(den.tolist()))
-    # never for random_weight: L | 60 and |F| <= 5 * 60 = 300, while terms
-    # <= max(3^9, 2^32) (the identities' coefficients, nmax < 2^32)
-    if L >= 2**63 or np.any(abs(num) > (2**63 - 1) // terms // (L // den)):
-        raise ValueError(f"weight {weight.name}: sums of {terms} values f(p) L overflow int64")
+    f = weight.values(primes)
+    _check_bound(weight, f, terms)
     F = np.zeros(nmax + 1, dtype=np.int64)
-    F[primes] = num * (L // den)
-    return F, L
+    F[primes] = f
+    return F
 
 
 def distinct_prime_rows(spf: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -191,7 +173,7 @@ def distinct_prime_rows(spf: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)  # at most 45 pairs (w, kw), as w <= _MAX_OMEGA
 def _coefficients(w: int, kw: int) -> tuple[np.ndarray, np.ndarray]:
-    """(C, R), each (4, kw, w): C[i-1, k-1, j] is the coefficient of F(q_j)
+    """(C, R), each (4, kw, w): C[i-1, k-1, j] is the coefficient of f(q_j)
     in the left side of identity i at k, for n with the w primes
     q_0 < ... < q_{w-1}, from the enumeration of the squarefree divisors d
     as subsets of r primes (sign (-1)^r, C(r-1, k-1), k <= r); R holds the
@@ -218,22 +200,24 @@ def _coefficients(w: int, kw: int) -> tuple[np.ndarray, np.ndarray]:
 
 def identity_sides(
     sieve: FactorSieve, nmax: int, kmax: int, weights: list[PrimeWeight]
-) -> tuple[list[int], Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
-    """(Ls, groups): both sides of the four identities for every weight
-    j, scaled by its L = Ls[j], for every 2 <= n <= nmax and
-    k <= min(kmax, omega(n)).  Each group is (j, ns, lhs, rhs) for weight
-    j and the n of one block of at most BLOCK values with omega(n) = w,
-    the weights in turn for each block and w; lhs and rhs have shape
-    (4, min(kmax, w), len(ns)) and are indexed [identity - 1, k - 1, row].
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Both sides of the four identities for every weight, every
+    2 <= n <= nmax and k <= min(kmax, omega(n)), as groups (j, ns, lhs,
+    rhs), each for weight j and the n of one block of at most BLOCK
+    values with omega(n) = w, the weights in turn for each block and w;
+    lhs and rhs have shape (4, min(kmax, w), len(ns)) and are indexed
+    [identity - 1, k - 1, row].
     For k > omega(n) both sides are 0 (f(1) = 0 in identities 1, 2;
     C(r-1, k-1) = 0 in 3, 4), so nothing is stored for them, and memory
     grows with neither kmax nor the number of weights."""
     _check_nmax(sieve, nmax)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    # the |coefficients| of one side sum to less than 3^omega(n)
-    Ls = [_scaled_table(w, sieve, nmax, 3**_MAX_OMEGA)[1] for w in weights]
-    return Ls, _identity_groups(sieve.spf, nmax, kmax, weights, Ls)
+    primes = sieve.prime_array(nmax)
+    for w in weights:
+        # the |coefficients| of one side sum to less than 3^omega(n)
+        _check_bound(w, w.values(primes), 3**_MAX_OMEGA)
+    return _identity_groups(sieve.spf, nmax, kmax, weights)
 
 
 def _omega_groups(spf: np.ndarray, nmax: int):
@@ -250,15 +234,12 @@ def _omega_groups(spf: np.ndarray, nmax: int):
                 yield cols + lo, rows[:w, cols]
 
 
-def _identity_groups(
-    spf: np.ndarray, nmax: int, kmax: int, weights: list[PrimeWeight], Ls: list[int]
-):
+def _identity_groups(spf: np.ndarray, nmax: int, kmax: int, weights: list[PrimeWeight]):
     for ns, primes in _omega_groups(spf, nmax):
         C, R = _coefficients(len(primes), min(kmax, len(primes)))
-        for j, (weight, L) in enumerate(zip(weights, Ls)):
-            num, den = _lowest_terms(weight, primes)
-            Fc = num * (L // den)
-            yield j, ns, C @ Fc, R @ Fc
+        for j, weight in enumerate(weights):
+            f = weight.values(primes)
+            yield j, ns, C @ f, R @ f
 
 
 def check_all_identities(
@@ -267,13 +248,13 @@ def check_all_identities(
     """All four identities for every weight, 2 <= n <= nmax and
     k = 1..kmax, in one shared pass (identity_sides); 4 kmax (nmax - 1)
     instances per weight, those with k > omega(n) 0 on both sides."""
-    Ls, groups = identity_sides(sieve, nmax, kmax, weights)
+    groups = identity_sides(sieve, nmax, kmax, weights)
     found = sorted(
         (j, int(ns[r]), i + 1, k + 1, int(lhs[i, k, r]), int(rhs[i, k, r]))
         for j, ns, lhs, rhs in groups
         for i, k, r in np.argwhere(lhs != rhs).tolist()
     )
-    failures = [IdentityReport(n, i, k, a, b, Ls[j], weights[j].name) for j, n, i, k, a, b in found]
+    failures = [IdentityReport(n, i, k, a, b, weights[j].name) for j, n, i, k, a, b in found]
     return BatchCheck(4 * kmax * (nmax - 1) * len(weights), failures)
 
 
@@ -295,20 +276,20 @@ def _mu_convolution(mu: np.ndarray, G: np.ndarray, nmax: int) -> np.ndarray:
 
 def inversion_sides(
     sieve: FactorSieve, nmax: int, weight: PrimeWeight, arrays: dict
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(lhs, rhs, L) of the Mobius-inverted second-order duality
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of the Mobius-inverted second-order duality
     mu(n)(omega(n)-1) f(p1(n)) = sum_{d|n} mu(n/d) f(P2(d)),
-    strict P2, scaled by L, as arrays indexed by n <= nmax (entries 0 and
-    1 unused).  The right side is the Dirichlet convolution mu * G with
-    G = F o P2 (``_mu_convolution``); mu, omega and P2s come from `arrays`
-    over at least [0, nmax], as sieve.factor_tables gives them."""
+    strict P2, as arrays indexed by n <= nmax (entries 0 and 1 unused).
+    The right side is the Dirichlet convolution mu * G with G = F o P2,
+    F the table of f (``_mu_convolution``); mu, omega and P2s come from
+    `arrays` over at least [0, nmax], as sieve.factor_tables gives them."""
     _check_nmax(sieve, nmax)
-    # a side sums at most d(n) <= nmax values of |F|
-    F, L = _scaled_table(weight, sieve, nmax, nmax)
+    # a side sums at most d(n) <= nmax values of |f|
+    F = _weight_table(weight, sieve, nmax, nmax)
     mu = arrays["mu"][: nmax + 1].astype(np.int64)
     omega = arrays["omega"][: nmax + 1].astype(np.int64)
     lhs = mu * (omega - 1) * F[sieve.spf[: nmax + 1]]
-    return lhs, _mu_convolution(mu, F[arrays["P2s"][: nmax + 1]], nmax), L
+    return lhs, _mu_convolution(mu, F[arrays["P2s"][: nmax + 1]], nmax)
 
 
 def mobius_sum_failures(mu: np.ndarray, nmax: int) -> list[tuple[int, int]]:
@@ -330,17 +311,15 @@ def check_inversion(
 ) -> BatchCheck:
     """The Mobius-inverted form (inversion_sides) for every 2 <= n <= nmax;
     reports carry identity 0, k 2."""
-    lhs, rhs, L = inversion_sides(sieve, nmax, weight, arrays)
+    lhs, rhs = inversion_sides(sieve, nmax, weight, arrays)
     bad = np.flatnonzero(lhs[2:] != rhs[2:]) + 2
-    failures = [
-        IdentityReport(n, 0, 2, int(lhs[n]), int(rhs[n]), L, weight.name) for n in bad.tolist()
-    ]
+    failures = [IdentityReport(n, 0, 2, int(lhs[n]), int(rhs[n]), weight.name) for n in bad.tolist()]
     return BatchCheck(nmax - 1, failures)
 
 
 def hyperbola_check(
     sieve: FactorSieve, x: int, weight: PrimeWeight, arrays: dict
-) -> tuple[Fraction, Fraction]:
+) -> tuple[int, int]:
     """Both sides of the divisor-sum rearrangement
     sum_{n<=x} sum_{d|n} mu(n/d) f(P2(d))
       = sum_{m<=x} mu(m) sum_{d<=x/m} f(P2(d)).
@@ -352,12 +331,12 @@ def hyperbola_check(
     right from `arrays`, which give P2s too over at least [0, x], as
     sieve.factor_tables gives them.  A wrong mu entry then shows.  The
     left side takes the n grouped by omega(n) = w with their distinct
-    primes (_omega_groups) and sums G = F o P2 over each of the 2^w
+    primes (_omega_groups) and sums G = f o P2 over each of the 2^w
     subsets at once; n = 1 adds G[1] = 0."""
     if x > sieve.limit:
         raise ValueError(f"x = {x} exceeds sieve limit {sieve.limit}")
-    # a group or prefix sum adds at most x values of |F|
-    F, L = _scaled_table(weight, sieve, x, x)
+    # a group or prefix sum adds at most x values of |f|
+    F = _weight_table(weight, sieve, x, x)
     G = F[arrays["P2s"][: x + 1]]
     lhs = 0
     for ns, primes in _omega_groups(sieve.spf, x):
@@ -368,4 +347,4 @@ def hyperbola_check(
     prefix = np.cumsum(G).tolist()
     mu = arrays["mu"][: x + 1].tolist()
     rhs = sum(mu[m] * prefix[x // m] for m in range(1, x + 1))
-    return Fraction(lhs, L), Fraction(rhs, L)
+    return lhs, rhs

@@ -2,12 +2,12 @@
 the spf table by a masked sieve over the whole table, the factorization
 of n by a walk down a sieve's spf table (``factorize``), the
 multiplicative functions of n read off it, the bulk tables
-from the recurrence n = p*m over a full spf table, the Fraction forms
+from the recurrence n = p*m over a full spf table, the integer forms
 of the four duality identities by enumeration of the squarefree divisors
 (not the coefficient tables of artinsums.duality), a weight's value at
-one m as a Fraction (``weight_at``), random_weight's values from
-splitmix64 on Python ints (``random_value``), a weight's scaled table
-from one Fraction per prime, the exact bucket sums as one Fraction
+one m (``weight_at``), random_weight's values from splitmix64 on Python
+ints (``random_value``), a weight's table from one value per prime
+(``weight_table``), the exact bucket sums as one Fraction
 per term added in pairs, the float bucket sums of the
 segment kernel before it put terms in bucket order (intp bucket ids from
 ``route``, one ``np.bincount`` per limb), the inversion's Dirichlet
@@ -17,7 +17,7 @@ sorted set of every cut."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -126,13 +126,12 @@ def kth(primes_sorted: list[int], k: int, largest: bool) -> int:
 
 
 @lru_cache(maxsize=None)
-def weight_at(weight, m: int) -> Fraction:
-    """f(m) as a Fraction, read from the weight's ratios at m alone; 0 at
-    m = 1, as f(1) = 0."""
+def weight_at(weight, m: int) -> int:
+    """f(m), read from the weight's values at m alone; 0 at m = 1, as
+    f(1) = 0."""
     if m == 1:
-        return Fraction(0)
-    num, den = weight.ratios(np.array([m], dtype=np.int64))
-    return Fraction(int(num[0]), int(den[0]))
+        return 0
+    return int(weight.values(np.array([m], dtype=np.int64))[0])
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -147,16 +146,16 @@ def splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def random_value(seed: int, p: int) -> Fraction:
+def random_value(seed: int, p: int) -> int:
     """random_weight(seed) at p: from r = splitmix64((seed << 32) ^ p) mod
-    60, the numerator r mod 10 - 5, moved up by one unless negative, over
-    r // 10 + 1."""
+    60, a (60 // d) with a = r mod 10 - 5, moved up by one unless
+    negative, and d = r // 10 + 1."""
     r = splitmix64((seed << 32) ^ p) % 60
     num = r % 10 - 5
-    return Fraction(num + (num >= 0), r // 10 + 1)
+    return (num + (num >= 0)) * (60 // (r // 10 + 1))
 
 
-def divisor_sum(sieve, n: int, k: int, identity: int, weight) -> Fraction:
+def divisor_sum(sieve, n: int, k: int, identity: int, weight) -> int:
     """Left-hand side of duality identity 1..4 at n >= 2 and k >= 1, by
     full divisor enumeration.
 
@@ -170,7 +169,7 @@ def divisor_sum(sieve, n: int, k: int, identity: int, weight) -> Fraction:
     f(1) = 0.
     """
     primes = [p for p, _ in factorize(sieve, n)]
-    total = Fraction(0)
+    total = 0
     for r in range(1, len(primes) + 1):
         mu_d = -1 if r % 2 else 1
         for subset in combinations(primes, r):
@@ -186,7 +185,7 @@ def divisor_sum(sieve, n: int, k: int, identity: int, weight) -> Fraction:
     return total
 
 
-def identity_rhs(sieve, n: int, k: int, identity: int, weight) -> Fraction:
+def identity_rhs(sieve, n: int, k: int, identity: int, weight) -> int:
     """Right-hand side of duality identity 1..4, in closed form."""
     primes = [p for p, _ in factorize(sieve, n)]
     sign = (-1) ** k
@@ -199,17 +198,14 @@ def identity_rhs(sieve, n: int, k: int, identity: int, weight) -> Fraction:
     return sign * weight_at(weight, kth(primes, k, largest=True))
 
 
-def scaled_table(weight, sieve, nmax: int) -> tuple[list[int], int]:
-    """(F, L) of duality._scaled_table from the weight's Fraction at each
-    prime p <= nmax: L the lcm of their denominators, F[m] = f(m) L for
-    m <= nmax as Python ints, 0 off the primes."""
-    primes = sieve.prime_array(nmax).tolist()
-    vals = [weight_at(weight, p) for p in primes]
-    L = lcm(*(v.denominator for v in vals))
+def weight_table(weight, sieve, nmax: int) -> list[int]:
+    """duality._weight_table from the weight's value at each prime
+    p <= nmax alone: F[m] = f(m) for m <= nmax as Python ints, 0 off the
+    primes."""
     F = [0] * (nmax + 1)
-    for p, v in zip(primes, vals):
-        F[p] = v.numerator * (L // v.denominator)
-    return F, L
+    for p in sieve.prime_array(nmax).tolist():
+        F[p] = weight_at(weight, p)
+    return F
 
 
 def pairwise_sum(vals: list[Fraction]) -> Fraction:

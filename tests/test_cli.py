@@ -12,7 +12,6 @@ import shutil
 import signal
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -554,8 +553,8 @@ def test_cache_dir_env(tmp_path, capsys, monkeypatch):
 
 def test_each_command_builds_the_sieve_it_reads(tmp_path, capsys, monkeypatch):
     # no command reads a sieve cache: each builds one sieve, at the limit
-    # it reads (the primes up to isqrt(x), or an spf table to --nmax, at
-    # least 100), and writes no file
+    # it reads (the primes up to isqrt(x), or an spf table to --nmax),
+    # and writes no file
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv(cli.CACHE_DIR_ENV, str(tmp_path))
     limits = []
@@ -565,7 +564,7 @@ def test_each_command_builds_the_sieve_it_reads(tmp_path, capsys, monkeypatch):
         (["scan", "--cyclotomic", "4", "--xmax", "3"], 2),
         (["smooth", "--x", "1000", "--y", "10"], 31),
         (["reproduce-table"], 282),
-        (["verify", "--nmax", "60", "--weights", "1"], 100),
+        (["verify", "--nmax", "60", "--weights", "1"], 60),
         (["duality-test", "--nmax", "300"], 300),
     ):
         assert run(argv, capsys)[0] == 0, argv
@@ -704,12 +703,14 @@ def test_smooth_json_is_strict_json(capsys):
     assert csv_rows[0] == ["1000", "1", "inf", "1", "inf"]
 
 
-@pytest.mark.parametrize("alpha", ["0", "-2", "2,0", "nan"])
+@pytest.mark.parametrize("alpha", ["0", "-2", "2,0", "nan", "0.5", "0.001", "1e-300"])
 def test_smooth_rejects_nonpositive_alpha(alpha, capsys):
-    # alpha = 0 divided by zero; a negative alpha gave y = 2 and a made-up alpha
+    # alpha = 0 divided by zero; a negative alpha gave y = 2 and a made-up
+    # alpha; below 1, y = x^(1/alpha) passes x, and near 0 the power
+    # overflowed
     code, out, err = run(["smooth", "--x", "100", "--alpha", alpha], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err.startswith("error: --alpha ")
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -735,11 +736,11 @@ def test_duality_test_kmax_beyond_omega(capsys):
 
 
 def _inject(monkeypatch, name, bump):
-    """Wrap duality.<name> so that `bump` edits the arrays it returns."""
+    """Wrap duality.<name> so that `bump` edits what it returns."""
     orig = getattr(duality, name)
 
     def wrapped(*args):
-        return bump(*orig(*args))
+        return bump(orig(*args))
 
     monkeypatch.setattr(duality, name, wrapped)
 
@@ -749,27 +750,24 @@ def _bump_identities(weight_index):
     k = 3) and n = 30 (identity 3, k = 2), for the weight of that index
     only."""
 
-    def bump(Ls, groups):
-        def edited():
-            for j, ns, lhs, rhs in groups:
-                if j == weight_index:
-                    lhs = lhs.copy()
-                    for n, i, k in ((210, 1, 3), (30, 3, 2)):
-                        if n in ns:
-                            lhs[i - 1, k - 1, ns == n] += 1
-                yield j, ns, lhs, rhs
-
-        return Ls, edited()
+    def bump(groups):
+        for j, ns, lhs, rhs in groups:
+            if j == weight_index:
+                lhs = lhs.copy()
+                for n, i, k in ((210, 1, 3), (30, 3, 2)):
+                    if n in ns:
+                        lhs[i - 1, k - 1, ns == n] += 1
+            yield j, ns, lhs, rhs
 
     return bump
 
 
 def _identity_failure_lines(seed):
     """The two lines that report the bumped identity 3 (k = 2) at n = 30
-    for random_weight(seed)."""
+    for random_weight(seed): integer sides, the left one up by 1."""
     w, sieve = duality.random_weight(seed), FactorSieve(300)
     rhs = identity_rhs(sieve, 30, 2, 3, w)
-    lhs = rhs + Fraction(1, duality.identity_sides(sieve, 300, 3, [w])[0][0])
+    lhs = rhs + 1
     detail = {"n": 30, "identity": 3, "k": 2, "weight": w.name, "lhs": str(lhs), "rhs": str(rhs)}
     return ["FAIL duality identity 3 (k=2) at n=30", json.dumps(detail)]
 
@@ -797,13 +795,14 @@ def test_identity_failure_names_its_weight(monkeypatch, capsys):
 def test_first_inversion_failure_reported(monkeypatch, capsys):
     w = duality.random_weight(1)
     sieve = FactorSieve(300)
-    lhs, rhs, L = duality.inversion_sides(sieve, 300, w, sieve_mod.factor_tables(sieve, 300))
-    detail = {"n": 77, "weight": w.name, "lhs": str(Fraction(int(lhs[77]), L)), "rhs": str(Fraction(int(rhs[77]) - 1, L))}
+    lhs, rhs = duality.inversion_sides(sieve, 300, w, sieve_mod.factor_tables(sieve, 300))
+    detail = {"n": 77, "weight": w.name, "lhs": str(int(lhs[77])), "rhs": str(int(rhs[77]) - 1)}
 
-    def bump(lhs, rhs, L):
+    def bump(sides):
+        lhs, rhs = sides
         rhs = rhs.copy()
         rhs[[90, 77]] -= 1
-        return lhs, rhs, L
+        return lhs, rhs
 
     _inject(monkeypatch, "inversion_sides", bump)
     code, out, _ = run(["verify", "--nmax", "300", "--weights", "1"], capsys)

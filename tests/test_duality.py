@@ -1,8 +1,7 @@
 """Exact duality identities: hand-enumerated cases, the k > omega(n)
-conventions, and property tests with seeded rational weights."""
+conventions, and property tests with seeded integer weights."""
 
 import re
-from fractions import Fraction
 from functools import cache
 from math import isqrt
 
@@ -14,8 +13,8 @@ from hypothesis import strategies as st
 from artinsums.duality import (
     BLOCK,
     PrimeWeight,
-    _scaled_table,
     _splitmix64_lanes,
+    _weight_table,
     check_all_identities,
     check_inversion,
     distinct_prime_rows,
@@ -34,15 +33,15 @@ from oracles import (
     identity_rhs,
     inversion_rhs,
     random_value,
-    scaled_table,
     splitmix64,
     weight_at,
+    weight_table,
 )
 
 
 def indicator(name, keep):
     """Weight 1 on the primes p where keep(p), 0 on the others."""
-    return PrimeWeight(name, lambda p: (keep(p).astype(np.int64), np.ones_like(p)))
+    return PrimeWeight(name, lambda p: keep(p).astype(np.int64))
 
 
 ONE_ON_PRIMES = indicator("1 on primes", lambda p: p > 1)
@@ -63,7 +62,7 @@ def class_weight(ctx, label):
 def test_weight_vanishes_at_one(sieve_small):
     for w in (ONE_ON_PRIMES, MOD4, random_weight(3)):
         assert weight_at(w, 1) == 0
-        assert _scaled_table(w, sieve_small, 100, 1)[0][1] == 0
+        assert _weight_table(w, sieve_small, 100, 1)[1] == 0
 
 
 def test_residue_weight():
@@ -74,18 +73,17 @@ def test_residue_weight():
 
 def test_random_weight_deterministic():
     primes = np.array([2, 3, 5, 7, 11, 97])
-    assert np.array_equal(random_weight(9).ratios(primes), random_weight(9).ratios(primes))
-    (n1, d1), (n2, d2) = random_weight(1).ratios(primes), random_weight(2).ratios(primes)
-    assert np.any(n1 * d2 != n2 * d1)
+    assert np.array_equal(random_weight(9).values(primes), random_weight(9).values(primes))
+    assert np.any(random_weight(1).values(primes) != random_weight(2).values(primes))
 
 
 def test_random_weight_bounds():
-    # numerator a nonzero integer in [-5, 5], denominator in [1, 6], each pair taken
-    pairs = set()
+    # a (60 // d), a a nonzero integer in [-5, 5] and d in [1, 6]: every
+    # value taken, never 0, |f| <= 300
+    values = set()
     for seed in (-1, 0, 1, 2**40):
-        num, den = random_weight(seed).ratios(np.arange(2, 3000))
-        pairs |= set(zip(num.tolist(), den.tolist()))
-    assert pairs == {(a, d) for a in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5) for d in range(1, 7)}
+        values |= set(random_weight(seed).values(np.arange(2, 3000)).tolist())
+    assert values == {a * (60 // d) for a in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5) for d in range(1, 7)}
 
 
 def test_binom_convention():
@@ -131,26 +129,25 @@ def test_identity2_k_beyond_omega(sieve_small):
 
 def test_inversion_examples(sieve_small):
     arrays = factor_tables(sieve_small, 15)
-    lhs, rhs, L = inversion_sides(sieve_small, 15, ONE_ON_PRIMES, arrays)
+    lhs, rhs = inversion_sides(sieve_small, 15, ONE_ON_PRIMES, arrays)
     # squarefree omega = 2; a prime: both sides zero; non-squarefree: mu(12) = 0 on the left
     for n, value in ((15, 1), (13, 0), (12, 0)):
-        assert Fraction(int(lhs[n]), L) == Fraction(int(rhs[n]), L) == value
+        assert lhs[n] == rhs[n] == value
     assert check_inversion(sieve_small, 15, ONE_ON_PRIMES, arrays).passed
 
 
 def batched_sides(sieve, nmax, kmax, weights, wanted=None):
     """[{n: {(identity, k): (lhs, rhs)}} per weight] from identity_sides as
-    Fractions, with the k > omega(n) entries, which the pass does not
-    store, as 0."""
-    Ls, groups = identity_sides(sieve, nmax, kmax, weights)
+    ints, with the k > omega(n) entries, which the pass does not store,
+    as 0."""
     out = [{} for _ in weights]
-    for j, ns, lhs, rhs in groups:
+    for j, ns, lhs, rhs in identity_sides(sieve, nmax, kmax, weights):
         for r, n in enumerate(ns.tolist()):
             if wanted is None or n in wanted:
                 out[j][n] = {
                     (i, k): (
-                        Fraction(int(lhs[i - 1, k - 1, r]), Ls[j]) if k <= lhs.shape[1] else 0,
-                        Fraction(int(rhs[i - 1, k - 1, r]), Ls[j]) if k <= lhs.shape[1] else 0,
+                        int(lhs[i - 1, k - 1, r]) if k <= lhs.shape[1] else 0,
+                        int(rhs[i - 1, k - 1, r]) if k <= lhs.shape[1] else 0,
                     )
                     for i in (1, 2, 3, 4)
                     for k in range(1, kmax + 1)
@@ -217,39 +214,37 @@ def test_hyperbola_rearrangement(sieve_small):
     assert lhs == rhs
 
 
-# --- the integer path against the Fraction oracles ---------------------------
+# --- the int64 path against the scalar oracles -------------------------------
 
-# denominators pairwise coprime and prime to the lcm 60 of random_weight's,
-# so the common-denominator scaling is exercised: L = 7*11*13*...*29 =
-# 215656441 once the primes reach every class mod 7, at p = 29
-_COPRIME_DENS = np.array([7, 11, 13, 17, 19, 23, 29])
-COPRIME = PrimeWeight(
-    "(p mod 11 - 5)/(7, 11, ..., 29)[p mod 7]", lambda p: (p % 11 - 5, _COPRIME_DENS[p % 7])
+# both signs and |f| up to 5 * 2^40 / 7, about 2^39.5: far wider than the
+# seeded weights' 300, with values that differ with p mod 7 and p mod 11
+_COPRIME_DIVISORS = np.array([7, 11, 13, 17, 19, 23, 29])
+WIDE = PrimeWeight(
+    "(p mod 11 - 5) 2^40 // (7, 11, ..., 29)[p mod 7]",
+    lambda p: (p % 11 - 5) * ((1 << 40) // _COPRIME_DIVISORS[p % 7]),
 )
-# denominators p: L is the product of the primes p <= nmax, p != 3 mod 7,
-# past 2^63 from nmax = 99 on
-OVER_P = PrimeWeight("(p mod 7 - 3)/p", lambda p: (p % 7 - 3, p))
-# integer weights of size 2^62: every |F| fits in int64, but sums over
-# the divisors of n do not
-HUGE = PrimeWeight("(p mod 3 - 1) 2^62", lambda p: ((p % 3 - 1) << 62, np.ones_like(p)))
+# |f| at most 2^56, at p = 2: sums of 128 or more values may pass int64
+OVER_P = PrimeWeight("(p mod 7 - 3) 2^57 // p", lambda p: (p % 7 - 3) * ((1 << 57) // p))
+# values of size 2^62: every |f| fits in int64, but sums of two do not
+HUGE = PrimeWeight("(p mod 3 - 1) 2^62", lambda p: (p % 3 - 1) << 62)
 
 
-def overflows(F, L, terms):
-    """Whether int64 lanes cannot hold L or sums of `terms` values of F."""
-    return L >= 2**63 or terms * max(map(abs, F)) >= 2**63
+def overflows(F, terms):
+    """Whether int64 lanes cannot hold sums of `terms` values of F."""
+    return terms * max(map(abs, F)) >= 2**63
 
 
 def scalar_inversion(sieve, n, weight):
-    """Scalar Fraction form of the inversion at one n: the factorize
+    """Scalar form of the inversion at one n: the factorize
     oracle on every divisor."""
     f = factored(sieve, n)
     lhs = f.mu * (f.omega - 1) * weight_at(weight, f.p1)
-    rhs = Fraction(0)
+    rhs = 0
     for d in scalar_divisors(sieve, n):
         mu_cof = factored(sieve, n // d).mu
         if mu_cof:
             rhs += mu_cof * weight_at(weight, factored(sieve, d).P2s)
-    return Fraction(lhs), rhs
+    return lhs, rhs
 
 
 def scalar_divisors(sieve, n):
@@ -260,20 +255,20 @@ def scalar_divisors(sieve, n):
 
 
 def scalar_hyperbola(sieve, x, weight):
-    """Scalar Fraction form of hyperbola_check."""
-    f_of_P2 = [Fraction(0)] * (x + 1)
+    """Scalar form of hyperbola_check."""
+    f_of_P2 = [0] * (x + 1)
     for d in range(1, x + 1):
         f_of_P2[d] = weight_at(weight, factored(sieve, d).P2s)
-    lhs = Fraction(0)
+    lhs = 0
     for n in range(1, x + 1):
         for d in scalar_divisors(sieve, n):
             mu_cof = factored(sieve, n // d).mu
             if mu_cof:
                 lhs += mu_cof * f_of_P2[d]
-    prefix = [Fraction(0)] * (x + 1)
+    prefix = [0] * (x + 1)
     for d in range(1, x + 1):
         prefix[d] = prefix[d - 1] + f_of_P2[d]
-    rhs = Fraction(0)
+    rhs = 0
     for m in range(1, x + 1):
         mu_m = factored(sieve, m).mu
         if mu_m:
@@ -282,9 +277,9 @@ def scalar_hyperbola(sieve, x, weight):
 
 
 def test_check_all_matches_oracle(sieve_small, ctx_cubic):
-    # every n <= 5000, every identity and k <= 4, for four weights of
-    # common denominators 60, 1, 1 and 215656441 in one shared pass
-    weights = [random_weight(4), MOD3, class_weight(ctx_cubic, "1+2"), COPRIME]
+    # every n <= 5000, every identity and k <= 4, for four weights in one
+    # shared pass: seeded, two indicators and the wide one
+    weights = [random_weight(4), MOD3, class_weight(ctx_cubic, "1+2"), WIDE]
     result = check_all_identities(sieve_small, 5000, 4, weights)
     assert result.passed and result.instances == 4 * 4 * 4999 * len(weights)
     for w, sides in zip(weights, batched_sides(sieve_small, 5000, 4, weights)):
@@ -293,15 +288,15 @@ def test_check_all_matches_oracle(sieve_small, ctx_cubic):
 
 
 def test_scaled_table_lanes(sieve_small):
-    # int64 lanes only: a weight whose L or sums do not fit them raises
-    F, L = _scaled_table(random_weight(1), sieve_small, 5000, 3**5)
-    assert F.dtype == np.int64 and 60 % L == 0
-    assert F[4] == F[1] == 0 and F[7] == weight_at(random_weight(1), 7) * L
-    assert _scaled_table(COPRIME, sieve_small, 5000, 3**9)[1] == 215656441
-    assert _scaled_table(HUGE, sieve_small, 5000, 1)[0].dtype == np.int64
-    for weight, terms in ((HUGE, 2), (OVER_P, 1)):
+    # int64 lanes only: a weight whose sums do not fit them raises
+    F = _weight_table(random_weight(1), sieve_small, 5000, 3**5)
+    assert F.dtype == np.int64
+    assert F[4] == F[1] == 0 and F[7] == weight_at(random_weight(1), 7)
+    assert _weight_table(WIDE, sieve_small, 5000, 3**9)[4999] == weight_at(WIDE, 4999)
+    assert _weight_table(HUGE, sieve_small, 5000, 1).dtype == np.int64
+    for weight, terms in ((HUGE, 2), (OVER_P, 128)):
         with pytest.raises(ValueError, match=re.escape(f"weight {weight.name}:")):
-            _scaled_table(weight, sieve_small, 5000, terms)
+            _weight_table(weight, sieve_small, 5000, terms)
 
 
 # negative seeds and seeds of 2^32 and more: the uint64 lanes take
@@ -311,9 +306,9 @@ def test_weight_arrays_match_the_scalar_weight(sieve_small, seed):
     primes = sieve_small.prime_array(10**4)
     z = [((seed << 32) ^ p) & (2**64 - 1) for p in primes.tolist()]
     assert _splitmix64_lanes(np.array(z, dtype=np.uint64)).tolist() == list(map(splitmix64, z))
-    num, den = random_weight(seed).ratios(primes)
-    assert num.dtype == den.dtype == np.int64
-    assert list(map(Fraction, num.tolist(), den.tolist())) == [random_value(seed, p) for p in primes.tolist()]
+    values = random_weight(seed).values(primes)
+    assert values.dtype == np.int64
+    assert values.tolist() == [random_value(seed, p) for p in primes.tolist()]
 
 
 @pytest.mark.parametrize("nmax, terms", [(2, 1), (5000, 3**9), (5000, 1), (10**4, 10**4)])
@@ -323,28 +318,15 @@ def test_weight_arrays_match_the_scalar_weight(sieve_small, seed):
     ids=["r1", "r2^70", "mod3", "over_p", "huge"],
 )
 def test_scaled_table_matches_fraction_route(sieve_small, weight, nmax, terms):
-    # the ratio arrays and the per-prime Fractions give the same L and
-    # values, or both overflow int64 and the table raises; random weights'
-    # unreduced ratios (4/4 is 1/1) must not raise L past the lcm of the
-    # reduced denominators
-    want, want_L = scaled_table(weight, sieve_small, nmax)
-    if overflows(want, want_L, terms):
+    # the value arrays and the per-prime values give the same table, or
+    # sums of `terms` of them overflow int64 and the table raises
+    want = weight_table(weight, sieve_small, nmax)
+    if overflows(want, terms):
         with pytest.raises(ValueError, match=re.escape(weight.name)):
-            _scaled_table(weight, sieve_small, nmax, terms)
+            _weight_table(weight, sieve_small, nmax, terms)
     else:
-        F, L = _scaled_table(weight, sieve_small, nmax, terms)
-        assert (L, F.dtype) == (want_L, np.int64) and F.tolist() == want
-
-
-def test_unreduced_ratios_scale_in_lowest_terms(sieve_small):
-    # 6a/4 is 3a/2 in lowest terms: L = 2, not 4, and every side scales
-    # by it
-    w = PrimeWeight("6 (p mod 5 + 1)/4", lambda p: (6 * (p % 5 + 1), np.full_like(p, 4)))
-    assert _scaled_table(w, sieve_small, 300, 1)[1] == 2
-    Ls, _ = identity_sides(sieve_small, 300, 3, [w])
-    assert Ls == [2]
-    (sides,) = batched_sides(sieve_small, 300, 3, [w])
-    assert_matches_oracle(sieve_small, sides, w)
+        F = _weight_table(weight, sieve_small, nmax, terms)
+        assert F.dtype == np.int64 and F.tolist() == want
 
 
 def test_mobius_sum_catches_every_single_flip(sieve_small):
@@ -372,18 +354,6 @@ def test_mobius_sums_match_full_m_loop(sieve_small, nmax):
     assert want and mobius_sum_failures(mu, nmax) == want
 
 
-def test_check_all_scales_coprime_denominators(sieve_small):
-    # one shared pass pairs each weight with its own L: 60 and
-    # 7*11*13*17*19*23*29 here
-    weights = [random_weight(4), COPRIME]
-    Ls, _ = identity_sides(sieve_small, 2310, 3, weights)
-    assert Ls == [60, 215656441]
-    assert check_all_identities(sieve_small, 2310, 3, weights).passed
-    # 2*3*5*7*11: each value comes out exact over its weight's L
-    for w, sides in zip(weights, batched_sides(sieve_small, 2310, 3, weights, {2310})):
-        assert_matches_oracle(sieve_small, sides, w)
-
-
 def test_distinct_prime_rows_match_factorize(sieve_small):
     rows = distinct_prime_rows(sieve_small.spf, 2, 100_001)
     assert rows.shape == (6, 99_999)  # 2*3*5*7*11*13 = 30030 <= 10^5
@@ -400,9 +370,8 @@ def test_identity_blocks_cover_each_n_once(sieve_big):
     # the values beside each edge match the oracle
     nmax = 2 + 2 * BLOCK + 3
     w = random_weight(2)
-    _, groups = identity_sides(sieve_big, nmax, 3, [w])
     seen = []
-    for j, ns, lhs, rhs in groups:
+    for j, ns, lhs, rhs in identity_sides(sieve_big, nmax, 3, [w]):
         omegas = {len(factorize(sieve_big, n)) for n in ns.tolist()}
         assert j == 0 and len(omegas) == 1 and lhs.shape == rhs.shape == (4, min(3, *omegas), len(ns))
         seen += ns.tolist()
@@ -416,7 +385,7 @@ def test_identity_blocks_cover_each_n_once(sieve_big):
 def test_kmax_beyond_omega_stores_nothing(sieve_small):
     result = check_all_identities(sieve_small, 50, 10**6, [random_weight(1)])
     assert result.passed and result.instances == 4 * 10**6 * 49
-    _, groups = identity_sides(sieve_small, 50, 10**6, [random_weight(1)])
+    groups = identity_sides(sieve_small, 50, 10**6, [random_weight(1)])
     assert max(lhs.shape[1] for _, _, lhs, _ in groups) == 3  # omega(30) = omega(42) = 3
 
 
@@ -430,19 +399,19 @@ def test_batch_args_validated(sieve_small):
             check_inversion(sieve_small, nmax, ONE_ON_PRIMES, arrays)
 
 
-@pytest.mark.parametrize("weight", [random_weight(0), random_weight(7), COPRIME, MOD4])
+@pytest.mark.parametrize("weight", [random_weight(0), random_weight(7), WIDE, MOD4])
 def test_inversion_matches_scalar_oracle(sieve_small, weight):
     arrays = factor_tables(sieve_small, 2000)
-    lhs, rhs, L = inversion_sides(sieve_small, 2000, weight, arrays)
+    lhs, rhs = inversion_sides(sieve_small, 2000, weight, arrays)
     for n in range(2, 2001):
-        assert (Fraction(int(lhs[n]), L), Fraction(int(rhs[n]), L)) == scalar_inversion(sieve_small, n, weight), n
+        assert (int(lhs[n]), int(rhs[n])) == scalar_inversion(sieve_small, n, weight), n
     result = check_inversion(sieve_small, 2000, weight, arrays)
     assert result.passed and result.instances == 1999
 
 
 def test_weights_beyond_int64_raise(sieve_small):
-    # HUGE's values fit int64 but sums of them do not, and OVER_P's L is
-    # past 2^63 at nmax = 500: each of the three checks refuses them,
+    # HUGE's values fit int64 but sums of two do not, and OVER_P's sums
+    # may pass it at 500 terms: each of the three checks refuses them,
     # naming the weight
     arrays = factor_tables(sieve_small, 500)
     for weight in (HUGE, OVER_P):
@@ -455,32 +424,60 @@ def test_weights_beyond_int64_raise(sieve_small):
             hyperbola_check(sieve_small, 500, weight, arrays)
 
 
+# ids: "object" for HUGE and "object-beyond-int64" for OVER_P, whose sums
+# would need Python-int (object) lanes, "coprime" for WIDE, built on the
+# coprime divisors 7, 11, ..., 29
+def edge_weight(top):
+    """+-top, the sign by p mod 4."""
+    return PrimeWeight(f"+-{top}", lambda p: np.where(p % 4 == 3, -top, top))
+
+
+@pytest.mark.parametrize("extra, passes", [(0, True), (1, False)])
+def test_int64_bound_is_exact(sieve_small, extra, passes):
+    # each check adds at most `terms` values of |f|: 3^9 in the
+    # identities, nmax in the inversion and x in the hyperbola check.
+    # max |f| = (2^63 - 1) // terms is checked exactly, one more raises
+    arrays = factor_tables(sieve_small, 300)
+    checks = [
+        (3**9, lambda w: check_all_identities(sieve_small, 300, 3, [w]).passed),
+        (300, lambda w: check_inversion(sieve_small, 300, w, arrays).passed),
+        (300, lambda w: len(set(hyperbola_check(sieve_small, 300, w, arrays))) == 1),
+    ]
+    for terms, check in checks:
+        weight = edge_weight((2**63 - 1) // terms + extra)
+        if passes:
+            assert check(weight), terms
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"weight {weight.name}:")):
+                check(weight)
+
+
 @pytest.mark.parametrize("nmax", [2, 3, 4, 8, 9, 10, 24, 25, 26, 99, 100, 101, 5000])
 @pytest.mark.parametrize(
     "weight",
-    [random_weight(3), HUGE, OVER_P, COPRIME],
+    [random_weight(3), HUGE, OVER_P, WIDE],
     ids=["int64", "object", "object-beyond-int64", "coprime"],
 )
 def test_inversion_matches_full_m_loop(sieve_small, nmax, weight):
     # nmax = s^2 - 1, s^2 and s^2 + 1 put the split s = isqrt(nmax) on
-    # each side of a square.  HUGE's sums, and OVER_P's L from nmax = 99
-    # on, would need Python-int (object) lanes: there the sides raise
+    # each side of a square.  HUGE's sums at every nmax, and OVER_P's at
+    # 5000, could pass int64: there the sides raise
     arrays = factor_tables(sieve_small, nmax)
-    F, L = scaled_table(weight, sieve_small, nmax)
-    if overflows(F, L, nmax):
+    F = weight_table(weight, sieve_small, nmax)
+    if overflows(F, nmax):
         with pytest.raises(ValueError, match=re.escape(weight.name)):
             inversion_sides(sieve_small, nmax, weight, arrays)
         return
-    lhs, rhs, L_sides = inversion_sides(sieve_small, nmax, weight, arrays)
+    lhs, rhs = inversion_sides(sieve_small, nmax, weight, arrays)
     G = np.array(F, dtype=np.int64)[sieve_small.P2_strict_table()[: nmax + 1]]
     want = inversion_rhs(sieve_small.mu_table()[: nmax + 1], G)
     assert rhs.dtype == want.dtype == np.int64
-    assert L_sides == L and rhs.tolist() == want.tolist()
+    assert rhs.tolist() == want.tolist()
 
 
 # 210 = 2*3*5*7 and 2310 = 2*3*5*7*11: omega reaches 4 and 5
 @pytest.mark.parametrize("x", [1, 2, 300, 210, 2310, 2500])
-@pytest.mark.parametrize("weight", [random_weight(0), COPRIME, MOD4])
+@pytest.mark.parametrize("weight", [random_weight(0), WIDE, MOD4])
 def test_hyperbola_matches_scalar_oracle(sieve_small, x, weight):
     lhs, rhs = hyperbola_check(sieve_small, x, weight, factor_tables(sieve_small, x))
     assert (lhs, rhs) == scalar_hyperbola(sieve_small, x, weight)
