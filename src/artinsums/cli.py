@@ -11,9 +11,9 @@ integers never forks).  A config file holds plain ``key = value`` lines
 command are ignored, and command-line flags override the rest.
 Every command builds the sieve it reads: scan and smooth the primes up
 to isqrt(x), reproduce-table those up to isqrt(80000), verify and
-duality-test an spf table of limit --nmax.  sieve-build writes
-a sieve cache that no command reads, kept for the benchmark's set-up, to
-its --sieve-cache file or, by default, into the directory named by the
+duality-test those up to isqrt(--nmax).  sieve-build writes a sieve
+cache that no command reads, kept for the benchmark's set-up, to its
+--sieve-cache file or, by default, into the directory named by the
 environment variable ARTINSUMS_CACHE_DIR.  A splitting-field context
 from --poly must be certified to have Galois group S_n
 (galois.missing_sn_shapes) before it is used.  Importing this module sets
@@ -46,7 +46,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import series  # noqa: E402
 from .errors import IntegrityError
 from .galois import SN_CERTIFY_BOUND, GaloisContext, missing_sn_shapes, new_cyclotomic, new_splitting_field
-from .sieve import DEFAULT_LIMIT, FactorSieve, factor_tables
+from .sieve import DEFAULT_LIMIT, X_MAX, FactorSieve, factor_tables
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -436,6 +436,8 @@ def _fail(summary: str, detail: dict) -> int:
 def _check_suite_args(args) -> None:
     if args.nmax < 2:
         raise ValueError(f"--nmax must be >= 2, got {args.nmax}")
+    if args.nmax > X_MAX:
+        raise ValueError(f"--nmax must be <= {X_MAX}, got {args.nmax}")
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
 
@@ -474,8 +476,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--weights must be >= 1, got {args.weights}")
     if args.corrupt_mu is not None and not 2 <= args.corrupt_mu <= nmax:
         raise ValueError(f"--corrupt-mu must lie in [2, {nmax}], got {args.corrupt_mu}")
-    sieve = FactorSieve(nmax)
-    # mu, omega and P2s of the inversion and hyperbola checks; the test
+    sieve = FactorSieve(max(2, isqrt(nmax)))
+    # mu, omega, P2s and spf of the inversion and hyperbola checks; the test
     # hook --corrupt-mu n negates mu(n), or sets it to 1 where mu(n) = 0,
     # to prove the checks detect a broken input
     arrays = factor_tables(sieve, nmax)
@@ -542,7 +544,7 @@ def _cmd_duality_test(args) -> int:
     from . import duality
 
     _check_suite_args(args)
-    sieve = FactorSieve(args.nmax)
+    sieve = FactorSieve(max(2, isqrt(args.nmax)))
     weight = duality.random_weight(args.seed)
     checked = _identity_suite(sieve, args.nmax, args.kmax, [weight])
     if checked is None:

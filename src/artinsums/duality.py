@@ -22,17 +22,18 @@ it.  Each check raises ValueError for a weight whose sums, at the most
 terms that check adds, could pass int64 (``_check_bound``).
 
 The four identities cover every 2 <= n <= nmax and every weight in one
-shared pass: it takes the distinct primes of each n from one strip of
-the spf table and groups the n by omega(n); for each group, each weight
-in turn gives its values at the group's primes, and the coefficients of
-the subset enumeration for that omega apply.  The Mobius-inverted form
+shared pass: it sieves each block of n by the primes up to isqrt(nmax)
+for their distinct primes and groups the n by omega(n); for each group,
+each weight in turn gives its values at the group's primes, and the
+coefficients of the subset enumeration for that omega apply.  The
+Mobius-inverted form
 is the Dirichlet convolution mu * (f o P2), formed for all n at once in
 two loops split at s = isqrt(nmax): one slice per m <= s, then one per
 d <= nmax/(s+1), at most 2 sqrt(nmax) slices.
 ``hyperbola_check`` is its own exact check; its left side takes the
 same omega(n) groups (``_omega_groups``) and sums over the 2^omega
-subsets of each group at once.  Both read mu, omega and P2s from the
-arrays their caller hands them.  The inversion reads mu(p) of a prime p
+subsets of each group at once.  Both read mu, omega, P2s and spf from
+the arrays their caller hands them.  The inversion reads mu(p) of a prime p
 only at the multiples of 6p, so ``mobius_sum_failures`` checks
 sum_{d|n} mu(d) = [n = 1] over the same mu array, split at isqrt(nmax)
 the same way: it reads every mu(n) at n.
@@ -47,7 +48,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .sieve import FactorSieve
+from .sieve import X_MAX, FactorSieve
 
 
 class PrimeWeight(NamedTuple):
@@ -106,7 +107,7 @@ class IdentityReport(NamedTuple):
 
 # most values of n per block of the identity pass; bounds its temporaries
 BLOCK = 1 << 16
-# n < 2^32 (uint32 spf) has at most 9 distinct primes: 2*3*...*29 > 2^32
+# n < 2^32 has at most 9 distinct primes: 2*3*...*29 > 2^32
 _MAX_OMEGA = 9
 
 
@@ -124,8 +125,9 @@ class BatchCheck(NamedTuple):
 
 
 def _check_nmax(sieve: FactorSieve, nmax: int) -> None:
-    if not 2 <= nmax <= sieve.limit:
-        raise ValueError(f"nmax = {nmax} outside [2, {sieve.limit}]")
+    top = min(X_MAX, (sieve.limit + 1) ** 2 - 1)  # isqrt(top) <= sieve.limit
+    if not 2 <= nmax <= top:
+        raise ValueError(f"nmax = {nmax} outside [2, {top}]")
 
 
 def _check_bound(weight: PrimeWeight, f: np.ndarray, terms: int) -> None:
@@ -138,10 +140,10 @@ def _check_bound(weight: PrimeWeight, f: np.ndarray, terms: int) -> None:
         raise ValueError(f"weight {weight.name}: sums of {terms} values f(p) overflow int64")
 
 
-def _weight_table(weight: PrimeWeight, sieve: FactorSieve, nmax: int, terms: int) -> np.ndarray:
-    """F[m] = f(m) for 0 <= m <= nmax, 0 off the primes, int64, after
-    _check_bound of the values at the primes p <= nmax."""
-    primes = sieve.prime_array(nmax)
+def _weight_table(weight: PrimeWeight, spf: np.ndarray, nmax: int, terms: int) -> np.ndarray:
+    """F[m] = f(m) for 0 <= m <= nmax, 0 off the primes p (spf[p] = p,
+    spf[0] = 0), int64, after _check_bound of the values at the primes."""
+    primes = np.flatnonzero(spf[: nmax + 1] == np.arange(nmax + 1, dtype=np.uint32))[1:]
     f = weight.values(primes)
     _check_bound(weight, f, terms)
     F = np.zeros(nmax + 1, dtype=np.int64)
@@ -149,26 +151,27 @@ def _weight_table(weight: PrimeWeight, sieve: FactorSieve, nmax: int, terms: int
     return F
 
 
-def distinct_prime_rows(spf: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Distinct primes of every lo <= n < hi (lo >= 2), increasing down
-    column n - lo of a (max omega, hi - lo) int64 array padded with 1.
-    One strip of spf per pass; a prime is recorded where it changes."""
+def distinct_prime_rows(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Distinct primes of every lo <= n < hi (2 <= lo < hi <= 2^32),
+    increasing down column n - lo of a (max omega, hi - lo) int64 array
+    padded with 1.  Each prime p <= isqrt(hi - 1) of `primes` (increasing)
+    goes into row omega(n) of its multiples n and divides its powers out of
+    a copy of n; what is left is 1 or n's one prime above, recorded last."""
     size = hi - lo
     rows = np.ones((_MAX_OMEGA, size), dtype=np.int64)
     omega = np.zeros(size, dtype=np.intp)
-    lane = np.arange(size)
-    m = np.arange(lo, hi, dtype=np.int64)
-    last = np.zeros(size, dtype=np.int64)
-    while lane.size:
-        p = spf[m].astype(np.int64)
-        new = p != last
-        at = lane[new]
-        rows[omega[at], at] = p[new]
-        omega[at] += 1
-        m //= p
-        live = m > 1
-        lane, m, last = lane[live], m[live], p[live]
-    return rows[: omega.max()]
+    m = np.arange(lo, hi, dtype=np.uint32)
+    for p in primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")].tolist():
+        at = np.arange(-lo % p, size, p)
+        rows[omega[at], at] = p
+        omega[-lo % p :: p] += 1
+        q = p
+        while (s := -lo % q) < size:
+            m[s::q] //= p
+            q *= p
+    big = m > 1
+    rows[omega[big], big] = m[big]
+    return rows[: (omega + big).max()]
 
 
 @lru_cache(maxsize=None)  # at most 45 pairs (w, kw), as w <= _MAX_OMEGA
@@ -206,40 +209,35 @@ def identity_sides(
     rhs), each for weight j and the n of one block of at most BLOCK
     values with omega(n) = w, the weights in turn for each block and w;
     lhs and rhs have shape (4, min(kmax, w), len(ns)) and are indexed
-    [identity - 1, k - 1, row].
-    For k > omega(n) both sides are 0 (f(1) = 0 in identities 1, 2;
-    C(r-1, k-1) = 0 in 3, 4), so nothing is stored for them, and memory
-    grows with neither kmax nor the number of weights."""
+    [identity - 1, k - 1, row].  For k > omega(n) both sides are 0 (f(1)
+    = 0 in identities 1, 2; C(r-1, k-1) = 0 in 3, 4), so nothing is
+    stored for them, and memory grows with neither kmax nor the number of
+    weights.  Arguments are checked, and each group's values against
+    int64, as the groups are reached."""
     _check_nmax(sieve, nmax)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    primes = sieve.prime_array(nmax)
-    for w in weights:
-        # the |coefficients| of one side sum to less than 3^omega(n)
-        _check_bound(w, w.values(primes), 3**_MAX_OMEGA)
-    return _identity_groups(sieve.spf, nmax, kmax, weights)
+    for ns, group in _omega_groups(sieve.prime_array(isqrt(nmax)), nmax):
+        C, R = _coefficients(len(group), min(kmax, len(group)))
+        for j, weight in enumerate(weights):
+            f = weight.values(group)
+            # the |coefficients| of one side sum to less than 3^omega(n)
+            _check_bound(weight, f, 3**_MAX_OMEGA)
+            yield j, ns, C @ f, R @ f
 
 
-def _omega_groups(spf: np.ndarray, nmax: int):
+def _omega_groups(primes: np.ndarray, nmax: int):
     """(ns, primes) per block of [2, nmax] and omega(n) = w: the n with w
     distinct primes, and those primes as a (w, len(ns)) array, increasing
-    down each column."""
+    down each column.  `primes` holds those up to isqrt(nmax)."""
     for lo in range(2, nmax + 1, BLOCK):
         hi = min(lo + BLOCK, nmax + 1)
-        rows = distinct_prime_rows(spf, lo, hi)
+        rows = distinct_prime_rows(primes, lo, hi)
         omega = np.count_nonzero(rows > 1, axis=0)
         for w in range(1, rows.shape[0] + 1):
             cols = np.flatnonzero(omega == w)
             if cols.size:
                 yield cols + lo, rows[:w, cols]
-
-
-def _identity_groups(spf: np.ndarray, nmax: int, kmax: int, weights: list[PrimeWeight]):
-    for ns, primes in _omega_groups(spf, nmax):
-        C, R = _coefficients(len(primes), min(kmax, len(primes)))
-        for j, weight in enumerate(weights):
-            f = weight.values(primes)
-            yield j, ns, C @ f, R @ f
 
 
 def check_all_identities(
@@ -281,14 +279,14 @@ def inversion_sides(
     mu(n)(omega(n)-1) f(p1(n)) = sum_{d|n} mu(n/d) f(P2(d)),
     strict P2, as arrays indexed by n <= nmax (entries 0 and 1 unused).
     The right side is the Dirichlet convolution mu * G with G = F o P2,
-    F the table of f (``_mu_convolution``); mu, omega and P2s come from
-    `arrays` over at least [0, nmax], as sieve.factor_tables gives them."""
+    F the table of f (``_mu_convolution``); mu, omega, P2s and spf come
+    from `arrays` over at least [0, nmax], as sieve.factor_tables gives them."""
     _check_nmax(sieve, nmax)
     # a side sums at most d(n) <= nmax values of |f|
-    F = _weight_table(weight, sieve, nmax, nmax)
+    F = _weight_table(weight, arrays["spf"], nmax, nmax)
     mu = arrays["mu"][: nmax + 1].astype(np.int64)
     omega = arrays["omega"][: nmax + 1].astype(np.int64)
-    lhs = mu * (omega - 1) * F[sieve.spf[: nmax + 1]]
+    lhs = mu * (omega - 1) * F[arrays["spf"][: nmax + 1]]
     return lhs, _mu_convolution(mu, F[arrays["P2s"][: nmax + 1]], nmax)
 
 
@@ -328,18 +326,17 @@ def hyperbola_check(
     The rearrangement holds for any function in place of mu, so the two
     sides take mu from different sources: the left from the distinct
     primes of n (mu(n/d) = (-1)^r for n/d a product of r of them), the
-    right from `arrays`, which give P2s too over at least [0, x], as
+    right from `arrays`, which give P2s and spf too over at least [0, x], as
     sieve.factor_tables gives them.  A wrong mu entry then shows.  The
     left side takes the n grouped by omega(n) = w with their distinct
     primes (_omega_groups) and sums G = f o P2 over each of the 2^w
     subsets at once; n = 1 adds G[1] = 0."""
-    if x > sieve.limit:
-        raise ValueError(f"x = {x} exceeds sieve limit {sieve.limit}")
+    _check_nmax(sieve, max(2, x))
     # a group or prefix sum adds at most x values of |f|
-    F = _weight_table(weight, sieve, x, x)
+    F = _weight_table(weight, arrays["spf"], x, x)
     G = F[arrays["P2s"][: x + 1]]
     lhs = 0
-    for ns, primes in _omega_groups(sieve.spf, x):
+    for ns, primes in _omega_groups(sieve.prime_array(isqrt(x)), x):
         terms = [(1, ns)]
         for p in primes:
             terms += [(-s, d // p) for s, d in terms]

@@ -1,6 +1,9 @@
 """Oracles shared by the tests, independent of the bulk paths they check:
 the spf table by a masked sieve over the whole table, the factorization
-of n by a walk down a sieve's spf table (``factorize``), the
+of n by a walk down a sieve's spf table (``factorize``), the distinct
+primes of a block by the same walk on every lane at once
+(``spf_walk_rows``), over an spf table or, for any m < 2^32,
+Miller-Rabin and trial division (``TrialSpf``), the
 multiplicative functions of n read off it, the bulk tables
 from the recurrence n = p*m over a full spf table, the integer forms
 of the four duality identities by enumeration of the squarefree divisors
@@ -23,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from artinsums.errors import IntegrityError
+from artinsums.sieve import is_prime
 
 
 class Factored(NamedTuple):
@@ -108,6 +112,47 @@ def recurrence_tables(spf: np.ndarray) -> dict[str, np.ndarray]:
         rep[lo:hi] = (m > 1) & (rep[m] | (P1_m == p))
         lo = hi
     return {"mu": mu, "omega": omega, "P1": P1, "P2s": P2s, "rep": rep}
+
+
+def spf_walk_rows(spf, lo: int, hi: int) -> np.ndarray:
+    """Distinct primes of every lo <= n < hi (lo >= 2), increasing down
+    column n - lo of a (max omega, hi - lo) int64 array padded with 1, as
+    artinsums.duality.distinct_prime_rows gives them.  One strip of spf
+    per pass; a prime is recorded where it changes."""
+    size = hi - lo
+    rows = np.ones((9, size), dtype=np.int64)
+    omega = np.zeros(size, dtype=np.intp)
+    lane = np.arange(size)
+    m = np.arange(lo, hi, dtype=np.int64)
+    last = np.zeros(size, dtype=np.int64)
+    while lane.size:
+        p = spf[m].astype(np.int64)
+        new = p != last
+        at = lane[new]
+        rows[omega[at], at] = p[new]
+        omega[at] += 1
+        m //= p
+        live = m > 1
+        lane, m, last = lane[live], m[live], p[live]
+    return rows[: omega.max()]
+
+
+class TrialSpf:
+    """spf of any 2 <= m < 2^32, indexed by an int64 array as an spf
+    table is: m where Miller-Rabin proves it prime, else the first of
+    `primes`, which must hold every prime below 2^16, that divides it."""
+
+    def __init__(self, primes: np.ndarray):
+        self.primes = primes.tolist()
+
+    def __getitem__(self, m: np.ndarray) -> np.ndarray:
+        return np.array([self.one(v) for v in m.tolist()], dtype=np.int64)
+
+    @lru_cache(maxsize=None)
+    def one(self, v: int) -> int:
+        if is_prime(v):
+            return v
+        return next(p for p in self.primes if v % p == 0)
 
 
 def binom(m: int, j: int) -> int:

@@ -23,7 +23,7 @@ from artinsums import sieve as sieve_mod
 from artinsums.errors import IntegrityError
 from artinsums.fieldpoly import distinct_degree_factorization, reduce_poly, shape_label
 from artinsums.sieve import FactorSieve, is_prime
-from oracles import identity_rhs
+from oracles import identity_rhs, spf_table
 
 
 def run(argv, capsys):
@@ -553,7 +553,7 @@ def test_cache_dir_env(tmp_path, capsys, monkeypatch):
 
 def test_each_command_builds_the_sieve_it_reads(tmp_path, capsys, monkeypatch):
     # no command reads a sieve cache: each builds one sieve, at the limit
-    # it reads (the primes up to isqrt(x), or an spf table to --nmax),
+    # it reads (the primes up to isqrt(x) or isqrt(--nmax), at least 2),
     # and writes no file
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv(cli.CACHE_DIR_ENV, str(tmp_path))
@@ -564,8 +564,9 @@ def test_each_command_builds_the_sieve_it_reads(tmp_path, capsys, monkeypatch):
         (["scan", "--cyclotomic", "4", "--xmax", "3"], 2),
         (["smooth", "--x", "1000", "--y", "10"], 31),
         (["reproduce-table"], 282),
-        (["verify", "--nmax", "60", "--weights", "1"], 60),
-        (["duality-test", "--nmax", "300"], 300),
+        (["verify", "--nmax", "60", "--weights", "1"], 7),
+        (["duality-test", "--nmax", "300"], 17),
+        (["duality-test", "--nmax", "3"], 2),
     ):
         assert run(argv, capsys)[0] == 0, argv
         assert limits == [limit], argv
@@ -862,7 +863,7 @@ def test_corrupted_mu_reaches_table_checks(monkeypatch, capsys):
     assert bad["mu"][42] == -clean["mu"][42] != 0
     assert np.flatnonzero(bad["mu"] != clean["mu"]).tolist() == [42]
     # the unflipped arrays are untouched
-    assert all(np.array_equal(bad[k], clean[k]) for k in ("omega", "P2s"))
+    assert all(np.array_equal(bad[k], clean[k]) for k in ("omega", "P2s", "spf"))
     w = duality.random_weight(1)
     # the flip shows at 42 and at multiples 42 m with f(P2(m)) != 0
     failed = [rep.n for rep in duality.check_inversion(sieve, 1000, w, bad).failures]
@@ -877,9 +878,10 @@ def test_corrupted_mu_reaches_table_checks(monkeypatch, capsys):
 # 65537 is the last n of the first block the sieve's tables join
 @pytest.mark.parametrize("nmax", [2, 3, 4, 100, 65537])
 def test_verify_hands_the_checks_the_table_values(monkeypatch, capsys, nmax):
-    # the tables that verify builds to nmax with factor_tables equal the
-    # sieve's, built to its limit, on [0, nmax]; the identity suite, which
-    # reads neither, is skipped
+    # the tables that verify builds to nmax with factor_tables, from the
+    # primes up to isqrt(nmax), equal on [0, nmax] a sieve of limit nmax's
+    # tables and the masked-sieve spf table; the identity suite, which
+    # reads none of them, is skipped
     inversion = _record_arrays(monkeypatch, "check_inversion")
     hyperbola = _record_arrays(monkeypatch, "hyperbola_check")
     monkeypatch.setattr(cli, "_identity_suite", lambda *args: 0)
@@ -887,12 +889,15 @@ def test_verify_hands_the_checks_the_table_values(monkeypatch, capsys, nmax):
     assert code == 0 and out.endswith("all verification suites passed\n")
     ((sieve, arrays),) = inversion
     assert [a is arrays for _, a in hyperbola] == [True]
+    assert sieve.limit == max(2, math.isqrt(nmax))
+    full = FactorSieve(nmax)
     tables = {
-        "mu": sieve.mu_table(),
-        "omega": sieve.omega_table(),
-        "P1": sieve.P1_table(),
-        "P2s": sieve.P2_strict_table(),
-        "rep": sieve.repeated_P1_table(),
+        "mu": full.mu_table(),
+        "omega": full.omega_table(),
+        "P1": full.P1_table(),
+        "P2s": full.P2_strict_table(),
+        "rep": full.repeated_P1_table(),
+        "spf": spf_table(nmax),
     }
     assert sorted(arrays) == sorted(tables)
     for name, table in tables.items():
@@ -933,13 +938,19 @@ def test_small_scans_do_not_fork(capsys, monkeypatch, forks):
         ["verify", "--nmax", "60", "--corrupt-mu", "100000"],
         ["verify", "--nmax", "60", "--corrupt-mu", "-3"],
         ["verify", "--nmax", "60", "--corrupt-mu", "61"],
+        ["verify", "--nmax", "4294967296"],
+        ["duality-test", "--nmax", "4294967296"],
     ],
 )
-def test_suite_args_rejected_before_output(argv, capsys):
+def test_suite_args_rejected_before_output(argv, capsys, monkeypatch):
+    # each message names the option it rejects, before any sieve is built
+    monkeypatch.setattr(cli, "FactorSieve", lambda limit: pytest.fail(f"built a sieve of limit {limit}"))
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and argv[-2] in err
+    if argv[-1] == str(2**32):
+        assert err == f"error: --nmax must be <= {2**32 - 1}, got {2**32}\n"
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):
@@ -1211,6 +1222,36 @@ def test_verify_never_loads_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split() == ["0", "False"]
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak RSS")
+def test_duality_test_memory_does_not_grow_with_nmax():
+    # duality-test reads the primes up to isqrt(nmax) and sieves the
+    # identity pass block by block, so its peak RSS at nmax = 2^21 stays
+    # within 2 MB of that at 2^17, where an spf table to nmax would add
+    # 7.5 MB.  A child's ru_maxrss starts from the RSS of the process it
+    # was forked from, so a fresh interpreter forks the command and
+    # reads it with wait4 (KiB on Linux)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = """if True:
+        import os, sys
+        pid = os.fork()
+        if pid == 0:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            os.execv(sys.executable, [sys.executable, "-m", "artinsums.cli", *sys.argv[1:]])
+        _, status, usage = os.wait4(pid, 0)
+        print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"""
+
+    def peak(nmax):
+        argv = [sys.executable, "-c", code, "duality-test", "--nmax", str(nmax)]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+        status, maxrss = map(int, proc.stdout.split())
+        assert status == 0, proc.stderr
+        return maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+    small, big = peak(1 << 17), peak(1 << 21)
+    assert big - small <= 2, f"{small:.2f} MB at 2^17, {big:.2f} MB at 2^21"
 
 
 def test_resume_keeps_the_segment_size_of_its_state(tmp_path, capsys, monkeypatch):

@@ -26,6 +26,7 @@ from artinsums.duality import (
 )
 from artinsums.sieve import FactorSieve, factor_tables
 from oracles import (
+    TrialSpf,
     binom,
     divisor_sum,
     factored,
@@ -33,6 +34,7 @@ from oracles import (
     identity_rhs,
     inversion_rhs,
     random_value,
+    spf_walk_rows,
     splitmix64,
     weight_at,
     weight_table,
@@ -62,7 +64,7 @@ def class_weight(ctx, label):
 def test_weight_vanishes_at_one(sieve_small):
     for w in (ONE_ON_PRIMES, MOD4, random_weight(3)):
         assert weight_at(w, 1) == 0
-        assert _weight_table(w, sieve_small, 100, 1)[1] == 0
+        assert _weight_table(w, sieve_small.spf, 100, 1)[1] == 0
 
 
 def test_residue_weight():
@@ -289,14 +291,14 @@ def test_check_all_matches_oracle(sieve_small, ctx_cubic):
 
 def test_scaled_table_lanes(sieve_small):
     # int64 lanes only: a weight whose sums do not fit them raises
-    F = _weight_table(random_weight(1), sieve_small, 5000, 3**5)
+    F = _weight_table(random_weight(1), sieve_small.spf, 5000, 3**5)
     assert F.dtype == np.int64
     assert F[4] == F[1] == 0 and F[7] == weight_at(random_weight(1), 7)
-    assert _weight_table(WIDE, sieve_small, 5000, 3**9)[4999] == weight_at(WIDE, 4999)
-    assert _weight_table(HUGE, sieve_small, 5000, 1).dtype == np.int64
+    assert _weight_table(WIDE, sieve_small.spf, 5000, 3**9)[4999] == weight_at(WIDE, 4999)
+    assert _weight_table(HUGE, sieve_small.spf, 5000, 1).dtype == np.int64
     for weight, terms in ((HUGE, 2), (OVER_P, 128)):
         with pytest.raises(ValueError, match=re.escape(f"weight {weight.name}:")):
-            _weight_table(weight, sieve_small, 5000, terms)
+            _weight_table(weight, sieve_small.spf, 5000, terms)
 
 
 # negative seeds and seeds of 2^32 and more: the uint64 lanes take
@@ -323,9 +325,9 @@ def test_scaled_table_matches_fraction_route(sieve_small, weight, nmax, terms):
     want = weight_table(weight, sieve_small, nmax)
     if overflows(want, terms):
         with pytest.raises(ValueError, match=re.escape(weight.name)):
-            _weight_table(weight, sieve_small, nmax, terms)
+            _weight_table(weight, sieve_small.spf, nmax, terms)
     else:
-        F = _weight_table(weight, sieve_small, nmax, terms)
+        F = _weight_table(weight, sieve_small.spf, nmax, terms)
         assert F.dtype == np.int64 and F.tolist() == want
 
 
@@ -355,14 +357,58 @@ def test_mobius_sums_match_full_m_loop(sieve_small, nmax):
 
 
 def test_distinct_prime_rows_match_factorize(sieve_small):
-    rows = distinct_prime_rows(sieve_small.spf, 2, 100_001)
+    rows = distinct_prime_rows(sieve_small.prime_array(), 2, 100_001)
     assert rows.shape == (6, 99_999)  # 2*3*5*7*11*13 = 30030 <= 10^5
     for n in range(2, 100_001):
         col = [int(p) for p in rows[:, n - 2] if p > 1]
         assert col == [p for p, _ in factorize(sieve_small, n)], n
     for lo, hi in ((2, 3), (30029, 30031), (99_990, 100_001)):
-        part = distinct_prime_rows(sieve_small.spf, lo, hi)
+        part = distinct_prime_rows(sieve_small.prime_array(), lo, hi)
         assert np.array_equal(part, rows[: part.shape[0], lo - 2 : hi - 2])
+
+
+# at 97 integers a block, isqrt(hi - 1) is a prime p with a multiple in
+# the block for 104 blocks and every prime 13 <= p <= 313 but 23, 37, 43
+@pytest.mark.parametrize("size", [BLOCK, 97])
+def test_distinct_prime_rows_match_the_spf_walk(sieve_small, size):
+    # every block of [2, 10^5], sieved by the primes up to 10^5 of which
+    # the rows read those up to isqrt(hi - 1)
+    primes = sieve_small.prime_array()
+    for lo in range(2, 100_001, size):
+        hi = min(lo + size, 100_001)
+        assert np.array_equal(distinct_prime_rows(primes, lo, hi), spf_walk_rows(sieve_small.spf, lo, hi)), lo
+
+
+@pytest.fixture(scope="module")
+def trial_spf():
+    """The primes below 2^16, and the spf of any m < 2^32 from them."""
+    primes = FactorSieve(65535).prime_array()
+    return primes, TrialSpf(primes)
+
+
+# p^2 - 1, p^2 and p^3 for small and 4-digit primes: from p = 2053 on,
+# isqrt(hi - 1) = p at p^2 - 1 and p^2; blocks 65536 k + 1 and the last
+# block below 2^32, where isqrt(hi - 1) = 65535
+_HIGH_BLOCKS = sorted(
+    {lo for p in (2, 3, 5, 7, 13, 1009, 1601, 2053, 9973) for lo in (p * p - 1, p * p, p**3) if lo + 4096 <= 2**32}
+    | {65536 * k + 1 for k in (1, 2, 1000, 65535)}
+    | {2**32 - 4096}
+)
+
+
+@pytest.mark.parametrize("lo", _HIGH_BLOCKS)
+def test_distinct_prime_rows_on_blocks_up_to_2_32(trial_spf, lo):
+    primes, spf = trial_spf
+    rows = distinct_prime_rows(primes, lo, lo + 4096)
+    assert np.array_equal(rows, spf_walk_rows(spf, lo, lo + 4096))
+
+
+@pytest.mark.parametrize("nmax", [2, 3, 4, 5])
+def test_distinct_prime_rows_at_the_smallest_nmax(sieve_small, nmax):
+    # the primes up to max(2, isqrt(nmax)), as the commands sieve them
+    primes = FactorSieve(max(2, isqrt(nmax))).prime_array()
+    rows = distinct_prime_rows(primes, 2, nmax + 1)
+    assert np.array_equal(rows, spf_walk_rows(sieve_small.spf, 2, nmax + 1))
 
 
 def test_identity_blocks_cover_each_n_once(sieve_big):
@@ -390,13 +436,23 @@ def test_kmax_beyond_omega_stores_nothing(sieve_small):
 
 
 def test_batch_args_validated(sieve_small):
-    for nmax, kmax in ((1, 3), (100_001, 3), (50, 0)):
-        with pytest.raises(ValueError):
-            check_all_identities(sieve_small, nmax, kmax, [ONE_ON_PRIMES])
-    arrays = factor_tables(sieve_small, sieve_small.limit)
-    for nmax in (1, 100_001):
-        with pytest.raises(ValueError):
-            check_inversion(sieve_small, nmax, ONE_ON_PRIMES, arrays)
+    # 2 <= nmax <= 2^32 - 1, and the sieve must hold the primes up to
+    # isqrt(nmax), the only ones read: limit 99 serves nmax = 99^2 + 198
+    # and not one more
+    small = FactorSieve(99)
+    arrays = factor_tables(sieve_small, 10**4)
+    for sieve, nmax, top in ((sieve_small, 1, 2**32 - 1), (sieve_small, 2**32, 2**32 - 1), (small, 10**4, 9999)):
+        match = re.escape(f"nmax = {nmax} outside [2, {top}]")
+        with pytest.raises(ValueError, match=match):
+            check_all_identities(sieve, nmax, 3, [ONE_ON_PRIMES])
+        with pytest.raises(ValueError, match=match):
+            check_inversion(sieve, nmax, ONE_ON_PRIMES, arrays)
+    with pytest.raises(ValueError, match="kmax"):
+        check_all_identities(sieve_small, 50, 0, [ONE_ON_PRIMES])
+    with pytest.raises(ValueError, match=re.escape("nmax = 10000 outside [2, 9999]")):
+        hyperbola_check(small, 10**4, ONE_ON_PRIMES, arrays)
+    assert check_all_identities(small, 9999, 3, [ONE_ON_PRIMES]).passed
+    assert check_inversion(small, 9999, ONE_ON_PRIMES, arrays).passed
 
 
 @pytest.mark.parametrize("weight", [random_weight(0), random_weight(7), WIDE, MOD4])
@@ -422,6 +478,20 @@ def test_weights_beyond_int64_raise(sieve_small):
             check_inversion(sieve_small, 500, weight, arrays)
         with pytest.raises(ValueError, match=match):
             hyperbola_check(sieve_small, 500, weight, arrays)
+
+
+def test_identity_bound_is_checked_in_every_group(sieve_small):
+    # a weight that is 0 through the first block and 2^62 above it: the
+    # identities raise at the second block's first group, whose primes
+    # hold its first nonzero values, after yielding the first block's
+    late = PrimeWeight("2^62 above the first block", lambda p: (p >= 2 + BLOCK) * (1 << 62))
+    with pytest.raises(ValueError, match=re.escape(f"weight {late.name}:")):
+        check_all_identities(sieve_small, 70_000, 3, [random_weight(0), late])
+    seen = []
+    with pytest.raises(ValueError, match=re.escape(f"weight {late.name}:")):
+        for _, ns, _, _ in identity_sides(sieve_small, 70_000, 3, [late]):
+            seen += ns.tolist()
+    assert sorted(seen) == list(range(2, 2 + BLOCK))
 
 
 # ids: "object" for HUGE and "object-beyond-int64" for OVER_P, whose sums
