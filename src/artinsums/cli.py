@@ -46,7 +46,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import series  # noqa: E402
 from .errors import IntegrityError
 from .galois import SN_CERTIFY_BOUND, GaloisContext, missing_sn_shapes, new_cyclotomic, new_splitting_field
-from .sieve import DEFAULT_LIMIT, X_MAX, FactorSieve, factor_tables
+from .sieve import DEFAULT_LIMIT, X_MAX, FactorSieve
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -477,39 +477,33 @@ def _cmd_verify(args) -> int:
     if args.corrupt_mu is not None and not 2 <= args.corrupt_mu <= nmax:
         raise ValueError(f"--corrupt-mu must lie in [2, {nmax}], got {args.corrupt_mu}")
     sieve = FactorSieve(max(2, isqrt(nmax)))
-    # mu, omega, P2s and spf of the inversion and hyperbola checks; the test
-    # hook --corrupt-mu n negates mu(n), or sets it to 1 where mu(n) = 0,
-    # to prove the checks detect a broken input
-    arrays = factor_tables(sieve, nmax)
-    if args.corrupt_mu is not None:
-        mu, n = arrays["mu"], args.corrupt_mu
-        mu[n] = -mu[n] if mu[n] else 1
     weights = [duality.random_weight(args.seed + i) for i in range(args.weights)]
 
     if _identity_suite(sieve, nmax, args.kmax, weights) is None:
         return EXIT_CHECK_FAILED
     print(f"PASS duality identities 1-4, k<={args.kmax}, n<={nmax}, {len(weights)} weights")
 
-    # Mobius-inverted second-order identity, exact
-    for w in weights:
-        failures = duality.check_inversion(sieve, nmax, w, arrays).failures
-        if failures:
-            rep = failures[0]
-            return _fail(
-                f"inversion identity at n={rep.n}",
-                {"n": rep.n, "weight": w.name, "lhs": str(rep.lhs), "rhs": str(rep.rhs)},
-            )
-    # the inversion misses a wrong mu at a prime or prime power above nmax/6
-    bad = duality.mobius_sum_failures(arrays["mu"], nmax)
-    if bad:
-        n, total = bad[0]
+    # Mobius-inverted second-order identity and the Mobius sums, exact; the
+    # test hook --corrupt-mu n negates mu(n), or sets it to 1 where
+    # mu(n) = 0, in the block the checks read, to prove they detect a
+    # broken input
+    inversion, mobius = duality.check_inversion(sieve, nmax, weights, args.corrupt_mu)
+    if inversion.failures:
+        rep = inversion.failures[0]
+        return _fail(
+            f"inversion identity at n={rep.n}",
+            {"n": rep.n, "weight": rep.weight, "lhs": str(rep.lhs), "rhs": str(rep.rhs)},
+        )
+    # the inversion's left side is 0 at a prime or prime power
+    if mobius:
+        n, total = mobius[0]
         return _fail(f"Mobius sum at n={n}", {"n": n, "sum": total})
     print(f"PASS Mobius-inverted identity, n<={nmax}")
 
     # divisor-sum rearrangement (hyperbola split)
     x_hyp = min(nmax, 2000)
     for w in weights:
-        lhs, rhs = duality.hyperbola_check(sieve, x_hyp, w, arrays)
+        lhs, rhs = duality.hyperbola_check(sieve, x_hyp, w, args.corrupt_mu)
         if lhs != rhs:
             return _fail(
                 f"hyperbola rearrangement at x={x_hyp}",

@@ -26,17 +26,10 @@ shared pass: it sieves each block of n by the primes up to isqrt(nmax)
 for their distinct primes and groups the n by omega(n); for each group,
 each weight in turn gives its values at the group's primes, and the
 coefficients of the subset enumeration for that omega apply.  The
-Mobius-inverted form
-is the Dirichlet convolution mu * (f o P2), formed for all n at once in
-two loops split at s = isqrt(nmax): one slice per m <= s, then one per
-d <= nmax/(s+1), at most 2 sqrt(nmax) slices.
-``hyperbola_check`` is its own exact check; its left side takes the
-same omega(n) groups (``_omega_groups``) and sums over the 2^omega
-subsets of each group at once.  Both read mu, omega, P2s and spf from
-the arrays their caller hands them.  The inversion reads mu(p) of a prime p
-only at the multiples of 6p, so ``mobius_sum_failures`` checks
-sum_{d|n} mu(d) = [n = 1] over the same mu array, split at isqrt(nmax)
-the same way: it reads every mu(n) at n.
+Mobius-inverted form and the Mobius sums walk the same blocks and groups
+(``inversion_sides``), reading mu from the block's ``factor_block``, as
+``hyperbola_check`` does over its one block [2, x]; ``corrupt_mu``,
+verify's test hook, flips one mu there.
 """
 
 from __future__ import annotations
@@ -48,7 +41,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .sieve import X_MAX, FactorSieve
+from .sieve import X_MAX, FactorSieve, factor_block
 
 
 class PrimeWeight(NamedTuple):
@@ -73,6 +66,10 @@ def _splitmix64_lanes(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+# random_weight's value a (60 // d) at each r in [0, 60)
+_RANDOM_VALUES = np.array([(r % 10 - 5 + (r % 10 >= 5)) * (60 // (r // 10 + 1)) for r in range(60)])
+
+
 def random_weight(seed: int) -> PrimeWeight:
     """Seeded pseudorandom weight a (60 // d), 60 times the rational a/d:
     a in [-5, 5] but never 0 (a zero weight would hide a wrong mu at the n
@@ -80,12 +77,10 @@ def random_weight(seed: int) -> PrimeWeight:
     (seed, p), from r = the splitmix64 value of (seed << 32) ^ p mod 2^64
     (which is (seed << 32 mod 2^64) | p for any integer seed and prime
     p < 2^32) mod 60: a = r mod 10 - 5, moved up by one unless negative,
-    and d = r // 10 + 1."""
+    and d = r // 10 + 1, read from a table indexed by r."""
     def values(primes: np.ndarray) -> np.ndarray:
         z = primes.astype(np.uint64) | np.uint64((seed << 32) & _MASK64)
-        r = (_splitmix64_lanes(z) % np.uint64(60)).astype(np.int64)
-        num = r % 10 - 5
-        return (num + (num >= 0)) * (60 // (r // 10 + 1))
+        return _RANDOM_VALUES[_splitmix64_lanes(z) % np.uint64(60)]
     return PrimeWeight(f"random[{seed}]", values)
 
 
@@ -99,10 +94,6 @@ class IdentityReport(NamedTuple):
     lhs: int
     rhs: int
     weight: str
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
 
 
 # most values of n per block of the identity pass; bounds its temporaries
@@ -140,30 +131,24 @@ def _check_bound(weight: PrimeWeight, f: np.ndarray, terms: int) -> None:
         raise ValueError(f"weight {weight.name}: sums of {terms} values f(p) overflow int64")
 
 
-def _weight_table(weight: PrimeWeight, spf: np.ndarray, nmax: int, terms: int) -> np.ndarray:
-    """F[m] = f(m) for 0 <= m <= nmax, 0 off the primes p (spf[p] = p,
-    spf[0] = 0), int64, after _check_bound of the values at the primes."""
-    primes = np.flatnonzero(spf[: nmax + 1] == np.arange(nmax + 1, dtype=np.uint32))[1:]
-    f = weight.values(primes)
-    _check_bound(weight, f, terms)
-    F = np.zeros(nmax + 1, dtype=np.int64)
-    F[primes] = f
-    return F
-
-
-def distinct_prime_rows(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def distinct_prime_rows(primes: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct primes of every lo <= n < hi (2 <= lo < hi <= 2^32),
     increasing down column n - lo of a (max omega, hi - lo) int64 array
-    padded with 1.  Each prime p <= isqrt(hi - 1) of `primes` (increasing)
-    goes into row omega(n) of its multiples n and divides its powers out of
-    a copy of n; what is left is 1 or n's one prime above, recorded last."""
+    padded with 1, and each n's repeat pattern: bit j set where row j's
+    prime divides n twice.  Each prime p <= isqrt(hi - 1) of `primes`
+    (increasing) goes into row omega(n) of its multiples n, sets that bit
+    at those of p^2 and divides its powers out of a copy of n; what is
+    left is 1 or n's one prime above, recorded last."""
     size = hi - lo
     rows = np.ones((_MAX_OMEGA, size), dtype=np.int64)
     omega = np.zeros(size, dtype=np.intp)
+    reps = np.zeros(size, dtype=np.intp)
     m = np.arange(lo, hi, dtype=np.uint32)
     for p in primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")].tolist():
         at = np.arange(-lo % p, size, p)
         rows[omega[at], at] = p
+        sq = slice(-lo % (p * p), None, p * p)
+        reps[sq] |= 1 << omega[sq]
         omega[-lo % p :: p] += 1
         q = p
         while (s := -lo % q) < size:
@@ -171,7 +156,7 @@ def distinct_prime_rows(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
             q *= p
     big = m > 1
     rows[omega[big], big] = m[big]
-    return rows[: (omega + big).max()]
+    return rows[: (omega + big).max()], reps
 
 
 @lru_cache(maxsize=None)  # at most 45 pairs (w, kw), as w <= _MAX_OMEGA
@@ -217,27 +202,27 @@ def identity_sides(
     _check_nmax(sieve, nmax)
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    for ns, group in _omega_groups(sieve.prime_array(isqrt(nmax)), nmax):
-        C, R = _coefficients(len(group), min(kmax, len(group)))
-        for j, weight in enumerate(weights):
-            f = weight.values(group)
-            # the |coefficients| of one side sum to less than 3^omega(n)
-            _check_bound(weight, f, 3**_MAX_OMEGA)
-            yield j, ns, C @ f, R @ f
-
-
-def _omega_groups(primes: np.ndarray, nmax: int):
-    """(ns, primes) per block of [2, nmax] and omega(n) = w: the n with w
-    distinct primes, and those primes as a (w, len(ns)) array, increasing
-    down each column.  `primes` holds those up to isqrt(nmax)."""
+    primes = sieve.prime_array(isqrt(nmax))
     for lo in range(2, nmax + 1, BLOCK):
-        hi = min(lo + BLOCK, nmax + 1)
-        rows = distinct_prime_rows(primes, lo, hi)
-        omega = np.count_nonzero(rows > 1, axis=0)
-        for w in range(1, rows.shape[0] + 1):
-            cols = np.flatnonzero(omega == w)
-            if cols.size:
-                yield cols + lo, rows[:w, cols]
+        for cols, group, _ in _omega_groups(primes, lo, min(lo + BLOCK, nmax + 1)):
+            C, R = _coefficients(len(group), min(kmax, len(group)))
+            for j, weight in enumerate(weights):
+                f = weight.values(group)
+                # the |coefficients| of one side sum to less than 3^omega(n)
+                _check_bound(weight, f, 3**_MAX_OMEGA)
+                yield j, cols + lo, C @ f, R @ f
+
+
+def _omega_groups(primes: np.ndarray, lo: int, hi: int):
+    """(cols, primes, reps) per omega(n) = w over lo <= n < hi: the columns
+    n - lo of the n with w distinct primes, and those primes, (w, len(cols)),
+    and repeat patterns of distinct_prime_rows."""
+    rows, reps = distinct_prime_rows(primes, lo, hi)
+    omega = np.count_nonzero(rows > 1, axis=0)
+    for w in range(1, rows.shape[0] + 1):
+        cols = np.flatnonzero(omega == w)
+        if cols.size:
+            yield cols, rows[:w, cols], reps[cols]
 
 
 def check_all_identities(
@@ -250,98 +235,113 @@ def check_all_identities(
     found = sorted(
         (j, int(ns[r]), i + 1, k + 1, int(lhs[i, k, r]), int(rhs[i, k, r]))
         for j, ns, lhs, rhs in groups
+        if not np.array_equal(lhs, rhs)
         for i, k, r in np.argwhere(lhs != rhs).tolist()
     )
     failures = [IdentityReport(n, i, k, a, b, weights[j].name) for j, n, i, k, a, b in found]
     return BatchCheck(4 * kmax * (nmax - 1) * len(weights), failures)
 
 
-def _mu_convolution(mu: np.ndarray, G: np.ndarray, nmax: int) -> np.ndarray:
-    """(mu * G)[n] = sum_{m d = n} mu(m) G[d] for n <= nmax, 0 at n = 0
-    (mu[0] = G[0] = 0), mu and G int64, its pairs m d split at
-    s = isqrt(nmax): for every m <= s with mu(m) != 0, mu(m) G[1..nmax/m]
-    is added into out[m::m]; for every d <= nmax/(s+1) with G[d] != 0,
-    mu[s+1..nmax/d] G[d] into out[(s+1)d::d].  At most 2 sqrt(nmax)
-    slices."""
-    out = np.zeros(nmax + 1, dtype=np.int64)
-    s = isqrt(nmax)
-    for m in np.flatnonzero(mu[: s + 1]).tolist():
-        out[m::m] += int(mu[m]) * G[1 : nmax // m + 1]
-    for d in np.flatnonzero(G[: nmax // (s + 1) + 1]).tolist():
-        out[(s + 1) * d :: d] += mu[s + 1 : nmax // d + 1] * G[d]
-    return out
+def _factor_block(primes: np.ndarray, lo: int, hi: int, corrupt_mu: int | None) -> dict[str, np.ndarray]:
+    """factor_block of lo <= n < hi, mu(corrupt_mu) negated, or set to 1
+    where it is 0, when the block holds it (verify's test hook)."""
+    block = factor_block(primes, lo, hi)
+    if corrupt_mu is not None and lo <= corrupt_mu < hi:
+        mu = block["mu"]
+        mu[corrupt_mu - lo] = -mu[corrupt_mu - lo] or 1
+    return block
+
+
+@lru_cache(maxsize=None)
+def _inversion_coefficients(w: int, reps: int) -> np.ndarray:
+    """Coefficient of f(q_j) in sum_S (-1)^|S| f(P2(n / prod S)), S over
+    the subsets of n's w primes q_0 < ... < q_{w-1}, bit j of `reps` set
+    where q_j^2 | n: n / prod S keeps q_j unless S holds it and the bit
+    is clear."""
+    R = np.zeros(w, dtype=np.int64)
+    for r in range(w + 1):
+        for s in combinations(range(w), r):
+            kept = [j for j in range(w) if j not in s or reps >> j & 1]
+            if len(kept) > 1:
+                R[kept[-2]] += -1 if r % 2 else 1
+    R.flags.writeable = False  # shared by every caller
+    return R
 
 
 def inversion_sides(
-    sieve: FactorSieve, nmax: int, weight: PrimeWeight, arrays: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) of the Mobius-inverted second-order duality
-    mu(n)(omega(n)-1) f(p1(n)) = sum_{d|n} mu(n/d) f(P2(d)),
-    strict P2, as arrays indexed by n <= nmax (entries 0 and 1 unused).
-    The right side is the Dirichlet convolution mu * G with G = F o P2,
-    F the table of f (``_mu_convolution``); mu, omega, P2s and spf come
-    from `arrays` over at least [0, nmax], as sieve.factor_tables gives them."""
+    sieve: FactorSieve, nmax: int, weights: list[PrimeWeight], corrupt_mu: int | None = None
+) -> Iterator[tuple[int | None, np.ndarray, np.ndarray, np.ndarray]]:
+    """Both sides of mu(n)(omega(n)-1) f(p1(n)) = sum_{d|n} mu(n/d) f(P2(d)),
+    strict P2, as groups (j, ns, lhs, rhs) for weight j and the n of one
+    block with omega(n) = w, checked as identity_sides checks; j = None,
+    before the weights, gives the block's mu(n) and (-1)^w [n squarefree],
+    whose difference is sum_{d|n} mu(d), the inversion's left side being 0
+    at a prime or prime power.  mu and omega come from _factor_block, p1
+    and the right side's d = n / prod S from the distinct primes."""
     _check_nmax(sieve, nmax)
-    # a side sums at most d(n) <= nmax values of |f|
-    F = _weight_table(weight, arrays["spf"], nmax, nmax)
-    mu = arrays["mu"][: nmax + 1].astype(np.int64)
-    omega = arrays["omega"][: nmax + 1].astype(np.int64)
-    lhs = mu * (omega - 1) * F[arrays["spf"][: nmax + 1]]
-    return lhs, _mu_convolution(mu, F[arrays["P2s"][: nmax + 1]], nmax)
-
-
-def mobius_sum_failures(mu: np.ndarray, nmax: int) -> list[tuple[int, int]]:
-    """(n, sum_{d|n} mu(d)) for every n <= nmax where that sum is not
-    [n = 1], mu read from an array over at least [0, nmax]: the
-    convolution mu * 1 (``_mu_convolution``).  The inversion reads mu(p)
-    of a prime p only at the multiples of 6p, and its left side is 0
-    wherever omega(n) = 1; this sum reads every mu(n) at n itself."""
-    ones = np.ones(nmax + 1, dtype=np.int64)
-    ones[0] = 0
-    sums = _mu_convolution(mu[: nmax + 1].astype(np.int64), ones, nmax)
-    sums[1] -= 1
-    bad = np.flatnonzero(sums)
-    return list(zip(bad.tolist(), sums[bad].tolist()))
+    primes = sieve.prime_array(isqrt(nmax))
+    for lo in range(2, nmax + 1, BLOCK):
+        hi = min(lo + BLOCK, nmax + 1)
+        block = _factor_block(primes, lo, hi, corrupt_mu)
+        for cols, group, reps in _omega_groups(primes, lo, hi):
+            w = len(group)
+            ns, mu = cols + lo, block["mu"][cols]
+            yield None, ns, mu, (reps == 0) * (-1) ** w
+            left = mu * (block["omega"][cols] - 1)
+            R = np.array([_inversion_coefficients(w, r) for r in range(reps.max() + 1)])[reps].T
+            for j, weight in enumerate(weights):
+                f = weight.values(group)
+                # a side sums at most 2^omega(n) values of |f|
+                _check_bound(weight, f, 1 << _MAX_OMEGA)
+                yield j, ns, left * f[0], np.einsum("ij,ij->j", R, f)
 
 
 def check_inversion(
-    sieve: FactorSieve, nmax: int, weight: PrimeWeight, arrays: dict
-) -> BatchCheck:
-    """The Mobius-inverted form (inversion_sides) for every 2 <= n <= nmax;
-    reports carry identity 0, k 2."""
-    lhs, rhs = inversion_sides(sieve, nmax, weight, arrays)
-    bad = np.flatnonzero(lhs[2:] != rhs[2:]) + 2
-    failures = [IdentityReport(n, 0, 2, int(lhs[n]), int(rhs[n]), weight.name) for n in bad.tolist()]
-    return BatchCheck(nmax - 1, failures)
+    sieve: FactorSieve, nmax: int, weights: list[PrimeWeight], corrupt_mu: int | None = None
+) -> tuple[BatchCheck, list[tuple[int, int]]]:
+    """The Mobius-inverted form (inversion_sides), reports carrying
+    identity 0, k 2; and (n, sum_{d|n} mu(d)) wherever that is not 0."""
+    found, mobius = [], []
+    for j, ns, lhs, rhs in inversion_sides(sieve, nmax, weights, corrupt_mu):
+        bad = np.flatnonzero(lhs != rhs)
+        if j is None:
+            mobius += zip(ns[bad].tolist(), (lhs[bad] - rhs[bad]).tolist())
+        else:
+            found += ((j, *nab) for nab in zip(ns[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist()))
+    failures = [IdentityReport(n, 0, 2, a, b, weights[j].name) for j, n, a, b in sorted(found)]
+    return BatchCheck(len(weights) * (nmax - 1), failures), sorted(mobius)
 
 
 def hyperbola_check(
-    sieve: FactorSieve, x: int, weight: PrimeWeight, arrays: dict
+    sieve: FactorSieve, x: int, weight: PrimeWeight, corrupt_mu: int | None = None
 ) -> tuple[int, int]:
     """Both sides of the divisor-sum rearrangement
     sum_{n<=x} sum_{d|n} mu(n/d) f(P2(d))
       = sum_{m<=x} mu(m) sum_{d<=x/m} f(P2(d)).
     Returns (lhs, rhs); they must be equal exactly.
 
-    The rearrangement holds for any function in place of mu, so the two
-    sides take mu from different sources: the left from the distinct
-    primes of n (mu(n/d) = (-1)^r for n/d a product of r of them), the
-    right from `arrays`, which give P2s and spf too over at least [0, x], as
-    sieve.factor_tables gives them.  A wrong mu entry then shows.  The
-    left side takes the n grouped by omega(n) = w with their distinct
-    primes (_omega_groups) and sums G = f o P2 over each of the 2^w
-    subsets at once; n = 1 adds G[1] = 0."""
+    The rearrangement holds for any function in place of mu, so the sides
+    take mu from different sources and a wrong one shows: the left from
+    the distinct primes of n (_omega_groups), summing G = f o P2 over the
+    2^w subsets of each group at once (n = 1 adds G[1] = 0), the right
+    from _factor_block of [2, x], which gives P2 too."""
     _check_nmax(sieve, max(2, x))
+    if x < 2:
+        return 0, 0
+    primes = sieve.prime_array(isqrt(x))
+    block = _factor_block(primes, 2, x + 1, corrupt_mu)
+    P2s = block["P2s"].astype(np.int64)
+    G = np.zeros(x + 1, dtype=np.int64)
+    G[2:][P2s > 1] = f = weight.values(P2s[P2s > 1])
     # a group or prefix sum adds at most x values of |f|
-    F = _weight_table(weight, arrays["spf"], x, x)
-    G = F[arrays["P2s"][: x + 1]]
+    _check_bound(weight, f, x)
     lhs = 0
-    for ns, primes in _omega_groups(sieve.prime_array(isqrt(x)), x):
-        terms = [(1, ns)]
-        for p in primes:
+    for cols, group, _ in _omega_groups(primes, 2, x + 1):
+        terms = [(1, cols + 2)]
+        for p in group:
             terms += [(-s, d // p) for s, d in terms]
         lhs += sum(s * int(G[d].sum()) for s, d in terms)
     prefix = np.cumsum(G).tolist()
-    mu = arrays["mu"][: x + 1].tolist()
+    mu = [0, 1, *block["mu"].tolist()]
     rhs = sum(mu[m] * prefix[x // m] for m in range(1, x + 1))
     return lhs, rhs

@@ -10,13 +10,13 @@ gives the spf of a block lo <= n < hi in O(hi - lo) memory from the
 primes up to isqrt(hi - 1), so a scan to x needs only a sieve of the
 primes up to isqrt(x).  FactorSieve(limit) joins its blocks of [2, limit]
 with the primes of FactorSieve(isqrt(limit)), and a scan takes each
-segment's spf from it.  The bulk tables (mu, omega, P1, P2s, rep, spf)
-over [0, limit] are factor_block's and block_spf's blocks joined by
-factor_tables, which verify calls; a sieve's first table accessor builds
-all six and keeps them, and no command calls one.  Cache format v2: a
-13-byte header (b"AFS1", version, uint32 limit, uint32 zlib.crc32 of the
-body), then spf[2..limit] as little-endian uint32, written to a
-temporary file and renamed in place.
+segment's spf from it.  The five bulk tables (mu, omega, P1, P2s, rep)
+over [0, limit] are factor_block's blocks joined by factor_tables; a
+sieve's first table accessor builds all five and keeps them, and no
+command calls one (verify's checks read factor_block's blocks).  Cache
+format v2: a 13-byte header (b"AFS1", version, uint32 limit, uint32
+zlib.crc32 of the body), then spf[2..limit] as little-endian uint32,
+written to a temporary file and renamed in place.
 """
 
 from __future__ import annotations
@@ -160,9 +160,10 @@ class FactorSieve:
 
 
 def factor_tables(sieve: FactorSieve, limit: int) -> dict[str, np.ndarray]:
-    """Six tables over 0 <= n <= limit from the primes up to isqrt(limit),
-    all the sieve need hold: factor_block's mu, omega, P1, P2s and rep and
-    block_spf's spf; n = 0, 1 have mu 0, 1, P1 0, 1, P2s 1, 1, the rest 0."""
+    """factor_block's five tables, mu, omega, P1, P2s and rep, over
+    0 <= n <= limit from the primes up to isqrt(limit), all the sieve need
+    hold; n = 0, 1 have mu 0, 1, P1 0, 1, P2s 1, 1, the rest 0.  The
+    sieve's table accessors call it; no command does."""
     primes = sieve.prime_array(isqrt(limit))
     tables = {
         "mu": np.zeros(limit + 1, dtype=np.int8),
@@ -170,12 +171,11 @@ def factor_tables(sieve: FactorSieve, limit: int) -> dict[str, np.ndarray]:
         "P1": np.zeros(limit + 1, dtype=np.uint32),
         "P2s": np.ones(limit + 1, dtype=np.uint32),
         "rep": np.zeros(limit + 1, dtype=bool),
-        "spf": np.zeros(limit + 1, dtype=np.uint32),
     }
     tables["mu"][1] = tables["P1"][1] = 1
     for lo in range(2, limit + 1, _TABLE_BLOCK):
         hi = min(lo + _TABLE_BLOCK, limit + 1)
-        block = factor_block(primes, lo, hi, P1=True) | {"spf": block_spf(primes, lo, hi)}
+        block = factor_block(primes, lo, hi, P1=True)
         for name, table in tables.items():
             table[lo:hi] = block[name]
     return tables

@@ -1,8 +1,8 @@
 """Oracles shared by the tests, independent of the bulk paths they check:
 the spf table by a masked sieve over the whole table, the factorization
 of n by a walk down a sieve's spf table (``factorize``), the distinct
-primes of a block by the same walk on every lane at once
-(``spf_walk_rows``), over an spf table or, for any m < 2^32,
+primes of a block and their repeat patterns by the same walk on every
+lane at once (``spf_walk_rows``), over an spf table or, for any m < 2^32,
 Miller-Rabin and trial division (``TrialSpf``), the
 multiplicative functions of n read off it, the bulk tables
 from the recurrence n = p*m over a full spf table, the integer forms
@@ -13,9 +13,11 @@ ints (``random_value``), a weight's table from one value per prime
 (``weight_table``), the exact bucket sums as one Fraction
 per term added in pairs, the float bucket sums of the
 segment kernel before it put terms in bucket order (intp bucket ids from
-``route``, one ``np.bincount`` per limb), the inversion's Dirichlet
-convolution as one slice per squarefree m, and a scan's segments from the
-sorted set of every cut."""
+``route``, one ``np.bincount`` per limb), the inversion's right side as
+the Dirichlet convolution mu * (f o P2) over full tables, split at
+isqrt(nmax) (``mu_convolution``) and as one slice per squarefree m
+(``inversion_rhs``), and a scan's segments from the sorted set of every
+cut."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -114,14 +116,17 @@ def recurrence_tables(spf: np.ndarray) -> dict[str, np.ndarray]:
     return {"mu": mu, "omega": omega, "P1": P1, "P2s": P2s, "rep": rep}
 
 
-def spf_walk_rows(spf, lo: int, hi: int) -> np.ndarray:
+def spf_walk_rows(spf, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct primes of every lo <= n < hi (lo >= 2), increasing down
-    column n - lo of a (max omega, hi - lo) int64 array padded with 1, as
-    artinsums.duality.distinct_prime_rows gives them.  One strip of spf
-    per pass; a prime is recorded where it changes."""
+    column n - lo of a (max omega, hi - lo) int64 array padded with 1, and
+    each n's repeat pattern (bit j set where the prime in row j divides n
+    twice), as artinsums.duality.distinct_prime_rows gives them.  One
+    strip of spf per pass; a prime is recorded where it changes, and
+    repeats where it does not."""
     size = hi - lo
     rows = np.ones((9, size), dtype=np.int64)
     omega = np.zeros(size, dtype=np.intp)
+    reps = np.zeros(size, dtype=np.intp)
     lane = np.arange(size)
     m = np.arange(lo, hi, dtype=np.int64)
     last = np.zeros(size, dtype=np.int64)
@@ -131,10 +136,12 @@ def spf_walk_rows(spf, lo: int, hi: int) -> np.ndarray:
         at = lane[new]
         rows[omega[at], at] = p[new]
         omega[at] += 1
+        again = lane[~new]
+        reps[again] |= 1 << (omega[again] - 1)
         m //= p
         live = m > 1
         lane, m, last = lane[live], m[live], p[live]
-    return rows[: omega.max()]
+    return rows[: omega.max()], reps
 
 
 class TrialSpf:
@@ -244,9 +251,8 @@ def identity_rhs(sieve, n: int, k: int, identity: int, weight) -> int:
 
 
 def weight_table(weight, sieve, nmax: int) -> list[int]:
-    """duality._weight_table from the weight's value at each prime
-    p <= nmax alone: F[m] = f(m) for m <= nmax as Python ints, 0 off the
-    primes."""
+    """The weight's table from its value at each prime p <= nmax alone:
+    F[m] = f(m) for m <= nmax as Python ints, 0 off the primes."""
     F = [0] * (nmax + 1)
     for p in sieve.prime_array(nmax).tolist():
         F[p] = weight_at(weight, p)
@@ -312,6 +318,22 @@ def limb_sums(ids, size, r):
     if np.any(r):
         raise IntegrityError("a float term is not a multiple of 2^-84")
     return [Fraction(s, 1 << 86) for s in sums]
+
+
+def mu_convolution(mu: np.ndarray, G: np.ndarray, nmax: int) -> np.ndarray:
+    """(mu * G)[n] = sum_{m d = n} mu(m) G[d] for n <= nmax over full
+    tables, 0 at n = 0 (mu[0] = G[0] = 0), mu and G int64, its pairs m d
+    split at s = isqrt(nmax): for every m <= s with mu(m) != 0,
+    mu(m) G[1..nmax/m] is added into out[m::m]; for every d <= nmax/(s+1)
+    with G[d] != 0, mu[s+1..nmax/d] G[d] into out[(s+1)d::d].  At most
+    2 sqrt(nmax) slices."""
+    out = np.zeros(nmax + 1, dtype=np.int64)
+    s = isqrt(nmax)
+    for m in np.flatnonzero(mu[: s + 1]).tolist():
+        out[m::m] += int(mu[m]) * G[1 : nmax // m + 1]
+    for d in np.flatnonzero(G[: nmax // (s + 1) + 1]).tolist():
+        out[(s + 1) * d :: d] += mu[s + 1 : nmax // d + 1] * G[d]
+    return out
 
 
 def inversion_rhs(mu: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from artinsums import sieve as sieve_mod
 from artinsums.errors import IntegrityError
 from artinsums.fieldpoly import distinct_degree_factorization, reduce_poly, shape_label
 from artinsums.sieve import FactorSieve, is_prime
-from oracles import identity_rhs, spf_table
+from oracles import identity_rhs, weight_at
 
 
 def run(argv, capsys):
@@ -794,19 +794,17 @@ def test_identity_failure_names_its_weight(monkeypatch, capsys):
 
 
 def test_first_inversion_failure_reported(monkeypatch, capsys):
-    w = duality.random_weight(1)
-    sieve = FactorSieve(300)
-    lhs, rhs = duality.inversion_sides(sieve, 300, w, sieve_mod.factor_tables(sieve, 300))
-    detail = {"n": 77, "weight": w.name, "lhs": str(int(lhs[77])), "rhs": str(int(rhs[77]) - 1)}
-
-    def bump(sides):
-        lhs, rhs = sides
-        rhs = rhs.copy()
-        rhs[[90, 77]] -= 1
-        return lhs, rhs
+    # the right side one short at n = 90 and n = 77: the smaller n is
+    # reported, with f(7) on the left as mu(77) (omega(77) - 1) f(p1(77))
+    def bump(groups):
+        for j, ns, lhs, rhs in groups:
+            yield j, ns, lhs, rhs if j is None else rhs - ((ns == 90) | (ns == 77))
 
     _inject(monkeypatch, "inversion_sides", bump)
     code, out, _ = run(["verify", "--nmax", "300", "--weights", "1"], capsys)
+    w = duality.random_weight(1)
+    f7 = weight_at(w, 7)
+    detail = {"n": 77, "weight": w.name, "lhs": str(f7), "rhs": str(f7 - 1)}
     assert code == 1
     assert out.splitlines()[-2:] == ["FAIL inversion identity at n=77", json.dumps(detail)]
 
@@ -830,78 +828,86 @@ def test_verify_detects_corrupt_mu(capsys):
     assert "lhs" in detail and "rhs" in detail
 
 
-# the inversion's left side is 0 wherever omega(n) = 1, and its right side
-# reads mu(p) only at the multiples of 6p: these flips pass it, and the
-# Mobius sum over the divisors of n catches them at n
-@pytest.mark.parametrize("nmax, n, total", [(5000, 4999, 2), (5000, 4096, 1), (300, 293, 2)])
+# the inversion's left side is 0 at a prime or prime power, and its right
+# side reads no mu from the block: these flips pass it, and the Mobius
+# check, the block's mu(n) against (-1)^omega(n) [n squarefree], catches
+# them at n, 41 among them, which the split convolution over a full table
+# caught first at 6 * 41
+@pytest.mark.parametrize("nmax, n, total", [(5000, 4999, 2), (5000, 4096, 1), (300, 293, 2), (300, 41, 2)])
 def test_verify_catches_mu_flip_at_prime_or_prime_power(capsys, nmax, n, total):
     code, out, _ = run(["verify", "--nmax", str(nmax), "--weights", "1", "--corrupt-mu", str(n)], capsys)
     assert code == 1
     assert out.splitlines()[1:] == [f"FAIL Mobius sum at n={n}", json.dumps({"n": n, "sum": total})]
 
 
-def _record_arrays(monkeypatch, name):
-    """Wrap duality.<name> so that each call records its (sieve, arrays)."""
-    handed, real = [], getattr(duality, name)
+def _record_blocks(monkeypatch):
+    """Wrap duality._factor_block so that each call records (primes, lo,
+    hi, corrupt_mu, block)."""
+    handed, real = [], duality._factor_block
 
-    def check(sieve, n, w, arrays):
-        handed.append((sieve, arrays))
-        return real(sieve, n, w, arrays)
+    def block(primes, lo, hi, corrupt_mu):
+        handed.append((primes, lo, hi, corrupt_mu, real(primes, lo, hi, corrupt_mu)))
+        return handed[-1][-1]
 
-    monkeypatch.setattr(duality, name, check)
+    monkeypatch.setattr(duality, "_factor_block", block)
     return handed
 
 
+def _full_tables(nmax):
+    """The tables of a sieve of limit nmax that factor_block's blocks hold."""
+    full = FactorSieve(nmax)
+    return {
+        "mu": full.mu_table(),
+        "omega": full.omega_table(),
+        "P2s": full.P2_strict_table(),
+        "rep": full.repeated_P1_table(),
+    }
+
+
 def test_corrupted_mu_reaches_table_checks(monkeypatch, capsys):
-    # verify --corrupt-mu 42 flips mu(42) in the arrays it hands the
-    # inversion and hyperbola checks, and nothing else
-    handed = _record_arrays(monkeypatch, "check_inversion")
+    # verify --corrupt-mu 42 flips mu(42) in the one block the inversion
+    # check reads, and nothing else
+    handed = _record_blocks(monkeypatch)
     code, out, _ = run(["verify", "--nmax", "1000", "--weights", "1", "--corrupt-mu", "42"], capsys)
     assert code == 1 and out.splitlines()[1] == "FAIL inversion identity at n=42"
-    ((sieve, bad),) = handed
-    clean = sieve_mod.factor_tables(sieve, 1000)
-    assert bad["mu"][42] == -clean["mu"][42] != 0
-    assert np.flatnonzero(bad["mu"] != clean["mu"]).tolist() == [42]
-    # the unflipped arrays are untouched
-    assert all(np.array_equal(bad[k], clean[k]) for k in ("omega", "P2s", "spf"))
-    w = duality.random_weight(1)
-    # the flip shows at 42 and at multiples 42 m with f(P2(m)) != 0
-    failed = [rep.n for rep in duality.check_inversion(sieve, 1000, w, bad).failures]
-    assert failed[0] == 42 and all(n % 42 == 0 for n in failed)
-    assert duality.check_inversion(sieve, 1000, w, clean).passed
+    ((_, lo, hi, n, bad),) = handed
+    assert (lo, hi, n) == (2, 1001, 42)
+    clean = {name: table[2:] for name, table in _full_tables(1000).items()}
+    assert bad["mu"][42 - 2] == -clean["mu"][42 - 2] != 0
+    assert np.flatnonzero(bad["mu"] != clean["mu"]).tolist() == [42 - 2]
+    # the other arrays are untouched
+    assert all(np.array_equal(bad[k], clean[k]) for k in ("omega", "P2s", "rep"))
+    w, sieve = duality.random_weight(1), FactorSieve(31)
+    # the flip shows at 42 alone, in the inversion and the Mobius check
+    inversion, mobius = duality.check_inversion(sieve, 1000, [w], 42)
+    assert [rep.n for rep in inversion.failures] == [42] and mobius == [(42, 2)]
+    assert duality.check_inversion(sieve, 1000, [w]) == (duality.BatchCheck(999, []), [])
     # only the hyperbola check's right side moves
-    lhs, rhs = duality.hyperbola_check(sieve, 300, w, clean)
-    bad_lhs, bad_rhs = duality.hyperbola_check(sieve, 300, w, bad)
+    lhs, rhs = duality.hyperbola_check(sieve, 300, w)
+    bad_lhs, bad_rhs = duality.hyperbola_check(sieve, 300, w, 42)
     assert bad_lhs == lhs == rhs != bad_rhs
 
 
-# 65537 is the last n of the first block the sieve's tables join
+# 65537 is the last n of the first block of the checks' walk
 @pytest.mark.parametrize("nmax", [2, 3, 4, 100, 65537])
 def test_verify_hands_the_checks_the_table_values(monkeypatch, capsys, nmax):
-    # the tables that verify builds to nmax with factor_tables, from the
-    # primes up to isqrt(nmax), equal on [0, nmax] a sieve of limit nmax's
-    # tables and the masked-sieve spf table; the identity suite, which
-    # reads none of them, is skipped
-    inversion = _record_arrays(monkeypatch, "check_inversion")
-    hyperbola = _record_arrays(monkeypatch, "hyperbola_check")
+    # the blocks that verify's inversion check walks over [2, nmax] and
+    # the hyperbola check reads over [2, min(nmax, 2000)], each sieved from
+    # the primes up to the square root of its end, equal a sieve of limit
+    # nmax's tables; the
+    # identity suite, which reads none of them, is skipped
+    handed = _record_blocks(monkeypatch)
     monkeypatch.setattr(cli, "_identity_suite", lambda *args: 0)
     code, out, _ = run(["verify", "--nmax", str(nmax), "--weights", "1"], capsys)
     assert code == 0 and out.endswith("all verification suites passed\n")
-    ((sieve, arrays),) = inversion
-    assert [a is arrays for _, a in hyperbola] == [True]
-    assert sieve.limit == max(2, math.isqrt(nmax))
-    full = FactorSieve(nmax)
-    tables = {
-        "mu": full.mu_table(),
-        "omega": full.omega_table(),
-        "P1": full.P1_table(),
-        "P2s": full.P2_strict_table(),
-        "rep": full.repeated_P1_table(),
-        "spf": spf_table(nmax),
-    }
-    assert sorted(arrays) == sorted(tables)
-    for name, table in tables.items():
-        assert arrays[name].dtype == table.dtype and np.array_equal(arrays[name], table[: nmax + 1]), name
+    walk = [(lo, min(lo + duality.BLOCK, nmax + 1)) for lo in range(2, nmax + 1, duality.BLOCK)]
+    assert [(lo, hi) for _, lo, hi, _, _ in handed] == [*walk, (2, min(nmax, 2000) + 1)]
+    tables = _full_tables(nmax)
+    for primes, lo, hi, corrupt_mu, block in handed:
+        assert primes.tolist() == [p for p in range(2, math.isqrt(hi - 1) + 1) if is_prime(p)]
+        assert corrupt_mu is None and sorted(block) == sorted(tables)
+        for name, table in tables.items():
+            assert block[name].dtype == table.dtype and np.array_equal(block[name], table[lo:hi]), name
 
 
 def test_resume_without_state_is_a_usage_error(tmp_path, capsys):
@@ -1224,14 +1230,11 @@ def test_verify_never_loads_numpy_ma():
     assert proc.stdout.splitlines()[-1].split() == ["0", "False"]
 
 
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak RSS")
-def test_duality_test_memory_does_not_grow_with_nmax():
-    # duality-test reads the primes up to isqrt(nmax) and sieves the
-    # identity pass block by block, so its peak RSS at nmax = 2^21 stays
-    # within 2 MB of that at 2^17, where an spf table to nmax would add
-    # 7.5 MB.  A child's ru_maxrss starts from the RSS of the process it
-    # was forked from, so a fresh interpreter forks the command and
-    # reads it with wait4 (KiB on Linux)
+def _fresh_peak_mb(*argv):
+    """Peak RSS in MB of the command `argv`, forked from a fresh
+    interpreter: a child's ru_maxrss starts from the RSS of the process it
+    was forked from, so that interpreter forks the command and reads it
+    with wait4 (KiB on Linux)."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = """if True:
@@ -1242,15 +1245,30 @@ def test_duality_test_memory_does_not_grow_with_nmax():
             os.execv(sys.executable, [sys.executable, "-m", "artinsums.cli", *sys.argv[1:]])
         _, status, usage = os.wait4(pid, 0)
         print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"""
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120, env=env)
+    status, maxrss = map(int, proc.stdout.split())
+    assert status == 0, proc.stderr
+    return maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
-    def peak(nmax):
-        argv = [sys.executable, "-c", code, "duality-test", "--nmax", str(nmax)]
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
-        status, maxrss = map(int, proc.stdout.split())
-        assert status == 0, proc.stderr
-        return maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
-    small, big = peak(1 << 17), peak(1 << 21)
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak RSS")
+def test_duality_test_memory_does_not_grow_with_nmax():
+    # duality-test reads the primes up to isqrt(nmax) and sieves the
+    # identity pass block by block, so its peak RSS at nmax = 2^21 stays
+    # within 2 MB of that at 2^17, where an spf table to nmax would add
+    # 7.5 MB
+    small, big = (_fresh_peak_mb("duality-test", "--nmax", str(nmax)) for nmax in (1 << 17, 1 << 21))
+    assert big - small <= 2, f"{small:.2f} MB at 2^17, {big:.2f} MB at 2^21"
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak RSS")
+def test_verify_memory_does_not_grow_with_nmax():
+    # verify's inversion and Mobius checks walk the identity pass's
+    # blocks, and its hyperbola check and exact scans stop at x = 2000 and
+    # 10^4, so its peak RSS at nmax = 2^21 stays within 2 MB of that at
+    # 2^17, where tables over [0, nmax] would add about 75 bytes an integer
+    argv = ("verify", "--weights", "1", "--nmax")
+    small, big = (_fresh_peak_mb(*argv, str(nmax)) for nmax in (1 << 17, 1 << 21))
     assert big - small <= 2, f"{small:.2f} MB at 2^17, {big:.2f} MB at 2^21"
 
 

@@ -12,19 +12,19 @@ from hypothesis import strategies as st
 
 from artinsums.duality import (
     BLOCK,
+    BatchCheck,
     PrimeWeight,
+    _check_bound,
     _splitmix64_lanes,
-    _weight_table,
     check_all_identities,
     check_inversion,
     distinct_prime_rows,
     hyperbola_check,
     identity_sides,
     inversion_sides,
-    mobius_sum_failures,
     random_weight,
 )
-from artinsums.sieve import FactorSieve, factor_tables
+from artinsums.sieve import FactorSieve
 from oracles import (
     TrialSpf,
     binom,
@@ -33,6 +33,7 @@ from oracles import (
     factorize,
     identity_rhs,
     inversion_rhs,
+    mu_convolution,
     random_value,
     spf_walk_rows,
     splitmix64,
@@ -62,9 +63,19 @@ def class_weight(ctx, label):
 
 
 def test_weight_vanishes_at_one(sieve_small):
+    # f(1) = 0 is a convention of the checks: none of them asks a weight
+    # for a value at 1
     for w in (ONE_ON_PRIMES, MOD4, random_weight(3)):
         assert weight_at(w, 1) == 0
-        assert _weight_table(w, sieve_small.spf, 100, 1)[1] == 0
+
+    def values(p):
+        assert np.all(p > 1), "asked for f(1)"
+        return random_weight(3).values(p)
+
+    w = PrimeWeight("no value at 1", values)
+    assert check_all_identities(sieve_small, 300, 3, [w]).passed
+    assert check_inversion(sieve_small, 300, [w]) == (BatchCheck(299, []), [])
+    assert len(set(hyperbola_check(sieve_small, 300, w))) == 1
 
 
 def test_residue_weight():
@@ -129,13 +140,29 @@ def test_identity2_k_beyond_omega(sieve_small):
     assert lhs == identity_rhs(sieve_small, 6, 5, 2, ONE_ON_PRIMES) == 0
 
 
+def inversion_arrays(sieve, nmax, weights, corrupt_mu=None):
+    """inversion_sides gathered into one int64 array of shape
+    (len(weights) + 1, 2, nmax + 1): (lhs, rhs) indexed by n for each
+    weight, then the block's mu and (-1)^omega [n squarefree]; entries 0
+    and 1 are 0.  Checks that each group holds the n of one omega and
+    that every n comes once for each j."""
+    out = np.zeros((len(weights) + 1, 2, nmax + 1), dtype=np.int64)
+    seen = np.zeros((len(weights) + 1, nmax + 1), dtype=np.int64)
+    for j, ns, lhs, rhs in inversion_sides(sieve, nmax, weights, corrupt_mu):
+        assert len({len(factorize(sieve, n)) for n in ns[[0, -1]].tolist()}) == 1
+        j = len(weights) if j is None else j
+        out[j, 0, ns], out[j, 1, ns] = lhs, rhs
+        seen[j, ns] += 1
+    assert (seen[:, 2:] == 1).all() and not seen[:, :2].any()
+    return out
+
+
 def test_inversion_examples(sieve_small):
-    arrays = factor_tables(sieve_small, 15)
-    lhs, rhs = inversion_sides(sieve_small, 15, ONE_ON_PRIMES, arrays)
+    (lhs, rhs), _ = inversion_arrays(sieve_small, 15, [ONE_ON_PRIMES])
     # squarefree omega = 2; a prime: both sides zero; non-squarefree: mu(12) = 0 on the left
     for n, value in ((15, 1), (13, 0), (12, 0)):
         assert lhs[n] == rhs[n] == value
-    assert check_inversion(sieve_small, 15, ONE_ON_PRIMES, arrays).passed
+    assert check_inversion(sieve_small, 15, [ONE_ON_PRIMES]) == (BatchCheck(14, []), [])
 
 
 def batched_sides(sieve, nmax, kmax, weights, wanted=None):
@@ -184,10 +211,8 @@ def test_identities_hold_exactly(sieve_small, n, k, seed):
 
 
 def test_inversion_holds_exactly(sieve_small):
-    arrays = factor_tables(sieve_small, 5000)
-    for seed in range(5):
-        result = check_inversion(sieve_small, 5000, random_weight(seed), arrays)
-        assert result.passed and result.instances == 4999, result.failures[:1]
+    result, mobius = check_inversion(sieve_small, 5000, [random_weight(seed) for seed in range(5)])
+    assert result.passed and result.instances == 5 * 4999 and mobius == [], result.failures[:1]
 
 
 def test_class_weight_indicator(sieve_small, ctx_cubic):
@@ -208,11 +233,10 @@ def test_identity4_k2_reproduces_second_order_form(sieve_small, ctx_cubic):
 
 
 def test_hyperbola_rearrangement(sieve_small):
-    arrays = factor_tables(sieve_small, 300)
     for seed in (0, 1):
-        lhs, rhs = hyperbola_check(sieve_small, 300, random_weight(seed), arrays)
+        lhs, rhs = hyperbola_check(sieve_small, 300, random_weight(seed))
         assert lhs == rhs
-    lhs, rhs = hyperbola_check(sieve_small, 100, MOD4, arrays)
+    lhs, rhs = hyperbola_check(sieve_small, 100, MOD4)
     assert lhs == rhs
 
 
@@ -290,15 +314,16 @@ def test_check_all_matches_oracle(sieve_small, ctx_cubic):
 
 
 def test_scaled_table_lanes(sieve_small):
-    # int64 lanes only: a weight whose sums do not fit them raises
-    F = _weight_table(random_weight(1), sieve_small.spf, 5000, 3**5)
-    assert F.dtype == np.int64
-    assert F[4] == F[1] == 0 and F[7] == weight_at(random_weight(1), 7)
-    assert _weight_table(WIDE, sieve_small.spf, 5000, 3**9)[4999] == weight_at(WIDE, 4999)
-    assert _weight_table(HUGE, sieve_small.spf, 5000, 1).dtype == np.int64
+    # int64 lanes only: a weight's values are int64, and a weight whose
+    # sums of `terms` values do not fit them raises
+    primes = sieve_small.prime_array(5000)
+    for weight, terms in ((random_weight(1), 3**5), (WIDE, 3**9), (HUGE, 1)):
+        f = weight.values(primes)
+        assert f.dtype == np.int64 and f.tolist() == [weight_at(weight, p) for p in primes.tolist()]
+        _check_bound(weight, f, terms)
     for weight, terms in ((HUGE, 2), (OVER_P, 128)):
         with pytest.raises(ValueError, match=re.escape(f"weight {weight.name}:")):
-            _weight_table(weight, sieve_small.spf, 5000, terms)
+            _check_bound(weight, weight.values(primes), terms)
 
 
 # negative seeds and seeds of 2^32 and more: the uint64 lanes take
@@ -320,51 +345,71 @@ def test_weight_arrays_match_the_scalar_weight(sieve_small, seed):
     ids=["r1", "r2^70", "mod3", "over_p", "huge"],
 )
 def test_scaled_table_matches_fraction_route(sieve_small, weight, nmax, terms):
-    # the value arrays and the per-prime values give the same table, or
-    # sums of `terms` of them overflow int64 and the table raises
+    # the value arrays and the per-prime values agree, and the bound
+    # raises exactly where sums of `terms` of them overflow int64
     want = weight_table(weight, sieve_small, nmax)
+    primes = sieve_small.prime_array(nmax)
+    f = weight.values(primes)
+    assert f.dtype == np.int64 and f.tolist() == [want[p] for p in primes.tolist()]
     if overflows(want, terms):
         with pytest.raises(ValueError, match=re.escape(weight.name)):
-            _weight_table(weight, sieve_small.spf, nmax, terms)
+            _check_bound(weight, f, terms)
     else:
-        F = _weight_table(weight, sieve_small.spf, nmax, terms)
-        assert F.dtype == np.int64 and F.tolist() == want
+        _check_bound(weight, f, terms)
+
+
+def flipped_mobius_sums(sieve, nmax, n, full_loop=False):
+    """(m, sum_{d|m} mu(d)) for every m <= nmax where that sum is not
+    [m = 1], over a full mu table with mu(n) flipped as verify's hook
+    flips it: the convolution mu * 1, split (mu_convolution) or as the
+    full m loop (inversion_rhs)."""
+    mu = sieve.mu_table()[: nmax + 1].astype(np.int64)
+    mu[n] = -mu[n] or 1
+    ones = np.ones(nmax + 1, dtype=np.int64)
+    ones[0] = 0
+    sums = inversion_rhs(mu, ones) if full_loop else mu_convolution(mu, ones, nmax)
+    sums[1] -= 1
+    return [(m, int(sums[m])) for m in np.flatnonzero(sums).tolist()]
 
 
 def test_mobius_sum_catches_every_single_flip(sieve_small):
-    # the inversion misses a flip at a prime or prime power above nmax/6;
-    # the Mobius sum shows any flip at n itself, first
+    # the inversion's left side is 0 at a prime or prime power; the Mobius
+    # check shows any flip at n alone, with the sum over the full table,
+    # whose failures go on at multiples of n
     nmax = 300
-    mu = factor_tables(sieve_small, nmax)["mu"]
-    assert mobius_sum_failures(mu, nmax) == []
+    assert check_inversion(sieve_small, nmax, [])[1] == []
     for n in range(2, nmax + 1):
-        bad = mu.copy()
-        bad[n] = -bad[n] if bad[n] else 1
-        assert mobius_sum_failures(bad, nmax)[0] == (n, -2 * int(mu[n]) if mu[n] else 1), n
+        want = flipped_mobius_sums(sieve_small, nmax, n)
+        assert want[0][0] == n and check_inversion(sieve_small, nmax, [], n)[1] == want[:1], n
 
 
-# nmax = s^2 - 1, s^2 and s^2 + 1 put the split s = isqrt(nmax) on each
-# side of a square
+# nmax = s^2 - 1, s^2 and s^2 + 1 put the oracle's split s = isqrt(nmax)
+# on each side of a square
 @pytest.mark.parametrize("nmax", [2, 3, 4, 24, 25, 26, 99, 100, 101, 5000])
 def test_mobius_sums_match_full_m_loop(sieve_small, nmax):
-    mu = factor_tables(sieve_small, nmax)["mu"].copy()
     for n in {2, nmax, nmax // 2 + 1, isqrt(nmax) + 1}:
-        mu[n] = 1 - mu[n]  # any change of mu(n) shows
-    sums = inversion_rhs(mu[: nmax + 1].astype(np.int64), np.ones(nmax + 1, dtype=np.int64))
-    sums[1] -= 1
-    want = [(n, int(sums[n])) for n in range(1, nmax + 1) if sums[n]]
-    assert want and mobius_sum_failures(mu, nmax) == want
+        want = flipped_mobius_sums(sieve_small, nmax, n, full_loop=True)
+        assert want == flipped_mobius_sums(sieve_small, nmax, n)
+        assert want[0][0] == n and check_inversion(sieve_small, nmax, [], n)[1] == want[:1], n
+
+
+def same_rows(got, want):
+    """Whether two (rows, reps) pairs are equal."""
+    return len(got) == len(want) == 2 and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_distinct_prime_rows_match_factorize(sieve_small):
-    rows = distinct_prime_rows(sieve_small.prime_array(), 2, 100_001)
+    rows, reps = distinct_prime_rows(sieve_small.prime_array(), 2, 100_001)
     assert rows.shape == (6, 99_999)  # 2*3*5*7*11*13 = 30030 <= 10^5
     for n in range(2, 100_001):
+        fac = factorize(sieve_small, n)
         col = [int(p) for p in rows[:, n - 2] if p > 1]
-        assert col == [p for p, _ in factorize(sieve_small, n)], n
+        assert col == [p for p, _ in fac], n
+        assert reps[n - 2] == sum(1 << j for j, (_, e) in enumerate(fac) if e > 1), n
     for lo, hi in ((2, 3), (30029, 30031), (99_990, 100_001)):
-        part = distinct_prime_rows(sieve_small.prime_array(), lo, hi)
+        part, part_reps = distinct_prime_rows(sieve_small.prime_array(), lo, hi)
         assert np.array_equal(part, rows[: part.shape[0], lo - 2 : hi - 2])
+        assert np.array_equal(part_reps, reps[lo - 2 : hi - 2])
 
 
 # at 97 integers a block, isqrt(hi - 1) is a prime p with a multiple in
@@ -376,7 +421,7 @@ def test_distinct_prime_rows_match_the_spf_walk(sieve_small, size):
     primes = sieve_small.prime_array()
     for lo in range(2, 100_001, size):
         hi = min(lo + size, 100_001)
-        assert np.array_equal(distinct_prime_rows(primes, lo, hi), spf_walk_rows(sieve_small.spf, lo, hi)), lo
+        assert same_rows(distinct_prime_rows(primes, lo, hi), spf_walk_rows(sieve_small.spf, lo, hi)), lo
 
 
 @pytest.fixture(scope="module")
@@ -399,16 +444,14 @@ _HIGH_BLOCKS = sorted(
 @pytest.mark.parametrize("lo", _HIGH_BLOCKS)
 def test_distinct_prime_rows_on_blocks_up_to_2_32(trial_spf, lo):
     primes, spf = trial_spf
-    rows = distinct_prime_rows(primes, lo, lo + 4096)
-    assert np.array_equal(rows, spf_walk_rows(spf, lo, lo + 4096))
+    assert same_rows(distinct_prime_rows(primes, lo, lo + 4096), spf_walk_rows(spf, lo, lo + 4096))
 
 
 @pytest.mark.parametrize("nmax", [2, 3, 4, 5])
 def test_distinct_prime_rows_at_the_smallest_nmax(sieve_small, nmax):
     # the primes up to max(2, isqrt(nmax)), as the commands sieve them
     primes = FactorSieve(max(2, isqrt(nmax))).prime_array()
-    rows = distinct_prime_rows(primes, 2, nmax + 1)
-    assert np.array_equal(rows, spf_walk_rows(sieve_small.spf, 2, nmax + 1))
+    assert same_rows(distinct_prime_rows(primes, 2, nmax + 1), spf_walk_rows(sieve_small.spf, 2, nmax + 1))
 
 
 def test_identity_blocks_cover_each_n_once(sieve_big):
@@ -440,44 +483,40 @@ def test_batch_args_validated(sieve_small):
     # isqrt(nmax), the only ones read: limit 99 serves nmax = 99^2 + 198
     # and not one more
     small = FactorSieve(99)
-    arrays = factor_tables(sieve_small, 10**4)
     for sieve, nmax, top in ((sieve_small, 1, 2**32 - 1), (sieve_small, 2**32, 2**32 - 1), (small, 10**4, 9999)):
         match = re.escape(f"nmax = {nmax} outside [2, {top}]")
         with pytest.raises(ValueError, match=match):
             check_all_identities(sieve, nmax, 3, [ONE_ON_PRIMES])
         with pytest.raises(ValueError, match=match):
-            check_inversion(sieve, nmax, ONE_ON_PRIMES, arrays)
+            check_inversion(sieve, nmax, [ONE_ON_PRIMES])
     with pytest.raises(ValueError, match="kmax"):
         check_all_identities(sieve_small, 50, 0, [ONE_ON_PRIMES])
     with pytest.raises(ValueError, match=re.escape("nmax = 10000 outside [2, 9999]")):
-        hyperbola_check(small, 10**4, ONE_ON_PRIMES, arrays)
+        hyperbola_check(small, 10**4, ONE_ON_PRIMES)
     assert check_all_identities(small, 9999, 3, [ONE_ON_PRIMES]).passed
-    assert check_inversion(small, 9999, ONE_ON_PRIMES, arrays).passed
+    assert check_inversion(small, 9999, [ONE_ON_PRIMES]) == (BatchCheck(9998, []), [])
 
 
 @pytest.mark.parametrize("weight", [random_weight(0), random_weight(7), WIDE, MOD4])
 def test_inversion_matches_scalar_oracle(sieve_small, weight):
-    arrays = factor_tables(sieve_small, 2000)
-    lhs, rhs = inversion_sides(sieve_small, 2000, weight, arrays)
+    (lhs, rhs), _ = inversion_arrays(sieve_small, 2000, [weight])
     for n in range(2, 2001):
         assert (int(lhs[n]), int(rhs[n])) == scalar_inversion(sieve_small, n, weight), n
-    result = check_inversion(sieve_small, 2000, weight, arrays)
-    assert result.passed and result.instances == 1999
+    assert check_inversion(sieve_small, 2000, [weight]) == (BatchCheck(1999, []), [])
 
 
 def test_weights_beyond_int64_raise(sieve_small):
     # HUGE's values fit int64 but sums of two do not, and OVER_P's sums
-    # may pass it at 500 terms: each of the three checks refuses them,
+    # may pass it at 128 terms: each of the three checks refuses them,
     # naming the weight
-    arrays = factor_tables(sieve_small, 500)
     for weight in (HUGE, OVER_P):
         match = re.escape(f"weight {weight.name}:")
         with pytest.raises(ValueError, match=match):
             check_all_identities(sieve_small, 500, 3, [random_weight(0), weight])
         with pytest.raises(ValueError, match=match):
-            check_inversion(sieve_small, 500, weight, arrays)
+            check_inversion(sieve_small, 500, [random_weight(0), weight])
         with pytest.raises(ValueError, match=match):
-            hyperbola_check(sieve_small, 500, weight, arrays)
+            hyperbola_check(sieve_small, 500, weight)
 
 
 def test_identity_bound_is_checked_in_every_group(sieve_small):
@@ -505,13 +544,12 @@ def edge_weight(top):
 @pytest.mark.parametrize("extra, passes", [(0, True), (1, False)])
 def test_int64_bound_is_exact(sieve_small, extra, passes):
     # each check adds at most `terms` values of |f|: 3^9 in the
-    # identities, nmax in the inversion and x in the hyperbola check.
+    # identities, 2^9 in the inversion and x in the hyperbola check.
     # max |f| = (2^63 - 1) // terms is checked exactly, one more raises
-    arrays = factor_tables(sieve_small, 300)
     checks = [
         (3**9, lambda w: check_all_identities(sieve_small, 300, 3, [w]).passed),
-        (300, lambda w: check_inversion(sieve_small, 300, w, arrays).passed),
-        (300, lambda w: len(set(hyperbola_check(sieve_small, 300, w, arrays))) == 1),
+        (2**9, lambda w: check_inversion(sieve_small, 300, [w]) == (BatchCheck(299, []), [])),
+        (300, lambda w: len(set(hyperbola_check(sieve_small, 300, w))) == 1),
     ]
     for terms, check in checks:
         weight = edge_weight((2**63 - 1) // terms + extra)
@@ -529,40 +567,57 @@ def test_int64_bound_is_exact(sieve_small, extra, passes):
     ids=["int64", "object", "object-beyond-int64", "coprime"],
 )
 def test_inversion_matches_full_m_loop(sieve_small, nmax, weight):
-    # nmax = s^2 - 1, s^2 and s^2 + 1 put the split s = isqrt(nmax) on
-    # each side of a square.  HUGE's sums at every nmax, and OVER_P's at
-    # 5000, could pass int64: there the sides raise
-    arrays = factor_tables(sieve_small, nmax)
+    # the block walk's right side against the convolution over full
+    # tables, as one slice per squarefree m and split at s = isqrt(nmax):
+    # nmax = s^2 - 1, s^2 and s^2 + 1 put the split on each side of a
+    # square.  HUGE's and OVER_P's sums of 2^9 values could pass int64:
+    # there the sides raise
     F = weight_table(weight, sieve_small, nmax)
-    if overflows(F, nmax):
+    if overflows(F, 2**9):
         with pytest.raises(ValueError, match=re.escape(weight.name)):
-            inversion_sides(sieve_small, nmax, weight, arrays)
+            inversion_arrays(sieve_small, nmax, [weight])
         return
-    lhs, rhs = inversion_sides(sieve_small, nmax, weight, arrays)
+    (_, rhs), _ = inversion_arrays(sieve_small, nmax, [weight])
+    mu = sieve_small.mu_table()[: nmax + 1].astype(np.int64)
     G = np.array(F, dtype=np.int64)[sieve_small.P2_strict_table()[: nmax + 1]]
-    want = inversion_rhs(sieve_small.mu_table()[: nmax + 1], G)
-    assert rhs.dtype == want.dtype == np.int64
-    assert rhs.tolist() == want.tolist()
+    want = inversion_rhs(mu, G)
+    assert want.dtype == np.int64 and mu_convolution(mu, G, nmax).tolist() == want.tolist()
+    assert rhs[2:].tolist() == want[2:].tolist()
+
+
+# the first block ends at 65537, the second at 131073
+@pytest.mark.parametrize("nmax", [2, 3, 4, 5, 300, 65537, 65538, 131073])
+def test_inversion_sides_match_the_convolution(sieve_big, nmax):
+    # both sides against mu (omega - 1) F[p1] and mu * (F o P2) over the
+    # sieve's full tables, and the block's mu against the rows' (-1)^omega
+    # [n squarefree] and the table
+    weights = [random_weight(0), random_weight(2**40), WIDE]
+    sides = inversion_arrays(sieve_big, nmax, weights)
+    mu = sieve_big.mu_table()[: nmax + 1].astype(np.int64)
+    omega = sieve_big.omega_table()[: nmax + 1].astype(np.int64)
+    p1, P2s = sieve_big.spf[: nmax + 1], sieve_big.P2_strict_table()[: nmax + 1]
+    for (lhs, rhs), weight in zip(sides, weights):
+        F = np.array(weight_table(weight, sieve_big, nmax), dtype=np.int64)
+        assert lhs[2:].tolist() == (mu * (omega - 1) * F[p1])[2:].tolist(), weight.name
+        assert rhs[2:].tolist() == mu_convolution(mu, F[P2s], nmax)[2:].tolist(), weight.name
+    assert sides[-1, 0, 2:].tolist() == sides[-1, 1, 2:].tolist() == mu[2:].tolist()
 
 
 # 210 = 2*3*5*7 and 2310 = 2*3*5*7*11: omega reaches 4 and 5
 @pytest.mark.parametrize("x", [1, 2, 300, 210, 2310, 2500])
 @pytest.mark.parametrize("weight", [random_weight(0), WIDE, MOD4])
 def test_hyperbola_matches_scalar_oracle(sieve_small, x, weight):
-    lhs, rhs = hyperbola_check(sieve_small, x, weight, factor_tables(sieve_small, x))
+    lhs, rhs = hyperbola_check(sieve_small, x, weight)
     assert (lhs, rhs) == scalar_hyperbola(sieve_small, x, weight)
     assert lhs == rhs
 
 
 def test_hyperbola_reads_the_handed_mu_only_on_the_right(sieve_small, monkeypatch):
     # the left side takes mu from the distinct primes of n, the right one
-    # from the handed array alone: never from the sieve's table, and a
-    # flipped mu(42) moves the right side only
+    # from factor_block alone: never from the sieve's table, and the
+    # hook's flip of mu(42) moves the right side only
     w = random_weight(1)
     monkeypatch.setattr(FactorSieve, "mu_table", lambda self: pytest.fail("read mu_table()"))
-    arrays = factor_tables(sieve_small, 300)
-    lhs, rhs = hyperbola_check(sieve_small, 300, w, arrays)
-    bad = dict(arrays, mu=arrays["mu"].copy())
-    bad["mu"][42] = -bad["mu"][42]
-    bad_lhs, bad_rhs = hyperbola_check(sieve_small, 300, w, bad)
+    lhs, rhs = hyperbola_check(sieve_small, 300, w)
+    bad_lhs, bad_rhs = hyperbola_check(sieve_small, 300, w, corrupt_mu=42)
     assert bad_lhs == lhs == rhs != bad_rhs
