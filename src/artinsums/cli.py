@@ -201,7 +201,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--corrupt-mu", type=int, help=argparse.SUPPRESS)  # test hook
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("duality-test", help="exact check of the four duality identities")
+    p = sub.add_parser("duality-test", help="exact check of the duality identities, their inversion and the Mobius sums")
     p.add_argument("--nmax", type=int, default=5000)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--seed", type=int, default=1)
@@ -442,29 +442,44 @@ def _check_suite_args(args) -> None:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
 
 
-def _identity_suite(sieve: FactorSieve, nmax: int, kmax: int, weights) -> int | None:
-    """The four divisor-sum duality identities, exact, for every weight,
-    2 <= n <= nmax and k <= kmax, in one shared pass.  Returns the number
-    of instances checked, or None after printing the first failure in
-    (weight, n, identity, k) order."""
+def _identity_suite(
+    sieve: FactorSieve, nmax: int, kmax: int, weights, corrupt_mu: int | None = None, passes: bool = False
+) -> int | None:
+    """The four divisor-sum duality identities for every weight,
+    2 <= n <= nmax and k <= kmax, the Mobius-inverted form and the Mobius
+    sums, exact, in one walk (duality.check_all_identities); --corrupt-mu
+    n negates mu(n), or sets it to 1 where mu(n) = 0, in the block the
+    walk reads, to prove the checks detect a broken input.  Returns the
+    number of identity instances checked, or None after printing the
+    first failure: the identities' in (weight, n, identity, k) order,
+    then the inversion's, then the Mobius sums'.  With `passes`, prints
+    verify's PASS line after the identities and after the other two."""
     from . import duality
 
-    result = duality.check_all_identities(sieve, nmax, kmax, weights)
-    if result.failures:
-        rep = result.failures[0]
+    identities, inversion, mobius = duality.check_all_identities(sieve, nmax, kmax, weights, corrupt_mu)
+    if identities.failures:
+        rep = identities.failures[0]
+        detail = {"n": rep.n, "identity": rep.identity, "k": rep.k, "weight": rep.weight}
+        detail.update(lhs=str(rep.lhs), rhs=str(rep.rhs))
+        _fail(f"duality identity {rep.identity} (k={rep.k}) at n={rep.n}", detail)
+        return None
+    if passes:
+        print(f"PASS duality identities 1-4, k<={kmax}, n<={nmax}, {len(weights)} weights")
+    if inversion.failures:
+        rep = inversion.failures[0]
         _fail(
-            f"duality identity {rep.identity} (k={rep.k}) at n={rep.n}",
-            {
-                "n": rep.n,
-                "identity": rep.identity,
-                "k": rep.k,
-                "weight": rep.weight,
-                "lhs": str(rep.lhs),
-                "rhs": str(rep.rhs),
-            },
+            f"inversion identity at n={rep.n}",
+            {"n": rep.n, "weight": rep.weight, "lhs": str(rep.lhs), "rhs": str(rep.rhs)},
         )
         return None
-    return result.instances
+    # the inversion's left side is 0 at a prime or prime power
+    if mobius:
+        n, total = mobius[0]
+        _fail(f"Mobius sum at n={n}", {"n": n, "sum": total})
+        return None
+    if passes:
+        print(f"PASS Mobius-inverted identity, n<={nmax}")
+    return identities.instances
 
 
 def _cmd_verify(args) -> int:
@@ -478,27 +493,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--corrupt-mu must lie in [2, {nmax}], got {args.corrupt_mu}")
     sieve = FactorSieve(max(2, isqrt(nmax)))
     weights = [duality.random_weight(args.seed + i) for i in range(args.weights)]
-
-    if _identity_suite(sieve, nmax, args.kmax, weights) is None:
+    if _identity_suite(sieve, nmax, args.kmax, weights, args.corrupt_mu, passes=True) is None:
         return EXIT_CHECK_FAILED
-    print(f"PASS duality identities 1-4, k<={args.kmax}, n<={nmax}, {len(weights)} weights")
-
-    # Mobius-inverted second-order identity and the Mobius sums, exact; the
-    # test hook --corrupt-mu n negates mu(n), or sets it to 1 where
-    # mu(n) = 0, in the block the checks read, to prove they detect a
-    # broken input
-    inversion, mobius = duality.check_inversion(sieve, nmax, weights, args.corrupt_mu)
-    if inversion.failures:
-        rep = inversion.failures[0]
-        return _fail(
-            f"inversion identity at n={rep.n}",
-            {"n": rep.n, "weight": rep.weight, "lhs": str(rep.lhs), "rhs": str(rep.rhs)},
-        )
-    # the inversion's left side is 0 at a prime or prime power
-    if mobius:
-        n, total = mobius[0]
-        return _fail(f"Mobius sum at n={n}", {"n": n, "sum": total})
-    print(f"PASS Mobius-inverted identity, n<={nmax}")
 
     # divisor-sum rearrangement (hyperbola split)
     x_hyp = min(nmax, 2000)

@@ -21,15 +21,15 @@ nothing: a rational weight passes or fails with any integer multiple of
 it.  Each check raises ValueError for a weight whose sums, at the most
 terms that check adds, could pass int64 (``_check_bound``).
 
-The four identities cover every 2 <= n <= nmax and every weight in one
-shared pass: it sieves each block of n by the primes up to isqrt(nmax)
-for their distinct primes and groups the n by omega(n); for each group,
-each weight in turn gives its values at the group's primes, and the
-coefficients of the subset enumeration for that omega apply.  The
-Mobius-inverted form and the Mobius sums walk the same blocks and groups
-(``inversion_sides``), reading mu from the block's ``factor_block``, as
-``hyperbola_check`` does over its one block [2, x]; ``corrupt_mu``,
-verify's test hook, flips one mu there.
+The identities, the Mobius-inverted form and the Mobius sums cover
+every 2 <= n <= nmax and every weight in one walk (``duality_sides``):
+each block of n is sieved once by the primes up to isqrt(nmax) for its
+distinct primes, grouped by omega(n), and factored once by
+``factor_block`` for mu; for each group, each weight in turn gives its
+values at the group's primes once, and the coefficients of the subset
+enumeration for that omega apply to them.  ``hyperbola_check`` reads mu
+from ``factor_block`` of its one block [2, x]; ``corrupt_mu``, verify's
+test hook, flips one mu there.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ def _splitmix64_lanes(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+_SIXTY = np.uint64(60)
 # random_weight's value a (60 // d) at each r in [0, 60)
 _RANDOM_VALUES = np.array([(r % 10 - 5 + (r % 10 >= 5)) * (60 // (r // 10 + 1)) for r in range(60)])
 
@@ -79,8 +80,11 @@ def random_weight(seed: int) -> PrimeWeight:
     p < 2^32) mod 60: a = r mod 10 - 5, moved up by one unless negative,
     and d = r // 10 + 1, read from a table indexed by r."""
     def values(primes: np.ndarray) -> np.ndarray:
-        z = primes.astype(np.uint64) | np.uint64((seed << 32) & _MASK64)
-        return _RANDOM_VALUES[_splitmix64_lanes(z) % np.uint64(60)]
+        z = _splitmix64_lanes(primes.astype(np.uint64) | np.uint64((seed << 32) & _MASK64))
+        # z mod 60 from a floor division, which numpy does by multiplying
+        # (its uint64 remainder divides); int64 indices gather faster
+        z -= z // _SIXTY * _SIXTY
+        return _RANDOM_VALUES[z.view(np.int64)]
     return PrimeWeight(f"random[{seed}]", values)
 
 
@@ -96,7 +100,7 @@ class IdentityReport(NamedTuple):
     weight: str
 
 
-# most values of n per block of the identity pass; bounds its temporaries
+# most values of n per block of the duality checks' walk; bounds its temporaries
 BLOCK = 1 << 16
 # n < 2^32 has at most 9 distinct primes: 2*3*...*29 > 2^32
 _MAX_OMEGA = 9
@@ -147,8 +151,8 @@ def distinct_prime_rows(primes: np.ndarray, lo: int, hi: int) -> tuple[np.ndarra
     for p in primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")].tolist():
         at = np.arange(-lo % p, size, p)
         rows[omega[at], at] = p
-        sq = slice(-lo % (p * p), None, p * p)
-        reps[sq] |= 1 << omega[sq]
+        if (s := -lo % (p * p)) < size:  # no multiple of p^2 for most p > isqrt(size)
+            reps[s :: p * p] |= 1 << omega[s :: p * p]
         omega[-lo % p :: p] += 1
         q = p
         while (s := -lo % q) < size:
@@ -161,11 +165,12 @@ def distinct_prime_rows(primes: np.ndarray, lo: int, hi: int) -> tuple[np.ndarra
 
 @lru_cache(maxsize=None)  # at most 45 pairs (w, kw), as w <= _MAX_OMEGA
 def _coefficients(w: int, kw: int) -> tuple[np.ndarray, np.ndarray]:
-    """(C, R), each (4, kw, w): C[i-1, k-1, j] is the coefficient of f(q_j)
-    in the left side of identity i at k, for n with the w primes
-    q_0 < ... < q_{w-1}, from the enumeration of the squarefree divisors d
-    as subsets of r primes (sign (-1)^r, C(r-1, k-1), k <= r); R holds the
-    right sides."""
+    """(D, R), each (4, kw, w), for n with the w primes q_0 < ... < q_{w-1}:
+    R[i-1, k-1, j] is the coefficient of f(q_j) in the right side of
+    identity i at k, and D = C - R, C the left sides' coefficients from
+    the enumeration of the squarefree divisors d as subsets of r primes
+    (sign (-1)^r, C(r-1, k-1), k <= r).  An identity holds at f where
+    D @ f is 0."""
     C = np.zeros((4, kw, w), dtype=np.int64)
     R = np.zeros((4, kw, w), dtype=np.int64)
     for r in range(1, w + 1):
@@ -182,35 +187,9 @@ def _coefficients(w: int, kw: int) -> tuple[np.ndarray, np.ndarray]:
         R[0, k - 1, 0] = R[1, k - 1, w - 1] = sign * comb(w - 1, k - 1)
         R[2, k - 1, k - 1] += sign
         R[3, k - 1, w - k] += sign
-    C.flags.writeable = R.flags.writeable = False  # shared by every caller
-    return C, R
-
-
-def identity_sides(
-    sieve: FactorSieve, nmax: int, kmax: int, weights: list[PrimeWeight]
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Both sides of the four identities for every weight, every
-    2 <= n <= nmax and k <= min(kmax, omega(n)), as groups (j, ns, lhs,
-    rhs), each for weight j and the n of one block of at most BLOCK
-    values with omega(n) = w, the weights in turn for each block and w;
-    lhs and rhs have shape (4, min(kmax, w), len(ns)) and are indexed
-    [identity - 1, k - 1, row].  For k > omega(n) both sides are 0 (f(1)
-    = 0 in identities 1, 2; C(r-1, k-1) = 0 in 3, 4), so nothing is
-    stored for them, and memory grows with neither kmax nor the number of
-    weights.  Arguments are checked, and each group's values against
-    int64, as the groups are reached."""
-    _check_nmax(sieve, nmax)
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-    primes = sieve.prime_array(isqrt(nmax))
-    for lo in range(2, nmax + 1, BLOCK):
-        for cols, group, _ in _omega_groups(primes, lo, min(lo + BLOCK, nmax + 1)):
-            C, R = _coefficients(len(group), min(kmax, len(group)))
-            for j, weight in enumerate(weights):
-                f = weight.values(group)
-                # the |coefficients| of one side sum to less than 3^omega(n)
-                _check_bound(weight, f, 3**_MAX_OMEGA)
-                yield j, cols + lo, C @ f, R @ f
+    D = C - R
+    D.flags.writeable = R.flags.writeable = False  # shared by every caller
+    return D, R
 
 
 def _omega_groups(primes: np.ndarray, lo: int, hi: int):
@@ -223,23 +202,6 @@ def _omega_groups(primes: np.ndarray, lo: int, hi: int):
         cols = np.flatnonzero(omega == w)
         if cols.size:
             yield cols, rows[:w, cols], reps[cols]
-
-
-def check_all_identities(
-    sieve: FactorSieve, nmax: int, kmax: int, weights: list[PrimeWeight]
-) -> BatchCheck:
-    """All four identities for every weight, 2 <= n <= nmax and
-    k = 1..kmax, in one shared pass (identity_sides); 4 kmax (nmax - 1)
-    instances per weight, those with k > omega(n) 0 on both sides."""
-    groups = identity_sides(sieve, nmax, kmax, weights)
-    found = sorted(
-        (j, int(ns[r]), i + 1, k + 1, int(lhs[i, k, r]), int(rhs[i, k, r]))
-        for j, ns, lhs, rhs in groups
-        if not np.array_equal(lhs, rhs)
-        for i, k, r in np.argwhere(lhs != rhs).tolist()
-    )
-    failures = [IdentityReport(n, i, k, a, b, weights[j].name) for j, n, i, k, a, b in found]
-    return BatchCheck(4 * kmax * (nmax - 1) * len(weights), failures)
 
 
 def _factor_block(primes: np.ndarray, lo: int, hi: int, corrupt_mu: int | None) -> dict[str, np.ndarray]:
@@ -268,17 +230,27 @@ def _inversion_coefficients(w: int, reps: int) -> np.ndarray:
     return R
 
 
-def inversion_sides(
-    sieve: FactorSieve, nmax: int, weights: list[PrimeWeight], corrupt_mu: int | None = None
-) -> Iterator[tuple[int | None, np.ndarray, np.ndarray, np.ndarray]]:
-    """Both sides of mu(n)(omega(n)-1) f(p1(n)) = sum_{d|n} mu(n/d) f(P2(d)),
-    strict P2, as groups (j, ns, lhs, rhs) for weight j and the n of one
-    block with omega(n) = w, checked as identity_sides checks; j = None,
-    before the weights, gives the block's mu(n) and (-1)^w [n squarefree],
-    whose difference is sum_{d|n} mu(d), the inversion's left side being 0
-    at a prime or prime power.  mu and omega come from _factor_block, p1
-    and the right side's d = n / prod S from the distinct primes."""
+def duality_sides(
+    sieve: FactorSieve, nmax: int, kmax: int, weights: list[PrimeWeight], corrupt_mu: int | None = None
+) -> Iterator[tuple]:
+    """Every check of the walk over 2 <= n <= nmax, as groups (j, ns, f,
+    residual, lhs, rhs), each for the n of one block of at most BLOCK
+    values with omega(n) = w.  First, j = None: lhs is the block's mu(n)
+    and rhs (-1)^w [n squarefree], whose difference is sum_{d|n} mu(d),
+    and f = residual = None.  Then, for weight j in turn: f, its values
+    at the group's primes, (w, len(ns)); the residual D @ f of the four
+    identities, (4, min(kmax, w), len(ns)) indexed [identity - 1, k - 1,
+    row], which is 0 where they hold (for k > omega(n) both sides are 0,
+    so nothing is stored for them, and memory grows with neither kmax
+    nor the number of weights); and lhs, rhs the two sides of
+    mu(n)(omega(n)-1) f(p1(n)) = sum_{d|n} mu(n/d) f(P2(d)), strict P2,
+    the left side 0 at a prime or prime power.  mu and omega come from
+    _factor_block, p1 and the right side's d = n / prod S from the
+    distinct primes.  Arguments are checked, and each group's values
+    against int64, as the groups are reached."""
     _check_nmax(sieve, nmax)
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
     primes = sieve.prime_array(isqrt(nmax))
     for lo in range(2, nmax + 1, BLOCK):
         hi = min(lo + BLOCK, nmax + 1)
@@ -286,30 +258,57 @@ def inversion_sides(
         for cols, group, reps in _omega_groups(primes, lo, hi):
             w = len(group)
             ns, mu = cols + lo, block["mu"][cols]
-            yield None, ns, mu, (reps == 0) * (-1) ** w
+            yield None, ns, None, None, mu, (reps == 0) * (-1) ** w
+            D = _coefficients(w, min(kmax, w))[0]
             left = mu * (block["omega"][cols] - 1)
-            R = np.array([_inversion_coefficients(w, r) for r in range(reps.max() + 1)])[reps].T
+            # row i: the inversion's coefficient of f(q_i) at each n
+            R = np.array([_inversion_coefficients(w, r) for r in range(reps.max() + 1)]).T[:, reps]
             for j, weight in enumerate(weights):
                 f = weight.values(group)
-                # a side sums at most 2^omega(n) values of |f|
-                _check_bound(weight, f, 1 << _MAX_OMEGA)
-                yield j, ns, left * f[0], np.einsum("ij,ij->j", R, f)
+                # the |coefficients| of an identity's sides sum to less
+                # than 3^omega(n), the inversion's to 2^omega(n)
+                _check_bound(weight, f, 3**_MAX_OMEGA)
+                yield j, ns, f, D @ f, left * f[0], sum(R[i] * f[i] for i in range(w))
+
+
+def check_all_identities(
+    sieve: FactorSieve, nmax: int, kmax: int, weights: list[PrimeWeight], corrupt_mu: int | None = None
+) -> tuple[BatchCheck, BatchCheck, list[tuple[int, int]]]:
+    """The walk of duality_sides, reduced: the four identities for every
+    weight and k = 1..kmax, 4 kmax (nmax - 1) instances per weight, those
+    with k > omega(n) 0 on both sides; the Mobius-inverted form, nmax - 1
+    instances per weight, reports carrying identity 0, k 2; and (n,
+    sum_{d|n} mu(d)) wherever that is not 0.  A group whose residual is
+    not 0 is reported from its right sides R @ f, the left ones being
+    R @ f + residual."""
+    found, inverted, mobius = [], [], []
+    for j, ns, f, residual, lhs, rhs in duality_sides(sieve, nmax, kmax, weights, corrupt_mu):
+        bad = np.flatnonzero(lhs != rhs)
+        if j is None:
+            mobius += zip(ns[bad].tolist(), (lhs[bad] - rhs[bad]).tolist())
+            continue
+        inverted += ((j, *nab) for nab in zip(ns[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist()))
+        if residual.any():
+            right = _coefficients(len(f), residual.shape[1])[1] @ f
+            found += (
+                (j, int(ns[r]), i + 1, k + 1, int(right[i, k, r]) + int(residual[i, k, r]), int(right[i, k, r]))
+                for i, k, r in np.argwhere(residual).tolist()
+            )
+    identities = [IdentityReport(n, i, k, a, b, weights[j].name) for j, n, i, k, a, b in sorted(found)]
+    inversion = [IdentityReport(n, 0, 2, a, b, weights[j].name) for j, n, a, b in sorted(inverted)]
+    return (
+        BatchCheck(4 * kmax * (nmax - 1) * len(weights), identities),
+        BatchCheck(len(weights) * (nmax - 1), inversion),
+        sorted(mobius),
+    )
 
 
 def check_inversion(
     sieve: FactorSieve, nmax: int, weights: list[PrimeWeight], corrupt_mu: int | None = None
 ) -> tuple[BatchCheck, list[tuple[int, int]]]:
-    """The Mobius-inverted form (inversion_sides), reports carrying
-    identity 0, k 2; and (n, sum_{d|n} mu(d)) wherever that is not 0."""
-    found, mobius = [], []
-    for j, ns, lhs, rhs in inversion_sides(sieve, nmax, weights, corrupt_mu):
-        bad = np.flatnonzero(lhs != rhs)
-        if j is None:
-            mobius += zip(ns[bad].tolist(), (lhs[bad] - rhs[bad]).tolist())
-        else:
-            found += ((j, *nab) for nab in zip(ns[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist()))
-    failures = [IdentityReport(n, 0, 2, a, b, weights[j].name) for j, n, a, b in sorted(found)]
-    return BatchCheck(len(weights) * (nmax - 1), failures), sorted(mobius)
+    """The inversion's and the Mobius sums' results of check_all_identities."""
+    _, inversion, mobius = check_all_identities(sieve, nmax, 1, weights, corrupt_mu)
+    return inversion, mobius
 
 
 def hyperbola_check(

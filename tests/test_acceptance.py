@@ -153,8 +153,8 @@ def test_criterion_02_duality_identity_suite(sieve_big):
     failures = 0
     checked = 0
     weights = [duality.random_weight(seed) for seed in range(5)]
-    inversion, mobius = duality.check_inversion(sieve_big, 5000, weights)
-    for result in (duality.check_all_identities(sieve_big, 5000, 3, weights), inversion):
+    identities, inversion, mobius = duality.check_all_identities(sieve_big, 5000, 3, weights)
+    for result in (identities, inversion):
         checked += result.instances
         failures += len(result.failures)
     failures += len(mobius)

@@ -747,18 +747,18 @@ def _inject(monkeypatch, name, bump):
 
 
 def _bump_identities(weight_index):
-    """bump for _inject("identity_sides"): lhs + 1 at n = 210 (identity 1,
-    k = 3) and n = 30 (identity 3, k = 2), for the weight of that index
-    only."""
+    """bump for _inject("duality_sides"): the identities' residual, left
+    side minus right, + 1 at n = 210 (identity 1, k = 3) and n = 30
+    (identity 3, k = 2), for the weight of that index only."""
 
     def bump(groups):
-        for j, ns, lhs, rhs in groups:
+        for j, ns, f, residual, lhs, rhs in groups:
             if j == weight_index:
-                lhs = lhs.copy()
+                residual = residual.copy()
                 for n, i, k in ((210, 1, 3), (30, 3, 2)):
                     if n in ns:
-                        lhs[i - 1, k - 1, ns == n] += 1
-            yield j, ns, lhs, rhs
+                        residual[i - 1, k - 1, ns == n] += 1
+            yield j, ns, f, residual, lhs, rhs
 
     return bump
 
@@ -777,7 +777,7 @@ def _identity_failure_lines(seed):
 def test_first_identity_failure_reported(command, monkeypatch, capsys):
     # mismatches at n = 210 (identity 1, k = 3) and n = 30 (identity 3, k = 2):
     # the smaller n is reported, in the format of a single failure
-    _inject(monkeypatch, "identity_sides", _bump_identities(0))
+    _inject(monkeypatch, "duality_sides", _bump_identities(0))
     argv = [command, "--nmax", "300"] + (["--weights", "1"] if command == "verify" else [])
     code, out, _ = run(argv, capsys)
     assert code == 1
@@ -785,9 +785,9 @@ def test_first_identity_failure_reported(command, monkeypatch, capsys):
 
 
 def test_identity_failure_names_its_weight(monkeypatch, capsys):
-    # two weights in one shared pass, only the second one's sides bumped:
+    # two weights in one walk, only the second one's residual bumped:
     # the report names random[5], not random[4]
-    _inject(monkeypatch, "identity_sides", _bump_identities(1))
+    _inject(monkeypatch, "duality_sides", _bump_identities(1))
     code, out, _ = run(["verify", "--nmax", "300", "--weights", "2", "--seed", "4"], capsys)
     assert code == 1
     assert out.splitlines() == _identity_failure_lines(5)
@@ -797,10 +797,10 @@ def test_first_inversion_failure_reported(monkeypatch, capsys):
     # the right side one short at n = 90 and n = 77: the smaller n is
     # reported, with f(7) on the left as mu(77) (omega(77) - 1) f(p1(77))
     def bump(groups):
-        for j, ns, lhs, rhs in groups:
-            yield j, ns, lhs, rhs if j is None else rhs - ((ns == 90) | (ns == 77))
+        for j, ns, f, residual, lhs, rhs in groups:
+            yield j, ns, f, residual, lhs, rhs if j is None else rhs - ((ns == 90) | (ns == 77))
 
-    _inject(monkeypatch, "inversion_sides", bump)
+    _inject(monkeypatch, "duality_sides", bump)
     code, out, _ = run(["verify", "--nmax", "300", "--weights", "1"], capsys)
     w = duality.random_weight(1)
     f7 = weight_at(w, 7)
@@ -891,13 +891,11 @@ def test_corrupted_mu_reaches_table_checks(monkeypatch, capsys):
 # 65537 is the last n of the first block of the checks' walk
 @pytest.mark.parametrize("nmax", [2, 3, 4, 100, 65537])
 def test_verify_hands_the_checks_the_table_values(monkeypatch, capsys, nmax):
-    # the blocks that verify's inversion check walks over [2, nmax] and
-    # the hyperbola check reads over [2, min(nmax, 2000)], each sieved from
-    # the primes up to the square root of its end, equal a sieve of limit
-    # nmax's tables; the
-    # identity suite, which reads none of them, is skipped
+    # the blocks that verify's walk of the duality checks reads over
+    # [2, nmax] and the hyperbola check over [2, min(nmax, 2000)], each
+    # sieved from the primes up to the square root of its end, equal a
+    # sieve of limit nmax's tables
     handed = _record_blocks(monkeypatch)
-    monkeypatch.setattr(cli, "_identity_suite", lambda *args: 0)
     code, out, _ = run(["verify", "--nmax", str(nmax), "--weights", "1"], capsys)
     assert code == 0 and out.endswith("all verification suites passed\n")
     walk = [(lo, min(lo + duality.BLOCK, nmax + 1)) for lo in range(2, nmax + 1, duality.BLOCK)]
@@ -908,6 +906,41 @@ def test_verify_hands_the_checks_the_table_values(monkeypatch, capsys, nmax):
         assert corrupt_mu is None and sorted(block) == sorted(tables)
         for name, table in tables.items():
             assert block[name].dtype == table.dtype and np.array_equal(block[name], table[lo:hi]), name
+
+
+def test_verify_walks_each_block_once(monkeypatch, capsys, sieve_big):
+    # three blocks: verify sieves and factors each once, and asks each
+    # weight for its values once per omega group of a block; the hyperbola
+    # check, once a weight, adds a block [2, 2001] and a values call
+    nmax = 2 + 2 * duality.BLOCK + 3
+    sieved, values = [], {}
+    real_rows, real_weight = duality.distinct_prime_rows, duality.random_weight
+
+    def rows(primes, lo, hi):
+        sieved.append((lo, hi))
+        return real_rows(primes, lo, hi)
+
+    def counted_weight(seed):
+        weight = real_weight(seed)
+        values[weight.name] = 0
+
+        def counted(primes):
+            values[weight.name] += 1
+            return weight.values(primes)
+
+        return duality.PrimeWeight(weight.name, counted)
+
+    monkeypatch.setattr(duality, "distinct_prime_rows", rows)
+    monkeypatch.setattr(duality, "random_weight", counted_weight)
+    handed = _record_blocks(monkeypatch)
+    code, out, _ = run(["verify", "--nmax", str(nmax), "--weights", "2"], capsys)
+    assert code == 0 and out.endswith("all verification suites passed\n")
+    walk = [(lo, min(lo + duality.BLOCK, nmax + 1)) for lo in range(2, nmax + 1, duality.BLOCK)]
+    assert len(walk) == 3
+    assert sieved == [(lo, hi) for _, lo, hi, _, _ in handed] == [*walk, (2, 2001), (2, 2001)]
+    omega = sieve_big.omega_table()
+    groups = sum(len(np.unique(omega[lo:hi])) for lo, hi in walk)
+    assert values == {"random[1]": groups + 1, "random[2]": groups + 1}
 
 
 def test_resume_without_state_is_a_usage_error(tmp_path, capsys):
@@ -1254,7 +1287,7 @@ def _fresh_peak_mb(*argv):
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak RSS")
 def test_duality_test_memory_does_not_grow_with_nmax():
     # duality-test reads the primes up to isqrt(nmax) and sieves the
-    # identity pass block by block, so its peak RSS at nmax = 2^21 stays
+    # duality checks' walk block by block, so its peak RSS at nmax = 2^21 stays
     # within 2 MB of that at 2^17, where an spf table to nmax would add
     # 7.5 MB
     small, big = (_fresh_peak_mb("duality-test", "--nmax", str(nmax)) for nmax in (1 << 17, 1 << 21))
@@ -1263,8 +1296,8 @@ def test_duality_test_memory_does_not_grow_with_nmax():
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak RSS")
 def test_verify_memory_does_not_grow_with_nmax():
-    # verify's inversion and Mobius checks walk the identity pass's
-    # blocks, and its hyperbola check and exact scans stop at x = 2000 and
+    # verify's duality checks walk [2, nmax] block by block, and its
+    # hyperbola check and exact scans stop at x = 2000 and
     # 10^4, so its peak RSS at nmax = 2^21 stays within 2 MB of that at
     # 2^17, where tables over [0, nmax] would add about 75 bytes an integer
     argv = ("verify", "--weights", "1", "--nmax")

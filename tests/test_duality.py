@@ -15,13 +15,13 @@ from artinsums.duality import (
     BatchCheck,
     PrimeWeight,
     _check_bound,
+    _coefficients,
     _splitmix64_lanes,
     check_all_identities,
     check_inversion,
     distinct_prime_rows,
+    duality_sides,
     hyperbola_check,
-    identity_sides,
-    inversion_sides,
     random_weight,
 )
 from artinsums.sieve import FactorSieve
@@ -73,8 +73,7 @@ def test_weight_vanishes_at_one(sieve_small):
         return random_weight(3).values(p)
 
     w = PrimeWeight("no value at 1", values)
-    assert check_all_identities(sieve_small, 300, 3, [w]).passed
-    assert check_inversion(sieve_small, 300, [w]) == (BatchCheck(299, []), [])
+    assert check_all_identities(sieve_small, 300, 3, [w]) == (BatchCheck(3588, []), BatchCheck(299, []), [])
     assert len(set(hyperbola_check(sieve_small, 300, w))) == 1
 
 
@@ -141,14 +140,14 @@ def test_identity2_k_beyond_omega(sieve_small):
 
 
 def inversion_arrays(sieve, nmax, weights, corrupt_mu=None):
-    """inversion_sides gathered into one int64 array of shape
-    (len(weights) + 1, 2, nmax + 1): (lhs, rhs) indexed by n for each
-    weight, then the block's mu and (-1)^omega [n squarefree]; entries 0
-    and 1 are 0.  Checks that each group holds the n of one omega and
-    that every n comes once for each j."""
+    """The inversion's sides of duality_sides gathered into one int64
+    array of shape (len(weights) + 1, 2, nmax + 1): (lhs, rhs) indexed by
+    n for each weight, then the block's mu and (-1)^omega [n squarefree];
+    entries 0 and 1 are 0.  Checks that each group holds the n of one
+    omega and that every n comes once for each j."""
     out = np.zeros((len(weights) + 1, 2, nmax + 1), dtype=np.int64)
     seen = np.zeros((len(weights) + 1, nmax + 1), dtype=np.int64)
-    for j, ns, lhs, rhs in inversion_sides(sieve, nmax, weights, corrupt_mu):
+    for j, ns, _, _, lhs, rhs in duality_sides(sieve, nmax, 1, weights, corrupt_mu):
         assert len({len(factorize(sieve, n)) for n in ns[[0, -1]].tolist()}) == 1
         j = len(weights) if j is None else j
         out[j, 0, ns], out[j, 1, ns] = lhs, rhs
@@ -165,12 +164,47 @@ def test_inversion_examples(sieve_small):
     assert check_inversion(sieve_small, 15, [ONE_ON_PRIMES]) == (BatchCheck(14, []), [])
 
 
+def identity_groups(sieve, nmax, kmax, weights):
+    """(j, ns, lhs, rhs) per group and weight of duality_sides: the right
+    sides R @ f of the identities, and the left ones R @ f + residual."""
+    for j, ns, f, residual, _, _ in duality_sides(sieve, nmax, kmax, weights):
+        if j is not None:
+            rhs = _coefficients(len(f), residual.shape[1])[1] @ f
+            yield j, ns, rhs + residual, rhs
+
+
+def unit_weight(q):
+    """Weight 1 at the prime q, 0 at every other."""
+    return indicator(f"1 at {q}", lambda p: p == q)
+
+
+def test_coefficients_match_the_oracles(sieve_big):
+    # C = D + R and R against the enumeration oracle and the closed form,
+    # a unit weight on each distinct prime q_j in turn, at the first three
+    # n from the primorial on for each omega = w up to 7, squarefree or not;
+    # a smaller kw keeps the first kw rows
+    omega = sieve_big.omega_table()
+    for w in range(1, 8):
+        D, R = _coefficients(w, w)
+        primorial = int(np.prod(sieve_big.prime_array(20)[:w]))
+        for n in (np.flatnonzero(omega[primorial:] == w)[:3] + primorial).tolist():
+            for j, (q, _) in enumerate(factorize(sieve_big, n)):
+                unit = unit_weight(q)
+                for i in (1, 2, 3, 4):
+                    for k in range(1, w + 1):
+                        got = int(D[i - 1, k - 1, j] + R[i - 1, k - 1, j]), int(R[i - 1, k - 1, j])
+                        want = divisor_sum(sieve_big, n, k, i, unit), identity_rhs(sieve_big, n, k, i, unit)
+                        assert got == want, (n, q, i, k)
+        for kw in range(1, w):
+            assert all(np.array_equal(a, b[:, :kw]) for a, b in zip(_coefficients(w, kw), (D, R))), (w, kw)
+
+
 def batched_sides(sieve, nmax, kmax, weights, wanted=None):
-    """[{n: {(identity, k): (lhs, rhs)}} per weight] from identity_sides as
-    ints, with the k > omega(n) entries, which the pass does not store,
-    as 0."""
+    """[{n: {(identity, k): (lhs, rhs)}} per weight] from identity_groups
+    as ints, with the k > omega(n) entries, which the walk does not
+    store, as 0."""
     out = [{} for _ in weights]
-    for j, ns, lhs, rhs in identity_sides(sieve, nmax, kmax, weights):
+    for j, ns, lhs, rhs in identity_groups(sieve, nmax, kmax, weights):
         for r, n in enumerate(ns.tolist()):
             if wanted is None or n in wanted:
                 out[j][n] = {
@@ -213,6 +247,18 @@ def test_identities_hold_exactly(sieve_small, n, k, seed):
 def test_inversion_holds_exactly(sieve_small):
     result, mobius = check_inversion(sieve_small, 5000, [random_weight(seed) for seed in range(5)])
     assert result.passed and result.instances == 5 * 4999 and mobius == [], result.failures[:1]
+
+
+def test_corrupt_mu_fails_the_inversion_for_each_weight(sieve_small):
+    # verify's hook flips mu(42): mu(42) (omega(42) - 1) f(2) changes sign
+    # for every weight, none of which is 0 at 2, and the identities, which
+    # read no mu, still pass
+    weights = [random_weight(0), random_weight(1)]
+    identities, inversion, mobius = check_all_identities(sieve_small, 300, 3, weights, corrupt_mu=42)
+    assert identities == BatchCheck(2 * 4 * 3 * 299, [])
+    assert [(rep.n, rep.weight) for rep in inversion.failures] == [(42, "random[0]"), (42, "random[1]")]
+    assert all(rep.lhs == -rep.rhs == 2 * weight_at(w, 2) for rep, w in zip(inversion.failures, weights))
+    assert mobius == [(42, 2)]
 
 
 def test_class_weight_indicator(sieve_small, ctx_cubic):
@@ -304,9 +350,9 @@ def scalar_hyperbola(sieve, x, weight):
 
 def test_check_all_matches_oracle(sieve_small, ctx_cubic):
     # every n <= 5000, every identity and k <= 4, for four weights in one
-    # shared pass: seeded, two indicators and the wide one
+    # walk: seeded, two indicators and the wide one
     weights = [random_weight(4), MOD3, class_weight(ctx_cubic, "1+2"), WIDE]
-    result = check_all_identities(sieve_small, 5000, 4, weights)
+    result = check_all_identities(sieve_small, 5000, 4, weights)[0]
     assert result.passed and result.instances == 4 * 4 * 4999 * len(weights)
     for w, sides in zip(weights, batched_sides(sieve_small, 5000, 4, weights)):
         assert sorted(sides) == list(range(2, 5001))
@@ -459,12 +505,15 @@ def test_identity_blocks_cover_each_n_once(sieve_big):
     # the values beside each edge match the oracle
     nmax = 2 + 2 * BLOCK + 3
     w = random_weight(2)
-    seen = []
-    for j, ns, lhs, rhs in identity_sides(sieve_big, nmax, 3, [w]):
+    seen = {None: [], 0: []}
+    for j, ns, f, residual, lhs, rhs in duality_sides(sieve_big, nmax, 3, [w]):
         omegas = {len(factorize(sieve_big, n)) for n in ns.tolist()}
-        assert j == 0 and len(omegas) == 1 and lhs.shape == rhs.shape == (4, min(3, *omegas), len(ns))
-        seen += ns.tolist()
-    assert sorted(seen) == list(range(2, nmax + 1))
+        assert len(omegas) == 1 and lhs.shape == rhs.shape == ns.shape
+        if j is not None:
+            (omega,) = omegas
+            assert j == 0 and f.shape == (omega, len(ns)) and residual.shape == (4, min(3, omega), len(ns))
+        seen[j] += ns.tolist()
+    assert sorted(seen[None]) == sorted(seen[0]) == list(range(2, nmax + 1))
     edges = {e + d for e in (2 + BLOCK, 2 + 2 * BLOCK) for d in range(-3, 4) if e + d <= nmax}
     (sides,) = batched_sides(sieve_big, nmax, 3, [w], edges)
     assert sorted(sides) == sorted(edges)
@@ -472,10 +521,11 @@ def test_identity_blocks_cover_each_n_once(sieve_big):
 
 
 def test_kmax_beyond_omega_stores_nothing(sieve_small):
-    result = check_all_identities(sieve_small, 50, 10**6, [random_weight(1)])
+    result = check_all_identities(sieve_small, 50, 10**6, [random_weight(1)])[0]
     assert result.passed and result.instances == 4 * 10**6 * 49
-    groups = identity_sides(sieve_small, 50, 10**6, [random_weight(1)])
-    assert max(lhs.shape[1] for _, _, lhs, _ in groups) == 3  # omega(30) = omega(42) = 3
+    groups = duality_sides(sieve_small, 50, 10**6, [random_weight(1)])
+    # omega(30) = omega(42) = 3
+    assert max(residual.shape[1] for j, _, _, residual, _, _ in groups if j is not None) == 3
 
 
 def test_batch_args_validated(sieve_small):
@@ -493,7 +543,7 @@ def test_batch_args_validated(sieve_small):
         check_all_identities(sieve_small, 50, 0, [ONE_ON_PRIMES])
     with pytest.raises(ValueError, match=re.escape("nmax = 10000 outside [2, 9999]")):
         hyperbola_check(small, 10**4, ONE_ON_PRIMES)
-    assert check_all_identities(small, 9999, 3, [ONE_ON_PRIMES]).passed
+    assert check_all_identities(small, 9999, 3, [ONE_ON_PRIMES])[0].passed
     assert check_inversion(small, 9999, [ONE_ON_PRIMES]) == (BatchCheck(9998, []), [])
 
 
@@ -528,8 +578,8 @@ def test_identity_bound_is_checked_in_every_group(sieve_small):
         check_all_identities(sieve_small, 70_000, 3, [random_weight(0), late])
     seen = []
     with pytest.raises(ValueError, match=re.escape(f"weight {late.name}:")):
-        for _, ns, _, _ in identity_sides(sieve_small, 70_000, 3, [late]):
-            seen += ns.tolist()
+        for j, ns, _, _, _, _ in duality_sides(sieve_small, 70_000, 3, [late]):
+            seen += ns.tolist() if j == 0 else []
     assert sorted(seen) == list(range(2, 2 + BLOCK))
 
 
@@ -543,12 +593,13 @@ def edge_weight(top):
 
 @pytest.mark.parametrize("extra, passes", [(0, True), (1, False)])
 def test_int64_bound_is_exact(sieve_small, extra, passes):
-    # each check adds at most `terms` values of |f|: 3^9 in the
-    # identities, 2^9 in the inversion and x in the hyperbola check.
-    # max |f| = (2^63 - 1) // terms is checked exactly, one more raises
+    # each check adds at most `terms` values of |f|: 3^9 in the walk of
+    # the identities and the inversion (whose 2^9 it covers), x in the
+    # hyperbola check.  max |f| = (2^63 - 1) // terms is checked exactly,
+    # one more raises
     checks = [
-        (3**9, lambda w: check_all_identities(sieve_small, 300, 3, [w]).passed),
-        (2**9, lambda w: check_inversion(sieve_small, 300, [w]) == (BatchCheck(299, []), [])),
+        (3**9, lambda w: check_all_identities(sieve_small, 300, 3, [w])[0].passed),
+        (3**9, lambda w: check_inversion(sieve_small, 300, [w]) == (BatchCheck(299, []), [])),
         (300, lambda w: len(set(hyperbola_check(sieve_small, 300, w))) == 1),
     ]
     for terms, check in checks:
@@ -570,10 +621,10 @@ def test_inversion_matches_full_m_loop(sieve_small, nmax, weight):
     # the block walk's right side against the convolution over full
     # tables, as one slice per squarefree m and split at s = isqrt(nmax):
     # nmax = s^2 - 1, s^2 and s^2 + 1 put the split on each side of a
-    # square.  HUGE's and OVER_P's sums of 2^9 values could pass int64:
-    # there the sides raise
+    # square.  HUGE's and OVER_P's sums of 3^9 values, the walk's bound,
+    # could pass int64: there the sides raise
     F = weight_table(weight, sieve_small, nmax)
-    if overflows(F, 2**9):
+    if overflows(F, 3**9):
         with pytest.raises(ValueError, match=re.escape(weight.name)):
             inversion_arrays(sieve_small, nmax, [weight])
         return
